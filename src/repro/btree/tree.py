@@ -13,6 +13,7 @@ estimates correct, which is what matters here.
 from __future__ import annotations
 
 import functools
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Any, Iterator
 
@@ -48,6 +49,9 @@ TOP = _Top()
 
 #: An entry is (key, rid); bounds are synthetic entries.
 Entry = tuple[Key, RID]
+
+#: CPU charge (in page-I/O units) for handing one index entry to a scan
+ENTRY_CPU_COST = 0.0002
 
 
 @dataclass(frozen=True)
@@ -368,7 +372,7 @@ class BTree:
 
 
 class RangeCursor:
-    """Step-wise iteration over a key range, one entry per call.
+    """Step-wise iteration over a key range, one entry (or leaf run) per call.
 
     The cursor records how many entries it has consumed; together with a
     range estimate this yields the "fraction scanned" that drives Jscan's
@@ -420,9 +424,45 @@ class RangeCursor:
                 self.exhausted = True
                 return None
             self._pos += 1
-            self.meter.charge_cpu(0.0002)
+            self.meter.charge_cpu(ENTRY_CPU_COST)
             self.consumed += 1
             return entry
+
+    def next_leaf_run(self) -> list[Entry]:
+        """Return the entries of the range left in the current leaf.
+
+        The next leaf is read only when the current one is used up — the
+        moment :meth:`next_entry` would read it — so a caller that works
+        through the run entry by entry and gives up in the middle has read
+        exactly the pages repeated ``next_entry`` calls would have. An
+        empty list means the range is exhausted.
+
+        The run is handed over *uncharged*: the caller charges
+        :data:`ENTRY_CPU_COST` for each entry as it looks at it (Jscan
+        interleaves those charges with its RID-list writes and its
+        per-entry scan cost, and stops paying when it abandons the scan).
+        """
+        high = self._high
+        while not self.exhausted:
+            leaf = self._leaf
+            assert leaf is not None
+            entries = leaf.entries
+            pos = self._pos
+            if pos >= len(entries):
+                if leaf.next_leaf is None:
+                    self.exhausted = True
+                    break
+                self._leaf = self.tree._node(leaf.next_leaf, self.meter)
+                self._pos = 0
+                continue
+            stop = len(entries)
+            if high is not None and entries[-1] > high:
+                stop = bisect_right(entries, high, pos)
+                self.exhausted = True  # the range ends inside this leaf
+            self._pos = stop
+            self.consumed += stop - pos
+            return entries[pos:stop]
+        return []
 
     def next_entries(self, count: int) -> list[Entry]:
         """Return up to ``count`` next entries in one call.
@@ -464,5 +504,5 @@ class RangeCursor:
                     break
         self.consumed += len(out)
         for _ in out:
-            meter.charge_cpu(0.0002)
+            meter.charge_cpu(ENTRY_CPU_COST)
         return out

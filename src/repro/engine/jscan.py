@@ -28,9 +28,10 @@ Jscan of [MoHa90] used as a baseline (see
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, field
+from typing import Callable, Iterator
 
+from repro.btree.tree import ENTRY_CPU_COST, Entry
 from repro.competition.process import Process
 from repro.competition.two_stage import SwitchCriterion, SwitchDecision
 from repro.config import DEFAULT_CONFIG, EngineConfig
@@ -41,6 +42,10 @@ from repro.storage.buffer_pool import BufferPool, CostMeter
 from repro.storage.heap import HeapFile
 from repro.storage.hybrid_list import HybridRidList, RidListRegion
 from repro.storage.rid import RID, yao_pages_touched
+
+
+#: RIDs per temp-table page assumed when pricing the read-back of a spilled list
+_SPILL_READ_RIDS_PER_PAGE = 512.0
 
 
 @dataclass
@@ -54,6 +59,8 @@ class _IndexScan:
     scanned: int = 0
     kept: int = 0
     scan_cost: float = 0.0
+    #: entries of the cursor's current leaf not yet looked at
+    run: Iterator[Entry] = field(default_factory=lambda: iter(()))
 
     @property
     def name(self) -> str:
@@ -61,7 +68,8 @@ class _IndexScan:
 
 
 class JscanProcess(Process):
-    """The joint-scan background process. One step == one index entry."""
+    """The joint-scan background process. One step == one index entry;
+    :meth:`step` is :meth:`run_batch` of one."""
 
     def __init__(
         self,
@@ -112,6 +120,8 @@ class JscanProcess(Process):
         self._active: _IndexScan | None = None
         self._partner: _IndexScan | None = None
         self._filter: HybridRidList | None = None
+        #: (filter list, heap pages, cost) of the last guaranteed-best answer
+        self._guaranteed: tuple[HybridRidList | None, int, float] | None = None
         self._turn = 0
         self.completed_scans = 0
         self.abandoned_scans = 0
@@ -141,28 +151,25 @@ class JscanProcess(Process):
         """
         cost = yao_pages_touched(self.heap.page_count, self.heap.rows_per_page, int(rid_count))
         if rid_list is not None and rid_list.region is RidListRegion.SPILLED:
-            cost += rid_count / 512.0  # temp-table page reads
+            cost += rid_count / _SPILL_READ_RIDS_PER_PAGE
         return cost
 
     def guaranteed_best_cost(self) -> float:
-        """The cost of the best retrieval guaranteed available right now."""
+        """The cost of the best retrieval guaranteed available right now.
+
+        It changes only when a scan completes (a new filter list) or the
+        heap grows, so it is kept per (filter list, heap page count)
+        instead of being re-derived at every index entry.
+        """
+        pages = self.heap.page_count
+        cached = self._guaranteed
+        if cached is not None and cached[0] is self._filter and cached[1] == pages:
+            return cached[2]
         best = self.tscan_cost()
         if self.dynamic_guaranteed_best and self._filter is not None:
             best = min(best, self.rid_fetch_cost(len(self._filter), self._filter))
+        self._guaranteed = (self._filter, pages, best)
         return best
-
-    def _projection(self, scan: _IndexScan) -> float | None:
-        """Projected final-retrieval cost from the list being built."""
-        if not self.projection_enabled or scan.scanned == 0:
-            return None
-        estimate = scan.candidate.estimated_rids
-        if estimate is None:
-            return None
-        fraction = scan.scanned / max(estimate, float(scan.scanned))
-        if fraction < self.config.min_projection_fraction:
-            return None
-        projected_size = scan.kept / fraction
-        return self.rid_fetch_cost(projected_size, scan.rid_list)
 
     # -- scan lifecycle ----------------------------------------------------------
 
@@ -291,115 +298,176 @@ class JscanProcess(Process):
             self._active = self._partner
             self._partner = None
 
-    # -- the step ------------------------------------------------------------------
-
-    def _choose_scan(self) -> _IndexScan | None:
-        """Alternate between active and partner; the pair pauses at the
-        memory-buffer boundary ("the simultaneous scan ... does not
-        continue beyond the memory buffer"): the partner stops advancing
-        when its own list would spill, and also once the *active* list has
-        spilled — a partner win would then require refiltering the active
-        list out of memory, which is exactly what the paper rules out."""
-        if self._partner is not None:
-            partner_frozen = (
-                len(self._partner.rid_list) >= self.config.allocated_rid_buffer_size
-                or self._active.rid_list.region is RidListRegion.SPILLED
-            )
-            self._turn ^= 1
-            if self._turn and not partner_frozen:
-                return self._partner
-        return self._active
+    # -- the advance routine -----------------------------------------------------
 
     def _do_step(self) -> bool:
-        if self._active is None:
-            if not self._queue:
-                return self._finalize()
-            self._active = self._start_scan(self._queue.pop(0))
-            self._maybe_start_partner()
-        scan = self._choose_scan()
-        assert scan is not None
-        before = self.meter.total
-        entry = scan.cursor.next_entry()
-        if entry is None:
-            scan.scan_cost += self.meter.total - before
-            self._complete_scan(scan)
-            if self.finished:
-                return True
-            if self._active is None:
-                if not self._queue:
-                    return self._finalize()
-                self._active = self._start_scan(self._queue.pop(0))
-            self._maybe_start_partner()
-            return False
-        _, rid = entry
-        scan.scanned += 1
-        self.trace.counters.index_entries_scanned += 1
-        if self._filter is not None and not self._filter.may_contain(rid):
-            self.trace.counters.rids_filtered_out += 1
-        else:
-            spills_before = scan.rid_list.spills
-            scan.rid_list.add(rid, self.meter)
-            if scan.rid_list.spills != spills_before:
-                self.trace.emit(
-                    EventKind.SPILL,
-                    index=scan.name,
-                    rids=len(scan.rid_list),
-                    region=scan.rid_list.region.value,
-                )
-            scan.kept += 1
-            if self.on_keep is not None:
-                self.on_keep(rid, scan.position)
-        scan.scan_cost += self.meter.total - before
-        self._evaluate_criterion(scan)
-        return self.finished
+        """One index entry: a batch of one."""
+        return self._do_batch(1)[1]
 
-    def _evaluate_criterion(self, scan: _IndexScan) -> None:
-        if self.static_rid_threshold is not None:
-            # [MoHa90]-style static control: abandon when the list exceeds a
-            # precomputed threshold; no dynamic readjustment
-            if scan.kept > self.static_rid_threshold:
-                self._abandon_scan(scan, "static-threshold")
-            return
+    def _do_batch(self, max_steps: int) -> tuple[int, bool]:
+        """Advance by up to ``max_steps`` index entries.
+
+        A step takes one entry (or meets the end of a range) from the scan
+        whose turn it is, filters it, stores it, adds what that cost to the
+        scan's cost and evaluates the switch criterion — at every entry, on
+        exactly the numbers a one-entry-per-call loop would see. Entries
+        come a leaf run at a time (:meth:`RangeCursor.next_leaf_run`), so
+        the page after an abandoned entry is never read.
+        """
+        meter = self.meter
+        counters = self.trace.counters
+        config = self.config
+        buffer_limit = config.allocated_rid_buffer_size
+        min_fraction = config.min_projection_fraction
+        threshold = self.criterion.threshold
+        limit_fraction = self.criterion.scan_cost_limit_fraction
+        static_threshold = self.static_rid_threshold
+        probabilistic = self._prob_criterion
+        project = self.projection_enabled
+        on_keep = self.on_keep
+        pages = self.heap.page_count
+        rows_per_page = self.heap.rows_per_page
+        in_filter = None if self._filter is None else self._filter.may_contain
         guaranteed = self.guaranteed_best_cost()
-        if self._prob_criterion is not None:
-            if scan.scanned % self.config.probabilistic_check_interval:
-                return
-            from repro.competition.probabilistic import ScanEvidence
+        steps = 0
+        while steps < max_steps:
+            steps += 1
+            scan = self._active
+            if scan is None:
+                if not self._queue:
+                    return steps, self._finalize()
+                scan = self._active = self._start_scan(self._queue.pop(0))
+                self._maybe_start_partner()
+            partner = self._partner
+            if partner is not None:
+                # the pair alternates and pauses at the memory-buffer
+                # boundary ("the simultaneous scan ... does not continue
+                # beyond the memory buffer"): the partner stops advancing
+                # when its own list would spill, and also once the *active*
+                # list has spilled — a partner win would then require
+                # refiltering the active list out of memory, which is
+                # exactly what the paper rules out (a live list has spilled,
+                # i.e. is in the SPILLED region, exactly when ``spills`` > 0)
+                self._turn ^= 1
+                if (
+                    self._turn
+                    and len(partner.rid_list) < buffer_limit
+                    and not scan.rid_list.spills
+                ):
+                    scan = partner
+            before = meter.io_reads + meter.io_writes + meter.cpu
+            entry = next(scan.run, None)
+            if entry is None:
+                run = scan.cursor.next_leaf_run()
+                if not run:
+                    scan.scan_cost += meter.io_reads + meter.io_writes + meter.cpu - before
+                    self._complete_scan(scan)
+                    if self.finished:
+                        return steps, True
+                    if self._active is None:
+                        if not self._queue:
+                            return steps, self._finalize()
+                        self._active = self._start_scan(self._queue.pop(0))
+                    self._maybe_start_partner()
+                    in_filter = None if self._filter is None else self._filter.may_contain
+                    guaranteed = self.guaranteed_best_cost()
+                    continue
+                scan.run = iter(run)
+                entry = next(scan.run)
+            rid = entry[1]
+            meter.cpu += ENTRY_CPU_COST
+            scanned = scan.scanned = scan.scanned + 1
+            counters.index_entries_scanned += 1
+            if in_filter is not None and not in_filter(rid):
+                counters.rids_filtered_out += 1
+            else:
+                rid_list = scan.rid_list
+                spills_before = rid_list.spills
+                rid_list.add(rid, meter)
+                if rid_list.spills != spills_before:
+                    self.trace.emit(
+                        EventKind.SPILL,
+                        index=scan.name,
+                        rids=len(rid_list),
+                        region=rid_list.region.value,
+                    )
+                scan.kept += 1
+                if on_keep is not None:
+                    on_keep(rid, scan.position)
+            scan_cost = scan.scan_cost = scan.scan_cost + (
+                meter.io_reads + meter.io_writes + meter.cpu - before
+            )
 
+            # -- the switch criterion, at every entry ---------------------------
+            if static_threshold is not None:
+                # [MoHa90]-style static control: abandon when the list exceeds
+                # a precomputed threshold; no dynamic readjustment
+                if scan.kept > static_threshold:
+                    self._abandon_scan(scan, "static-threshold")
+                continue
+            if probabilistic is not None and scanned % config.probabilistic_check_interval:
+                continue
+            # projected final-retrieval cost from the list being built: Yao's
+            # pages for the projected size, plus reading the spill pages back
+            projection = None
             estimate = scan.candidate.estimated_rids
-            evidence = ScanEvidence(
+            if project and estimate is not None:
+                fraction = scanned / max(estimate, float(scanned))
+                if fraction >= min_fraction:
+                    projected_size = scan.kept / fraction
+                    projection = yao_pages_touched(pages, rows_per_page, int(projected_size))
+                    if scan.rid_list.spills:
+                        projection += projected_size / _SPILL_READ_RIDS_PER_PAGE
+            # the probabilistic rule, or SwitchCriterion.evaluate inlined
+            if probabilistic is not None:
+                reason = self._probabilistic_verdict(scan, guaranteed)
+                if reason is None:
+                    continue
+            elif guaranteed <= 0 or (
+                projection is not None and projection >= threshold * guaranteed
+            ):
+                reason = "projected-cost"
+            elif scan_cost >= limit_fraction * guaranteed:
+                reason = "scan-cost"
+            else:
+                continue
+            audit = self.trace.audit
+            if audit.enabled:
+                # the switch-criterion's inputs at the moment it fired: what
+                # the scan had cost, what the projection said it would cost
+                # (None while no reliable projection exists), and the
+                # guaranteed bound it lost to
+                audit.decision(
+                    DecisionKind.STAGE_TRANSITION,
+                    chosen=f"abandon({scan.name})",
+                    reason=reason,
+                    scanned=scanned,
+                    kept=scan.kept,
+                    scan_cost=round(scan_cost, 2),
+                    guaranteed=round(guaranteed, 2),
+                    projection=None if projection is None else round(projection, 2),
+                )
+            self._abandon_scan(scan, reason)
+            self._maybe_start_partner()
+        return steps, False
+
+    def _probabilistic_verdict(self, scan: _IndexScan, guaranteed: float) -> str | None:
+        """The abandon reason under ``probabilistic_switch`` (None: go on)."""
+        from repro.competition.probabilistic import ScanEvidence
+
+        estimate = scan.candidate.estimated_rids
+        decision = self._prob_criterion.evaluate(
+            ScanEvidence(
                 scanned=scan.scanned,
                 kept=scan.kept,
                 estimated_total=estimate if estimate is not None else float(scan.scanned),
                 scan_cost=scan.scan_cost,
-            )
-            decision = self._prob_criterion.evaluate(evidence, guaranteed)
-        else:
-            decision = self.criterion.evaluate(
-                self._projection(scan), scan.scan_cost, guaranteed
-            )
-        if decision is SwitchDecision.CONTINUE:
-            return
-        reason = (
-            "projected-cost" if decision is SwitchDecision.ABANDON_PROJECTED else "scan-cost"
+            ),
+            guaranteed,
         )
-        audit = self.trace.audit
-        if audit.enabled:
-            # the switch-criterion's inputs at the moment it fired: what
-            # the scan had cost, what the projection said it would cost,
-            # and the guaranteed bound it lost to
-            audit.decision(
-                DecisionKind.STAGE_TRANSITION,
-                chosen=f"abandon({scan.name})",
-                reason=reason,
-                scanned=scan.scanned,
-                kept=scan.kept,
-                scan_cost=round(scan.scan_cost, 2),
-                guaranteed=round(guaranteed, 2),
-                projection=round(self._projection(scan), 2),
-            )
-        self._abandon_scan(scan, reason)
-        self._maybe_start_partner()
+        if decision is SwitchDecision.CONTINUE:
+            return None
+        return "projected-cost" if decision is SwitchDecision.ABANDON_PROJECTED else "scan-cost"
 
     def _finalize(self) -> bool:
         if self._filter is not None:

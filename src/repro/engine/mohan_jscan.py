@@ -38,7 +38,7 @@ def _run(process, batch_size: int) -> None:
 
     The baseline has no interleaving, so each process runs solo; batched
     stepping changes only dispatch overhead, never its decisions (the
-    static threshold is evaluated inside ``_do_step``).
+    static threshold is evaluated at every entry inside ``_do_batch``).
     """
     while process.active:
         _, done = process.run_batch(max(1, batch_size))

@@ -126,138 +126,150 @@ def evaluate(
 def compile_predicate(
     expr: Expr, schema: SchemaMap, host_vars: HostVars = {}
 ) -> "Callable[[Sequence], bool]":
-    """Compile a predicate into a ``row -> bool`` closure.
+    """Compile a predicate into a ``row -> bool`` function.
 
-    For a fixed schema and host-variable binding the closure returns exactly
-    what :func:`evaluate` would, but resolves column positions, host-variable
-    values, and dispatch once instead of per row — the batched scan loops
-    amortise this compile over whole batches. Falls back to an interpreted
-    closure for any shape it cannot specialise (including predicates whose
-    bindings would only fail lazily under short-circuit evaluation, which
-    must keep failing lazily).
+    For a fixed schema and host-variable binding the function returns exactly
+    what :func:`evaluate` would, but it is *one* Python expression — e.g.
+    ``(v1 := row[2]) is not None and h0 <= v1 <= h1 and ...`` — with column
+    positions and dispatch resolved once instead of per row.
+
+    The expression is generated once per restriction object (identity-keyed,
+    like :func:`referenced_columns`) as a binder over its constants, so an
+    execution of a cached plan pays one plain call to bind its host
+    variables; restrictions of the same shape (``ID = 17`` and ``ID = 99``
+    of two distinct-literal statements) share one code object.
+
+    Falls back to an interpreted closure for whatever the generator does not
+    specialise: unknown columns, terms or nodes and unbound host
+    variables (which must keep failing lazily, only when short-circuit
+    evaluation reaches them), and host variables bound to NULL.
     """
-    try:
-        return _compile(expr, schema, host_vars)
-    except ExpressionError:
-        return lambda row: evaluate(expr, row, schema, host_vars)
-
-
-def _compile(expr, schema, host_vars):
-    def term(value_term):
-        if isinstance(value_term, Literal):
-            value = value_term.value
-            return lambda row: value
-        if isinstance(value_term, HostVar):
-            try:
-                value = host_vars[value_term.name]
-            except KeyError:
-                # evaluate() raises only if the term is actually reached;
-                # signal the caller to fall back to the interpreter
-                raise ExpressionError(value_term.name) from None
-            return lambda row: value
-        if isinstance(value_term, ColumnRef):
-            try:
-                position = schema[value_term.name]
-            except KeyError:
-                raise ExpressionError(value_term.name) from None
-            return lambda row: row[position]
-        raise ExpressionError(f"unknown value term {value_term!r}")
-
-    def const(value_term):
-        """(True, value) when the term is row-independent."""
-        if isinstance(value_term, Literal):
-            return True, value_term.value
-        if isinstance(value_term, HostVar):
-            try:
-                return True, host_vars[value_term.name]
-            except KeyError:
-                raise ExpressionError(value_term.name) from None
-        return False, None
-
-    def position_of(value_term):
-        if not isinstance(value_term, ColumnRef):
-            return None
+    key = (id(expr), id(schema))
+    plan = _predicate_memo.get(key)
+    if plan is None or plan[0] is not expr or plan[1] is not schema:
+        plan = (expr, schema, *_generate(expr, schema))
+        if len(_predicate_memo) >= 128:
+            _predicate_memo.clear()
+        _predicate_memo[key] = plan
+    _, _, bind, constants, names = plan
+    if bind is not None:
         try:
-            return schema[value_term.name]
+            bound = [host_vars[name] for name in names]
         except KeyError:
-            raise ExpressionError(value_term.name) from None
+            bound = None
+        if bound is not None:
+            predicate = bind(*constants, *bound)
+            if predicate is not None:
+                return predicate
+    return lambda row: evaluate(expr, row, schema, host_vars)
 
-    if isinstance(expr, TrueExpr):
-        return lambda row: True
-    if isinstance(expr, FalseExpr):
-        return lambda row: False
-    if isinstance(expr, Comparison):
-        # fold the hot shape — column <op> constant — into one closure
-        position = position_of(expr.left)
-        is_const, bound = const(expr.right) if position is not None else (False, None)
-        if position is not None and is_const:
-            if bound is None:
-                return lambda row: False
-            op = expr.op
-            if op == "=":
-                return lambda row: (v := row[position]) is not None and v == bound
-            if op == "<>":
-                return lambda row: (v := row[position]) is not None and v != bound
-            if op == "<":
-                return lambda row: (v := row[position]) is not None and v < bound
-            if op == "<=":
-                return lambda row: (v := row[position]) is not None and v <= bound
-            if op == ">":
-                return lambda row: (v := row[position]) is not None and v > bound
-            if op == ">=":
-                return lambda row: (v := row[position]) is not None and v >= bound
-        left, right, op = term(expr.left), term(expr.right), expr.op
-        return lambda row: _compare(op, left(row), right(row))
-    if isinstance(expr, Between):
-        position = position_of(expr.column)
-        lo_const, lo_value = const(expr.lo) if position is not None else (False, None)
-        hi_const, hi_value = const(expr.hi) if position is not None else (False, None)
-        if position is not None and lo_const and hi_const:
-            if lo_value is None or hi_value is None:
-                return lambda row: False
-            return (
-                lambda row: (v := row[position]) is not None
-                and lo_value <= v <= hi_value
+
+#: (id(expr), id(schema)) -> (expr, schema, binder | None, constants, host names);
+#: the stored strong references pin both ids
+_predicate_memo: dict[tuple[int, int], tuple] = {}
+
+_PYTHON_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
+
+
+class _Unsupported(Exception):
+    """The generator met a shape it leaves to the interpreter."""
+
+
+def _generate(
+    expr: Expr, schema: SchemaMap
+) -> "tuple[Callable | None, tuple, tuple[str, ...]]":
+    """``(binder, constants, host variable names)`` for one restriction.
+
+    ``binder(*constants, *host values)`` returns the predicate, or ``None``
+    when a host variable is bound to NULL. The binder is ``None`` when the
+    restriction has a shape the generator does not handle.
+    """
+    constants: list[Any] = []
+    names: list[str] = []
+    reads = 0
+
+    def constant(value: Any) -> str:
+        constants.append(value)
+        return f"c{len(constants) - 1}"
+
+    def read(term: ValueTerm) -> str | None:
+        """Source that reads one term; ``None`` for a literal NULL."""
+        if isinstance(term, Literal):
+            return None if term.value is None else constant(term.value)
+        if isinstance(term, HostVar):
+            if term.name not in names:
+                names.append(term.name)
+            return f"h{names.index(term.name)}"
+        if isinstance(term, ColumnRef):
+            if term.name not in schema:
+                raise _Unsupported(term.name)
+            return f"row[{schema[term.name]}]"
+        raise _Unsupported(repr(term))
+
+    def test(terms: Sequence[ValueTerm], template: str) -> str:
+        """``template`` over ``terms``, never TRUE when one of them is NULL:
+        each column is read once into a local behind a NULL guard."""
+        nonlocal reads
+        guards, uses = [], []
+        for term in terms:
+            text = read(term)
+            if isinstance(term, ColumnRef):
+                reads += 1
+                guards.append(f"(v{reads} := {text}) is not None")
+                text = f"v{reads}"
+            uses.append(text)
+        if None in uses:  # a literal NULL (every term was still resolved)
+            return "False"
+        return " and ".join(guards + [template.format(*uses)])
+
+    def source(node: Expr) -> str:
+        if isinstance(node, TrueExpr):
+            return "True"
+        if isinstance(node, FalseExpr):
+            return "False"
+        if isinstance(node, Comparison):
+            return test((node.left, node.right), f"{{}} {_PYTHON_OPS[node.op]} {{}}")
+        if isinstance(node, Between):
+            return test((node.lo, node.column, node.hi), "{} <= {} <= {}")
+        if isinstance(node, InList):
+            # a NULL member equals nothing
+            members = [text for text in map(read, node.values) if text is not None]
+            return test(
+                (node.column,),
+                f"({' or '.join('{0} == ' + m for m in members) or 'False'})",
             )
-        value, lo, hi = term(expr.column), term(expr.lo), term(expr.hi)
+        if isinstance(node, Like):
+            match = constant(_like_regex(node.pattern).match)
+            return test((node.column,), f"isinstance({{0}}, str) and {match}({{0}}) is not None")
+        if isinstance(node, (And, Or)):
+            word = " and " if isinstance(node, And) else " or "
+            return word.join(f"({source(child)})" for child in node.children)
+        if isinstance(node, Not):
+            return f"not ({source(node.child)})"
+        raise _Unsupported(repr(node))
 
-        def between(row):
-            v, l, h = value(row), lo(row), hi(row)
-            if v is None or l is None or h is None:
-                return False
-            return l <= v <= h
+    try:
+        binder = _binder(source(expr), len(constants), len(names))
+    except (_Unsupported, SyntaxError, RecursionError):
+        # the last two: a tree nested too deeply (about 200 levels) for the
+        # Python compiler, or for this generator's own recursion
+        return None, (), ()
+    return binder, tuple(constants), tuple(names)
 
-        return between
-    if isinstance(expr, InList):
-        value = term(expr.column)
-        candidates = [term(child) for child in expr.values]
 
-        def in_list(row):
-            v = value(row)
-            if v is None:
-                return False
-            return any(v == candidate(row) for candidate in candidates)
-
-        return in_list
-    if isinstance(expr, Like):
-        value = term(expr.column)
-        regex = _like_regex(expr.pattern)
-
-        def like(row):
-            v = value(row)
-            return isinstance(v, str) and regex.match(v) is not None
-
-        return like
-    if isinstance(expr, And):
-        children = [_compile(child, schema, host_vars) for child in expr.children]
-        return lambda row: all(child(row) for child in children)
-    if isinstance(expr, Or):
-        children = [_compile(child, schema, host_vars) for child in expr.children]
-        return lambda row: any(child(row) for child in children)
-    if isinstance(expr, Not):
-        child = _compile(expr.child, schema, host_vars)
-        return lambda row: not child(row)
-    raise ExpressionError(f"cannot compile {expr!r}")
+@lru_cache(maxsize=256)
+def _binder(body: str, constant_count: int, host_var_count: int) -> Callable:
+    """The binder function for one restriction shape (compiled once)."""
+    params = [f"c{i}" for i in range(constant_count)]
+    hosts = [f"h{i}" for i in range(host_var_count)]
+    lines = [f"def bind({', '.join(params + hosts)}):"]
+    if hosts:
+        lines.append(f"    if {' or '.join(f'{h} is None' for h in hosts)}:")
+        lines.append("        return None")
+    lines.append(f"    return lambda row: {body}")
+    namespace: dict[str, Any] = {}
+    exec(compile("\n".join(lines), "<predicate>", "exec"), namespace)
+    return namespace["bind"]
 
 
 def referenced_columns(expr: Expr) -> frozenset[str]:

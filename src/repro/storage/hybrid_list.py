@@ -74,23 +74,21 @@ class HybridRidList:
 
     def add(self, rid: RID, meter: CostMeter = NULL_METER) -> None:
         """Append a RID, migrating regions when thresholds are crossed."""
-        region = self.region
-        if region is RidListRegion.SPILLED:
+        if self._temp is not None:
             self._temp.append(rid, meter)
             self._bitmap.add(rid)
-        elif region is RidListRegion.ALLOCATED:
+        elif self._allocated is not None:
             if self._count >= self.config.allocated_rid_buffer_size:
                 self._spill(meter)
                 self._temp.append(rid, meter)
                 self._bitmap.add(rid)
             else:
                 self._allocated.add(rid)
+        elif len(self._static) >= self.config.static_rid_buffer_size:
+            self._promote_to_allocated()
+            self._allocated.add(rid)
         else:
-            if len(self._static) >= self.config.static_rid_buffer_size:
-                self._promote_to_allocated()
-                self._allocated.add(rid)
-            else:
-                self._static.append(rid)
+            self._static.append(rid)
         self._count += 1
 
     def extend(self, rids: Iterable[RID], meter: CostMeter = NULL_METER) -> None:
@@ -121,14 +119,11 @@ class HybridRidList:
     def may_contain(self, rid: RID) -> bool:
         """Filter test. Exact while in memory; bitmap (no false negatives)
         once spilled."""
-        region = self.region
-        if region is RidListRegion.EMPTY:
-            return False
-        if region is RidListRegion.STATIC:
-            return rid in self._static
-        if region is RidListRegion.ALLOCATED:
+        if self._temp is not None:
+            return rid in self._bitmap
+        if self._allocated is not None:
             return rid in self._allocated
-        return rid in self._bitmap
+        return rid in self._static
 
     @property
     def is_exact_filter(self) -> bool:

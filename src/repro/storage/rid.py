@@ -9,7 +9,10 @@ estimates how many distinct pages a sorted RID fetch will touch, which is the
 
 from __future__ import annotations
 
+import threading
+from array import array
 from bisect import bisect_left, insort
+from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -109,6 +112,39 @@ class SortedRidBuffer:
         return len({rid.page for rid in self._rids})
 
 
+#: prefix-product tables are kept for this many ``(pages, records/page)``
+#: pairs, least recently used first out; a table has at most 1001 doubles
+_YAO_TABLES = 8
+_yao_extend_lock = threading.Lock()
+
+
+@lru_cache(maxsize=_YAO_TABLES)
+def _yao_products(total_pages: int, records_per_page: int) -> "array[float]":
+    """The growing table of Yao prefix products for one table shape.
+
+    ``products[k]`` is ``prod_{i=1..k} (n - n/m - i + 1)/(n - i + 1)``,
+    multiplied up in exactly that order, or ``0.0`` from the first ``k``
+    whose numerator is not positive. The cache hands every caller the same
+    array on purpose: :func:`yao_pages_touched` extends it in place.
+    """
+    return array("d", (1.0,))
+
+
+def _extend_yao_products(products: "array[float]", m: float, n: float, k: int) -> None:
+    # two partition workers may want the same table extended at once
+    with _yao_extend_lock:
+        per_page = n / m
+        prod = products[-1]
+        for i in range(len(products), k + 1):
+            numerator = n - per_page - i + 1
+            denominator = n - i + 1
+            if numerator <= 0:
+                prod = 0.0
+            else:
+                prod *= numerator / denominator
+            products.append(prod)
+
+
 def yao_pages_touched(total_pages: int, records_per_page: int, k: int) -> float:
     """Yao's formula: expected distinct pages touched fetching ``k`` records.
 
@@ -117,6 +153,12 @@ def yao_pages_touched(total_pages: int, records_per_page: int, k: int) -> float:
     average ``m * (1 - prod_{i=1..k} (n - n/m - i + 1)/(n - i + 1))`` pages.
     This is the engine's estimate for the cost of a sorted RID-list fetch
     (the "second stage" of Jscan's two-stage competition).
+
+    Jscan re-projects that cost at every index entry, so the product is not
+    recomputed per call: it is read from a prefix-product table per
+    ``(total_pages, records_per_page)`` that grows to the largest ``k`` asked
+    for so far. The table holds the same multiplications in the same order
+    as the plain loop, so the result is bit-identical to it.
 
     A cheap closed-form approximation ``m * (1 - (1 - 1/m)**k)`` is used when
     the exact product would be long; it is accurate for the sizes we model.
@@ -129,12 +171,8 @@ def yao_pages_touched(total_pages: int, records_per_page: int, k: int) -> float:
         return m
     if k > 1000:
         return m * (1.0 - (1.0 - 1.0 / m) ** k)
-    prod = 1.0
-    per_page = n / m
-    for i in range(1, int(k) + 1):
-        numerator = n - per_page - i + 1
-        denominator = n - i + 1
-        if numerator <= 0:
-            return m
-        prod *= numerator / denominator
-    return m * (1.0 - prod)
+    k = int(k)
+    products = _yao_products(total_pages, records_per_page)
+    if k >= len(products):
+        _extend_yao_products(products, m, n, k)
+    return m * (1.0 - products[k])

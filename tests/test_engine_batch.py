@@ -10,6 +10,8 @@ is involved: a prefetched page charges its miss at prefetch time and a
 hit at fetch time (see docs/performance.md).
 """
 
+from dataclasses import asdict
+
 import pytest
 
 from repro.btree.tree import KeyRange
@@ -17,7 +19,7 @@ from repro.config import DEFAULT_CONFIG
 from repro.db.session import Database
 from repro.engine.initial import run_initial_stage
 from repro.engine.jscan import JscanProcess
-from repro.engine.metrics import RetrievalTrace
+from repro.engine.metrics import EventKind, RetrievalTrace
 from repro.engine.scans import FscanProcess, SscanProcess, TscanProcess
 from repro.engine.union_scan import UnionScanProcess
 from repro.expr.ast import ALWAYS_TRUE, col
@@ -325,3 +327,233 @@ class TestMidBatchCancellation:
             assert not completed
         # either way the connection stays usable
         assert conn.execute("select * from T where A = 2").rows
+
+
+# -- Jscan: one advance routine, identical at every batch size ---------------
+
+
+TINY_BUFFERS = dict(
+    static_rid_buffer_size=2, allocated_rid_buffer_size=8, temp_rids_per_page=4
+)
+
+
+def build_jscan_db(config=DEFAULT_CONFIG, capacity=40):
+    db = Database(buffer_capacity=capacity, config=config)
+    table = db.create_table(
+        "J", [("A", "int"), ("B", "int"), ("C", "int"), ("D", "int")],
+        rows_per_page=8, index_order=6,
+    )
+    for i in range(1200):
+        table.insert(((i * 37) % 200, (i * 91) % 300, (i * i) % 150, i))
+    for column in "ABC":
+        table.create_index(f"IX_{column}", [column])
+    table.analyze()
+    return db, table
+
+
+def start_jscan(expr, config=DEFAULT_CONFIG, **jscan_kwargs):
+    db, table = build_jscan_db(config)
+    db.cold_cache()
+    trace = RetrievalTrace()
+    arrangement = run_initial_stage(
+        list(table.indexes.values()), expr, {}, frozenset(table.schema.names),
+        (), CostMeter(), trace, config,
+    )
+    jscan = JscanProcess(
+        arrangement.jscan_candidates, table.heap, table.buffer_pool, trace,
+        config, **jscan_kwargs,
+    )
+    return table, arrangement, jscan, trace
+
+
+def observe_jscan(expr, drive, config=DEFAULT_CONFIG, **jscan_kwargs):
+    """Everything a Jscan run leaves behind. ``drive`` is ``"step"`` (the
+    oracle: one ``step()`` per entry), a ``run_batch`` size, or
+    ``("next_batch", size)``."""
+    tapped = []
+    table, _, jscan, trace = start_jscan(
+        expr, config, on_keep=lambda rid, pos: tapped.append((rid, pos)),
+        **jscan_kwargs,
+    )
+    returned = None
+    if drive == "step":
+        run_steps(jscan)
+    elif isinstance(drive, tuple):
+        returned = drain_batches(jscan, drive[1])
+    else:
+        while jscan.active and not jscan.run_batch(drive)[1]:
+            pass
+    meter = jscan.meter
+    return {
+        "events": [(event.kind, event.detail) for event in trace.events],
+        "meter": {**asdict(meter), "total": meter.total, "io_total": meter.io_total},
+        "counters": asdict(trace.counters),
+        "scans": (jscan.completed_scans, jscan.abandoned_scans, jscan.reorders),
+        "outcome": (jscan.finished, jscan.tscan_recommended, jscan.empty),
+        "steps": jscan.steps_taken,
+        "rids": None if jscan.result_list is None else jscan.sorted_result(),
+        "tapped": tapped,
+        "pinned": dict(table.buffer_pool._pinned),
+    }, returned
+
+
+def abandon_positions(expr, config=DEFAULT_CONFIG, **jscan_kwargs):
+    """Where in its leaf each abandoned scan's last entry sat:
+    ``(position, leaf length)`` per SCAN_ABANDONED event."""
+    table, arrangement, jscan, trace = start_jscan(expr, config, **jscan_kwargs)
+    run_steps(jscan)
+    positions = []
+    for event in trace.of_kind(EventKind.SCAN_ABANDONED):
+        candidate = next(
+            c for c in arrangement.jscan_candidates
+            if c.index.name == event.detail["index"]
+        )
+        tree = candidate.index.btree
+        node = tree._peek_node(tree._root_id)
+        while not node.is_leaf:
+            node = tree._peek_node(node.children[0])
+        seen = 0
+        while seen < event.detail["scanned"]:
+            for position, (key, _) in enumerate(node.entries):
+                seen += candidate.key_range.contains_key(key)
+                if seen == event.detail["scanned"]:
+                    positions.append((position, len(node.entries)))
+                    break
+            else:
+                node = tree._peek_node(node.next_leaf)
+    return positions
+
+
+def ranges(a, b, c=None):
+    expr = col("A").between(*a) & col("B").between(*b)
+    return expr if c is None else expr & col("C").between(*c)
+
+
+MOHAN = dict(
+    dynamic_guaranteed_best=False, projection_enabled=False, static_rid_threshold=12.0
+)
+PROBABILISTIC = DEFAULT_CONFIG.with_(probabilistic_switch=True)
+SPILLING = DEFAULT_CONFIG.with_(**TINY_BUFFERS)
+
+#: name -> (restriction, config, JscanProcess keywords)
+JSCAN_SCENARIOS = {
+    "abandon-mid-leaf": (ranges((0, 10), (0, 280)), DEFAULT_CONFIG, {}),
+    "abandon-on-leaf-last-entry": (ranges((0, 120), (0, 5)), DEFAULT_CONFIG, {}),
+    "abandon-on-leaf-first-entry": (ranges((0, 10), (46, 166)), DEFAULT_CONFIG, {}),
+    "partner-wins": (ranges((0, 3), (0, 5)), DEFAULT_CONFIG, {}),
+    "three-indexes": (ranges((0, 120), (40, 200), (10, 60)), DEFAULT_CONFIG, {}),
+    "spill": (ranges((0, 120), (40, 200), (10, 60)), SPILLING, {}),
+    "mohan-static-threshold": (ranges((0, 120), (40, 200)), DEFAULT_CONFIG, MOHAN),
+    "probabilistic": (ranges((0, 10), (0, 280)), PROBABILISTIC, {}),
+}
+
+
+class TestJscanAdvanceEquivalence:
+    """``step()`` is a batch of one: the same rows, events, decisions and
+    meter — every field ``==`` — whatever the batch size."""
+
+    def test_scenarios_are_what_their_names_say(self):
+        def scenario(name):
+            expr, config, kwargs = JSCAN_SCENARIOS[name]
+            observation, _ = observe_jscan(expr, "step", config, **kwargs)
+            kinds = [kind for kind, _ in observation["events"]]
+            return expr, observation, kinds
+
+        expr, _, _ = scenario("abandon-mid-leaf")
+        assert any(0 < pos < length - 1 for pos, length in abandon_positions(expr))
+        expr, _, _ = scenario("abandon-on-leaf-last-entry")
+        assert any(pos == length - 1 for pos, length in abandon_positions(expr))
+        expr, _, _ = scenario("abandon-on-leaf-first-entry")
+        assert any(pos == 0 for pos, length in abandon_positions(expr))
+        _, observation, kinds = scenario("partner-wins")
+        assert observation["scans"][2] >= 1 and EventKind.REORDERED in kinds
+        _, observation, kinds = scenario("three-indexes")
+        assert kinds.count(EventKind.SCAN_START) == 3
+        _, observation, kinds = scenario("spill")
+        assert EventKind.SPILL in kinds and observation["meter"]["io_writes"] > 0
+        _, observation, _ = scenario("mohan-static-threshold")
+        assert any(
+            detail.get("reason") == "static-threshold"
+            for _, detail in observation["events"]
+        )
+        _, observation, kinds = scenario("probabilistic")
+        assert EventKind.SCAN_ABANDONED in kinds
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("name", JSCAN_SCENARIOS)
+    def test_run_batch_matches_steps(self, name, batch_size):
+        expr, config, kwargs = JSCAN_SCENARIOS[name]
+        reference, _ = observe_jscan(expr, "step", config, **kwargs)
+        batched, _ = observe_jscan(expr, batch_size, config, **kwargs)
+        assert batched == reference
+        assert reference["pinned"] == {}
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("name", ["partner-wins", "three-indexes", "spill"])
+    def test_next_batch_keeps_tap_order(self, name, batch_size):
+        # an installed on_keep tap still fires for every kept RID, and
+        # next_batch hands back the same (rid, position) pairs in keep order
+        expr, config, kwargs = JSCAN_SCENARIOS[name]
+        reference, _ = observe_jscan(expr, "step", config, **kwargs)
+        batched, returned = observe_jscan(
+            expr, ("next_batch", batch_size), config, **kwargs
+        )
+        assert returned == reference["tapped"] and returned
+        assert batched == reference
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_abandon_mid_batch_releases_everything(self, batch_size):
+        expr, config, kwargs = JSCAN_SCENARIOS["spill"]
+        table, _, jscan, _ = start_jscan(expr, config, **kwargs)
+        for _ in range(max(1, 40 // batch_size)):
+            jscan.run_batch(batch_size)
+        assert jscan.active
+        # stopped inside a leaf: entries of the current run are still unread
+        assert any(
+            len(list(scan.run)) > 0
+            for scan in (jscan._active, jscan._partner) if scan is not None
+        )
+        lists = [s.rid_list for s in (jscan._active, jscan._partner) if s is not None]
+        jscan.abandon()
+        assert jscan.abandoned and not jscan.active
+        assert all(len(rid_list) == 0 for rid_list in lists)
+        assert table.buffer_pool._pinned == {}
+        assert not list(table.buffer_pool.pager.pages_of("jscan:IX_A.spill"))
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_cancel_mid_jscan_through_the_scheduler(self, batch_size, monkeypatch):
+        import repro
+
+        released = []
+        on_abandon = JscanProcess._on_abandon
+
+        def spy(jscan):
+            released.append(jscan.steps_taken)
+            on_abandon(jscan)
+
+        monkeypatch.setattr(JscanProcess, "_on_abandon", spy)
+        conn = repro.connect(
+            buffer_capacity=40, config=DEFAULT_CONFIG.with_(batch_size=batch_size)
+        )
+        conn.execute("create table T (ID int, A int, B int)")
+        table = conn.table("T")
+        table.insert_many((i, (i * 37) % 200, (i * 91) % 300) for i in range(6000))
+        table.create_index("IX_A", ["A"])
+        table.create_index("IX_B", ["B"])
+        table.analyze()
+        handle = conn.submit(
+            "select * from T where A between 0 and 120 and B between 40 and 200"
+        )
+        conn.server.step()
+        conn.server.step()
+        assert not handle.done
+        handle.cancel(reason="test")
+        # the joint scan was cut off between two batches, lists and all
+        assert released and 1 <= released[0] <= 2 * batch_size
+        assert conn.db.buffer_pool._pinned == {}
+        rows = conn.execute("select * from T where A = 37 and B between 0 and 20").rows
+        assert sorted(rows) == sorted(
+            (i, (i * 37) % 200, (i * 91) % 300)
+            for i in range(6000)
+            if (i * 37) % 200 == 37 and (i * 91) % 300 <= 20
+        )

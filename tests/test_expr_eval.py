@@ -1,10 +1,31 @@
 """Tests for predicate evaluation."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from repro.errors import BindingError
-from repro.expr.ast import ALWAYS_FALSE, ALWAYS_TRUE, col, lit, var
-from repro.expr.eval import evaluate, referenced_columns, referenced_host_vars
+from repro.errors import BindingError, ExpressionError
+from repro.expr.ast import (
+    COMPARISON_OPS,
+    ALWAYS_FALSE,
+    ALWAYS_TRUE,
+    And,
+    Between,
+    Comparison,
+    InList,
+    Like,
+    Not,
+    Or,
+    col,
+    lit,
+    var,
+)
+from repro.expr.eval import (
+    _binder,
+    compile_predicate,
+    evaluate,
+    referenced_columns,
+    referenced_host_vars,
+)
 
 SCHEMA = {"a": 0, "b": 1, "name": 2}
 ROW = (10, 20, "hello")
@@ -110,3 +131,107 @@ def test_referenced_host_vars():
 
 def test_referenced_host_vars_empty():
     assert referenced_host_vars(col("a") < 5) == frozenset()
+
+
+# -- compile_predicate: one generated expression, same answers as evaluate ---
+
+
+def outcome(call, *args):
+    """What a call did: its value, or the exception type it raised."""
+    try:
+        return "value", call(*args)
+    except (BindingError, ExpressionError, TypeError) as error:
+        return "raised", type(error)
+
+
+def test_compiled_predicate_matches_evaluate_on_the_hot_shapes():
+    expr = col("a").between(var("lo"), var("hi")) & (col("b").eq(20) | col("name").like("he%"))
+    predicate = compile_predicate(expr, SCHEMA, {"lo": 5, "hi": 15})
+    for row in (ROW, (4, 20, "hello"), (10, 21, "jello"), (None, 20, "hello"), (10, None, None)):
+        assert predicate(row) is evaluate(expr, row, SCHEMA, {"lo": 5, "hi": 15})
+
+
+def test_restrictions_of_one_shape_share_one_code_object():
+    # two distinct-literal statements: the second must not pay compile()
+    first = compile_predicate(col("a").eq(17), SCHEMA)
+    compiled_shapes = _binder.cache_info().misses
+    second = compile_predicate(col("a").eq(99), SCHEMA)
+    assert _binder.cache_info().misses == compiled_shapes
+    assert first.__code__ is second.__code__
+    assert first((17, 0, "")) and not second((17, 0, ""))
+    assert second((99, 0, "")) and not first((99, 0, ""))
+
+
+def test_compiled_unbound_host_variable_fails_lazily():
+    expr = (col("a") < 5) & (col("b") >= var("missing"))
+    predicate = compile_predicate(expr, SCHEMA, {})
+    assert predicate(ROW) is False  # short-circuit never reaches the variable
+    with pytest.raises(BindingError):
+        predicate((1, 20, "hello"))
+
+
+def test_compiled_unknown_column_and_null_binding_fall_back():
+    with pytest.raises(BindingError):
+        compile_predicate(col("zzz") < 1, SCHEMA)(ROW)
+    never = compile_predicate(col("a") <= var("x"), SCHEMA, {"x": None})
+    assert never(ROW) is False
+    assert compile_predicate(~(col("a") <= var("x")), SCHEMA, {"x": None})(ROW) is True
+
+
+VALUES = st.one_of(st.none(), st.integers(-3, 3), st.sampled_from(["", "a", "ab", "b%"]))
+TERMS = st.one_of(
+    VALUES.map(lit),
+    st.sampled_from(["X", "Y", "S", "N", "M"]).map(var),
+    st.sampled_from(["a", "a", "b", "name", "zzz"]).map(col),
+)
+LEAVES = st.one_of(
+    st.sampled_from([ALWAYS_TRUE, ALWAYS_FALSE]),
+    st.builds(Comparison, st.sampled_from(COMPARISON_OPS), TERMS, TERMS),
+    st.builds(Between, TERMS, TERMS, TERMS),
+    st.builds(InList, TERMS, st.lists(TERMS, max_size=3).map(tuple)),
+    st.builds(Like, TERMS, st.sampled_from(["a%", "_b", "%", "a", ""])),
+)
+TREES = st.recursive(
+    LEAVES,
+    lambda children: st.one_of(
+        st.lists(children, min_size=2, max_size=3).map(And),
+        st.lists(children, min_size=2, max_size=3).map(Or),
+        children.map(Not),
+    ),
+    max_leaves=8,
+)
+ROWS = st.tuples(
+    st.one_of(st.none(), st.integers(-3, 3)),
+    st.one_of(st.none(), st.integers(-3, 3)),
+    st.one_of(st.none(), st.sampled_from(["", "a", "ab", "bb"])),
+)
+#: "N" is bound to NULL, "M" is never bound
+BINDINGS = st.fixed_dictionaries({
+    "X": st.integers(-3, 3),
+    "Y": st.one_of(st.integers(-3, 3), st.sampled_from(["a", "ab"])),
+    "S": st.sampled_from(["", "a", "ab"]),
+    "N": st.none(),
+})
+
+
+@settings(max_examples=400, deadline=None)
+@given(expr=TREES, rows=st.lists(ROWS, min_size=1, max_size=6),
+       first=BINDINGS, second=BINDINGS)
+def test_compiled_predicate_is_evaluate(expr, rows, first, second):
+    # both bindings are compiled from the one (memoised) restriction before
+    # either runs: they must not share constants
+    compiled = [(compile_predicate(expr, SCHEMA, binding), binding)
+                for binding in (first, second)]
+    for predicate, binding in compiled:
+        for row in rows:
+            expected = outcome(evaluate, expr, row, SCHEMA, binding)
+            assert outcome(predicate, row) == expected
+            if expected[0] == "value":
+                assert type(predicate(row)) is bool
+
+
+def test_too_deeply_nested_restriction_falls_back_to_the_interpreter():
+    expr = col("a") < 11
+    for _ in range(250):  # the Python compiler gives up at 200 parentheses
+        expr = ~expr
+    assert compile_predicate(expr, SCHEMA)(ROW) is evaluate(expr, ROW, SCHEMA) is True

@@ -165,6 +165,40 @@ class TestEngineCapture:
         assert record.inputs["scanned"] > 0
         assert record.inputs["guaranteed"] > 0
 
+    def test_stage_transition_before_any_projection_records_none(self):
+        """A scan-cost abandon can fire before ``min_projection_fraction``
+        of the index is scanned, when there is no projection yet: the record
+        says ``None`` (it used to crash in ``round(None, 2)``)."""
+        db = Database(buffer_capacity=64)
+        table = db.create_table(
+            "T", [("A", "int"), ("B", "int"), ("C", "int")],
+            rows_per_page=8, index_order=8,
+        )
+        for i in range(2000):
+            table.insert((i, (i * 7) % 2000, (i * 13) % 2000))
+        for column in "ABC":
+            table.create_index(f"IX_{column}", [column])
+        table.analyze()
+        expr = (
+            repro.col("A").between(777, 977)
+            & repro.col("B").between(1615, 1815)
+            & repro.col("C").between(429, 1929)
+        )
+        result, audit = self.run_audited(table, expr)
+        abandons = [r.inputs for r in audit.retrievals[0].decisions
+                    if r.kind is DecisionKind.STAGE_TRANSITION
+                    and r.chosen.startswith("abandon(")]
+        early = [inputs for inputs in abandons if inputs["projection"] is None]
+        assert early and early[0]["reason"] == "scan-cost"
+        assert early[0]["scan_cost"] >= 0.5 * early[0]["guaranteed"] - 0.01
+        assert all(
+            isinstance(inputs["projection"], float)
+            for inputs in abandons if inputs not in early
+        )
+        json.dumps(audit.to_dict())
+        plain = table.select(where=expr)
+        assert sorted(result.rows) == sorted(plain.rows)
+
     def test_audit_off_execution_identical(self):
         """The observer contract: rows, cost, and I/O are unchanged."""
         results = []

@@ -1,9 +1,18 @@
 """Tests for RIDs, sorted RID buffers, and Yao's formula."""
 
+import random
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.storage.rid import RID, SortedRidBuffer, yao_pages_touched
+from repro.storage.rid import (
+    _YAO_TABLES,
+    RID,
+    SortedRidBuffer,
+    _yao_products,
+    yao_pages_touched,
+)
 
 rid_strategy = st.tuples(
     st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=63)
@@ -99,3 +108,120 @@ def test_yao_approximation_matches_exact_for_large_k():
 
 def test_yao_empty_table():
     assert yao_pages_touched(0, 8, 5) == 0.0
+
+
+# -- the prefix-product table is bit-identical to the plain product loop -----
+
+
+def yao_product_loop(total_pages, records_per_page, k):
+    """``yao_pages_touched`` as it was before the table: the reference."""
+    if total_pages <= 0 or k <= 0:
+        return 0.0
+    m = float(total_pages)
+    n = float(total_pages * records_per_page)
+    if k >= n:
+        return m
+    if k > 1000:
+        return m * (1.0 - (1.0 - 1.0 / m) ** k)
+    prod = 1.0
+    per_page = n / m
+    for i in range(1, int(k) + 1):
+        numerator = n - per_page - i + 1
+        denominator = n - i + 1
+        if numerator <= 0:
+            return m
+        prod *= numerator / denominator
+    return m * (1.0 - prod)
+
+
+YAO_SHAPES = [(1, 1), (2, 1), (5, 2), (157, 32), (800, 32), (4800, 32)]
+
+
+@pytest.mark.parametrize("order", ["ascending", "descending", "random"])
+@pytest.mark.parametrize("shape", YAO_SHAPES)
+def test_yao_table_equals_product_loop_bit_for_bit(shape, order):
+    # the table is extended lazily, so the order of the calls decides how
+    # it gets built: every order must give the loop's float exactly
+    ks = list(range(0, 1001))
+    if order == "descending":
+        ks.reverse()
+    elif order == "random":
+        random.Random(1993).shuffle(ks)
+    _yao_products.cache_clear()
+    for k in ks:
+        assert yao_pages_touched(*shape, k) == yao_product_loop(*shape, k), k
+
+
+def test_yao_saturates_when_a_numerator_runs_out():
+    # m=5, r=2: n - n/m - i + 1 <= 0 from i = 9 on -> every page is touched
+    assert yao_product_loop(5, 2, 9) == 5.0
+    _yao_products.cache_clear()
+    assert yao_pages_touched(5, 2, 9) == 5.0
+    assert yao_pages_touched(5, 2, 8) == yao_product_loop(5, 2, 8) < 5.0
+    # k >= n never reaches the table
+    assert yao_pages_touched(5, 2, 10) == yao_pages_touched(5, 2, 11) == 5.0
+    assert yao_pages_touched(1, 1, 1) == 1.0
+
+
+def test_yao_closed_form_branch_is_untouched():
+    # the closed form above 1000 records steps *down* about 1 % at k = 1001:
+    # a known wart, kept because smoothing it would change switch decisions
+    assert yao_pages_touched(800, 32, 1001) == yao_product_loop(800, 32, 1001)
+    assert yao_pages_touched(800, 32, 1001) == 800 * (1.0 - (1.0 - 1.0 / 800) ** 1001)
+    assert yao_pages_touched(800, 32, 1001) < yao_pages_touched(800, 32, 1000)
+    assert yao_pages_touched(4800, 32, 50_000) == yao_product_loop(4800, 32, 50_000)
+
+
+def test_yao_accepts_fractional_record_counts():
+    for k in (0.5, 2.5, 999.9, 1000.5):
+        assert yao_pages_touched(157, 32, k) == yao_product_loop(157, 32, k)
+
+
+def test_yao_memo_is_bounded_and_survives_eviction():
+    _yao_products.cache_clear()
+    shapes = [(pages, 32) for pages in range(100, 100 + 3 * _YAO_TABLES)]
+    for _ in range(2):  # the second pass meets evicted shapes again
+        for shape in shapes:
+            assert yao_pages_touched(*shape, 700) == yao_product_loop(*shape, 700)
+            assert yao_pages_touched(*shape, 30) == yao_product_loop(*shape, 30)
+        assert _yao_products.cache_info().currsize <= _YAO_TABLES
+    # nothing is built before a call needs it
+    _yao_products.cache_clear()
+    assert yao_pages_touched(800, 32, 20) == yao_product_loop(800, 32, 20)
+    assert len(_yao_products(800, 32)) == 21
+
+
+def test_yao_table_extension_is_thread_safe():
+    import threading
+
+    # more threads than cores, all extending the same fresh tables at once
+    shapes = [(4000 + i, 32) for i in range(_YAO_TABLES)]
+    ks = list(range(1, 1001, 7))
+    expected = {(shape, k): yao_product_loop(*shape, k) for shape in shapes for k in ks}
+    _yao_products.cache_clear()
+    start = threading.Barrier(6)
+    failures = []
+
+    def worker(seed):
+        order = ks[:]
+        random.Random(seed).shuffle(order)
+        start.wait(timeout=60)
+        for shape in shapes:
+            for k in order:
+                if yao_pages_touched(*shape, k) != expected[shape, k]:
+                    failures.append((seed, shape, k))
+
+    old_interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+    finally:
+        sys.setswitchinterval(old_interval)
+    assert not failures
+    for shape in shapes:
+        assert len(_yao_products(*shape)) == ks[-1] + 1
