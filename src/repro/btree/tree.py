@@ -428,8 +428,9 @@ class RangeCursor:
             self.consumed += 1
             return entry
 
-    def next_leaf_run(self) -> list[Entry]:
-        """Return the entries of the range left in the current leaf.
+    def next_leaf_run(self, limit: int | None = None) -> list[Entry]:
+        """Return the entries of the range left in the current leaf (at most
+        ``limit`` of them).
 
         The next leaf is read only when the current one is used up — the
         moment :meth:`next_entry` would read it — so a caller that works
@@ -438,9 +439,9 @@ class RangeCursor:
         empty list means the range is exhausted.
 
         The run is handed over *uncharged*: the caller charges
-        :data:`ENTRY_CPU_COST` for each entry as it looks at it (Jscan
-        interleaves those charges with its RID-list writes and its
-        per-entry scan cost, and stops paying when it abandons the scan).
+        :data:`ENTRY_CPU_COST` for each entry as it looks at it (the scans
+        interleave those charges with their own per-entry work, and stop
+        paying when they stop looking).
         """
         high = self._high
         while not self.exhausted:
@@ -456,8 +457,12 @@ class RangeCursor:
                 self._pos = 0
                 continue
             stop = len(entries)
-            if high is not None and entries[-1] > high:
+            ends_here = high is not None and entries[-1] > high
+            if ends_here:
                 stop = bisect_right(entries, high, pos)
+            if limit is not None and stop - pos > limit:
+                stop = pos + limit
+            elif ends_here:
                 self.exhausted = True  # the range ends inside this leaf
             self._pos = stop
             self.consumed += stop - pos
@@ -474,35 +479,7 @@ class RangeCursor:
         A short list means the range is exhausted.
         """
         out: list[Entry] = []
-        if self.exhausted or count < 1:
-            return out
-        high = self._high
-        meter = self.meter
-        while len(out) < count:
-            leaf = self._leaf
-            assert leaf is not None
-            entries = leaf.entries
-            pos = self._pos
-            if pos >= len(entries):
-                if leaf.next_leaf is None:
-                    self.exhausted = True
-                    break
-                self._leaf = self.tree._node(leaf.next_leaf, meter)
-                self._pos = 0
-                continue
-            stop = min(len(entries), pos + count - len(out))
-            if high is None:
-                out.extend(entries[pos:stop])
-                self._pos = stop
-            else:
-                while pos < stop and entries[pos] <= high:
-                    out.append(entries[pos])
-                    pos += 1
-                self._pos = pos
-                if pos < stop:  # crossed the high bound
-                    self.exhausted = True
-                    break
-        self.consumed += len(out)
-        for _ in out:
-            meter.charge_cpu(ENTRY_CPU_COST)
+        while len(out) < count and not self.exhausted:
+            out.extend(self.next_leaf_run(count - len(out)))
+        self.meter.charge_cpu_each(ENTRY_CPU_COST, len(out))
         return out

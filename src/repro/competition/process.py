@@ -10,7 +10,6 @@ can abandon a process between any two steps.
 
 from __future__ import annotations
 
-import abc
 from typing import Generator, TypeVar
 
 from repro.storage.buffer_pool import CostMeter
@@ -55,7 +54,7 @@ def advance(process: "Process", quantum: int = 1) -> Generator[None, None, None]
                 return
 
 
-class Process(abc.ABC):
+class Process:
     """A resumable, abandonable unit of work with attributed costs."""
 
     def __init__(self, name: str) -> None:
@@ -107,16 +106,20 @@ class Process(abc.ABC):
             self._close_span()
         return steps, done
 
-    @abc.abstractmethod
     def _do_step(self) -> bool:
-        """Advance one unit; return True when complete."""
+        """Advance one unit; return True when complete.
+
+        A step is a batch of one. A subclass implements its advance routine
+        once, as this method or as :meth:`_do_batch`, and gets the other.
+        """
+        return self._do_batch(1)[1]
 
     def _do_batch(self, max_steps: int) -> tuple[int, bool]:
         """Advance up to ``max_steps`` units; return ``(steps_taken, done)``.
 
         The default implementation loops :meth:`_do_step`, so every process
-        is batchable; storage-aware subclasses override this to fetch page
-        runs in one buffer-pool call.
+        is batchable; the scans implement this instead, to work a page or a
+        leaf run at a time.
         """
         steps = 0
         while steps < max_steps:

@@ -15,14 +15,16 @@ prefix — nothing re-executes.
 
 from __future__ import annotations
 
-from typing import Any, Mapping
+from collections import defaultdict
+from operator import itemgetter
+from typing import Any, Iterable, Mapping
 
 from repro.btree.tree import KeyRange
 from repro.competition.process import Process
 from repro.config import EngineConfig
 from repro.engine.join.order import JoinOrder, JoinSchema, JoinStep, JoinTableHandle
 from repro.expr.ast import ALWAYS_TRUE
-from repro.expr.eval import compile_predicate
+from repro.expr.eval import compile_page_kernel, compile_predicate
 from repro.sql.plan import JoinPlan
 from repro.storage.buffer_pool import CostMeter
 
@@ -56,6 +58,10 @@ class TeeMeter:
         self.first.charge_cpu(amount)
         self.second.charge_cpu(amount)
 
+    def charge_cpu_each(self, amount: float, count: int) -> None:
+        self.first.charge_cpu_each(amount, count)
+        self.second.charge_cpu_each(amount, count)
+
 
 class _HashBuild:
     """Build-side state of one hash-join step (pins pages across quanta).
@@ -68,10 +74,17 @@ class _HashBuild:
     is exactly the window the ``evict_random`` pin regression test covers.
     """
 
-    def __init__(self, handle: JoinTableHandle, key_columns: tuple[str, ...]) -> None:
+    def __init__(
+        self, handle: JoinTableHandle, key_columns: tuple[str, ...], kernel
+    ) -> None:
         self.handle = handle
-        self.key_positions = tuple(handle.schema.index_of(c) for c in key_columns)
-        self.buckets: dict[tuple, list[tuple]] = {}
+        #: the build side's restriction as a page kernel
+        self.kernel = kernel
+        #: one key column: the value itself is the bucket key; several: their
+        #: tuple (``key_of`` and the probe side agree on this)
+        self.single_key = len(key_columns) == 1
+        self.key_of = itemgetter(*(handle.schema.index_of(c) for c in key_columns))
+        self.buckets: defaultdict[Any, list[tuple]] = defaultdict(list)
         self.next_page = 0
         self.done = handle.page_count == 0
         self.pinned: list[int] = []
@@ -88,11 +101,15 @@ class _HashBuild:
             self.handle.buffer_pool.unpin(page_id)
         self.pinned = []
 
-    def key_for(self, row: tuple) -> tuple | None:
-        key = tuple(row[p] for p in self.key_positions)
-        if any(v is None for v in key):
-            return None
-        return key
+    def add(self, rows: Iterable[tuple]) -> None:
+        """File ``rows`` under their keys; a NULL key column joins nothing."""
+        key_of, buckets, single = self.key_of, self.buckets, self.single_key
+        for row in rows:
+            key = key_of(row)
+            if (key is None) if single else (None in key):
+                continue
+            buckets[key].append(row)
+            self.rows_kept += 1
 
 
 class JoinOrderProcess(Process):
@@ -136,6 +153,17 @@ class JoinOrderProcess(Process):
             )
             for alias, expr in plan.restrictions
         }
+
+        def kernel(alias: str):
+            """The alias's restriction a page at a time (the driving table
+            and the hash builds are read by whole pages)."""
+            return compile_page_kernel(
+                plan.restriction_for(alias) or ALWAYS_TRUE,
+                handles[alias].schema.position,
+                self.host_vars,
+            )
+
+        self._driving_kernel = kernel(driving_alias)
         #: hash builds pending completion, in step order
         self._builds: dict[int, _HashBuild] = {}
         self._build_queue: list[int] = []
@@ -144,6 +172,7 @@ class JoinOrderProcess(Process):
                 build = _HashBuild(
                     handles[step.alias],
                     tuple(c.probe_column for c in step.conditions),
+                    kernel(step.alias),
                 )
                 self._builds[position] = build
                 if not build.done:
@@ -196,21 +225,15 @@ class JoinOrderProcess(Process):
         build = self._builds[position]
         handle = build.handle
         meter = TeeMeter(self.meter, self.edge_meters[position])
-        step = self.order.steps[position]
-        predicate = self._predicates.get(step.alias)
         page_no = build.next_page
         # pin the page for the duration of the run so a quantum boundary
         # cannot evict it from under the build
         build.pin_run([handle.heap.page_id(page_no)])
-        for _, row in handle.heap.scan_page(page_no, meter):
-            meter.charge_cpu(self.config.cpu_cost_per_record)
-            if predicate is not None and not predicate(row):
-                continue
-            key = build.key_for(row)
-            if key is None:
-                continue
-            build.buckets.setdefault(key, []).append(row)
-            build.rows_kept += 1
+        (slots,) = handle.heap.scan_page_run(page_no, 1, meter)
+        meter.charge_cpu_each(
+            self.config.cpu_cost_per_record, len(slots) - slots.count(None)
+        )
+        build.add(map(slots.__getitem__, build.kernel(slots)))
         build.next_page += 1
         if build.next_page >= handle.page_count:
             build.done = True
@@ -221,12 +244,18 @@ class JoinOrderProcess(Process):
         if self._driving_page >= self._driving_pages:
             return True
         meter = self.meter
-        predicate = self._predicates.get(self._driving_alias)
-        for _, row in self._driving.heap.scan_page(self._driving_page, meter):
-            meter.charge_cpu(self.config.cpu_cost_per_record)
-            if predicate is not None and not predicate(row):
-                continue
-            self._probe({self._driving_alias: row}, 0)
+        per_record = self.config.cpu_cost_per_record
+        (slots,) = self._driving.heap.scan_page_run(self._driving_page, 1, meter)
+        deleted = slots.count(None)
+        charged = 0
+        for slot in self._driving_kernel(slots):
+            # a probe charges the same meter: the records up to this one
+            # are charged before it, the rest of the page after the last
+            looked = slot + 1 - (slots[: slot + 1].count(None) if deleted else 0)
+            meter.charge_cpu_each(per_record, looked - charged)
+            charged = looked
+            self._probe({self._driving_alias: slots[slot]}, 0)
+        meter.charge_cpu_each(per_record, len(slots) - deleted - charged)
         self._driving_page += 1
         return self._driving_page >= self._driving_pages
 
@@ -257,7 +286,7 @@ class JoinOrderProcess(Process):
         predicate = self._predicates.get(step.alias)
         if step.tactic == "hash":
             build = self._builds[position]
-            key = tuple(values)
+            key = values[0] if build.single_key else tuple(values)
             for row in build.buckets.get(key, ()):
                 meter.charge_cpu(self.config.cpu_cost_per_record)
                 yield row

@@ -300,10 +300,6 @@ class JscanProcess(Process):
 
     # -- the advance routine -----------------------------------------------------
 
-    def _do_step(self) -> bool:
-        """One index entry: a batch of one."""
-        return self._do_batch(1)[1]
-
     def _do_batch(self, max_steps: int) -> tuple[int, bool]:
         """Advance by up to ``max_steps`` index entries.
 

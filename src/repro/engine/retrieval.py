@@ -23,7 +23,7 @@ from repro.engine.initial import (
     run_initial_stage,
 )
 from repro.engine.metrics import EventKind, RetrievalTrace
-from repro.engine.scans import SscanProcess, TscanProcess
+from repro.engine.scans import CollectingSink, SscanProcess, TscanProcess
 from repro.engine.tactics import (
     StepOutcome,
     TacticContext,
@@ -223,10 +223,7 @@ class SingleTableRetrieval:
 
         collect_limit = None if needs_post_sort else limit
 
-        def sink(rid: RID, row: tuple) -> bool:
-            rows.append(row)
-            rids.append(rid)
-            return collect_limit is None or len(rows) < collect_limit
+        sink = CollectingSink(rows, rids, collect_limit)
 
         result = RetrievalResult(
             rows=rows, rids=rids, trace=trace, description="", goal=goal,

@@ -11,14 +11,26 @@
 time, index scans one entry at a time, so tactics can interleave them at
 proportional speeds and abandon them mid-run.
 
+Each scan has one advance routine, ``_do_batch``; a step is a batch of one.
+The routine works a heap page or a B-tree leaf run at a time — the
+restriction as one page kernel call, RIDs built for survivors only, the
+per-record charges added in one loop, counters bumped once — and leaves
+behind exactly what a scan looking at one record per step would: the same
+rows, charges, counters and page reads, whatever the batch size. The one
+exception is Tscan's read-ahead: a consumer stop keeps the pages of the
+current ``get_many`` run that were already read (docs/performance.md).
+
 Scans push results into a *sink* ``(rid, row) -> bool``; a False return is
 the consumer saying "enough" (EXISTS satisfied, LIMIT reached, cursor
-closed) — the paper's forceful early termination.
+closed) — the paper's forceful early termination. Nothing after the row
+the sink stops at is delivered, charged or counted.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Mapping
+from functools import partial
+from operator import itemgetter
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.competition.process import Process
 from repro.config import DEFAULT_CONFIG, EngineConfig
@@ -26,16 +38,20 @@ from repro.db.catalog import IndexInfo, TableSchema
 from repro.engine.metrics import RetrievalTrace
 from repro.errors import RetrievalError
 from repro.expr.ast import Expr
-from repro.expr.eval import compile_predicate
-from repro.btree.tree import KeyRange, RangeCursor
+from repro.expr.eval import compile_page_kernel, compile_predicate
+from repro.btree.tree import ENTRY_CPU_COST, KeyRange, RangeCursor
 from repro.storage.heap import HeapFile
-from repro.storage.rid import RID
+from repro.storage.rid import RID, page_rids
 
 #: a delivery sink; False return requests retrieval stop
 Sink = Callable[[RID, tuple], bool]
 
 #: a compiled restriction: row -> bool (see repro.expr.eval.compile_predicate)
 Predicate = Callable[[tuple], bool]
+
+#: the same restriction over a page of rows: slots -> the slots that pass
+#: (see repro.expr.eval.compile_page_kernel)
+PageKernel = Callable[[Sequence], list[int]]
 
 
 class BatchingSinkMixin:
@@ -48,7 +64,9 @@ class BatchingSinkMixin:
     Deliveries still flow through the installed sink unchanged — the same
     steps run, the same costs are charged, and a sink returning False stops
     the scan exactly as in push mode — so batch and row consumption are
-    equivalent in row sequence and :class:`CostMeter` totals.
+    equivalent in row sequence and :class:`CostMeter` totals. (The capturing
+    sink takes rows one call at a time; only :class:`CollectingSink` takes a
+    page's survivors in one piece.)
 
     A step may deliver more rows than requested (Tscan steps whole pages);
     the surplus is buffered and returned by the next call, never dropped.
@@ -86,7 +104,135 @@ class BatchingSinkMixin:
         return batch
 
 
-class TscanProcess(BatchingSinkMixin, Process):
+class CollectingSink:
+    """The sink of a retrieval: collects rows and RIDs until ``limit``.
+
+    Called with one ``(rid, row)`` it is an ordinary :data:`Sink`; the bulk
+    scans hand it a whole page's survivors at once (:meth:`take`), and it
+    stops at exactly the row the calls would stop at.
+    """
+
+    __slots__ = ("rows", "rids", "limit")
+
+    def __init__(
+        self, rows: list[tuple], rids: list[RID], limit: int | None = None
+    ) -> None:
+        self.rows = rows
+        self.rids = rids
+        self.limit = limit
+
+    def __call__(self, rid: RID, row: tuple) -> bool:
+        self.rows.append(row)
+        self.rids.append(rid)
+        return self.limit is None or len(self.rows) < self.limit
+
+    def take(self, rids: Sequence[RID], rows: Sequence[tuple]) -> int | None:
+        """Collect ``rows`` in order; returns the position of the row that
+        reached the limit (nothing after it is taken), else ``None``."""
+        limit = self.limit
+        if limit is None or len(self.rows) + len(rows) < limit or not rows:
+            self.rows.extend(rows)
+            self.rids.extend(rids)
+            return None
+        # a call collects its row before it looks at the limit
+        room = max(1, limit - len(self.rows))
+        self.rows.extend(rows[:room])
+        self.rids.extend(rids[:room])
+        return room - 1
+
+
+class _Scan(BatchingSinkMixin, Process):
+    """What the three scans are made of: the restriction, compiled as a row
+    predicate and as a page kernel, the sink, and the trace."""
+
+    def __init__(
+        self,
+        name: str,
+        schema: TableSchema,
+        restriction: Expr,
+        host_vars: Mapping[str, Any],
+        sink: Sink,
+        trace: RetrievalTrace | None,
+        config: EngineConfig,
+        predicate: Predicate | None,
+    ) -> None:
+        super().__init__(name)
+        self.schema = schema
+        self.restriction = restriction
+        self.host_vars = dict(host_vars)
+        self.sink = sink
+        self.trace = trace
+        self.config = config
+        #: restriction compiled once per scan — or shared across the whole
+        #: plan when the caller passes a cached predicate
+        self.predicate = predicate if predicate is not None else compile_predicate(
+            restriction, schema.position, self.host_vars
+        )
+        self.stopped_by_consumer = False
+
+    def _page_kernel(self) -> PageKernel:
+        """The same restriction, a page (or leaf run) of rows at a time."""
+        return compile_page_kernel(
+            self.restriction, self.schema.position, self.host_vars
+        )
+
+    def _sift(
+        self,
+        slots: Sequence[tuple | None],
+        rids_of: Callable[[list[int]], list[RID]],
+        skip_rids: Callable[[RID], bool] | None = None,
+    ) -> tuple[int, int, bool, Exception | None]:
+        """Evaluate the restriction over one page of rows, deliver what passes.
+
+        ``slots`` are a heap page's slots (``None`` where a record was
+        deleted) or the rows of an index leaf run; ``rids_of`` names the
+        records in the given slots. Returns ``(last, delivered, stopped,
+        error)``: ``last`` is the last slot a scan going row by row would
+        have looked at — the page's last, the one where the consumer said
+        "enough", or the one whose row made the restriction raise. The caller
+        charges up to there, then raises ``error`` if there is one. The rows
+        go to the sink in order — in one piece where it takes that
+        (:class:`CollectingSink`) — and none after the one it stops at.
+        """
+        last, error = len(slots) - 1, None
+        try:
+            hits = self.kernel(slots)
+        except Exception:  # handed back at the row it belongs to
+            # Row by row, the rows before the offending one are delivered
+            # first, and a consumer satisfied by those never meets the error.
+            hits = []
+            for slot, row in enumerate(slots):
+                if row is None or (
+                    skip_rids is not None and skip_rids(rids_of([slot])[0])
+                ):
+                    continue
+                try:
+                    if self.predicate(row):
+                        hits.append(slot)
+                except Exception as raised:
+                    last, error = slot, raised
+                    break
+        else:
+            if skip_rids is not None:
+                hits = [s for s, rid in zip(hits, rids_of(hits)) if not skip_rids(rid)]
+        if not hits:
+            return last, 0, False, error
+        rids, rows = rids_of(hits), [slots[slot] for slot in hits]
+        take = getattr(self.sink, "take", None)
+        if take is not None:
+            stop_at = take(rids, rows)
+        else:
+            sink = self.sink
+            stop_at = next(
+                (i for i, rid in enumerate(rids) if not sink(rid, rows[i])), None
+            )
+        if stop_at is not None:
+            self.stopped_by_consumer = True
+            return hits[stop_at], stop_at + 1, True, None
+        return last, len(hits), False, error
+
+
+class TscanProcess(_Scan):
     """Sequential full-table scan. One step == one heap page."""
 
     def __init__(
@@ -102,56 +248,32 @@ class TscanProcess(BatchingSinkMixin, Process):
         name: str = "tscan",
         predicate: Predicate | None = None,
     ) -> None:
-        super().__init__(name)
-        self.heap = heap
-        self.schema = schema
-        self.restriction = restriction
-        self.host_vars = dict(host_vars)
-        self.sink = sink
-        self.trace = trace
-        self.config = config
-        #: restriction compiled once per scan — or shared across the whole
-        #: plan when the caller passes a cached predicate
-        self.predicate = predicate if predicate is not None else compile_predicate(
-            restriction, schema.position, self.host_vars
+        super().__init__(
+            name, schema, restriction, host_vars, sink, trace, config, predicate
         )
+        self.heap = heap
+        self.kernel = self._page_kernel()
         #: RIDs to suppress (already delivered by a foreground process)
         self.skip_rids = skip_rids
-        self.stopped_by_consumer = False
         self._next_page = 0
         if trace is not None:
             self.span = trace.tracer.open(
                 "scan", strategy="tscan", pages=heap.page_count
             )
 
-    def _do_step(self) -> bool:
-        if self._next_page >= self.heap.page_count:
-            return True
-        for rid, row in self.heap.scan_page(self._next_page, self.meter):
-            self.meter.charge_cpu(self.config.cpu_cost_per_record)
-            if self.trace is not None:
-                self.trace.counters.records_fetched += 1
-            if self.skip_rids is not None and self.skip_rids(rid):
-                continue
-            if self.predicate(row):
-                if self.trace is not None:
-                    self.trace.counters.records_delivered += 1
-                if not self.sink(rid, row):
-                    self.stopped_by_consumer = True
-                    return True
-        self._next_page += 1
-        return self._next_page >= self.heap.page_count
-
     def _do_batch(self, max_steps: int) -> tuple[int, bool]:
-        """Scan up to ``max_steps`` pages using page-run reads.
+        """Scan up to ``max_steps`` pages, each through the page kernel.
 
         Pages are fetched in read-ahead-window-sized runs through one
-        ``get_many`` call each; hit/miss charges match ``_do_step`` exactly
-        for a scan that is not stopped mid-run. A consumer stop mid-run
-        leaves the run's already-fetched trailing pages charged (bounded by
-        ``read_ahead_window - 1`` speculative reads — see docs/performance.md).
+        ``get_many`` call each (a step is a run of one). Records are charged
+        and counted as far as the scan looks: a consumer stop in the middle
+        of a page charges nothing after the stop row, but leaves the run's
+        already-fetched trailing pages read (at most ``read_ahead_window -
+        1`` of them — see docs/performance.md).
         """
         heap = self.heap
+        meter = self.meter
+        counters = None if self.trace is None else self.trace.counters
         steps = 0
         while steps < max_steps:
             if self._next_page >= heap.page_count:
@@ -161,25 +283,27 @@ class TscanProcess(BatchingSinkMixin, Process):
                 heap.page_count - self._next_page,
                 self.config.read_ahead_window,
             )
-            for rows in heap.scan_page_run(self._next_page, run, self.meter):
+            for slots in heap.scan_page_run(self._next_page, run, meter):
                 steps += 1
-                for rid, row in rows:
-                    self.meter.charge_cpu(self.config.cpu_cost_per_record)
-                    if self.trace is not None:
-                        self.trace.counters.records_fetched += 1
-                    if self.skip_rids is not None and self.skip_rids(rid):
-                        continue
-                    if self.predicate(row):
-                        if self.trace is not None:
-                            self.trace.counters.records_delivered += 1
-                        if not self.sink(rid, row):
-                            self.stopped_by_consumer = True
-                            return steps, True
+                last, delivered, stopped, error = self._sift(
+                    slots, partial(page_rids, self._next_page), self.skip_rids
+                )
+                looked = last + 1 - slots[: last + 1].count(None)
+                meter.charge_cpu_each(self.config.cpu_cost_per_record, looked)
+                if counters is not None:
+                    counters.records_fetched += looked
+                    counters.records_delivered += delivered
+                if error is not None:
+                    raise error
+                if stopped:
+                    return steps, True
                 self._next_page += 1
-        return steps, self._next_page >= self.heap.page_count
+            if self._next_page >= heap.page_count:
+                return steps, True
+        return steps, False
 
 
-class SscanProcess(BatchingSinkMixin, Process):
+class SscanProcess(_Scan):
     """Self-sufficient index scan: delivers straight from index entries.
 
     Requires every column the restriction and the output need to be present
@@ -201,96 +325,66 @@ class SscanProcess(BatchingSinkMixin, Process):
         name: str | None = None,
         predicate: Predicate | None = None,
     ) -> None:
-        super().__init__(name or f"sscan:{index.name}")
+        super().__init__(
+            name or f"sscan:{index.name}", schema, restriction, host_vars, sink,
+            trace, config, predicate,
+        )
         self.index = index
-        self.schema = schema
-        self.restriction = restriction
-        self.host_vars = dict(host_vars)
-        self.sink = sink
-        self.trace = trace
-        self.config = config
-        self.stopped_by_consumer = False
+        self.kernel = self._page_kernel()
         self.cursor: RangeCursor = index.btree.range_cursor(key_range, self.meter)
         self.delivered = 0
-        #: restriction compiled once per scan (shared when plan-cached), so
-        #: the batch and single-step paths use one callable instead of
-        #: re-compiling per scan instance
-        self.predicate = predicate if predicate is not None else compile_predicate(
-            restriction, schema.position, self.host_vars
+        # a delivered row reads, position by position, the key column
+        # indexed there, or the None appended to the key
+        picks = [len(index.positions)] * len(schema)
+        for column, position in enumerate(index.positions):
+            picks[position] = column
+        self._row_of: Callable[[tuple], tuple] = (
+            itemgetter(*picks) if len(picks) > 1 else itemgetter(slice(1))
         )
         if trace is not None:
             self.span = trace.tracer.open(
                 "scan", strategy="sscan", index=index.name
             )
 
-    def _row_from_key(self, key: tuple) -> tuple:
-        row: list[Any] = [None] * len(self.schema)
-        for value, position in zip(key, self.index.positions):
-            row[position] = value
-        return tuple(row)
-
-    def _do_step(self) -> bool:
-        entry = self.cursor.next_entry()
-        if entry is None:
-            return True
-        key, rid = entry
-        if self.trace is not None:
-            self.trace.counters.index_entries_scanned += 1
-        row = self._row_from_key(key)
-        if self.predicate(row):
-            self.delivered += 1
-            if self.trace is not None:
-                self.trace.counters.records_delivered += 1
-            if not self.sink(rid, row):
-                self.stopped_by_consumer = True
-                return True
-        return False
-
     def _do_batch(self, max_steps: int) -> tuple[int, bool]:
-        """Scan up to ``max_steps`` index entries through one bulk cursor
-        pull, evaluating the scan's shared compiled restriction.
+        """Scan up to ``max_steps`` index entries, a leaf run at a time.
 
-        Charges and delivered rows match ``_do_step`` exactly for a scan
-        that is not stopped mid-batch; a consumer stop leaves the batch's
-        already-pulled trailing entries charged (bounded by ``max_steps - 1``
-        entries' CPU — see docs/performance.md).
+        The run's rows go through the page kernel in one call; entries are
+        charged and counted one by one as far as the scan looks, so a
+        consumer stop inside a leaf pays for nothing after the stop entry
+        and the next leaf is read only when this one is used up.
         """
-        entries = self.cursor.next_entries(max_steps)
-        if not entries:
-            return 1, True
-        pred = self.predicate
-        sink = self.sink
-        positions = self.index.positions
-        scratch: list[Any] = [None] * len(self.schema)
-        steps = delivered = 0
-        try:
-            for key, rid in entries:
-                steps += 1
-                for value, position in zip(key, positions):
-                    scratch[position] = value
-                row = tuple(scratch)
-                if pred(row):
-                    delivered += 1
-                    if not sink(rid, row):
-                        self.stopped_by_consumer = True
-                        return steps, True
-        finally:
+        meter = self.meter
+        row_of = self._row_of
+        steps = 0
+        while steps < max_steps:
+            entries = self.cursor.next_leaf_run(max_steps - steps)
+            if not entries:
+                return steps + 1, True  # the step that meets the end of the range
+            last, delivered, stopped, error = self._sift(
+                [row_of(key + (None,)) for key, _ in entries],
+                lambda hits: [entries[slot][1] for slot in hits],
+            )
+            steps += last + 1
+            meter.charge_cpu_each(ENTRY_CPU_COST, last + 1)
             self.delivered += delivered
             if self.trace is not None:
-                self.trace.counters.index_entries_scanned += steps
+                self.trace.counters.index_entries_scanned += last + 1
                 self.trace.counters.records_delivered += delivered
-        if len(entries) < max_steps:  # the range is exhausted
-            return steps + 1, True
+            if error is not None:
+                raise error
+            if stopped:
+                return steps, True
         return steps, False
 
 
-class FscanProcess(BatchingSinkMixin, Process):
+class FscanProcess(_Scan):
     """Fetch-needed index scan with immediate record fetches.
 
     One step == one index entry (plus its record fetch). An optional
-    *filter* (anything with ``may_contain``) can be installed at any time —
-    the Sorted tactic plugs Jscan's completed filter in mid-flight to
-    suppress useless fetches.
+    *filter* (anything with ``may_contain``) can be installed between any
+    two steps or batches — the Sorted tactic plugs Jscan's completed filter
+    in mid-flight to suppress useless fetches.
     """
 
     def __init__(
@@ -307,19 +401,12 @@ class FscanProcess(BatchingSinkMixin, Process):
         name: str | None = None,
         predicate: Predicate | None = None,
     ) -> None:
-        super().__init__(name or f"fscan:{index.name}")
+        super().__init__(
+            name or f"fscan:{index.name}", schema, restriction, host_vars, sink,
+            trace, config, predicate,
+        )
         self.index = index
         self.heap = heap
-        self.schema = schema
-        self.restriction = restriction
-        self.host_vars = dict(host_vars)
-        self.sink = sink
-        self.trace = trace
-        self.config = config
-        self.predicate = predicate if predicate is not None else compile_predicate(
-            restriction, schema.position, self.host_vars
-        )
-        self.stopped_by_consumer = False
         self.cursor: RangeCursor = index.btree.range_cursor(key_range, self.meter)
         #: installable RID filter (e.g. a completed Jscan bitmap)
         self.filter: Any | None = None
@@ -332,35 +419,55 @@ class FscanProcess(BatchingSinkMixin, Process):
                 "scan", strategy="fscan", index=index.name
             )
 
-    def _do_step(self) -> bool:
-        entry = self.cursor.next_entry()
-        if entry is None:
-            return True
-        _, rid = entry
-        if self.trace is not None:
-            self.trace.counters.index_entries_scanned += 1
-        if self.filter is not None and not self.filter.may_contain(rid):
-            self.filtered_out += 1
+    def _do_batch(self, max_steps: int) -> tuple[int, bool]:
+        """Scan up to ``max_steps`` index entries, a leaf run at a time.
+
+        Each entry is charged, filtered, fetched, evaluated and delivered
+        before the next is looked at — a record fetch is I/O, so nothing is
+        done ahead of a consumer that may stop — and the next leaf is read
+        only when the current one is used up.
+        """
+        meter = self.meter
+        fetch = self.heap.fetch
+        predicate = self.predicate
+        sink = self.sink
+        per_record = self.config.cpu_cost_per_record
+        may_contain = None if self.filter is None else self.filter.may_contain
+        steps = filtered_out = fetched = delivered = rejected = 0
+        try:
+            while steps < max_steps:
+                entries = self.cursor.next_leaf_run(max_steps - steps)
+                if not entries:
+                    return steps + 1, True  # the step that meets the end of the range
+                for _, rid in entries:
+                    steps += 1
+                    meter.cpu += ENTRY_CPU_COST
+                    if may_contain is not None and not may_contain(rid):
+                        filtered_out += 1
+                        continue
+                    row = fetch(rid, meter)
+                    fetched += 1
+                    meter.cpu += per_record
+                    if predicate(row):
+                        delivered += 1
+                        if not sink(rid, row):
+                            self.stopped_by_consumer = True
+                            return steps, True
+                    else:
+                        rejected += 1
+            return steps, False
+        finally:
+            self.filtered_out += filtered_out
+            self.fetched += fetched
+            self.delivered += delivered
+            self.rejected += rejected
             if self.trace is not None:
-                self.trace.counters.rids_filtered_out += 1
-            return False
-        row = self.heap.fetch(rid, self.meter)
-        self.fetched += 1
-        self.meter.charge_cpu(self.config.cpu_cost_per_record)
-        if self.trace is not None:
-            self.trace.counters.records_fetched += 1
-        if self.predicate(row):
-            self.delivered += 1
-            if self.trace is not None:
-                self.trace.counters.records_delivered += 1
-            if not self.sink(rid, row):
-                self.stopped_by_consumer = True
-                return True
-        else:
-            self.rejected += 1
-            if self.trace is not None:
-                self.trace.counters.fetches_rejected += 1
-        return False
+                counters = self.trace.counters
+                counters.index_entries_scanned += steps
+                counters.rids_filtered_out += filtered_out
+                counters.records_fetched += fetched
+                counters.records_delivered += delivered
+                counters.fetches_rejected += rejected
 
 
 def check_self_sufficient(index: IndexInfo, needed_columns: frozenset[str]) -> None:

@@ -18,10 +18,12 @@ yielding control once per *batch* of process steps
 (``config.batch_size``, default 64) until it returns a
 :class:`TacticOutcome` — the yield points are where the multi-query
 scheduler (:mod:`repro.server`) interleaves concurrent retrievals and where
-cancellation lands. Batching changes only the yield frequency: inside a
-batch the competition still interleaves foreground/background one step at
-a time and evaluates every switch criterion after every step, so switch
-points and cost accounting are identical at any batch size
+cancellation lands. Batching changes only the yield frequency: while two
+processes compete, the competition still interleaves foreground/background
+one step at a time and evaluates every switch criterion after every step;
+a scan left without a partner runs the rest of each quantum in one
+``run_batch`` call (the same steps, the same yields), so switch points and
+cost accounting are identical at any batch size
 (``batch_size=1`` restores one yield per step exactly). The plain-named
 functions (``fast_first`` etc.) are synchronous wrappers that drain their
 ``*_steps`` generator; the dispatcher lives in
@@ -516,13 +518,16 @@ def sorted_tactic_steps(ctx: TacticContext) -> StepOutcome:
                 )
                 ctx.trace.counters.strategy_switches += 1
             # tscan_recommended: the filter would not help; fscan continues
-        if jscan is not None and jscan.active and (
-            jscan.meter.total / bgr_weight < fscan.meter.total / fgr_weight
-        ):
+        if jscan is None or not jscan.active:
+            # no partner left to interleave with: the rest of the quantum
+            # in one call (the same steps, the same yields)
+            pending += fscan.run_batch(quantum - pending)[0]
+        elif jscan.meter.total / bgr_weight < fscan.meter.total / fgr_weight:
             jscan.step()
+            pending += 1
         else:
             fscan.step()
-        pending += 1
+            pending += 1
         if pending >= quantum:
             pending = 0
             yield
@@ -615,13 +620,16 @@ def index_only_steps(ctx: TacticContext) -> StepOutcome:
                     yield from _finish_background(ctx, jscan, outcome, skip=skip)
                     return outcome
             jscan = None  # tscan recommended or not competitive: sscan continues
-        if jscan is not None and jscan.active and (
-            jscan.meter.total / bgr_weight < sscan.meter.total / fgr_weight
-        ):
+        if jscan is None:
+            # no partner left to interleave with: the rest of the quantum
+            # in one call (the same steps, the same yields)
+            pending += sscan.run_batch(quantum - pending)[0]
+        elif jscan.meter.total / bgr_weight < sscan.meter.total / fgr_weight:
             jscan.step()
+            pending += 1
         else:
             sscan.step()
-        pending += 1
+            pending += 1
         if pending >= quantum:
             pending = 0
             yield

@@ -82,6 +82,8 @@ class UnionScanProcess(Process):
             )
         self._scans.sort(key=lambda scan: scan.estimate)
         self._current = 0
+        #: entries scanned so far, over all disjuncts
+        self._scanned = 0
         self._rids: set[RID] = set()
         #: tap: called with each RID newly added to the union (duplicates
         #: are skipped); :meth:`next_batch` captures through it
@@ -110,7 +112,7 @@ class UnionScanProcess(Process):
 
     def projected_final_cost(self) -> float | None:
         """Projected fetch cost of the completed union."""
-        scanned = sum(scan.scanned for scan in self._scans)
+        scanned = self._scanned
         if scanned == 0 or self.total_estimate <= 0:
             return None
         fraction = scanned / max(self.total_estimate, float(scanned))
@@ -138,6 +140,7 @@ class UnionScanProcess(Process):
                 continue
             _, rid = entry
             scan.scanned += 1
+            self._scanned += 1
             self.trace.counters.index_entries_scanned += 1
             if rid in self._rids:
                 self.duplicates_skipped += 1

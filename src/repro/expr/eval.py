@@ -144,14 +144,7 @@ def compile_predicate(
     variables (which must keep failing lazily, only when short-circuit
     evaluation reaches them), and host variables bound to NULL.
     """
-    key = (id(expr), id(schema))
-    plan = _predicate_memo.get(key)
-    if plan is None or plan[0] is not expr or plan[1] is not schema:
-        plan = (expr, schema, *_generate(expr, schema))
-        if len(_predicate_memo) >= 128:
-            _predicate_memo.clear()
-        _predicate_memo[key] = plan
-    _, _, bind, constants, names = plan
+    _, _, bind, constants, names, _ = _generated(expr, schema)
     if bind is not None:
         try:
             bound = [host_vars[name] for name in names]
@@ -164,8 +157,62 @@ def compile_predicate(
     return lambda row: evaluate(expr, row, schema, host_vars)
 
 
-#: (id(expr), id(schema)) -> (expr, schema, binder | None, constants, host names);
-#: the stored strong references pin both ids
+def compile_page_kernel(
+    expr: Expr, schema: SchemaMap, host_vars: HostVars = {}
+) -> "Callable[[Sequence], list[int]]":
+    """Compile a predicate into a ``slots -> [slot, ...]`` page kernel.
+
+    ``slots`` is a heap page's slot list (``None`` marks a deleted record) or
+    any other list of rows; the kernel returns the positions of the rows the
+    predicate accepts, in order. It is one list comprehension around the
+    very expression :func:`compile_predicate` generates — same memo, same
+    fallbacks to :func:`evaluate` — so a page costs one call instead of one
+    per record. Rows are evaluated in slot order: when one raises, the
+    kernel raises what the row predicate would have raised at that row (the
+    scans then go over the page row by row, see ``_Scan._sift`` in
+    :mod:`repro.engine.scans`).
+
+    The kernel's code object is built on first use, so statements that never
+    scan a page never pay for it.
+    """
+    _, _, _, constants, names, body = _generated(expr, schema)
+    if body is not None and all(name in host_vars for name in names):
+        try:
+            bind = _binder(body, len(constants), len(names), _PAGE)
+        except (SyntaxError, RecursionError):
+            bind = None  # nested too deeply once the comprehension is around it
+        kernel = bind and bind(*constants, *(host_vars[name] for name in names))
+        if kernel is not None:
+            return kernel
+    return lambda slots: [
+        slot
+        for slot, row in enumerate(slots)
+        if row is not None and evaluate(expr, row, schema, host_vars)
+    ]
+
+
+def _generated(expr: Expr, schema: SchemaMap) -> tuple:
+    """The memoised plan of one restriction:
+    ``(expr, schema, row binder | None, constants, host names, body | None)``."""
+    key = (id(expr), id(schema))
+    plan = _predicate_memo.get(key)
+    if plan is None or plan[0] is not expr or plan[1] is not schema:
+        plan = (expr, schema, *_generate(expr, schema))
+        if len(_predicate_memo) >= 128:
+            _predicate_memo.clear()
+        _predicate_memo[key] = plan
+    return plan
+
+
+#: what the generated function wraps around the restriction's expression
+_ROW = "lambda row: {}"
+_PAGE = (
+    "lambda slots: [slot for slot, row in enumerate(slots) "
+    "if row is not None and ({})]"
+)
+
+#: (id(expr), id(schema)) -> the plan :func:`_generated` describes; the stored
+#: strong references pin both ids
 _predicate_memo: dict[tuple[int, int], tuple] = {}
 
 _PYTHON_OPS = {"=": "==", "<>": "!=", "<": "<", "<=": "<=", ">": ">", ">=": ">="}
@@ -177,11 +224,14 @@ class _Unsupported(Exception):
 
 def _generate(
     expr: Expr, schema: SchemaMap
-) -> "tuple[Callable | None, tuple, tuple[str, ...]]":
-    """``(binder, constants, host variable names)`` for one restriction.
+) -> "tuple[Callable | None, tuple, tuple[str, ...], str | None]":
+    """``(row binder, constants, host variable names, body)`` for one
+    restriction.
 
-    ``binder(*constants, *host values)`` returns the predicate, or ``None``
-    when a host variable is bound to NULL. The binder is ``None`` when the
+    ``body`` is the source of one Python expression over ``row``, the
+    constants ``c0..`` and the host values ``h0..``; ``binder(*constants,
+    *host values)`` returns the predicate around it, or ``None`` when a host
+    variable is bound to NULL (:func:`_binder`). Both are ``None`` when the
     restriction has a shape the generator does not handle.
     """
     constants: list[Any] = []
@@ -249,24 +299,27 @@ def _generate(
         raise _Unsupported(repr(node))
 
     try:
-        binder = _binder(source(expr), len(constants), len(names))
+        body = source(expr)
+        binder = _binder(body, len(constants), len(names), _ROW)
     except (_Unsupported, SyntaxError, RecursionError):
         # the last two: a tree nested too deeply (about 200 levels) for the
         # Python compiler, or for this generator's own recursion
-        return None, (), ()
-    return binder, tuple(constants), tuple(names)
+        return None, (), (), None
+    return binder, tuple(constants), tuple(names), body
 
 
 @lru_cache(maxsize=256)
-def _binder(body: str, constant_count: int, host_var_count: int) -> Callable:
-    """The binder function for one restriction shape (compiled once)."""
+def _binder(body: str, constant_count: int, host_var_count: int, form: str) -> Callable:
+    """The binder function for one restriction shape (compiled once per
+    form): ``bind(*constants, *host values)`` returns ``form`` around
+    ``body``, or ``None`` when a host variable is bound to NULL."""
     params = [f"c{i}" for i in range(constant_count)]
     hosts = [f"h{i}" for i in range(host_var_count)]
     lines = [f"def bind({', '.join(params + hosts)}):"]
     if hosts:
         lines.append(f"    if {' or '.join(f'{h} is None' for h in hosts)}:")
         lines.append("        return None")
-    lines.append(f"    return lambda row: {body}")
+    lines.append(f"    return {form.format(body)}")
     namespace: dict[str, Any] = {}
     exec(compile("\n".join(lines), "<predicate>", "exec"), namespace)
     return namespace["bind"]

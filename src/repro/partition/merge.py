@@ -1,16 +1,16 @@
 """Gather-side merge operators.
 
 Each partition fetch delivers an independent ``(rows, rids)`` run. Sscan
-goals (the request carries ``order_by``) merge the runs with an ordered
-k-way merge — every partition already delivered in order, so the merge is
-a single :func:`heapq.merge` pass. Tscan goals take the bag union in
-partition order, which keeps the output deterministic at every worker
+goals (the request carries ``order_by``) merge the runs in key order:
+every partition already delivered in order, so a stable sort over their
+concatenation *is* the ordered k-way merge. Tscan goals take the bag union
+in partition order, which keeps the output deterministic at every worker
 count (workers change *when* runs arrive, never the gather order).
 """
 
 from __future__ import annotations
 
-import heapq
+from operator import itemgetter
 from typing import Sequence
 
 from repro.storage.rid import RID
@@ -34,23 +34,14 @@ def merge_sorted_runs(runs: Sequence[Run], key_positions: Sequence[int]) -> Run:
 
     ``key_positions`` are the ``order_by`` columns' positions in the
     delivered row tuples. Ties across partitions break by partition
-    index, so the merged order is total and deterministic.
+    index, so the merged order is total and deterministic: the runs are
+    concatenated in partition order and sorted *stably* on the key columns
+    alone, so equal keys keep partition order, then run order — and only
+    keys are ever compared, never the rest of a row.
     """
-    positions = tuple(key_positions)
-
-    def annotate(part_index: int, run: Run):
-        part_rows, part_rids = run
-        for row, rid in zip(part_rows, part_rids):
-            yield (tuple(row[p] for p in positions), part_index, row, rid)
-
-    rows: list[tuple] = []
-    rids: list[RID] = []
-    # the (key, partition) prefix is totally ordered, so heapq never
-    # compares the trailing row/rid payloads
-    for _, _, row, rid in heapq.merge(
-        *(annotate(i, run) for i, run in enumerate(runs)),
-        key=lambda item: (item[0], item[1]),
-    ):
-        rows.append(row)
-        rids.append(rid)
-    return rows, rids
+    rows, rids = bag_union(runs)
+    if not key_positions:
+        return rows, rids
+    keys = list(map(itemgetter(*key_positions), rows))
+    order = sorted(range(len(rows)), key=keys.__getitem__)
+    return [rows[i] for i in order], [rids[i] for i in order]

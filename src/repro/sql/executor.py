@@ -11,6 +11,7 @@ actually sees the early-termination opportunity.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Any, Generator, Mapping
 
 from repro.competition.process import drain
@@ -620,7 +621,11 @@ def _project(
     if not project.columns:
         return schema.names, rows
     positions = [schema.index_of(name) for name in project.columns]
-    projected = [tuple(row[position] for position in positions) for row in rows]
+    if len(positions) == 1:  # itemgetter would hand back bare values
+        (position,) = positions
+        projected = [(row[position],) for row in rows]
+    else:
+        projected = list(map(itemgetter(*positions), rows))
     return tuple(project.columns), projected
 
 

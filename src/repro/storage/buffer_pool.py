@@ -74,6 +74,14 @@ class CostMeter:
         """Charge ``amount`` page-I/O-equivalents of CPU work."""
         self.cpu += amount
 
+    def charge_cpu_each(self, amount: float, count: int) -> None:
+        """``count`` charges of ``amount``, added one at a time: the float
+        total is bit for bit what ``count`` :meth:`charge_cpu` calls leave."""
+        cpu = self.cpu
+        for _ in range(count):
+            cpu += amount
+        self.cpu = cpu
+
     def merge(self, other: "CostMeter") -> None:
         """Fold another meter's charges into this one."""
         self.io_reads += other.io_reads
@@ -118,6 +126,9 @@ class NullMeter(CostMeter):
         pass
 
     def charge_cpu(self, amount: float) -> None:
+        pass
+
+    def charge_cpu_each(self, amount: float, count: int) -> None:
         pass
 
     def merge(self, other: "CostMeter") -> None:

@@ -112,29 +112,25 @@ class HeapFile:
 
     def scan_page_run(
         self, start: int, count: int, meter: CostMeter = NULL_METER
-    ) -> list[list[tuple[RID, Row]]]:
-        """Scan a run of pages fetched in one buffer-pool call.
+    ) -> list[list[Row | None]]:
+        """Read a run of pages in one buffer-pool call.
 
-        Returns one list of live ``(RID, row)`` pairs per page in the run
-        ``[start, min(start+count, page_count))`` — empty pages contribute an
-        empty list, so callers can count page-granular steps. The pages are
-        pulled through :meth:`BufferPool.get_many`, so hits and misses are
-        charged exactly as ``count`` successive :meth:`scan_page` calls would
-        charge them, without per-page buffer-pool dispatch. Used by Tscan's
-        batched ``_do_batch`` path.
+        Returns the slot list of each page in the run
+        ``[start, min(start+count, page_count))`` — the page's own list, not
+        a copy: slot ``i`` of page ``n`` is the record ``RID(n, i)``,
+        ``None`` where it was deleted, and the caller must not change it.
+        The pages are pulled (and pinned meanwhile) through
+        :meth:`BufferPool.get_many`, so hits and misses are charged exactly
+        as ``count`` successive :meth:`scan_page` calls would charge them,
+        without per-page buffer-pool dispatch. The bulk scans run a page
+        kernel (:func:`repro.expr.eval.compile_page_kernel`) over each list
+        and build RIDs only for the records that pass.
         """
         if start < 0 or start >= len(self._page_ids):
             raise StorageError(f"heap {self.name!r} has no page {start}")
         stop = min(start + max(count, 1), len(self._page_ids))
         pages = self.buffer_pool.get_many(self._page_ids[start:stop], meter)
-        return [
-            [
-                (RID(page_no, slot), row)
-                for slot, row in enumerate(page.payload)
-                if row is not None
-            ]
-            for page_no, page in zip(range(start, stop), pages)
-        ]
+        return [page.payload for page in pages]
 
     def page_id(self, page_no: int) -> int:
         """The buffer-pool page id backing heap page ``page_no``.

@@ -12,7 +12,8 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left, insort
-from functools import lru_cache
+from functools import lru_cache, partial
+from itertools import repeat
 from typing import Iterable, Iterator, NamedTuple
 
 
@@ -30,6 +31,15 @@ class RID(NamedTuple):
     def decode(cls, value: int, slots_per_page: int = 1 << 16) -> "RID":
         """Inverse of :meth:`encode`."""
         return cls(value // slots_per_page, value % slots_per_page)
+
+
+_new_rid = partial(tuple.__new__, RID)
+
+
+def page_rids(page: int, slots: Iterable[int]) -> list[RID]:
+    """The RIDs of the given slots of one heap page (built without a
+    Python-level call per RID: the bulk scans name every survivor)."""
+    return list(map(_new_rid, zip(repeat(page), slots)))
 
 
 class SortedRidBuffer:

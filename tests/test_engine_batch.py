@@ -557,3 +557,397 @@ class TestJscanAdvanceEquivalence:
             for i in range(6000)
             if (i * 37) % 200 == 37 and (i * 91) % 300 <= 20
         )
+
+
+# -- Tscan, Sscan, Fscan, join steps: one advance routine each ----------------
+
+
+def build_scan_db():
+    """400 rows, 8 per page, with holes: every seventh record and one whole
+    page deleted; C of one record (the only one with A == 41) is a string,
+    so any restriction reading C raises at exactly that row."""
+    db = Database(buffer_capacity=48)
+    table = db.create_table(
+        "T", [("A", "int"), ("B", "int"), ("C", "int")],
+        rows_per_page=8, index_order=6,
+    )
+    rids = [
+        table.insert((41 if i == 203 else i % 30, (i * 7) % 90, i))
+        for i in range(400)
+    ]
+    table.create_index("IX_B", ["B"])
+    table.create_index("IX_AC", ["A", "C"])
+    for i in sorted({*range(0, 400, 7), *range(40, 48)} - {203}):
+        table.delete_rid(rids[i])
+    table.analyze()
+    bad = rids[203]
+    table.heap.update(bad, (41, 71, "x"))
+    # its A is unique, so the B-tree never compares its C with another
+    table.indexes["IX_AC"].btree.delete((41, 203), bad)
+    table.indexes["IX_AC"].btree.insert((41, "x"), bad)
+    return db, table, bad
+
+
+class EveryOtherPage:
+    """A stand-in for a completed Jscan filter."""
+
+    def may_contain(self, rid):
+        return rid.page % 2 == 0
+
+
+def scan_range(kind, table):
+    """The index and key range the Sscan and Fscan scenarios walk."""
+    if kind == "sscan":
+        return table.indexes["IX_AC"], KeyRange(lo=(5,), hi=None)
+    return table.indexes["IX_B"], KeyRange(lo=(10,), hi=(80,))
+
+
+def row_at_a_time(kind, table, expr, stop_after, skip=None, rid_filter=None):
+    """The reference: what a scan that looks at one record (or one index
+    entry) per step charges, counts and delivers — written against the
+    storage layer only, with the interpreter as the restriction."""
+    from repro.engine.metrics import RetrievalCounters
+    from repro.expr.eval import evaluate
+
+    meter, counters, sink = CostMeter(), RetrievalCounters(), Collector(stop_after)
+    per_record = table.config.cpu_cost_per_record
+    position = table.schema.position
+    steps, error, stopped = 0, None, False
+
+    def offer(rid, row):
+        counters.records_delivered += 1
+        return not sink(rid, row)
+
+    try:
+        if kind == "tscan":
+            for page_no in range(table.heap.page_count):
+                steps += 1
+                for rid, row in table.heap.scan_page(page_no, meter):
+                    meter.charge_cpu(per_record)
+                    counters.records_fetched += 1
+                    if skip is not None and skip(rid):
+                        continue
+                    if evaluate(expr, row, position) and offer(rid, row):
+                        stopped = True
+                        break
+                if stopped:
+                    break
+        else:
+            index, key_range = scan_range(kind, table)
+            cursor = index.btree.range_cursor(key_range, meter)
+            while not stopped:
+                steps += 1
+                entry = cursor.next_entry()  # charges ENTRY_CPU_COST itself
+                if entry is None:
+                    break
+                key, rid = entry
+                counters.index_entries_scanned += 1
+                if kind == "sscan":  # self-sufficient: no fetch
+                    row = [None] * len(table.schema)
+                    for value, at in zip(key, index.positions):
+                        row[at] = value
+                    row = tuple(row)
+                elif rid_filter is not None and not rid_filter.may_contain(rid):
+                    counters.rids_filtered_out += 1
+                    continue
+                else:
+                    row = table.heap.fetch(rid, meter)
+                    meter.charge_cpu(per_record)
+                    counters.records_fetched += 1
+                if evaluate(expr, row, position):
+                    stopped = offer(rid, row)
+                elif kind == "fscan":
+                    counters.fetches_rejected += 1
+    except TypeError as raised:
+        error = raised
+    return sink, meter, counters, steps, stopped, error
+
+
+def observe_scan(kind, expr, stop_after, drive, skip=None, rid_filter=None):
+    """Run one scan (``drive``: ``"reference"``, ``"step"`` or a batch size)
+    on a fresh cold database; everything it leaves behind."""
+    db, table, _ = build_scan_db()
+    db.cold_cache()
+    error = None
+    if drive == "reference":
+        sink, meter, counters, steps, stopped, error = row_at_a_time(
+            kind, table, expr, stop_after, skip, rid_filter
+        )
+    else:
+        trace, sink = RetrievalTrace(), Collector(stop_after)
+        if kind == "tscan":
+            scan = TscanProcess(
+                table.heap, table.schema, expr, {}, sink, trace,
+                config=table.config, skip_rids=skip,
+            )
+        elif kind == "sscan":
+            scan = SscanProcess(
+                *scan_range(kind, table), table.schema, expr, {}, sink, trace,
+                config=table.config,
+            )
+        else:
+            scan = FscanProcess(
+                *scan_range(kind, table), table.heap, table.schema, expr, {},
+                sink, trace, config=table.config,
+            )
+            scan.filter = rid_filter
+        try:
+            if drive == "step":
+                run_steps(scan)
+            else:
+                while scan.active and not scan.run_batch(drive)[1]:
+                    pass
+        except TypeError as raised:
+            error = raised
+        meter, counters = scan.meter, trace.counters
+        steps, stopped = scan.steps_taken, scan.stopped_by_consumer
+    return {
+        "rows": sink.rows,
+        "rids": sink.rids,
+        "meter": asdict(meter) | {"name": ""},
+        "counters": asdict(counters),
+        "stopped": stopped,
+        "error": None if error is None else (type(error), str(error)),
+        # a failed step is not counted, so a failed batch counts none of its
+        "steps": steps if error is None else None,
+        "pinned": dict(table.buffer_pool._pinned),
+    }
+
+
+#: name -> (scan, restriction, rows until the consumer stops, extras)
+SCAN_SCENARIOS = {
+    "tscan-all": ("tscan", ALWAYS_TRUE, None, {}),
+    "tscan-filter": ("tscan", col("B") < 40, None, {}),
+    "tscan-nothing-passes": ("tscan", col("B") > 1000, None, {}),
+    "tscan-stop-mid-page": ("tscan", col("B") < 40, 5, {}),
+    "tscan-stop-on-first-row": ("tscan", ALWAYS_TRUE, 1, {}),
+    "tscan-stop-on-page-last-row": ("tscan", ALWAYS_TRUE, 13, {}),
+    "tscan-skip-rids": ("tscan", col("B") < 60, 37,
+                        {"skip": lambda rid: rid.slot % 3 == 0}),
+    "tscan-raises": ("tscan", col("C") >= 0, None, {}),
+    "tscan-stop-before-raise": ("tscan", col("C") >= 0, 100, {}),
+    "tscan-stop-on-page-of-raise": ("tscan", col("C") >= 200, 2, {}),
+    "sscan-all": ("sscan", col("A") >= 5, None, {}),
+    "sscan-filter": ("sscan", col("A").between(5, 20) & (col("C") < 300), None, {}),
+    "sscan-stop-mid-leaf": ("sscan", col("A") >= 5, 4, {}),
+    "sscan-stop-on-first-entry": ("sscan", col("A") >= 5, 1, {}),
+    "sscan-raises": ("sscan", col("C") >= 0, None, {}),
+    "sscan-stop-before-raise": ("sscan", col("C") >= 0, 50, {}),
+    "fscan-all": ("fscan", col("B").between(10, 80), None, {}),
+    "fscan-filter": ("fscan", col("B").between(10, 80) & (col("A") < 12), None, {}),
+    "fscan-stop-mid-leaf": ("fscan", col("B").between(10, 80), 4, {}),
+    "fscan-rid-filter": ("fscan", col("B").between(10, 80) & (col("A") < 12), 30,
+                         {"rid_filter": EveryOtherPage()}),
+    "fscan-raises": ("fscan", col("C") >= 0, None, {}),
+    "fscan-stop-before-raise": ("fscan", col("C") >= 0, 20, {}),
+}
+
+
+class TestScanAdvanceEquivalence:
+    """Tscan, Sscan, Fscan and the join's page steps each have one advance
+    routine: whatever the batch size, rows, RIDs, every meter field, every
+    counter and the step count equal a scan written one record at a time."""
+
+    def test_scenarios_are_what_their_names_say(self):
+        def reference(name):
+            scan, expr, stop_after, extras = SCAN_SCENARIOS[name]
+            return observe_scan(scan, expr, stop_after, "reference", **extras)
+
+        _, table, bad = build_scan_db()
+        assert any(None in page for page in table.heap.scan_page_run(0, 50))
+        assert table.heap.scan_page_run(5, 1) == [[None] * 8]
+        for name in ("tscan-raises", "sscan-raises", "fscan-raises"):
+            assert reference(name)["error"][0] is TypeError and reference(name)["rows"]
+        for name in SCAN_SCENARIOS:
+            if "stop" in name or "rid-filter" in name or "skip" in name:
+                seen = reference(name)
+                assert seen["stopped"] and seen["error"] is None, name
+        # the stop row sits where the name says it does
+        assert reference("tscan-stop-mid-page")["rids"][-1].slot not in (0, 7)
+        assert reference("tscan-stop-on-page-last-row")["rids"][-1].slot == 7
+        assert reference("tscan-stop-on-page-of-raise")["rids"][-1].page == bad.page
+        assert reference("tscan-stop-on-page-of-raise")["rids"][-1].slot < bad.slot
+        assert reference("fscan-rid-filter")["counters"]["rids_filtered_out"] > 0
+
+    @pytest.mark.parametrize("drive", ["step", *BATCH_SIZES])
+    @pytest.mark.parametrize("name", SCAN_SCENARIOS)
+    def test_every_drive_matches_the_reference(self, name, drive):
+        scan, expr, stop_after, extras = SCAN_SCENARIOS[name]
+        reference = observe_scan(scan, expr, stop_after, "reference", **extras)
+        seen = observe_scan(scan, expr, stop_after, drive, **extras)
+        cut_short = seen["stopped"] or seen["error"] is not None
+        if scan == "tscan" and cut_short and drive not in ("step", 1):
+            # the one tolerated difference: the pages of the read-ahead run
+            # that ``get_many`` had fetched before the scan was cut short
+            window = DEFAULT_CONFIG.read_ahead_window
+            tail = seen["meter"]["io_reads"] - reference["meter"]["io_reads"]
+            assert 0 <= tail <= min(drive, window) - 1
+            for observation in (seen, reference):
+                for field in ("io_reads", "reads_by_kind", "buffer_hits"):
+                    del observation["meter"][field]
+        assert seen == reference
+        assert seen["pinned"] == {}
+
+    def test_collecting_sink_takes_pages_as_it_takes_rows(self):
+        from repro.engine.scans import CollectingSink
+        from repro.storage.rid import RID, page_rids
+
+        rids = page_rids(3, range(6))
+        assert rids == [RID(3, slot) for slot in range(6)]
+        assert all(type(rid) is RID for rid in rids)
+        rows = [(slot,) for slot in range(6)]
+        for limit in (None, 0, 1, 4, 6, 7):
+            for already in (0, 2):
+                one_by_one = CollectingSink([(9,)] * already, [RID(0, 0)] * already, limit)
+                stop_at = next(
+                    (i for i in range(6) if not one_by_one(rids[i], rows[i])), None
+                )
+                at_once = CollectingSink([(9,)] * already, [RID(0, 0)] * already, limit)
+                assert at_once.take(rids, rows) == stop_at
+                assert (at_once.rows, at_once.rids) == (one_by_one.rows, one_by_one.rids)
+                assert at_once.take([], []) is None
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_join_page_steps_match_steps(self, batch_size):
+        from repro.engine.join import JoinTableHandle, candidate_orders, reference_nested_loop
+        from repro.engine.join.process import JoinOrderProcess
+        from repro.sql.binder import bind
+        from repro.sql.parser import parse
+        from repro.sql.plan import JoinPlan, walk
+
+        db = Database(buffer_capacity=96)
+        customers = db.create_table(
+            "CUSTOMERS", [("CID", "int"), ("REGION", "int")], rows_per_page=8)
+        customers.insert_many((i, i % 5) for i in range(80))
+        items = db.create_table("ITEMS", [("IID", "int"), ("KIND", "int")], rows_per_page=8)
+        items.insert_many((i, i % 10) for i in range(40))
+        orders = db.create_table(
+            "ORDERS", [("OID", "int"), ("CUST", "int"), ("ITEM", "int")], rows_per_page=8)
+        orders.insert_many((i, (i * i) % 80, (i * 7) % 40) for i in range(600))
+        for rid, _ in list(orders.heap.scan())[::9]:
+            orders.delete_rid(rid)
+        for rid, _ in list(customers.heap.scan())[8:16]:  # one whole page
+            customers.delete_rid(rid)
+        orders.create_index("IX_CUST", ["CUST"])
+        for table in (customers, items, orders):
+            table.analyze()
+        parsed = parse(
+            "select * from ORDERS as o join CUSTOMERS as c on o.CUST = c.CID "
+            "join ITEMS as i on o.ITEM = i.IID where c.REGION = 1 and i.KIND <= 3"
+        )
+        bind(db, parsed.plan)
+        node = next(n for n in walk(parsed.plan) if isinstance(n, JoinPlan))
+        handles = {
+            source.alias: JoinTableHandle(
+                name=db.table(source.table).name, heap=db.table(source.table).heap,
+                schema=db.table(source.table).schema,
+                indexes=dict(db.table(source.table).indexes),
+                buffer_pool=db.buffer_pool, stats=db.table(source.table).stats,
+            )
+            for source in node.sources
+        }
+        expected = sorted(reference_nested_loop(node, handles, {}))
+        assert expected
+
+        def observe(order, drive):
+            db.cold_cache()
+            process = JoinOrderProcess(order, node, handles, {}, DEFAULT_CONFIG)
+            if drive == "step":
+                run_steps(process)
+            else:
+                while process.active and not process.run_batch(drive)[1]:
+                    pass
+            return {
+                "rows": process.rows,
+                "meter": asdict(process.meter),
+                "edges": [asdict(meter) for meter in process.edge_meters],
+                "fanout": (process.edge_probes, process.edge_matches),
+                "steps": process.steps_taken,
+                "pinned": dict(db.buffer_pool._pinned),
+            }
+
+        candidates = candidate_orders(node, handles, {}, DEFAULT_CONFIG)
+        assert any(
+            all(step.tactic == "hash" for step in order.steps) for order in candidates
+        )
+        for order in candidates:
+            reference = observe(order, "step")
+            assert sorted(reference["rows"]) == expected
+            assert reference["pinned"] == {}
+            assert observe(order, batch_size) == reference
+            if not all(step.tactic == "hash" for step in order.steps):
+                continue
+            # an all-hash order charges one record's CPU — the same constant,
+            # so the order of the additions is immaterial — per live record
+            # of every table it reads and per bucket row a probe yields
+            live = sum(handle.heap.row_count for handle in handles.values())
+            expected_cpu = 0.0
+            for _ in range(live + sum(reference["fanout"][1])):
+                expected_cpu += DEFAULT_CONFIG.cpu_cost_per_record
+            assert reference["meter"]["cpu"] == expected_cpu
+            assert reference["meter"]["io_reads"] == sum(
+                handle.heap.page_count for handle in handles.values())
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    def test_filter_installed_mid_flight_by_the_sorted_tactic(self, batch_size):
+        # the order index's Fscan runs one step at a time while its Jscan
+        # partner lives, takes the partner's filter between two steps and
+        # finishes in whole batches — with the accounting of batch size 1
+        def run(size):
+            config = DEFAULT_CONFIG.with_(batch_size=size)
+            db, table = build_jscan_db(config)
+            db.cold_cache()
+            quanta = 0
+            steps = table.select_steps(
+                where=ranges((0, 10), (0, 280)), order_by=("B",), limit=40)
+            try:
+                while True:
+                    next(steps)
+                    quanta += 1
+            except StopIteration as stop:
+                result = stop.value
+            assert db.buffer_pool._pinned == {}
+            return result, quanta
+
+        reference, reference_quanta = run(1)
+        switches = reference.trace.of_kind(EventKind.STRATEGY_SWITCH)
+        assert [event.detail["to"] for event in switches] == ["filtered-fscan"]
+        assert reference.trace.counters.rids_filtered_out > 0
+        assert reference.stopped_early and len(reference.rows) == 40
+        result, quanta = run(batch_size)
+        assert (result.rows, result.rids) == (reference.rows, reference.rids)
+        assert result.execution_cost == reference.execution_cost
+        assert result.execution_io == reference.execution_io
+        assert asdict(result.trace.counters) == asdict(reference.trace.counters)
+        assert [(e.kind, e.detail) for e in result.trace.events] == [
+            (e.kind, e.detail) for e in reference.trace.events
+        ]
+        # every step is taken inside the tactic's loop, which yields once
+        # per ``batch_size`` steps whether it runs them one by one or not
+        assert quanta == reference_quanta // batch_size
+
+    @pytest.mark.parametrize("batch_size", BATCH_SIZES)
+    @pytest.mark.parametrize("sql", [
+        "select * from T where A >= 0",
+        "select * from T where B between 10 and 80 order by B",
+        "select A, C from T where A >= 5",
+    ])
+    def test_cancel_mid_batch_leaves_no_pins(self, sql, batch_size):
+        import repro
+
+        conn = repro.connect(
+            buffer_capacity=48, config=DEFAULT_CONFIG.with_(batch_size=batch_size))
+        conn.execute("create table T (A int, B int, C int)")
+        table = conn.table("T")
+        table.insert_many((i % 30, (i * 7) % 90, i) for i in range(4000))
+        table.create_index("IX_B", ["B"])
+        table.create_index("IX_AC", ["A", "C"])
+        table.analyze()
+        expected = conn.execute(sql).rows
+        handle = conn.submit(sql)
+        conn.server.step()
+        conn.server.step()
+        assert not handle.done
+        handle.cancel(reason="test")
+        assert conn.db.buffer_pool._pinned == {}
+        assert conn.execute(sql).rows == expected

@@ -98,3 +98,28 @@ def test_projection_none_before_min_fraction(setup):
         covered, table.heap, table.buffer_pool, RetrievalTrace(), table.config
     )
     assert union.projected_final_cost() is None  # nothing scanned yet
+
+
+def test_projection_reads_a_running_total_of_all_disjuncts(setup):
+    from repro.storage.rid import yao_pages_touched
+
+    db, table = setup
+    expr = (col("A").eq(3)) | (col("B").eq(70)) | (col("A").eq(9))
+    covered = cover_disjuncts(expr, list(table.indexes.values()))
+    union = UnionScanProcess(
+        covered, table.heap, table.buffer_pool, RetrievalTrace(), table.config
+    )
+    projected = 0
+    while not union.step():
+        scanned = sum(scan.scanned for scan in union._scans)
+        fraction = scanned / max(union.total_estimate, float(scanned))
+        if fraction < table.config.min_projection_fraction:
+            assert union.projected_final_cost() is None
+            continue
+        projected += 1
+        assert union.projected_final_cost() == yao_pages_touched(
+            table.heap.page_count, table.heap.rows_per_page,
+            int(len(union._rids) / fraction),
+        )
+    assert projected and len(union._scans) == 3
+    assert all(scan.scanned for scan in union._scans)

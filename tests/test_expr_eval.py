@@ -19,8 +19,10 @@ from repro.expr.ast import (
     lit,
     var,
 )
+from repro.expr import eval as eval_module
 from repro.expr.eval import (
     _binder,
+    compile_page_kernel,
     compile_predicate,
     evaluate,
     referenced_columns,
@@ -230,8 +232,68 @@ def test_compiled_predicate_is_evaluate(expr, rows, first, second):
                 assert type(predicate(row)) is bool
 
 
+def row_by_row(expr, slots, binding):
+    """The page kernel's specification: :func:`evaluate` over the live rows
+    in slot order, stopping at the first one that raises."""
+    return [slot for slot, row in enumerate(slots)
+            if row is not None and evaluate(expr, row, SCHEMA, binding)]
+
+
+@settings(max_examples=400, deadline=None)
+@given(expr=TREES, slots=st.lists(st.one_of(st.none(), ROWS), max_size=9),
+       first=BINDINGS, second=BINDINGS)
+def test_page_kernel_is_evaluate_row_by_row(expr, slots, first, second):
+    # the generated kernels and the interpreter ones (unknown column, "N"
+    # bound to NULL, "M" unbound): the same survivors, or the exception of
+    # the first row that raises
+    kernels = [(compile_page_kernel(expr, SCHEMA, binding), binding)
+               for binding in (first, second)]
+    for kernel, binding in kernels:
+        expected = outcome(row_by_row, expr, slots, binding)
+        assert outcome(kernel, slots) == expected
+        assert outcome(kernel, tuple(slots)) == expected
+
+
+def test_page_kernel_is_built_from_the_predicate_source_on_first_use():
+    expr = col("a").between(var("lo"), 15) & col("name").like("he%")
+    predicate = compile_predicate(expr, SCHEMA, {"lo": 5})
+    compiled_shapes = _binder.cache_info().misses
+    compile_predicate(expr, SCHEMA, {"lo": 6})
+    assert _binder.cache_info().misses == compiled_shapes  # no kernel yet
+    kernel = compile_page_kernel(expr, SCHEMA, {"lo": 5})
+    assert _binder.cache_info().misses == compiled_shapes + 1
+    page = [ROW, None, (4, 20, "hello"), (12, 0, "help"), (12, 0, "jelly")]
+    assert kernel(page) == [0, 3] == [
+        slot for slot, row in enumerate(page) if row is not None and predicate(row)]
+    # same memo, one more code object per shape — not per binding or literal
+    compile_page_kernel(expr, SCHEMA, {"lo": 6})
+    assert _binder.cache_info().misses == compiled_shapes + 1
+
+
 def test_too_deeply_nested_restriction_falls_back_to_the_interpreter():
     expr = col("a") < 11
     for _ in range(250):  # the Python compiler gives up at 200 parentheses
         expr = ~expr
     assert compile_predicate(expr, SCHEMA)(ROW) is evaluate(expr, ROW, SCHEMA) is True
+    assert compile_page_kernel(expr, SCHEMA)([None, ROW]) == [1]
+
+
+def test_page_kernel_falls_back_alone_when_only_its_wrapping_is_too_deep():
+    # the row predicate still compiles at a depth where the comprehension
+    # around the same source no longer does
+    depth = 150
+    while True:
+        expr = col("a") < 11
+        for _ in range(depth):
+            expr = ~expr
+        _, _, bind, constants, names, body = eval_module._generated(expr, SCHEMA)
+        if bind is None:
+            pytest.skip("no depth at which only the page form is refused")
+        try:
+            _binder(body, len(constants), len(names), eval_module._PAGE)
+        except (SyntaxError, RecursionError):
+            break
+        depth += 1
+    assert compile_predicate(expr, SCHEMA).__code__.co_filename == "<predicate>"
+    kernel = compile_page_kernel(expr, SCHEMA)
+    assert kernel([ROW, None, (11, 0, "")]) == row_by_row(expr, [ROW, None, (11, 0, "")], {})

@@ -188,6 +188,43 @@ class TestMerge:
         # equal keys deliver in partition order, never comparing payloads
         assert rows == [(5, "p1"), (5, "p0")]
 
+    def test_merge_is_the_heap_merge_it_replaced(self):
+        import heapq
+
+        # ties within a run, ties across three partitions, two key columns,
+        # an empty run, and payloads (dicts) no comparison could order
+        runs = [
+            ([(1, 1, {"p": 0}), (2, 1, {"p": 0}), (2, 1, {"q": 0}), (2, 3, {})],
+             [RID(0, 0), RID(0, 1), RID(0, 2), RID(0, 3)]),
+            ([], []),
+            ([(2, 1, {"p": 2}), (2, 2, {"p": 2})], [RID(0, 0), RID(0, 1)]),
+            ([(0, 9, {}), (2, 1, {"p": 3}), (7, 0, {})],
+             [RID(5, 0), RID(5, 1), RID(5, 2)]),
+        ]
+        for positions in ([0], [0, 1], [1, 0]):
+            in_order = [
+                sorted(zip(rows, rids), key=lambda pair: [pair[0][p] for p in positions])
+                for rows, rids in runs
+            ]
+            expected = list(heapq.merge(
+                *(
+                    [([row[p] for p in positions], part, row, rid) for row, rid in pairs]
+                    for part, pairs in enumerate(in_order)
+                ),
+                key=lambda item: item[:2],
+            ))
+            rows, rids = merge_sorted_runs(
+                [([row for row, _ in pairs], [rid for _, rid in pairs])
+                 for pairs in in_order],
+                positions,
+            )
+            assert [id(row) for row in rows] == [id(item[2]) for item in expected]
+            assert rids == [item[3] for item in expected]
+
+    def test_merge_of_nothing(self):
+        assert merge_sorted_runs([], [0]) == ([], [])
+        assert merge_sorted_runs([([], []), ([], [])], [0, 1]) == ([], [])
+
 
 class TestCriticalPath:
     def test_serial_is_sum(self):

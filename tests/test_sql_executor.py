@@ -35,6 +35,21 @@ def test_projection(db_with_data):
     assert sorted(result.rows) == [(0, 0), (11, 1), (22, 2)]
 
 
+def test_projection_of_one_column_yields_one_tuples(db_with_data):
+    result = db_with_data.execute("select VAL from T where ID < 3")
+    assert result.columns == ("VAL",)
+    assert sorted(result.rows) == [(0,), (11,), (22,)]
+    assert all(type(row) is tuple for row in result.rows)
+
+
+def test_projection_may_repeat_and_reorder_columns(db_with_data):
+    result = db_with_data.execute("select VAL, ID, VAL from T where ID < 3")
+    assert result.columns == ("VAL", "ID", "VAL")
+    assert sorted(result.rows) == [(0, 0, 0), (11, 1, 11), (22, 2, 22)]
+    twice = db_with_data.execute("select ID, ID from T where ID = 7")
+    assert twice.rows == [(7, 7)]
+
+
 def test_host_vars(db_with_data):
     result = db_with_data.execute("select * from T where VAL >= :lo and VAL < :hi",
                                   {"lo": 10, "hi": 20})
