@@ -17,6 +17,7 @@ import numpy as np
 
 from _util import Report, run_once
 
+import repro
 from repro.db.session import Database
 from repro.engine.goals import OptimizationGoal as Goal
 
@@ -43,7 +44,7 @@ def experiment() -> dict:
     db = Database(buffer_capacity=64)
     build(db)
 
-    conn = db.default_connection()
+    conn = repro.connect(db=db)
     report.line("\n" + SQL)
     report.line("\ninferred plan:")
     report.line(conn.explain(SQL).text)

@@ -150,7 +150,7 @@ def main() -> int:
     # -- every static order, cold-for-cold --------------------------------
     static: dict[str, dict] = {}
     expected_rows = None
-    for order in candidate_orders(node, handles, {}, db.config):
+    for order in candidate_orders(node, handles, {}):
         result = forced_run(db, node, handles, order.key)
         rows = sorted(result.rows)
         if expected_rows is None:

@@ -5,7 +5,7 @@ quantum loop: one integer compare per quantum, a wall-clock read every
 ``check_every`` quanta, and a full counter snapshot only when the sampling
 interval has actually elapsed. This benchmark holds that always-on path to
 a <2% throughput budget against the identical workload with monitoring
-disabled (``monitor_enabled=False``), min-of-N wall clocks on both sides.
+disabled (``monitor_interval=0``), min-of-N wall clocks on both sides.
 
 Methodology follows ``bench_audit_overhead.py``: the off and on runs are
 measured *in this process with trials interleaved* so machine-wide drift
@@ -85,8 +85,7 @@ def run_workload(monitor_enabled: bool, rows: int, span: int, repeats: int) -> d
         buffer_capacity=128,
         config=DEFAULT_CONFIG.with_(
             batch_size=REFERENCE_BATCH,
-            monitor_enabled=monitor_enabled,
-            monitor_interval=MONITOR_INTERVAL,
+            monitor_interval=MONITOR_INTERVAL if monitor_enabled else 0,
         ),
         max_concurrency=N_SESSIONS,
     )

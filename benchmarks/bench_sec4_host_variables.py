@@ -15,6 +15,7 @@ static plan by >=10x somewhere.
 
 from _util import Report, run_once
 
+import repro
 from repro.db.session import Database
 from repro.engine.static_optimizer import StaticOptimizer
 from repro.expr.ast import col, var
@@ -66,7 +67,7 @@ def experiment() -> dict:
 
     # SQL-level run of the motivating query, for completeness
     db.cold_cache()
-    sql = db.default_connection().execute(
+    sql = repro.connect(db=db).execute(
         "select * from FAMILIES where AGE >= :A1", {"A1": 118}
     )
     report.line(f"\nSQL path: {len(sql.rows)} rows via "

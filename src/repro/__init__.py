@@ -59,7 +59,7 @@ from repro.server import (
     SessionMetrics,
 )
 
-__version__ = "1.2.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Column",

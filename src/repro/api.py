@@ -1,7 +1,6 @@
-"""The unified connection API: ``repro.connect()``.
+"""The connection API: ``repro.connect()``.
 
-One entry point replaces the historical trio of ``Database(...)`` +
-``db.execute(...)`` + ``db.explain(...)``: a :class:`Connection` owns a
+The one way to run a statement: a :class:`Connection` owns a
 :class:`~repro.db.session.Database` and fronts it with a
 :class:`~repro.server.QueryServer`, so *every* statement — including the
 single-user ones — runs through the multi-query scheduler. With one
@@ -74,18 +73,14 @@ class Connection:
     ) -> Result:
         """Run one statement to completion through the scheduler.
 
-        Returns the unified :class:`~repro.result.Result` — ``rows``,
-        ``columns``, ``rowcount``, ``plan``, ``metrics`` regardless of the
-        statement kind; the legacy result object stays reachable as
-        ``result.raw``. ``deadline`` is a budget of scheduling quanta
-        (each up to ``config.batch_size`` engine steps); exceeding it
-        cancels the query and raises
-        :class:`~repro.errors.QueryCancelledError`.
+        Returns the :class:`~repro.result.Result` — ``rows``, ``columns``,
+        ``rowcount``, ``plan``, ``metrics`` regardless of the statement
+        kind. ``deadline`` is a budget of scheduling quanta (each up to
+        ``config.batch_size`` engine steps); exceeding it cancels the
+        query and raises :class:`~repro.errors.QueryCancelledError`.
         """
         self._check_open()
-        return Result.wrap(
-            self._main.execute(sql, host_vars, goal=goal, deadline=deadline)
-        )
+        return self._main.execute(sql, host_vars, goal=goal, deadline=deadline)
 
     def submit(
         self,
@@ -129,19 +124,15 @@ class Connection:
         """Render the logical plan with inferred per-retrieval goals.
 
         Returns a :class:`~repro.result.Result` of kind ``"explain"`` whose
-        ``text`` carries the report (``str(result)`` gives the same). With
-        ``analyze=True`` the statement is *executed* through the scheduler
-        under a forced tracer and the plan is rendered next to the recorded
-        span timeline (actual rows, fetches, switches, abandons,
-        per-strategy time) — the API form of ``EXPLAIN ANALYZE <sql>``.
+        ``text`` carries the report (``str(result)`` gives the same) — the
+        API form of ``EXPLAIN <sql>``. With ``analyze=True`` the statement
+        is *executed* under a forced tracer and the plan is rendered next
+        to the recorded span timeline (actual rows, fetches, switches,
+        abandons, per-strategy time) — ``EXPLAIN ANALYZE <sql>``.
         """
         self._check_open()
-        if analyze:
-            result = self._main.execute(f"explain analyze {sql}", host_vars)
-            return Result.wrap(result)
-        from repro.sql.executor import explain_sql
-
-        return Result.from_explain_text(explain_sql(self.db, sql))
+        verb = "explain analyze" if analyze else "explain"
+        return self._main.execute(f"{verb} {sql}", host_vars)
 
     def audit(
         self,
@@ -178,7 +169,7 @@ class Connection:
         """Sample the continuous monitor now and return the current
         :class:`~repro.obs.health.HealthReport` (status, findings, latest
         window). Returns a ``disabled``-status report when monitoring is
-        off (``config.monitor_enabled=False`` or ``monitor_interval=0``)."""
+        off (``config.monitor_interval=0``)."""
         self._check_open()
         return self.server.health()
 

@@ -23,6 +23,10 @@ from functools import lru_cache
 from repro.expr import ast
 from repro.expr.ast import Expr
 
+#: EWMA weight of the newest actual/estimated observation when updating a
+#: learned correction (1.0 = always trust the latest run)
+FEEDBACK_ALPHA = 0.5
+
 
 def predicate_signature(expr: Expr) -> str:
     """Structural signature of a restriction with host variables abstracted."""
@@ -85,7 +89,7 @@ class FeedbackStore:
     """
 
     def __init__(
-        self, capacity: int = 1024, alpha: float = 0.5, enabled: bool = True
+        self, capacity: int = 1024, alpha: float = FEEDBACK_ALPHA, enabled: bool = True
     ) -> None:
         self.capacity = capacity
         self.alpha = alpha

@@ -18,6 +18,7 @@ from repro.errors import BindingError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.cache.plan_cache import CachedPlan
+    from repro.result import Result
     from repro.server.scheduler import QueryHandle, ServerSession
 
 
@@ -83,12 +84,10 @@ class PreparedStatement:
         params: Sequence | Mapping[str, Any] | None = None,
         goal: OptimizationGoal = OptimizationGoal.DEFAULT,
         deadline: int | None = None,
-    ):
-        """Run one execution to completion and return the unified
-        :class:`~repro.result.Result` (legacy object on ``result.raw``)."""
-        from repro.result import Result
-
-        return Result.wrap(self.submit(params, goal=goal, deadline=deadline).wait())
+    ) -> "Result":
+        """Run one execution to completion and return its
+        :class:`~repro.result.Result`."""
+        return self.submit(params, goal=goal, deadline=deadline).wait()
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<PreparedStatement params={self.param_count} sql={self.sql[:40]!r}>"

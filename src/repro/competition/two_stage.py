@@ -23,6 +23,11 @@ from typing import Callable
 from repro.competition.process import Process
 
 
+#: scan at least this fraction of a range before trusting a projection
+#: enough to abandon on it (avoids noise at scan start)
+MIN_PROJECTION_FRACTION = 0.05
+
+
 class SwitchDecision(enum.Enum):
     """What the criterion says to do after a step."""
 

@@ -25,9 +25,6 @@ class EngineConfig:
     #: Direct-competition limit: an index scan is abandoned when its own scan
     #: cost exceeds this proportion of the guaranteed best cost.
     scan_cost_limit_fraction: float = 0.5
-    #: Scan at least this fraction of an index range before trusting the
-    #: projection enough to abandon the scan (avoids noise at scan start).
-    min_projection_fraction: float = 0.05
     #: Run limited simultaneous scans of adjacent index pairs to dynamically
     #: reorder them (Section 6, "partially change the order of index scans").
     simultaneous_adjacent_scans: bool = True
@@ -36,9 +33,6 @@ class EngineConfig:
     #: :mod:`repro.competition.probabilistic` ([Ant91B]'s "probabilistic
     #: cost model" direction).
     probabilistic_switch: bool = False
-    #: With the probabilistic rule, re-evaluate every N scanned entries
-    #: (posterior integration is pricier than the threshold check).
-    probabilistic_check_interval: int = 16
 
     # --- Section 6: hybrid RID list storage regions ---------------------
     #: "Lists up to 20 RIDs are stored in a small statically-allocated buffer."
@@ -78,12 +72,6 @@ class EngineConfig:
     #: in I/O units is identical at every setting for retrievals that run to
     #: completion (see docs/performance.md).
     batch_size: int = 64
-    #: Sequential read-ahead window: Tscan page runs and final-stage RID-list
-    #: probes fetch up to this many pages through one
-    #: ``BufferPool.get_many``/``prefetch`` call. A consumer that stops
-    #: mid-batch can leave at most ``read_ahead_window - 1`` speculative page
-    #: reads charged to the requesting meter.
-    read_ahead_window: int = 8
 
     # --- partitioned storage / scatter-gather -------------------------------
     #: Worker threads fanning one retrieval out across the partitions of a
@@ -94,11 +82,6 @@ class EngineConfig:
     #: fetches run, never what they cost. The pool is shared per
     #: :class:`~repro.db.session.Database` and created lazily.
     partition_workers: int = 1
-    #: Buffer-pool pages given to each partition's private pool. ``0``
-    #: divides the database's ``buffer_capacity`` evenly across partitions
-    #: (minimum 8 pages each), mirroring how one shared pool would be split
-    #: by contention.
-    partition_buffer_pages: int = 0
 
     # --- prepared statements / plan cache -----------------------------------
     #: Capacity (entries) of the server-wide LRU plan cache shared by every
@@ -115,9 +98,6 @@ class EngineConfig:
     #: inexact (descent-truncated) estimates are ever adjusted; exact counts
     #: are already ground truth. Ignored when ``plan_cache_size`` is 0.
     selectivity_feedback: bool = True
-    #: EWMA weight of the newest actual/estimated observation when updating
-    #: a feedback entry (1.0 = always trust the latest run).
-    feedback_alpha: float = 0.5
 
     # --- observability ------------------------------------------------------
     #: Fraction of queries traced with a full span timeline (0.0 = tracing
@@ -148,72 +128,28 @@ class EngineConfig:
     replay_budget_steps: int = 250_000
 
     # --- join competition ---------------------------------------------------
-    #: Race candidate join orders with pilot stages and the two-stage switch
-    #: rule before committing (False = always run the estimated-best order).
-    join_competition: bool = True
-    #: Upper bound on enumerated left-deep join orders per query; orders are
-    #: ranked by estimated cost and the tail is dropped.
-    join_max_orders: int = 8
-    #: How many of the best-estimated orders enter the pilot race.
-    join_pilot_candidates: int = 3
     #: Engine-step budget each pilot runs before the switch rule is applied
     #: between orders (scaled by the driving table's size when larger).
     join_pilot_steps: int = 256
-    #: A trailing order is abandoned when its projected total cost reaches
-    #: this fraction of the leader's projected total (the join-order analogue
-    #: of ``switch_threshold``).
-    join_switch_threshold: float = 0.95
 
     # --- estimation quality -------------------------------------------------
-    #: Track per-(table, index, predicate-signature) q-errors and refine
-    #: self-tuning histograms from observed scan feedback
-    #: (:mod:`repro.estimate`). Capture is ring-buffered and deferred, so
-    #: the hot-path cost is one tuple append per completed scan.
-    estimation_tracking: bool = True
-    #: LRU capacity of the estimator's per-signature q-error map.
-    estimator_capacity: int = 1024
-    #: Bucket budget for each per-(table, index) self-tuning histogram;
-    #: refinement splits the worst-q-error bucket and merges cold
-    #: neighbors to stay within it.
-    histogram_budget: int = 32
     #: Skip the pilot race when the competing candidates' estimates are
     #: demonstrably trustworthy (confidence at or above
-    #: ``competition_confidence`` with at least
-    #: ``confidence_min_observations`` observations); the skip is audited
+    #: ``COMPETITION_CONFIDENCE`` with at least
+    #: ``CONFIDENCE_MIN_OBSERVATIONS`` observations, both in
+    #: :mod:`repro.estimate.qerror`); the skip is audited
     #: as ``DecisionKind.COMPETITION_SKIPPED`` with its confidence inputs.
     #: False restores always-compete.
     competition_gate: bool = True
-    #: Confidence score in [0, 1] a signature must reach before its
-    #: estimate is trusted without a race. Derived from the EWMA mean and
-    #: variance of ln(q-error) plus the observation count.
-    competition_confidence: float = 0.75
-    #: Minimum observations of a signature before the gate may trust it —
-    #: below this, compete regardless of how accurate the estimates look.
-    confidence_min_observations: int = 4
 
     # --- continuous monitoring ---------------------------------------------
-    #: Master kill-switch for the continuous-monitoring subsystem
-    #: (:mod:`repro.obs.timeseries` / :mod:`repro.obs.health`). Off, the
-    #: scheduler creates no time-series registry and pays nothing per
-    #: quantum; ``benchmarks/bench_monitor_overhead.py`` gates the *on*
-    #: path at <=2% vs off.
-    monitor_enabled: bool = True
     #: Seconds between time-series samples (the registry snapshots the
     #: server's cumulative counters and derives per-interval rates:
     #: queries/sec, p50/p95 latency, hit rates, q-error, regret mass).
-    #: 0 disables monitoring like the kill-switch.
+    #: 0 disables monitoring: the scheduler creates no time-series
+    #: registry and pays nothing per quantum
+    #: (``benchmarks/bench_monitor_overhead.py`` gates the *on* path).
     monitor_interval: float = 0.25
-    #: Ring capacity of retained interval windows (240 x 0.25s = one
-    #: minute of history for ``\top`` sparklines and incident bundles).
-    monitor_window: int = 240
-    #: EWMA weight of the newest window when updating a drift detector's
-    #: baseline (small = long memory, slow to forgive a regime change).
-    drift_baseline_alpha: float = 0.2
-    #: A drift detector fires when its series moves this factor away from
-    #: the EWMA baseline (q-error/regret/queue-wait grow above
-    #: ``baseline * factor``; hit rates collapse below
-    #: ``baseline / factor``).
-    drift_factor: float = 2.0
     #: Windows a drift detector observes before it may fire (baseline
     #: warm-up; transient start-of-run noise never pages anyone).
     drift_min_intervals: int = 3
@@ -229,12 +165,6 @@ class EngineConfig:
     #: SLO: realized regret mass (cost units) accumulated within one
     #: window at or above this is a critical health finding. 0 disables.
     slo_regret_mass: float = 0.0
-
-    # --- cost model --------------------------------------------------------
-    #: CPU cost charged per record examined, in units of one page I/O.
-    cpu_cost_per_record: float = 0.001
-    #: CPU cost charged per index entry examined.
-    cpu_cost_per_entry: float = 0.0002
 
     def with_(self, **changes) -> "EngineConfig":
         """Return a copy of this config with ``changes`` applied."""

@@ -77,9 +77,9 @@ class PartitionedTable:
         self.partitioner = make_partitioner(
             spec, self.schema.index_of(spec.column)
         )
-        pages = config.partition_buffer_pages or max(
-            8, database.buffer_pool.capacity // spec.partitions
-        )
+        # each partition's private pool gets an even share of the database's
+        # buffer capacity, mirroring how contention would split one pool
+        pages = max(8, database.buffer_pool.capacity // spec.partitions)
         self.partitions: list[Table] = []
         for index in range(spec.partitions):
             pool = BufferPool(database.pager, pages)

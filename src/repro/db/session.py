@@ -1,4 +1,4 @@
-"""Database sessions: tables, buffer pool, SQL entry point.
+"""Databases: tables, buffer pool, the server-wide caches.
 
 A :class:`Database` owns the simulated disk and buffer pool shared by all
 of its tables — sharing is deliberate: the paper's Section 3(c) uncertainty
@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import atexit
 import random
-import warnings
 import weakref
-from typing import Any, Mapping, Sequence
+from typing import Any, Sequence
 
 from repro.cache.feedback import FeedbackStore
 from repro.cache.plan_cache import PlanCache
@@ -20,7 +19,6 @@ from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.db.catalog import Column
 from repro.db.partitioned import PartitionedTable
 from repro.db.table import Table
-from repro.engine.goals import OptimizationGoal
 from repro.estimate import Estimator
 from repro.errors import CatalogError
 from repro.partition.partitioner import PartitionSpec
@@ -64,28 +62,18 @@ class Database:
         #: adaptive selectivity feedback (estimated-vs-actual cardinality
         #: corrections); active only while the plan cache is enabled
         self.feedback = FeedbackStore(
-            alpha=config.feedback_alpha,
             enabled=config.plan_cache_size > 0 and config.selectivity_feedback,
         )
         #: estimation-quality subsystem: per-signature q-error tracking,
         #: self-tuning histograms, and the variance-gated competition
         #: confidence score (:mod:`repro.estimate`)
-        self.estimator = Estimator(
-            capacity=config.estimator_capacity,
-            histogram_budget=config.histogram_budget,
-            alpha=config.feedback_alpha,
-            enabled=config.estimation_tracking,
-            min_observations=config.confidence_min_observations,
-            confidence_threshold=config.competition_confidence,
-        )
+        self.estimator = Estimator()
         #: SQL-level ``PREPARE name AS ...`` registry (name -> CachedPlan)
         self.prepared: dict[str, Any] = {}
         #: cache-interference knob: fraction of cache randomly evicted per
         #: interference tick (0 = a quiet system)
         self.interference_rate = 0.0
         self._interference_rng = random.Random(0xD1CE)
-        #: lazily-created Connection backing the execute()/explain() shims
-        self._default_connection = None
         #: scatter-gather aggregates for every partitioned table (wired
         #: onto the server's MetricsRegistry)
         self.partition_stats = PartitionStats()
@@ -227,56 +215,3 @@ class Database:
             if isinstance(table, PartitionedTable):
                 for child in table.partitions:
                     child.buffer_pool.clear()
-
-    # -- SQL ------------------------------------------------------------------------
-
-    def default_connection(self):
-        """The lazily-created :class:`repro.api.Connection` over this
-        database that backs the :meth:`execute`/:meth:`explain` shims."""
-        if self._default_connection is None:
-            from repro.api import Connection
-
-            self._default_connection = Connection(self)
-        return self._default_connection
-
-    def execute(
-        self,
-        sql: str,
-        host_vars: Mapping[str, Any] | None = None,
-        goal: OptimizationGoal = OptimizationGoal.DEFAULT,
-    ):
-        """Parse, bind, and execute an SQL statement.
-
-        .. deprecated:: 1.2
-            Thin wrapper over :meth:`repro.api.Connection.execute`; routes
-            through :meth:`default_connection`, i.e. the multi-query
-            scheduler — with no concurrent sessions the step sequence is
-            identical to direct execution. Returns the *legacy* result
-            object (:class:`repro.sql.executor.QueryResult` /
-            :class:`repro.sql.ddl.DdlResult`); prefer :func:`repro.connect`
-            and the unified :class:`repro.result.Result` in new code.
-        """
-        warnings.warn(
-            "Database.execute is deprecated; use repro.connect() and "
-            "Connection.execute, which returns the unified repro.Result",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        result = self.default_connection().execute(sql, host_vars, goal=goal)
-        return result.raw if result.raw is not None else result
-
-    def explain(self, sql: str) -> str:
-        """Describe the logical plan and inferred per-retrieval goals.
-
-        .. deprecated:: 1.2
-            Thin wrapper over :meth:`repro.api.Connection.explain`; returns
-            the rendered text only. Prefer ``connection.explain(...)``,
-            which returns a :class:`repro.result.Result`.
-        """
-        warnings.warn(
-            "Database.explain is deprecated; use repro.connect() and "
-            "Connection.explain, which returns the unified repro.Result",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.default_connection().explain(sql).text

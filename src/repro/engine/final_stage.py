@@ -22,7 +22,7 @@ from repro.engine.metrics import RetrievalTrace
 from repro.engine.scans import BatchingSinkMixin, Predicate, Sink
 from repro.expr.ast import Expr
 from repro.expr.eval import compile_predicate
-from repro.storage.heap import HeapFile
+from repro.storage.heap import RECORD_CPU_COST, HeapFile
 from repro.storage.rid import RID
 
 
@@ -73,7 +73,7 @@ class FinalStageProcess(BatchingSinkMixin, Process):
             self.skipped += 1
             return self._next >= len(self.rids)
         row = self.heap.fetch(rid, self.meter)
-        self.meter.charge_cpu(self.config.cpu_cost_per_record)
+        self.meter.charge_cpu(RECORD_CPU_COST)
         if self.trace is not None:
             self.trace.counters.records_fetched += 1
         if self.predicate(row):
@@ -114,13 +114,11 @@ class FinalStageProcess(BatchingSinkMixin, Process):
                 # so as long as one prefetch run fits the pool, every
                 # prefetched page is still cached when its fetch arrives and
                 # io_reads stays identical to row-at-a-time fetching
+                pool = self.heap.buffer_pool
                 self.heap.prefetch(
                     upcoming,
                     self.meter,
-                    window=min(
-                        self.config.read_ahead_window,
-                        self.heap.buffer_pool.capacity,
-                    ),
+                    window=min(pool.read_ahead_window, pool.capacity),
                 )
             for _ in range(window):
                 steps += 1

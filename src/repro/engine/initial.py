@@ -189,7 +189,7 @@ def _apply_feedback(
             candidate.adjusted_rids = float(adjusted)
             candidate.correction_source = "feedback"
             return
-    if estimator is not None and estimator.enabled:
+    if estimator is not None:
         key_range = candidate.key_range
         learned = estimator.estimate_range(
             table_name,

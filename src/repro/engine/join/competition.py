@@ -39,6 +39,14 @@ from repro.obs.trace import Tracer
 from repro.sql.plan import JoinPlan
 
 
+#: how many of the best-estimated orders enter the pilot race
+JOIN_PILOT_CANDIDATES = 3
+#: a trailing order is abandoned when its projected total cost reaches this
+#: fraction of the leader's projected total (the join-order analogue of
+#: ``switch_threshold``)
+JOIN_SWITCH_THRESHOLD = 0.95
+
+
 @dataclass
 class JoinReplayRequest:
     """The audit-side record of one join retrieval — enough to replay it.
@@ -99,7 +107,7 @@ def run_join_steps(
     if audit.enabled:
         audit.begin_retrieval(display, request)
 
-    orders = enumerate_orders(plan, handles, host_vars, config, feedback)
+    orders = enumerate_orders(plan, handles, host_vars, feedback)
     if not orders:
         raise RetrievalError("no connected left-deep join order exists")
     request.candidate_orders = tuple(order.key for order in orders)
@@ -109,9 +117,9 @@ def run_join_steps(
         candidates = [order for order in orders if order.key == force_order]
         if not candidates:
             raise RetrievalError(f"unknown join order {force_order!r}")
-    elif config.join_competition:
-        pilot = max(1, config.join_pilot_candidates)
-        if estimator is not None and estimator.enabled and config.competition_gate:
+    else:
+        pilot = JOIN_PILOT_CANDIDATES
+        if estimator is not None and config.competition_gate:
             # the variance gate, join-order edition: the race shrinks as
             # edge-signature confidence rises — full trust runs only the
             # estimated-best order, partial confidence drops the tail
@@ -136,8 +144,6 @@ def run_join_steps(
                     )
             else:
                 estimator.competed += 1
-    else:
-        candidates = orders[:1]
 
     if audit.enabled:
         audit.decision(
@@ -167,7 +173,7 @@ def run_join_steps(
         trace.counters.scans_started += 1
 
     criterion = SwitchCriterion(
-        threshold=config.join_switch_threshold,
+        threshold=JOIN_SWITCH_THRESHOLD,
         scan_cost_limit_fraction=config.scan_cost_limit_fraction,
     ).with_confidence(verdict.score if verdict is not None else None)
     quantum = max(1, min(config.batch_size, config.join_pilot_steps))
@@ -401,7 +407,7 @@ def _record_feedback(
         estimated = max(1, round(estimated_fanout * probes))
         if feedback is not None:
             feedback.record(handle.name, signature, restriction, estimated, matches)
-        if estimator is not None and estimator.enabled:
+        if estimator is not None:
             # the estimator scores the *effective* per-edge projection the
             # order was ranked on (feedback-corrected step output), since
             # that is the number the shrink gate trusts
@@ -418,8 +424,7 @@ def candidate_orders(
     plan: JoinPlan,
     handles: Mapping[str, JoinTableHandle],
     host_vars: Mapping[str, Any],
-    config: EngineConfig,
     feedback: Any | None = None,
 ) -> list[JoinOrder]:
     """The enumerated candidates, best-estimate first (EXPLAIN rendering)."""
-    return enumerate_orders(plan, handles, host_vars, config, feedback)
+    return enumerate_orders(plan, handles, host_vars, feedback)

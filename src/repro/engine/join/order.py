@@ -18,13 +18,17 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Any, Mapping
 
-from repro.config import EngineConfig
+from repro.btree.tree import ENTRY_CPU_COST
 from repro.db.catalog import IndexInfo, TableSchema, TableStats
 from repro.expr import ast
 from repro.expr.ast import ALWAYS_TRUE, Expr
 from repro.sql.plan import JoinEdge, JoinPlan
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.heap import HeapFile
+from repro.storage.heap import RECORD_CPU_COST, HeapFile
+
+#: upper bound on enumerated left-deep join orders per query; orders are
+#: ranked by estimated cost and the tail is dropped
+JOIN_MAX_ORDERS = 8
 
 #: default selectivity guess for a local restriction on an unanalyzed table
 DEFAULT_LOCAL_SELECTIVITY = 0.3
@@ -271,13 +275,12 @@ def estimate_order(
     plan: JoinPlan,
     handles: Mapping[str, JoinTableHandle],
     host_vars: Mapping[str, Any],
-    config: EngineConfig,
     feedback: Any | None = None,
 ) -> JoinOrder:
     """Fill in ``estimated_cost`` / ``estimated_rows`` for one candidate."""
     driving = handles[order.aliases[0]]
     cost = float(driving.page_count)
-    cost += driving.row_count * config.cpu_cost_per_record
+    cost += driving.row_count * RECORD_CPU_COST
     flowing = driving.row_count * local_selectivity(
         driving, plan.restriction_for(order.aliases[0]), host_vars
     )
@@ -289,12 +292,12 @@ def estimate_order(
         fanout = edge_fanout(handle, tuple(c.probe_column for c in step.conditions))
         if step.tactic == "hash":
             # build: one full scan of the probe side, then O(1) probes
-            cost += handle.page_count + handle.row_count * config.cpu_cost_per_record
-            cost += flowing * config.cpu_cost_per_record
+            cost += handle.page_count + handle.row_count * RECORD_CPU_COST
+            cost += flowing * RECORD_CPU_COST
         else:
             # index nested loop: a descent plus fanout fetches per probe
             cost += flowing * (
-                PROBE_DESCENT_IO + fanout * PROBE_FETCH_MISS + config.cpu_cost_per_entry
+                PROBE_DESCENT_IO + fanout * PROBE_FETCH_MISS + ENTRY_CPU_COST
             )
         output = flowing * fanout * sel
         if feedback is not None and step.conditions:
@@ -311,7 +314,7 @@ def estimate_order(
             if adjusted is not None:
                 output = float(adjusted)
         outputs.append(output)
-        cost += output * config.cpu_cost_per_record
+        cost += output * RECORD_CPU_COST
         flowing = output
     order.estimated_cost = cost
     order.estimated_rows = flowing
@@ -323,15 +326,14 @@ def enumerate_orders(
     plan: JoinPlan,
     handles: Mapping[str, JoinTableHandle],
     host_vars: Mapping[str, Any],
-    config: EngineConfig,
     feedback: Any | None = None,
 ) -> list[JoinOrder]:
-    """All connected left-deep orders (≤ ``join_max_orders``, best first).
+    """All connected left-deep orders (≤ ``JOIN_MAX_ORDERS``, best first).
 
     For every left-deep permutation whose each next table connects to the
     prefix through at least one edge, two tactic variants are considered:
     index-where-available and all-hash. Candidates are ranked by estimated
-    cost; the tail beyond ``join_max_orders`` is dropped (they can never
+    cost; the tail beyond ``JOIN_MAX_ORDERS`` is dropped (they can never
     enter the pilot race anyway).
     """
     aliases = tuple(source.alias for source in plan.sources)
@@ -359,7 +361,7 @@ def enumerate_orders(
             if key in candidates:
                 continue
             order = JoinOrder(key=key, aliases=perm, steps=tuple(steps))
-            estimate_order(order, plan, handles, host_vars, config, feedback)
+            estimate_order(order, plan, handles, host_vars, feedback)
             candidates[key] = order
     ranked = sorted(candidates.values(), key=lambda order: order.estimated_cost)
-    return ranked[: max(1, config.join_max_orders)]
+    return ranked[:JOIN_MAX_ORDERS]

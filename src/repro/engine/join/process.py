@@ -19,14 +19,16 @@ from collections import defaultdict
 from operator import itemgetter
 from typing import Any, Iterable, Mapping
 
-from repro.btree.tree import KeyRange
+from repro.btree.tree import ENTRY_CPU_COST, KeyRange
 from repro.competition.process import Process
+from repro.competition.two_stage import MIN_PROJECTION_FRACTION
 from repro.config import EngineConfig
 from repro.engine.join.order import JoinOrder, JoinSchema, JoinStep, JoinTableHandle
 from repro.expr.ast import ALWAYS_TRUE
 from repro.expr.eval import compile_page_kernel, compile_predicate
 from repro.sql.plan import JoinPlan
 from repro.storage.buffer_pool import CostMeter
+from repro.storage.heap import RECORD_CPU_COST
 
 
 class TeeMeter:
@@ -209,7 +211,7 @@ class JoinOrderProcess(Process):
     def projected_total(self) -> float | None:
         """Projected total cost, linear in page progress; None too early."""
         progress = self.progress
-        if progress < max(1e-9, self.config.min_projection_fraction):
+        if progress < MIN_PROJECTION_FRACTION:
             return None
         return self.cost / progress
 
@@ -231,7 +233,7 @@ class JoinOrderProcess(Process):
         build.pin_run([handle.heap.page_id(page_no)])
         (slots,) = handle.heap.scan_page_run(page_no, 1, meter)
         meter.charge_cpu_each(
-            self.config.cpu_cost_per_record, len(slots) - slots.count(None)
+            RECORD_CPU_COST, len(slots) - slots.count(None)
         )
         build.add(map(slots.__getitem__, build.kernel(slots)))
         build.next_page += 1
@@ -244,7 +246,7 @@ class JoinOrderProcess(Process):
         if self._driving_page >= self._driving_pages:
             return True
         meter = self.meter
-        per_record = self.config.cpu_cost_per_record
+        per_record = RECORD_CPU_COST
         (slots,) = self._driving.heap.scan_page_run(self._driving_page, 1, meter)
         deleted = slots.count(None)
         charged = 0
@@ -288,7 +290,7 @@ class JoinOrderProcess(Process):
             build = self._builds[position]
             key = values[0] if build.single_key else tuple(values)
             for row in build.buckets.get(key, ()):
-                meter.charge_cpu(self.config.cpu_cost_per_record)
+                meter.charge_cpu(RECORD_CPU_COST)
                 yield row
             return
         # index nested loop: descend on the leading equi-join columns, then
@@ -305,9 +307,9 @@ class JoinOrderProcess(Process):
             entry = cursor.next_entry()
             if entry is None:
                 break
-            meter.charge_cpu(self.config.cpu_cost_per_entry)
+            meter.charge_cpu(ENTRY_CPU_COST)
             row = handle.heap.fetch(entry[1], meter)
-            meter.charge_cpu(self.config.cpu_cost_per_record)
+            meter.charge_cpu(RECORD_CPU_COST)
             if any(
                 row[handle.schema.index_of(column)] != value
                 for column, value in by_column.items()

@@ -33,7 +33,11 @@ from typing import Callable, Iterator
 
 from repro.btree.tree import ENTRY_CPU_COST, Entry
 from repro.competition.process import Process
-from repro.competition.two_stage import SwitchCriterion, SwitchDecision
+from repro.competition.two_stage import (
+    MIN_PROJECTION_FRACTION,
+    SwitchCriterion,
+    SwitchDecision,
+)
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.initial import JscanCandidate
 from repro.engine.metrics import EventKind, RetrievalTrace
@@ -46,6 +50,10 @@ from repro.storage.rid import RID, yao_pages_touched
 
 #: RIDs per temp-table page assumed when pricing the read-back of a spilled list
 _SPILL_READ_RIDS_PER_PAGE = 512.0
+
+#: with ``probabilistic_switch``, re-evaluate every N scanned entries
+#: (posterior integration is pricier than the threshold check)
+PROBABILISTIC_CHECK_INTERVAL = 16
 
 
 @dataclass
@@ -284,7 +292,7 @@ class JscanProcess(Process):
             new_filter = self._filter
             dropped = self._active.rid_list.refilter(new_filter.may_contain)
             self._active.kept -= dropped
-            self.meter.charge_cpu(self.config.cpu_cost_per_entry * (self._active.kept + dropped))
+            self.meter.charge_cpu(ENTRY_CPU_COST * (self._active.kept + dropped))
             self._partner = None
         else:
             # active finished; partner (if any) is promoted and refiltered
@@ -293,7 +301,7 @@ class JscanProcess(Process):
                 dropped = self._partner.rid_list.refilter(new_filter.may_contain)
                 self._partner.kept -= dropped
                 self.meter.charge_cpu(
-                    self.config.cpu_cost_per_entry * (self._partner.kept + dropped)
+                    ENTRY_CPU_COST * (self._partner.kept + dropped)
                 )
             self._active = self._partner
             self._partner = None
@@ -314,7 +322,7 @@ class JscanProcess(Process):
         counters = self.trace.counters
         config = self.config
         buffer_limit = config.allocated_rid_buffer_size
-        min_fraction = config.min_projection_fraction
+        min_fraction = MIN_PROJECTION_FRACTION
         threshold = self.criterion.threshold
         limit_fraction = self.criterion.scan_cost_limit_fraction
         static_threshold = self.static_rid_threshold
@@ -401,7 +409,7 @@ class JscanProcess(Process):
                 if scan.kept > static_threshold:
                     self._abandon_scan(scan, "static-threshold")
                 continue
-            if probabilistic is not None and scanned % config.probabilistic_check_interval:
+            if probabilistic is not None and scanned % PROBABILISTIC_CHECK_INTERVAL:
                 continue
             # projected final-retrieval cost from the list being built: Yao's
             # pages for the projected size, plus reading the spill pages back

@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Generator, Mapping, Sequence
 
+from repro.btree.tree import ENTRY_CPU_COST
 from repro.competition.process import advance, drain
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.db.catalog import IndexInfo, TableSchema
@@ -514,14 +515,14 @@ class SingleTableRetrieval:
         # trusted corrected projections of both arms: the sscan walks its
         # whole range entry by entry; the jscan walks every candidate's
         # range and then random-fetches the (at most) shortest RID list
-        sscan_cost = best.estimated_rids * config.cpu_cost_per_entry
+        sscan_cost = best.estimated_rids * ENTRY_CPU_COST
         jscan_entries = sum(
             candidate.estimated_rids for candidate in arrangement.jscan_candidates
         )
         fetch_rids = min(
             candidate.estimated_rids for candidate in arrangement.jscan_candidates
         )
-        jscan_cost = jscan_entries * config.cpu_cost_per_entry + fetch_rids * 1.0
+        jscan_cost = jscan_entries * ENTRY_CPU_COST + fetch_rids * 1.0
         winner = "sscan" if sscan_cost <= jscan_cost else "background-only"
         estimator.trusted += 1
         if audit.enabled:
@@ -679,7 +680,7 @@ class SingleTableRetrieval:
         per-(table, index) self-tuning histogram can refine itself.
         """
         estimator = request.estimator
-        if estimator is None or not estimator.enabled:
+        if estimator is None:
             return
         candidates = list(arrangement.jscan_candidates) + list(
             arrangement.sscan_candidates

@@ -40,7 +40,7 @@ from repro.errors import RetrievalError
 from repro.expr.ast import Expr
 from repro.expr.eval import compile_page_kernel, compile_predicate
 from repro.btree.tree import ENTRY_CPU_COST, KeyRange, RangeCursor
-from repro.storage.heap import HeapFile
+from repro.storage.heap import RECORD_CPU_COST, HeapFile
 from repro.storage.rid import RID, page_rids
 
 #: a delivery sink; False return requests retrieval stop
@@ -281,7 +281,7 @@ class TscanProcess(_Scan):
             run = min(
                 max_steps - steps,
                 heap.page_count - self._next_page,
-                self.config.read_ahead_window,
+                heap.buffer_pool.read_ahead_window,
             )
             for slots in heap.scan_page_run(self._next_page, run, meter):
                 steps += 1
@@ -289,7 +289,7 @@ class TscanProcess(_Scan):
                     slots, partial(page_rids, self._next_page), self.skip_rids
                 )
                 looked = last + 1 - slots[: last + 1].count(None)
-                meter.charge_cpu_each(self.config.cpu_cost_per_record, looked)
+                meter.charge_cpu_each(RECORD_CPU_COST, looked)
                 if counters is not None:
                     counters.records_fetched += looked
                     counters.records_delivered += delivered
@@ -431,7 +431,7 @@ class FscanProcess(_Scan):
         fetch = self.heap.fetch
         predicate = self.predicate
         sink = self.sink
-        per_record = self.config.cpu_cost_per_record
+        per_record = RECORD_CPU_COST
         may_contain = None if self.filter is None else self.filter.may_contain
         steps = filtered_out = fetched = delivered = rejected = 0
         try:

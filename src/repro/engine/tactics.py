@@ -24,10 +24,8 @@ one step at a time and evaluates every switch criterion after every step;
 a scan left without a partner runs the rest of each quantum in one
 ``run_batch`` call (the same steps, the same yields), so switch points and
 cost accounting are identical at any batch size
-(``batch_size=1`` restores one yield per step exactly). The plain-named
-functions (``fast_first`` etc.) are synchronous wrappers that drain their
-``*_steps`` generator; the dispatcher lives in
-:mod:`repro.engine.retrieval`.
+(``batch_size=1`` restores one yield per step exactly). The dispatcher
+lives in :mod:`repro.engine.retrieval`.
 """
 
 from __future__ import annotations
@@ -37,7 +35,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Mapping
 
-from repro.competition.process import Process, advance, drain
+from repro.competition.process import Process, advance
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.db.catalog import TableSchema
 from repro.engine.final_stage import FinalStageProcess
@@ -54,7 +52,7 @@ from repro.engine.scans import (
 from repro.expr.ast import Expr
 from repro.expr.eval import compile_predicate
 from repro.storage.buffer_pool import BufferPool
-from repro.storage.heap import HeapFile
+from repro.storage.heap import RECORD_CPU_COST, HeapFile
 from repro.storage.rid import RID
 
 
@@ -196,7 +194,7 @@ class BorrowingFetchProcess(Process):
             return False  # idle step; the tactic loop avoids calling these
         rid = self.queue.popleft()
         row = self.heap.fetch(rid, self.meter)
-        self.meter.charge_cpu(self.config.cpu_cost_per_record)
+        self.meter.charge_cpu(RECORD_CPU_COST)
         self.trace.counters.records_fetched += 1
         if self.predicate(row):
             if not self.fgr_buffer.add(rid):
@@ -286,11 +284,6 @@ def _finish_background(
 # ---------------------------------------------------------------------------
 
 
-def union_or(ctx: TacticContext, covered) -> TacticOutcome:
-    """Synchronous wrapper over :func:`union_or_steps`."""
-    return drain(union_or_steps(ctx, covered))
-
-
 @_traced("union-or")
 def union_or_steps(ctx: TacticContext, covered) -> StepOutcome:
     """Union joint scan over covered disjuncts, then the final stage.
@@ -342,11 +335,6 @@ def union_or_steps(ctx: TacticContext, covered) -> StepOutcome:
 # ---------------------------------------------------------------------------
 
 
-def background_only(ctx: TacticContext) -> TacticOutcome:
-    """Synchronous wrapper over :func:`background_only_steps`."""
-    return drain(background_only_steps(ctx))
-
-
 @_traced("background-only")
 def background_only_steps(ctx: TacticContext) -> StepOutcome:
     """Jscan to completion, then the final stage (Section 7)."""
@@ -364,11 +352,6 @@ def background_only_steps(ctx: TacticContext) -> StepOutcome:
 # ---------------------------------------------------------------------------
 # Fast-first tactic
 # ---------------------------------------------------------------------------
-
-
-def fast_first(ctx: TacticContext) -> TacticOutcome:
-    """Synchronous wrapper over :func:`fast_first_steps`."""
-    return drain(fast_first_steps(ctx))
 
 
 @_traced("fast-first")
@@ -463,11 +446,6 @@ def fast_first_steps(ctx: TacticContext) -> StepOutcome:
 # ---------------------------------------------------------------------------
 
 
-def sorted_tactic(ctx: TacticContext) -> TacticOutcome:
-    """Synchronous wrapper over :func:`sorted_tactic_steps`."""
-    return drain(sorted_tactic_steps(ctx))
-
-
 @_traced("sorted")
 def sorted_tactic_steps(ctx: TacticContext) -> StepOutcome:
     """Order-delivering Fscan cooperating with a filter-building Jscan."""
@@ -545,11 +523,6 @@ def sorted_tactic_steps(ctx: TacticContext) -> StepOutcome:
 # ---------------------------------------------------------------------------
 # Index-only tactic
 # ---------------------------------------------------------------------------
-
-
-def index_only(ctx: TacticContext) -> TacticOutcome:
-    """Synchronous wrapper over :func:`index_only_steps`."""
-    return drain(index_only_steps(ctx))
 
 
 @_traced("index-only")

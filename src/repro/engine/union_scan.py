@@ -26,7 +26,11 @@ from typing import Callable
 from repro.btree.estimate import estimate_range
 from repro.btree.tree import RangeCursor
 from repro.competition.process import Process
-from repro.competition.two_stage import SwitchCriterion, SwitchDecision
+from repro.competition.two_stage import (
+    MIN_PROJECTION_FRACTION,
+    SwitchCriterion,
+    SwitchDecision,
+)
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.metrics import EventKind, RetrievalTrace
 from repro.expr.disjunction import DisjunctRange
@@ -116,7 +120,7 @@ class UnionScanProcess(Process):
         if scanned == 0 or self.total_estimate <= 0:
             return None
         fraction = scanned / max(self.total_estimate, float(scanned))
-        if fraction < self.config.min_projection_fraction:
+        if fraction < MIN_PROJECTION_FRACTION:
             return None
         projected_unique = len(self._rids) / fraction
         return yao_pages_touched(

@@ -25,7 +25,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Any, Iterator
 
-from repro.cache.feedback import predicate_signature
+from repro.cache.feedback import FEEDBACK_ALPHA, predicate_signature
 from repro.estimate.histogram import SelfTuningHistogram
 from repro.obs.hist import LogHistogram
 
@@ -35,6 +35,20 @@ __all__ = [
     "ConfidenceVerdict",
     "Estimator",
 ]
+
+#: LRU capacity of the per-signature q-error map
+ESTIMATOR_CAPACITY = 1024
+#: bucket budget of each per-(table, index) self-tuning histogram;
+#: refinement splits the worst-q-error bucket and merges cold neighbors to
+#: stay within it
+HISTOGRAM_BUDGET = 32
+#: confidence score in [0, 1] a signature must reach before its estimate is
+#: trusted without a race (from the EWMA mean and variance of ln(q-error)
+#: plus the observation count)
+COMPETITION_CONFIDENCE = 0.75
+#: minimum observations of a signature before the gate may trust it — below
+#: this, compete regardless of how accurate the estimates look
+CONFIDENCE_MIN_OBSERVATIONS = 4
 
 
 def q_error(estimated: float, actual: float) -> float:
@@ -148,18 +162,16 @@ class Estimator:
 
     def __init__(
         self,
-        capacity: int = 1024,
-        histogram_budget: int = 32,
-        alpha: float = 0.5,
-        enabled: bool = True,
-        min_observations: int = 4,
-        confidence_threshold: float = 0.75,
+        capacity: int = ESTIMATOR_CAPACITY,
+        histogram_budget: int = HISTOGRAM_BUDGET,
+        alpha: float = FEEDBACK_ALPHA,
+        min_observations: int = CONFIDENCE_MIN_OBSERVATIONS,
+        confidence_threshold: float = COMPETITION_CONFIDENCE,
         ring_size: int = 256,
     ) -> None:
         self.capacity = max(1, capacity)
         self.histogram_budget = histogram_budget
         self.alpha = alpha
-        self.enabled = enabled
         self.min_observations = max(1, min_observations)
         self.confidence_threshold = confidence_threshold
         self._stats: OrderedDict[tuple[str, str, str], SignatureStats] = OrderedDict()
@@ -200,8 +212,6 @@ class Estimator:
         ``lo``/``hi`` optionally carry the scanned key range so the
         per-index self-tuning histogram can refine itself.
         """
-        if not self.enabled:
-            return
         n = self._ring_len
         if n == len(self._ring):
             self._drain()
@@ -259,8 +269,6 @@ class Estimator:
 
     def stats_for(self, table: str, index: str, restriction: Any) -> SignatureStats | None:
         """The stats entry for one signature, draining pending records first."""
-        if not self.enabled:
-            return None
         if self._ring_len:
             self._drain()
         signature = (
@@ -325,8 +333,6 @@ class Estimator:
     ) -> float | None:
         """Histogram-corrected cardinality for a key range, or None when
         the (table, index) histogram has no refined evidence yet."""
-        if not self.enabled:
-            return None
         if self._ring_len:
             self._drain()
         hist = self._histograms.get((table, index))
@@ -340,8 +346,6 @@ class Estimator:
         Scatter-gather hands this to partition fetches so worker threads
         consult learned range cardinalities without touching the live
         (mutable) histograms."""
-        if not self.enabled:
-            return {}
         if self._ring_len:
             self._drain()
         return {

@@ -21,8 +21,8 @@ from repro.sql.plan import PlanNode, format_plan
 class Renderable(Protocol):
     """The one rendering protocol every explain-family report speaks.
 
-    ``ExplainResult`` (plain EXPLAIN / ANALYZE / COMPETE),
-    :class:`~repro.obs.regret.CompeteReport`, and the join EXPLAIN output
+    :class:`~repro.result.Result` (rows, DDL, plain EXPLAIN / ANALYZE /
+    COMPETE), :class:`~repro.obs.regret.CompeteReport`, and the join EXPLAIN output
     all expose the same two methods: ``to_text()`` for the shell and
     ``to_dict()`` for machine consumers (JSONL sinks, tests, tooling), so
     callers can render any of them without type-switching.

@@ -9,8 +9,8 @@ directly: learned estimates drift as the data changes, so drift must be
   engine config (window p95 latency, minimum buffer hit rate, queue-wait
   saturation, per-window regret mass). Breaches are ``critical``.
 * :class:`DriftRule` — EWMA-baseline detectors: each window's value
-  updates a baseline with ``drift_baseline_alpha``; a window landing a
-  configured *factor* away from the baseline (above for q-error, regret,
+  updates a baseline with ``DRIFT_BASELINE_ALPHA``; a window landing
+  ``DRIFT_FACTOR`` away from the baseline (above for q-error, regret,
   and queue wait; below for the hit rates) is a ``warn`` finding. The
   baseline keeps adapting after a breach, so a persistent regime change
   alarms on the transition and then becomes the new normal — drift
@@ -38,6 +38,14 @@ __all__ = [
 
 #: severity ordering for the report's overall status
 _SEVERITY_RANK = {"ok": 0, "warn": 1, "critical": 2}
+
+#: a drift detector fires when its series moves this factor away from the
+#: EWMA baseline (q-error/regret/queue-wait grow above ``baseline *
+#: factor``; hit rates collapse below ``baseline / factor``)
+DRIFT_FACTOR = 2.0
+#: EWMA weight of the newest window when updating a drift detector's
+#: baseline (small = long memory, slow to forgive a regime change)
+DRIFT_BASELINE_ALPHA = 0.2
 
 
 class HealthFinding:
@@ -108,7 +116,7 @@ class HealthReport:
     def format_line(self) -> str:
         """One-line summary (the dashboard's footer)."""
         if not self.enabled:
-            return "disabled (monitor_enabled=False or monitor_interval=0)"
+            return "disabled (monitor_interval=0)"
         if not self.findings:
             return "OK"
         return f"{self.status.upper()} — " + "; ".join(
@@ -185,8 +193,8 @@ class DriftRule:
         self,
         name: str,
         extract: Callable[[Any], float | None],
-        factor: float = 2.0,
-        alpha: float = 0.2,
+        factor: float = DRIFT_FACTOR,
+        alpha: float = DRIFT_BASELINE_ALPHA,
         warmup: int = 3,
         direction: str = "up",
         floor: float = 0.0,
@@ -263,8 +271,6 @@ class HealthMonitor:
     def __init__(self, timeseries: Any, config: Any) -> None:
         self.timeseries = timeseries
         self.config = config
-        alpha = config.drift_baseline_alpha
-        factor = config.drift_factor
         warmup = config.drift_min_intervals
         #: the drift detectors, ISSUE order: q-error drift, hit-rate
         #: collapse, regret spikes, queue-wait saturation
@@ -272,32 +278,24 @@ class HealthMonitor:
             DriftRule(
                 "qerror-drift",
                 lambda w: w.qerror_p50,
-                factor=factor,
-                alpha=alpha,
                 warmup=warmup,
                 floor=1.2,
             ),
             DriftRule(
                 "hit-rate-collapse",
                 lambda w: w.cache_hit_rate,
-                factor=factor,
-                alpha=alpha,
                 warmup=warmup,
                 direction="down",
             ),
             DriftRule(
                 "regret-spike",
                 lambda w: w.regret_mass,
-                factor=factor,
-                alpha=alpha,
                 warmup=warmup,
                 floor=1.0,
             ),
             DriftRule(
                 "queue-wait-saturation",
                 lambda w: w.queue_wait_p95,
-                factor=factor,
-                alpha=alpha,
                 warmup=warmup,
                 floor=1.0,
             ),

@@ -12,7 +12,7 @@ metrics, the estimator, partition/scatter stats) and diffs consecutive
 snapshots into one :class:`WindowStats` per interval — queries/sec,
 p50/p95 latency, buffer and plan-cache hit rates, competition skip ratio,
 median/p95 q-error, regret mass, worker utilization, queue-wait p95.
-Windows live in a fixed ring (``monitor_window`` entries), so always-on
+Windows live in a fixed ring (``MONITOR_WINDOW`` entries), so always-on
 monitoring holds a bounded amount of history.
 
 Sampling is driven from the scheduler's quantum/retire hooks and must be
@@ -50,6 +50,10 @@ __all__ = [
 
 #: glyph ramp for :func:`sparkline` (space = no data in that window)
 _SPARK_GLYPHS = "▁▂▃▄▅▆▇█"
+
+#: ring capacity of retained interval windows (240 x 0.25s = one minute
+#: of history for ``\\top`` sparklines and incident bundles)
+MONITOR_WINDOW = 240
 
 
 class SteppingClock:
@@ -180,7 +184,7 @@ class MetricSample:
         self.plan_hits = cache.hits if cache is not None else 0
         self.plan_misses = cache.misses if cache is not None else 0
         estimator = metrics.estimator
-        if estimator is not None and estimator.enabled:
+        if estimator is not None:
             estimator.flush()  # materialize ring-buffered records first
             hist = estimator.qerror_hist
             self.qerror_counts = list(hist.counts)
@@ -308,7 +312,7 @@ class TimeSeriesRegistry:
     """Ring-buffered interval sampling over one server's metrics.
 
     Owned by the :class:`~repro.server.scheduler.QueryServer` (created
-    when ``config.monitor_enabled`` and ``monitor_interval > 0``). The
+    when ``config.monitor_interval > 0``). The
     scheduler calls :meth:`tick` once per quantum and per retirement;
     :meth:`note_query` feeds the bounded recent-query ring that incident
     bundles mine for top offenders.
@@ -318,7 +322,7 @@ class TimeSeriesRegistry:
         self,
         metrics: Any,
         interval: float = 0.25,
-        window: int = 240,
+        window: int = MONITOR_WINDOW,
         clock: Callable[[], float] = time.perf_counter,
         check_every: int = 32,
     ) -> None:

@@ -300,7 +300,7 @@ def scatter_steps(
         feedback_views = {
             index: PartitionFeedbackView(ratios) for index in candidates
         }
-    if estimator is not None and estimator.enabled:
+    if estimator is not None:
         frozen = estimator.histogram_snapshot(table.name)
         estimator_views = {
             index: PartitionEstimatorView(frozen) for index in candidates

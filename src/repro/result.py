@@ -1,19 +1,11 @@
-"""The unified statement result: one shape for every Connection call.
+"""The statement result: one shape for every call path.
 
-Historically each statement kind returned its own object —
-:class:`~repro.sql.executor.QueryResult` for SELECTs,
-:class:`~repro.sql.ddl.DdlResult` for DDL/DML, a bare ``str`` or
-:class:`~repro.sql.executor.ExplainResult` for EXPLAIN — and callers
-type-switched on the return value. :class:`Result` replaces that trio on
-the :class:`~repro.api.Connection` surface: ``execute``, ``prepare(...)
-.execute`` and ``explain`` all return a ``Result`` carrying ``rows``,
-``columns``, ``rowcount``, ``plan`` and ``metrics`` uniformly, with
-``kind`` distinguishing the statement family for callers that still care.
-
-The legacy object is preserved as ``result.raw`` and the old
-``Database.execute``/``Database.explain`` shims keep returning it (with a
-:class:`DeprecationWarning`), so existing code migrates on its own
-schedule — see ``docs/serving.md`` for the timeline.
+``Connection.execute``/``submit().wait()``/``explain``, session and
+prepared-statement executions, ``QueryHandle.result`` and the SQL
+executor's step generators all hand back the same :class:`Result` —
+``rows``, ``columns``, ``rowcount``, ``plan``, ``metrics`` and
+``retrievals`` uniformly, with ``kind`` distinguishing the statement
+family for callers that still care.
 """
 
 from __future__ import annotations
@@ -45,28 +37,33 @@ class ResultMetrics:
 
 
 class Result:
-    """What every Connection statement returns.
+    """What every statement returns.
 
     Uniform surface::
 
-        result.rows       # list[tuple] — empty for DDL / plain EXPLAIN
-        result.columns    # tuple[str, ...]
-        result.rowcount   # len(rows), or rows_affected for DDL/DML
-        result.plan       # PlanNode | None (bound logical plan)
-        result.metrics    # ResultMetrics (io / cost / retrievals)
+        result.rows        # list[tuple] — empty for DDL / plain EXPLAIN
+        result.columns     # tuple[str, ...]
+        result.rowcount    # len(rows), or rows_affected for DDL/DML
+        result.plan        # PlanNode | None (bound logical plan)
+        result.metrics     # ResultMetrics (io / cost / retrievals)
+        result.retrievals  # list[RetrievalInfo], one per executed retrieval
+        result.goals       # inferred goals keyed by plan node id
 
     plus ``kind`` (``"rows"`` | ``"ddl"`` | ``"explain"``), ``text`` (the
-    rendered report for EXPLAIN, the status message for DDL), ``compete``
-    (the :class:`~repro.obs.regret.CompeteReport` for EXPLAIN COMPETE) and
-    ``raw`` (the legacy result object, for back-compat delegation).
+    rendered report for EXPLAIN, the status message for DDL) and
+    ``compete`` (the :class:`~repro.obs.regret.CompeteReport` for EXPLAIN
+    COMPETE).
+
+    ``retrievals`` is the very list the scheduler's ``QueryHandle`` fills
+    while the statement runs. ``metrics`` is summed from it on first read.
 
     ``Result`` is iterable over its rows and speaks the
     :class:`~repro.obs.explain.Renderable` protocol (``to_text`` /
     ``to_dict``) like every other report in the system.
     """
 
-    __slots__ = ("kind", "columns", "rows", "plan", "metrics", "text",
-                 "compete", "raw")
+    __slots__ = ("kind", "columns", "rows", "plan", "text", "compete",
+                 "retrievals", "goals", "rows_affected", "_metrics")
 
     def __init__(
         self,
@@ -74,10 +71,11 @@ class Result:
         columns: tuple[str, ...] = (),
         rows: list[tuple] | None = None,
         plan: Any | None = None,
-        metrics: ResultMetrics | None = None,
         text: str = "",
         compete: Any | None = None,
-        raw: Any | None = None,
+        retrievals: list | None = None,
+        goals: dict | None = None,
+        rows_affected: int = 0,
     ) -> None:
         if kind not in ("rows", "ddl", "explain"):
             raise ValueError(f"unknown result kind {kind!r}")
@@ -85,84 +83,43 @@ class Result:
         self.columns = tuple(columns)
         self.rows = rows if rows is not None else []
         self.plan = plan
-        self.metrics = metrics if metrics is not None else ResultMetrics()
         self.text = text
         self.compete = compete
-        self.raw = raw
-
-    # -- construction --------------------------------------------------------
-
-    @classmethod
-    def wrap(cls, raw: Any) -> "Result":
-        """Lift a legacy result object into the unified shape.
-
-        Accepts :class:`~repro.sql.executor.QueryResult`,
-        :class:`~repro.sql.ddl.DdlResult`,
-        :class:`~repro.sql.executor.ExplainResult`, or an existing
-        ``Result`` (returned unchanged).
-        """
-        if isinstance(raw, Result):
-            return raw
-        from repro.sql.ddl import DdlResult
-        from repro.sql.executor import ExplainResult, QueryResult
-
-        if isinstance(raw, QueryResult):
-            return cls(
-                "rows",
-                columns=raw.columns,
-                rows=raw.rows,
-                plan=raw.plan,
-                metrics=ResultMetrics(
-                    total_io=raw.total_io,
-                    total_cost=raw.total_cost,
-                    retrieval_count=len(raw.retrievals),
-                ),
-                raw=raw,
-            )
-        if isinstance(raw, DdlResult):
-            return cls(
-                "ddl",
-                text=raw.message,
-                metrics=ResultMetrics(rows_affected=raw.rows_affected),
-                raw=raw,
-            )
-        if isinstance(raw, ExplainResult):
-            inner = raw.result
-            metrics = ResultMetrics()
-            columns: tuple[str, ...] = ()
-            rows: list[tuple] = []
-            plan = None
-            if inner is not None:
-                columns, rows, plan = inner.columns, inner.rows, inner.plan
-                metrics = ResultMetrics(
-                    total_io=inner.total_io,
-                    total_cost=inner.total_cost,
-                    retrieval_count=len(inner.retrievals),
-                )
-            return cls(
-                "explain",
-                columns=columns,
-                rows=rows,
-                plan=plan,
-                metrics=metrics,
-                text=raw.text,
-                compete=raw.compete,
-                raw=raw,
-            )
-        raise TypeError(f"cannot wrap {type(raw).__name__} as a Result")
-
-    @classmethod
-    def from_explain_text(cls, text: str, plan: Any | None = None) -> "Result":
-        """A plain (non-ANALYZE) EXPLAIN: just the rendered plan."""
-        return cls("explain", plan=plan, text=text)
+        self.retrievals = retrievals if retrievals is not None else []
+        self.goals = goals if goals is not None else {}
+        self.rows_affected = rows_affected
+        self._metrics: ResultMetrics | None = None
 
     # -- the uniform surface -------------------------------------------------
+
+    @property
+    def metrics(self) -> ResultMetrics:
+        """Execution figures, summed over ``retrievals`` on first read."""
+        metrics = self._metrics
+        if metrics is None:
+            metrics = self._metrics = ResultMetrics(
+                total_io=sum(info.result.execution_io for info in self.retrievals),
+                total_cost=sum(info.result.total_cost for info in self.retrievals),
+                retrieval_count=len(self.retrievals),
+                rows_affected=self.rows_affected,
+            )
+        return metrics
+
+    @property
+    def total_io(self) -> int:
+        """Physical I/O across all retrievals of the statement."""
+        return self.metrics.total_io
+
+    @property
+    def total_cost(self) -> float:
+        """Total cost (I/O + CPU fractions) across all retrievals."""
+        return self.metrics.total_cost
 
     @property
     def rowcount(self) -> int:
         """Rows delivered, or rows affected for DDL/DML."""
         if self.kind == "ddl":
-            return self.metrics.rows_affected
+            return self.rows_affected
         return len(self.rows)
 
     def __iter__(self) -> Iterator[tuple]:
@@ -182,33 +139,6 @@ class Result:
 
     def __str__(self) -> str:
         return self.text if self.text else repr(self)
-
-    # -- back-compat delegates ----------------------------------------------
-
-    @property
-    def retrievals(self):
-        """Per-retrieval execution info (empty for DDL / plain EXPLAIN)."""
-        return getattr(self.raw, "retrievals", None) or \
-            getattr(getattr(self.raw, "result", None), "retrievals", [])
-
-    @property
-    def goals(self):
-        """Inferred per-retrieval optimization goals keyed by plan node id."""
-        return getattr(self.raw, "goals", None) or \
-            getattr(getattr(self.raw, "result", None), "goals", {})
-
-    @property
-    def total_io(self) -> int:
-        return self.metrics.total_io
-
-    @property
-    def total_cost(self) -> float:
-        return self.metrics.total_cost
-
-    @property
-    def message(self) -> str:
-        """DDL status message (alias of ``text`` for ``kind == 'ddl'``)."""
-        return self.text
 
     # -- the obs.explain.Renderable protocol --------------------------------
 

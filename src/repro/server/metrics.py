@@ -316,7 +316,7 @@ class MetricsRegistry:
                 "Feedback entries dropped by LRU capacity pressure.",
                 None, feedback.evictions,
             )
-        if self.estimator is not None and self.estimator.enabled:
+        if self.estimator is not None:
             estimator = self.estimator
             yield (
                 "estimator_observations_total", "counter",
@@ -534,7 +534,7 @@ class MetricsRegistry:
                 f"{feedback.adjustments} adjustments applied, "
                 f"{feedback.evictions} evictions"
             )
-        if self.estimator is not None and self.estimator.enabled:
+        if self.estimator is not None:
             estimator = self.estimator
             lines.append(
                 f"estimator: {len(estimator)} signatures, "

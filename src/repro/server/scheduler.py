@@ -49,6 +49,7 @@ from repro.obs.audit import AuditLog
 from repro.obs.health import HealthMonitor, HealthReport
 from repro.obs.timeseries import TimeSeriesRegistry
 from repro.obs.trace import AuditOnlyTracer, Span, Tracer, should_sample
+from repro.result import Result
 from repro.server.metrics import MetricsRegistry
 from repro.sql.executor import (
     RetrievalInfo,
@@ -127,7 +128,7 @@ class QueryHandle:
         self.tracer: Tracer | None = None
         self._wait_span: Span | None = None
         self._gen: Generator[Any, None, Any] | None = None
-        self._result: Any = None
+        self._result: Result | None = None
 
     # -- state -------------------------------------------------------------
 
@@ -137,9 +138,9 @@ class QueryHandle:
         return self.state in (QueryState.DONE, QueryState.CANCELLED, QueryState.FAILED)
 
     @property
-    def result(self) -> Any:
-        """The query's result; raises if it failed, was cancelled, or is
-        still in flight."""
+    def result(self) -> Result:
+        """The query's :class:`~repro.result.Result`; raises if it failed,
+        was cancelled, or is still in flight."""
         if self.state is QueryState.FAILED:
             assert self.error is not None
             raise self.error
@@ -161,7 +162,7 @@ class QueryHandle:
         """Cancel the query; a running one abandons its scans mid-step."""
         self.server._cancel(self, reason)
 
-    def wait(self) -> Any:
+    def wait(self) -> Result:
         """Drive the server until this query finishes; return its result."""
         return self.server.wait(self)
 
@@ -199,7 +200,7 @@ class ServerSession:
         host_vars: Mapping[str, Any] | None = None,
         goal: OptimizationGoal = OptimizationGoal.DEFAULT,
         deadline: int | None = None,
-    ) -> Any:
+    ) -> Result:
         """Submit and run to completion (cooperatively driving the server,
         so other admitted queries make proportional progress too)."""
         return self.submit(sql, host_vars, goal=goal, deadline=deadline).wait()
@@ -262,16 +263,15 @@ class QueryServer:
         # ... and the sinks themselves, for record/rotation counters
         self.metrics.sinks = {"trace": trace_sink, "flight": flight_sink}
         #: continuous monitoring: the time-series registry + health monitor
-        #: (None when ``monitor_enabled`` is off or the interval is 0 — the
-        #: kill-switch path pays nothing per quantum)
+        #: (None when ``monitor_interval`` is 0 — the kill-switch path pays
+        #: nothing per quantum)
         self.monitor: TimeSeriesRegistry | None = None
         self.health_monitor: HealthMonitor | None = None
         config = db.config
-        if config.monitor_enabled and config.monitor_interval > 0:
+        if config.monitor_interval > 0:
             self.monitor = TimeSeriesRegistry(
                 self.metrics,
                 interval=config.monitor_interval,
-                window=config.monitor_window,
                 clock=clock,
             )
             self.health_monitor = HealthMonitor(self.monitor, config)
@@ -496,9 +496,9 @@ class QueryServer:
         audit = handle.tracer.audit if handle.tracer is not None else None
         if audit is not None and audit.enabled:
             self.metrics.decisions.absorb(audit)
-        compete = getattr(handle._result, "compete", None)
-        if compete is not None:
-            self.metrics.decisions.absorb_compete(compete)
+        result = handle._result
+        if result is not None and result.compete is not None:
+            self.metrics.decisions.absorb_compete(result.compete)
         if handle.tracer is not None and handle.tracer.enabled:
             handle.tracer.finish(outcome=outcome, quanta=handle.steps)
             if self.trace_sink is not None:
@@ -657,7 +657,7 @@ class QueryServer:
                 raise ServerError("run_until_idle exceeded max_steps — runaway query?")
         return steps
 
-    def wait(self, handle: QueryHandle, max_steps: int = 50_000_000) -> Any:
+    def wait(self, handle: QueryHandle, max_steps: int = 50_000_000) -> Result:
         """Step the server until ``handle`` finishes; return its result.
 
         Other admitted queries keep making proportional progress while the

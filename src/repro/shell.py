@@ -45,10 +45,9 @@ from repro.errors import ReproError
 class Shell:
     """Line-oriented REPL state.
 
-    Statements run through the unified connection API (:func:`repro.connect`),
+    Statements run through the connection API (:func:`repro.connect`),
     i.e. the multi-query scheduler. Accepts an existing :class:`Connection`
-    or, for back compatibility, a bare :class:`Database` (wrapped in its
-    default connection).
+    or a bare :class:`Database` (which gets a connection of its own).
     """
 
     def __init__(
@@ -59,7 +58,7 @@ class Shell:
         if db is None:
             self.conn = connect(buffer_capacity=128)
         elif isinstance(db, Database):
-            self.conn = db.default_connection()
+            self.conn = connect(db=db)
         else:
             self.conn = db
         self.db = self.conn.db
@@ -158,8 +157,7 @@ class Shell:
         elif head == "\\top":
             monitor = self.conn.server.monitor
             if monitor is None:
-                self._print("monitoring disabled (monitor_enabled=False "
-                            "or monitor_interval=0)")
+                self._print("monitoring disabled (monitor_interval=0)")
             else:
                 # force a sample so the dashboard reflects right now
                 self._print(monitor.format_top(self.conn.health()))

@@ -7,8 +7,7 @@ logical plan tree whose node types (`retrieve`, `sort`, `distinct`,
 then executed over the dynamic retrieval engine.
 """
 
-from repro.sql.executor import QueryResult, execute_sql, explain_sql
 from repro.sql.parser import parse
 from repro.sql.plan import PlanNode
 
-__all__ = ["QueryResult", "execute_sql", "explain_sql", "parse", "PlanNode"]
+__all__ = ["parse", "PlanNode"]

@@ -13,6 +13,7 @@ from typing import Any
 from repro.db.session import Database
 from repro.errors import SqlSyntaxError
 from repro.partition.partitioner import PartitionSpec
+from repro.result import Result
 
 
 @dataclass
@@ -218,48 +219,43 @@ def _value_row(parser) -> tuple[Any, ...]:
     return tuple(values)
 
 
-@dataclass
-class DdlResult:
-    """Outcome of a DDL/DML statement."""
-
-    message: str
-    rows_affected: int = 0
-
-
-def execute_ddl(db: Database, statement: Statement) -> DdlResult:
+def execute_ddl(db: Database, statement: Statement) -> Result:
     """Apply a parsed DDL/DML statement to the database."""
     if isinstance(statement, CreateTable):
         db.create_table(statement.table, list(statement.columns),
                         partition_by=statement.partition)
         if statement.partition is not None:
-            return DdlResult(
-                f"table {statement.table} created, "
-                f"partitioned {statement.partition.describe()}"
+            return Result(
+                "ddl",
+                text=f"table {statement.table} created, "
+                f"partitioned {statement.partition.describe()}",
             )
-        return DdlResult(f"table {statement.table} created")
+        return Result("ddl", text=f"table {statement.table} created")
     if isinstance(statement, CreateIndex):
         table = db.table(statement.table)
         table.create_index(statement.index, list(statement.columns),
                            unique=statement.unique)
-        return DdlResult(f"index {statement.index} created on {statement.table}")
+        return Result("ddl", text=f"index {statement.index} created on {statement.table}")
     if isinstance(statement, InsertRows):
         table = db.table(statement.table)
         for row in statement.rows:
             table.insert(row)
-        return DdlResult(
-            f"{len(statement.rows)} row(s) inserted into {statement.table}",
+        return Result(
+            "ddl",
+            text=f"{len(statement.rows)} row(s) inserted into {statement.table}",
             rows_affected=len(statement.rows),
         )
     if isinstance(statement, DropTable):
         db.drop_table(statement.table)
-        return DdlResult(f"table {statement.table} dropped")
+        return Result("ddl", text=f"table {statement.table} dropped")
     if isinstance(statement, DropIndex):
         db.table(statement.table).drop_index(statement.index)
-        return DdlResult(f"index {statement.index} dropped")
+        return Result("ddl", text=f"index {statement.index} dropped")
     if isinstance(statement, Analyze):
         stats = db.table(statement.table).analyze()
-        return DdlResult(
-            f"analyzed {statement.table}: {stats.row_count} rows, "
-            f"{stats.page_count} pages"
+        return Result(
+            "ddl",
+            text=f"analyzed {statement.table}: {stats.row_count} rows, "
+            f"{stats.page_count} pages",
         )
     raise SqlSyntaxError(f"unknown statement {statement!r}")

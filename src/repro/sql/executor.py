@@ -10,11 +10,10 @@ actually sees the early-termination opportunity.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from operator import itemgetter
 from typing import Any, Generator, Mapping
 
-from repro.competition.process import drain
 from repro.db.session import Database
 from repro.engine.goals import OptimizationGoal, infer_goals
 from repro.engine.retrieval import RetrievalResult
@@ -30,8 +29,8 @@ from repro.expr.ast import (
     Or,
 )
 from repro.obs.trace import Tracer
+from repro.result import Result
 from repro.sql.binder import bind
-from repro.sql.parser import parse
 from repro.sql.plan import (
     Aggregate,
     Distinct,
@@ -55,69 +54,6 @@ class RetrievalInfo:
     table: str
     goal: OptimizationGoal
     result: RetrievalResult
-
-
-@dataclass
-class QueryResult:
-    """Rows plus everything needed to understand how they were produced."""
-
-    columns: tuple[str, ...]
-    rows: list[tuple]
-    plan: PlanNode
-    goals: dict[int, OptimizationGoal]
-    retrievals: list[RetrievalInfo] = field(default_factory=list)
-
-    @property
-    def total_io(self) -> int:
-        """Physical I/O across all retrievals of the statement."""
-        return sum(info.result.execution_io for info in self.retrievals)
-
-    @property
-    def total_cost(self) -> float:
-        """Total cost (I/O + CPU fractions) across all retrievals."""
-        return sum(info.result.total_cost for info in self.retrievals)
-
-
-@dataclass
-class ExplainResult:
-    """Rendered ``EXPLAIN`` output.
-
-    For a static ``EXPLAIN`` only the plan text is present; for
-    ``EXPLAIN ANALYZE`` the statement actually ran and ``text`` carries the
-    plan annotated with the execution timeline, with the underlying
-    :class:`QueryResult` attached. For ``EXPLAIN COMPETE`` the
-    counterfactual-replay report (:class:`repro.obs.regret.CompeteReport`)
-    is additionally attached as ``compete``.
-    """
-
-    text: str
-    analyze: bool = False
-    result: QueryResult | None = None
-    compete: Any | None = None
-
-    def __str__(self) -> str:
-        return self.text
-
-    # -- the obs.explain.Renderable protocol --------------------------------
-
-    def to_text(self) -> str:
-        """Human-readable report (identical to ``str(result)``)."""
-        return self.text
-
-    def to_dict(self) -> dict[str, Any]:
-        """Machine-readable report: plan tree, execution figures, and (for
-        COMPETE) the counterfactual-replay report."""
-        out: dict[str, Any] = {"text": self.text, "analyze": self.analyze}
-        if self.result is not None:
-            from repro.obs.explain import plan_to_dict
-
-            out["plan"] = plan_to_dict(self.result.plan, self.result.goals)
-            out["rows"] = len(self.result.rows)
-            out["total_io"] = self.result.total_io
-            out["total_cost"] = round(self.result.total_cost, 3)
-        if self.compete is not None:
-            out["compete"] = self.compete.to_dict()
-        return out
 
 
 def explain_kind(sql: str) -> str | None:
@@ -146,27 +82,6 @@ def explain_kind(sql: str) -> str | None:
     return None
 
 
-def is_explain_analyze(sql: str) -> bool:
-    """True when ``sql`` is an executing EXPLAIN (ANALYZE or COMPETE)."""
-    return explain_kind(sql) is not None
-
-
-def execute_sql(
-    db: Database,
-    sql: str,
-    host_vars: Mapping[str, Any] | None = None,
-    goal: OptimizationGoal = OptimizationGoal.DEFAULT,
-    tracer: Tracer | None = None,
-):
-    """Parse, bind, infer goals, and execute one statement.
-
-    SELECTs return a :class:`QueryResult`; ``EXPLAIN [ANALYZE]`` returns an
-    :class:`ExplainResult`; DDL/DML statements return a
-    :class:`repro.sql.ddl.DdlResult`.
-    """
-    return drain(execute_sql_steps(db, sql, host_vars, goal, tracer=tracer))
-
-
 def _is_select(sql: str) -> bool:
     """Cheap prefix test routing SELECTs through the plan cache."""
     return sql.lstrip()[:6].lower() == "select"
@@ -179,9 +94,10 @@ def execute_sql_steps(
     goal: OptimizationGoal = OptimizationGoal.DEFAULT,
     retrievals: list[RetrievalInfo] | None = None,
     tracer: Tracer | None = None,
-) -> Generator[RetrievalResult, None, Any]:
-    """:func:`execute_sql` as a step generator (one yield per scheduling
-    quantum — up to ``config.batch_size`` engine steps).
+) -> Generator[RetrievalResult, None, Result]:
+    """Parse, bind, infer goals and execute one statement as a step
+    generator (one yield per scheduling quantum — up to
+    ``config.batch_size`` engine steps), returning its :class:`Result`.
 
     The multi-query scheduler drives whole statements through this
     generator, interleaving their quanta over the shared buffer pool. The
@@ -222,11 +138,9 @@ def execute_sql_steps(
             yield from _execute_explain(db, parsed, host_vars, goal, retrievals, tracer)
         )
     if isinstance(parsed, PrepareStatement):
-        from repro.sql.ddl import DdlResult
-
         entry, _ = cache.entry_for(db, parsed.sql)
         db.prepared[parsed.name] = entry
-        return DdlResult(f"statement {parsed.name} prepared")
+        return Result("ddl", text=f"statement {parsed.name} prepared")
     if isinstance(parsed, ExecuteStatement):
         entry = db.prepared.get(parsed.name)
         if entry is None:
@@ -246,11 +160,9 @@ def execute_sql_steps(
             )
         )
     if isinstance(parsed, DeallocateStatement):
-        from repro.sql.ddl import DdlResult
-
         if db.prepared.pop(parsed.name, None) is None:
             raise BindingError(f"unknown prepared statement {parsed.name!r}")
-        return DdlResult(f"statement {parsed.name} deallocated")
+        return Result("ddl", text=f"statement {parsed.name} deallocated")
     if not isinstance(parsed, ParsedQuery):
         return execute_ddl(db, parsed)
     requested = parsed.goal if parsed.goal is not OptimizationGoal.DEFAULT else goal
@@ -261,8 +173,8 @@ def execute_sql_steps(
     columns, rows = yield from _execute_block(
         db, parsed.plan, dict(host_vars or {}), goals, retrievals, tracer=tracer
     )
-    return QueryResult(
-        columns=columns, rows=rows, plan=parsed.plan, goals=goals, retrievals=retrievals
+    return Result(
+        "rows", columns, rows, plan=parsed.plan, goals=goals, retrievals=retrievals
     )
 
 
@@ -273,7 +185,7 @@ def execute_prepared_steps(
     goal: OptimizationGoal = OptimizationGoal.DEFAULT,
     retrievals: list[RetrievalInfo] | None = None,
     tracer: Tracer | None = None,
-) -> Generator[RetrievalResult, None, QueryResult]:
+) -> Generator[RetrievalResult, None, Result]:
     """Execute a :class:`~repro.cache.plan_cache.CachedPlan` — no tokenize,
     parse, or bind on this path.
 
@@ -293,8 +205,8 @@ def execute_prepared_steps(
         db, parsed.plan, dict(host_vars or {}), goals, retrievals,
         tracer=tracer, prepared=plan,
     )
-    return QueryResult(
-        columns=columns, rows=rows, plan=parsed.plan, goals=goals, retrievals=retrievals
+    return Result(
+        "rows", columns, rows, plan=parsed.plan, goals=goals, retrievals=retrievals
     )
 
 
@@ -305,7 +217,7 @@ def _execute_explain(
     goal: OptimizationGoal,
     retrievals: list[RetrievalInfo] | None,
     tracer: Tracer | None,
-) -> Generator[RetrievalResult, None, ExplainResult]:
+) -> Generator[RetrievalResult, None, Result]:
     """Render a plan (``EXPLAIN``), run-and-render it (``EXPLAIN
     ANALYZE``), or run, audit, and counterfactually replay it
     (``EXPLAIN COMPETE``).
@@ -338,7 +250,8 @@ def _execute_explain(
         plan_root = query.plan
         goals = infer_goals(query.plan, requested)
     if not parsed.analyze and not parsed.compete:
-        return ExplainResult(text=format_plan(plan_root, goals), analyze=False)
+        return Result("explain", plan=plan_root, goals=goals,
+                      text=format_plan(plan_root, goals))
     if tracer is None or not tracer.enabled:
         tracer = Tracer("explain-compete" if parsed.compete else "explain-analyze")
     if parsed.compete and not tracer.audit.enabled:
@@ -353,26 +266,16 @@ def _execute_explain(
     )
     tracer.finish(rows=len(rows))
     text = render_analyze(plan_root, goals, retrievals, tracer, len(rows))
-    result = QueryResult(
-        columns=columns, rows=rows, plan=plan_root, goals=goals, retrievals=retrievals
-    )
     compete_report = None
     if parsed.compete:
         from repro.obs.regret import run_compete
 
         compete_report = run_compete(db, tracer.audit)
         text += "\n\n" + compete_report.format()
-    return ExplainResult(
-        text=text, analyze=True, result=result, compete=compete_report
+    return Result(
+        "explain", columns, rows, plan=plan_root, text=text,
+        compete=compete_report, goals=goals, retrievals=retrievals,
     )
-
-
-def explain_sql(db: Database, sql: str) -> str:
-    """Render the logical plan with inferred per-retrieval goals."""
-    parsed = parse(sql)
-    bind(db, parsed.plan)
-    goals = infer_goals(parsed.plan, parsed.goal)
-    return format_plan(parsed.plan, goals)
 
 
 # -- chain unwrapping -----------------------------------------------------------
@@ -504,7 +407,7 @@ def _execute_block(
                 tracer=tracer,
                 predicate_cache=prepared.predicates if prepared is not None else None,
                 feedback=db.feedback if db.feedback.enabled else None,
-                estimator=db.estimator if db.estimator.enabled else None,
+                estimator=db.estimator,
             ),
             retrievals,
             chain.retrieve.table,
@@ -598,7 +501,7 @@ def _execute_join_retrieve(
             db.config,
             tracer=tracer,
             feedback=db.feedback if db.feedback.enabled else None,
-            estimator=db.estimator if db.estimator.enabled else None,
+            estimator=db.estimator,
         ),
         retrievals,
         display,

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.api import connect
 from repro.db.catalog import Column
 from repro.db.session import Database
 from repro.storage.buffer_pool import BufferPool, CostMeter
@@ -29,6 +30,11 @@ def meter() -> CostMeter:
 @pytest.fixture
 def db() -> Database:
     return Database(buffer_capacity=64)
+
+
+@pytest.fixture
+def conn(db: Database):
+    return connect(db=db)
 
 
 @pytest.fixture

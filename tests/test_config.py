@@ -1,6 +1,8 @@
 """Tests for the engine configuration object."""
 
 import dataclasses
+import pathlib
+import re
 
 import pytest
 
@@ -45,3 +47,58 @@ def test_custom_config_flows_through_engine():
 
     assert not result.trace.has(EventKind.INITIAL_ESTIMATE)
     assert len(result.rows) == 10
+
+
+# -- ratchets ---------------------------------------------------------------
+
+REPO = pathlib.Path(__file__).resolve().parent.parent
+
+
+def test_option_budget():
+    """A new knob, or one that lost its last setter, fails here: the field
+    count may only fall, and every field must be set (``name=``) by some
+    test, benchmark or example — otherwise it is a constant, not an option."""
+    names = [field.name for field in dataclasses.fields(EngineConfig)]
+    assert len(names) <= 30
+    users = "\n".join(
+        path.read_text()
+        for root in ("tests", "benchmarks", "examples")
+        for path in (REPO / root).rglob("*.py")
+    )
+    orphans = [name for name in names if not re.search(rf"\b{name}\s*=", users)]
+    assert not orphans, f"EngineConfig fields nothing sets: {orphans}"
+
+
+def test_cpu_costs_have_one_source():
+    """Every per-entry / per-record CPU charge and cost estimate in the
+    engine reads ``ENTRY_CPU_COST`` (btree/tree.py) or ``RECORD_CPU_COST``
+    (storage/heap.py) — the race must be decided in the units the scans
+    are charged in."""
+    constant = re.compile(r"\b(?:ENTRY|RECORD)_CPU_COST\b")
+    charge = re.compile(r"\bcharge_cpu(?:_each)?\(|\.cpu \+=")
+    offenders = []
+    for path in sorted((REPO / "src" / "repro").rglob("*.py")):
+        text = path.read_text()
+        where = path.relative_to(REPO)
+        if "cpu_cost_per_" in text:
+            offenders.append(f"{where}: a config-style cpu cost")
+        if "engine" not in path.parts:
+            continue
+        if re.search(r"^\s*(?:ENTRY|RECORD)_CPU_COST\s*=", text, re.M):
+            offenders.append(f"{where}: a private copy of a cost constant")
+        if re.search(r"\b(?:0\.0002|0\.001|2e-0?4|1e-0?3)\b", text):
+            offenders.append(f"{where}: a cost literal")
+        aliases = set(re.findall(r"(\w+) = (?:ENTRY|RECORD)_CPU_COST\b", text))
+        lines = text.splitlines()
+        for number, line in enumerate(lines):
+            if not charge.search(line) or line.lstrip().startswith("def "):
+                continue
+            if ".first." in line or ".second." in line:
+                continue  # the join's pair meter forwarding its argument
+            amount = " ".join(lines[number : number + 3])
+            amount = amount[charge.search(line).start() :]
+            if not constant.search(amount) and not (
+                aliases & set(re.findall(r"\w+", amount))
+            ):
+                offenders.append(f"{where}:{number + 1}: {line.strip()}")
+    assert not offenders, "\n".join(offenders)

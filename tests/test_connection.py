@@ -1,4 +1,4 @@
-"""The repro.connect() facade, back-compat shims, and drop cleanup."""
+"""The repro.connect() facade and drop cleanup."""
 
 import io
 
@@ -8,8 +8,6 @@ import repro
 from repro.engine.goals import OptimizationGoal
 from repro.errors import QueryCancelledError, ServerError
 from repro.shell import Shell
-from repro.sql.ddl import DdlResult
-from repro.sql.executor import QueryResult
 
 
 def populated(conn: repro.Connection) -> repro.Connection:
@@ -26,11 +24,9 @@ class TestConnect:
         conn = populated(repro.connect(buffer_capacity=64))
         ddl = conn.execute("create table U (X int)")
         assert isinstance(ddl, repro.Result) and ddl.kind == "ddl"
-        assert isinstance(ddl.raw, DdlResult)
         assert "created" in ddl.text
         result = conn.execute("select * from T where A >= :LO", {"LO": 38})
         assert isinstance(result, repro.Result) and result.kind == "rows"
-        assert isinstance(result.raw, QueryResult)
         assert len(result.rows) == 20 == result.rowcount
         assert result.columns == ("ID", "A")
         assert result.plan is not None
@@ -74,14 +70,21 @@ class TestConnect:
         conn = populated(repro.connect())
         assert conn.execute("select * from T where A >= 0", deadline=3).rows
 
-    def test_explain_returns_result_matching_database_shim(self):
+    def test_explain_returns_result(self):
         conn = populated(repro.connect())
         sql = "select * from T where A >= 10 optimize for total time"
         result = conn.explain(sql)
         assert isinstance(result, repro.Result) and result.kind == "explain"
-        with pytest.deprecated_call():
-            assert result.text == conn.db.explain(sql)
+        assert "retrieve T" in result.text and "total-time" in result.text
         assert str(result) == result.text  # printable as before
+        assert result.rows == [] and result.metrics.retrieval_count == 0
+
+    def test_execute_propagates_errors(self):
+        conn = repro.connect()
+        with pytest.raises(repro.ReproError):
+            conn.execute("select * from NOPE")
+        with pytest.raises(repro.ReproError):
+            conn.execute("selec broken syntax")
 
     def test_statements_route_through_scheduler(self):
         conn = populated(repro.connect())
@@ -127,47 +130,88 @@ class TestConnect:
             conn.execute("select * from W")
 
 
-class TestBackCompatShims:
-    def test_database_execute_unchanged_results(self):
+SELECT = "select * from T where A >= 38"
+
+#: every way a statement can be run, each returning its result
+ROW_PATHS = {
+    "execute": lambda conn: conn.execute(SELECT),
+    "submit-wait": lambda conn: conn.submit(SELECT).wait(),
+    "session-execute": lambda conn: conn.session().execute(SELECT),
+    "session-submit-result": lambda conn: _idle(conn, conn.session().submit(SELECT)),
+    "prepare-execute": lambda conn: conn.prepare(SELECT).execute(),
+    "prepare-submit-wait": lambda conn: conn.prepare(SELECT).submit().wait(),
+    "explain-analyze": lambda conn: conn.explain(SELECT, analyze=True),
+    "sql-execute": lambda conn: _prepared(conn, "execute Q"),
+}
+
+OTHER_PATHS = {
+    "explain": (lambda conn: conn.explain(SELECT), "explain"),
+    "sql-explain": (lambda conn: conn.submit(f"explain {SELECT}").wait(), "explain"),
+    "sql-prepare": (lambda conn: conn.execute(f"prepare Q as {SELECT}"), "ddl"),
+    "sql-deallocate": (lambda conn: _prepared(conn, "deallocate Q"), "ddl"),
+    "ddl": (lambda conn: conn.session().execute("create table U (X int)"), "ddl"),
+    "dml": (lambda conn: conn.submit("insert into T values (1, 2), (3, 4)").wait(), "ddl"),
+}
+
+
+def _prepared(conn, statement):
+    conn.execute(f"prepare Q as {SELECT}")
+    return conn.execute(statement)
+
+
+def _idle(conn, handle):
+    conn.server.run_until_idle()
+    return handle.result
+
+
+class TestOneResultType:
+    """Every call path hands back the one ``repro.Result``."""
+
+    @pytest.mark.parametrize("path", ROW_PATHS)
+    def test_row_paths_return_the_same_result(self, path):
+        reference = populated(repro.connect()).execute(SELECT)
+        result = ROW_PATHS[path](populated(repro.connect()))
+        assert type(result) is repro.Result
+        assert result.rows == reference.rows and len(result.rows) == 20
+        assert result.columns == reference.columns == ("ID", "A")
+        assert result.rowcount == reference.rowcount == 20
+        assert result.metrics == reference.metrics
+        assert result.metrics.retrieval_count == len(result.retrievals) == 1
+        assert result.total_io == result.metrics.total_io
+        assert result.total_cost == result.retrievals[0].result.total_cost > 0
+        assert result.retrievals[0].table == "T"
+        assert result.goals and result.plan is not None
+
+    @pytest.mark.parametrize("path", OTHER_PATHS)
+    def test_non_row_paths_return_result_too(self, path):
+        run, kind = OTHER_PATHS[path]
+        result = run(populated(repro.connect()))
+        assert type(result) is repro.Result and result.kind == kind
+        assert result.rows == [] and result.retrievals == []
+        assert result.metrics.retrieval_count == 0 == result.total_io
+        assert result.rowcount == (2 if path == "dml" else 0)
+        assert result.text and str(result) == result.text
+
+    def test_handle_result_is_the_result_and_shares_its_retrievals(self):
         conn = populated(repro.connect())
-        db = repro.Database(buffer_capacity=64)
-        db.create_table("T", [("ID", "int"), ("A", "int")])
-        table = db.table("T")
-        table.insert_many((i, i % 40) for i in range(400))
-        table.create_index("IX_A", ["A"])
-        table.analyze()
-        sql = "select * from T where A >= :LO"
-        legacy = db.execute(sql, {"LO": 38})
-        unified = conn.execute(sql, {"LO": 38})
-        assert sorted(legacy.rows) == sorted(unified.rows)
-        assert legacy.columns == unified.columns
+        handle = conn.submit(SELECT)
+        result = handle.wait()
+        assert handle.result is result
+        assert result.retrievals is handle.retrievals
 
-    def test_database_execute_reuses_one_default_connection(self):
-        db = repro.Database()
-        db.create_table("T", [("ID", "int")])
-        db.execute("select * from T")
-        first = db.default_connection()
-        db.execute("select * from T")
-        assert db.default_connection() is first
-        assert first.metrics.session("main").queries_completed == 2
-
-    def test_database_shims_warn_and_return_legacy_objects(self):
-        db = repro.Database(buffer_capacity=32)
-        db.create_table("T", [("ID", "int"), ("A", "int")])
-        db.table("T").insert_many((i, i % 5) for i in range(50))
-        with pytest.deprecated_call():
-            legacy = db.execute("select * from T where A = 1")
-        assert isinstance(legacy, QueryResult)  # not the unified Result
-        with pytest.deprecated_call():
-            text = db.explain("select * from T where A = 1")
-        assert isinstance(text, str) and "retrieve T" in text
-
-    def test_database_execute_propagates_errors(self):
-        db = repro.Database()
-        with pytest.raises(repro.ReproError):
-            db.execute("select * from NOPE")
-        with pytest.raises(repro.ReproError):
-            db.execute("selec broken syntax")
+    def test_cancelled_statement_exposes_partial_retrievals(self):
+        conn = populated(
+            repro.connect(config=repro.DEFAULT_CONFIG.with_(batch_size=1))
+        )
+        handle = conn.submit("select * from T where A >= 0")
+        for _ in range(3):
+            conn.server.step()
+        handle.cancel()
+        assert handle.state is repro.QueryState.CANCELLED
+        with pytest.raises(QueryCancelledError):
+            handle.result
+        (info,) = handle.retrievals
+        assert info.table == "T" and info.result.trace.events
 
 
 class TestDropCleanup:
@@ -176,16 +220,17 @@ class TestDropCleanup:
         table = db.create_table("D", [("ID", "int"), ("A", "int")])
         table.insert_many((i, i % 10) for i in range(300))
         table.create_index("IX_A", ["A"])
-        return db, table
+        return repro.connect(db=db), table
 
     @staticmethod
     def owners(db):
         return {page.owner for page in db.pager._pages.values()}
 
     def test_drop_table_releases_heap_and_index_pages(self):
-        db, table = self.build()
+        conn, table = self.build()
+        db = conn.db
         # touch pages so some sit in the buffer pool
-        db.execute("select * from D where A = 3")
+        conn.execute("select * from D where A = 3")
         assert {"D", "D.IX_A"} <= self.owners(db)
         pages_before = len(db.pager._pages)
         assert pages_before > 0
@@ -200,22 +245,25 @@ class TestDropCleanup:
         assert len(db.buffer_pool) <= len(db.pager._pages)
 
     def test_drop_table_via_sql_releases_pages(self):
-        db, table = self.build()
-        db.execute("select * from D where A = 3")
-        db.execute("drop table D")
+        conn, table = self.build()
+        db = conn.db
+        conn.execute("select * from D where A = 3")
+        conn.execute("drop table D")
         assert not {"D", "D.IX_A"} & self.owners(db)
 
     def test_drop_index_releases_its_pages_only(self):
-        db, table = self.build()
-        db.execute("select * from D where A = 3")
+        conn, table = self.build()
+        db = conn.db
+        conn.execute("select * from D where A = 3")
         table.drop_index("IX_A")
         owners = self.owners(db)
         assert "D.IX_A" not in owners
         assert "D" in owners  # the heap survives
 
     def test_dropped_pages_leave_the_buffer_pool(self):
-        db, table = self.build()
-        db.execute("select * from D where A = 3")
+        conn, table = self.build()
+        db = conn.db
+        conn.execute("select * from D where A = 3")
         cached_before = {
             pid for pid in db.pager._pages
             if pid in db.buffer_pool
@@ -251,4 +299,4 @@ class TestShellUsesConnection:
         shell = Shell(db, out=out)
         shell.feed("create table S (X int);")
         assert "S" in db.tables
-        assert shell.conn is db.default_connection()
+        assert shell.conn.db is db

@@ -25,6 +25,7 @@ from repro.engine.union_scan import UnionScanProcess
 from repro.expr.ast import ALWAYS_TRUE, col
 from repro.expr.disjunction import cover_disjuncts
 from repro.storage.buffer_pool import CostMeter
+from repro.storage.heap import RECORD_CPU_COST
 
 BATCH_SIZES = [1, 2, 64]
 
@@ -610,7 +611,7 @@ def row_at_a_time(kind, table, expr, stop_after, skip=None, rid_filter=None):
     from repro.expr.eval import evaluate
 
     meter, counters, sink = CostMeter(), RetrievalCounters(), Collector(stop_after)
-    per_record = table.config.cpu_cost_per_record
+    per_record = RECORD_CPU_COST
     position = table.schema.position
     steps, error, stopped = 0, None, False
 
@@ -711,6 +712,7 @@ def observe_scan(kind, expr, stop_after, drive, skip=None, rid_filter=None):
         # a failed step is not counted, so a failed batch counts none of its
         "steps": steps if error is None else None,
         "pinned": dict(table.buffer_pool._pinned),
+        "window": table.buffer_pool.read_ahead_window,
     }
 
 
@@ -779,7 +781,7 @@ class TestScanAdvanceEquivalence:
         if scan == "tscan" and cut_short and drive not in ("step", 1):
             # the one tolerated difference: the pages of the read-ahead run
             # that ``get_many`` had fetched before the scan was cut short
-            window = DEFAULT_CONFIG.read_ahead_window
+            window = seen["window"]
             tail = seen["meter"]["io_reads"] - reference["meter"]["io_reads"]
             assert 0 <= tail <= min(drive, window) - 1
             for observation in (seen, reference):
@@ -866,7 +868,7 @@ class TestScanAdvanceEquivalence:
                 "pinned": dict(db.buffer_pool._pinned),
             }
 
-        candidates = candidate_orders(node, handles, {}, DEFAULT_CONFIG)
+        candidates = candidate_orders(node, handles, {})
         assert any(
             all(step.tactic == "hash" for step in order.steps) for order in candidates
         )
@@ -883,7 +885,7 @@ class TestScanAdvanceEquivalence:
             live = sum(handle.heap.row_count for handle in handles.values())
             expected_cpu = 0.0
             for _ in range(live + sum(reference["fanout"][1])):
-                expected_cpu += DEFAULT_CONFIG.cpu_cost_per_record
+                expected_cpu += RECORD_CPU_COST
             assert reference["meter"]["cpu"] == expected_cpu
             assert reference["meter"]["io_reads"] == sum(
                 handle.heap.page_count for handle in handles.values())

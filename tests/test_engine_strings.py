@@ -76,8 +76,8 @@ def test_string_order_by(directory):
     assert names == sorted(names)
 
 
-def test_string_sql_roundtrip(directory, db):
-    result = db.execute(
+def test_string_sql_roundtrip(directory, conn):
+    result = conn.execute(
         "select NAME from DIRECTORY where NAME like 'fle%' order by NAME"
     )
     assert all(name.startswith("fle") for (name,) in result.rows)

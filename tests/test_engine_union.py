@@ -96,13 +96,13 @@ def test_conjunctive_queries_unaffected(table):
     assert sorted(result.rows) == oracle(table, expr)
 
 
-def test_sql_or_query_end_to_end(table, db):
-    result = db.execute("select * from P where A = 3 or B = 250")
+def test_sql_or_query_end_to_end(table, conn):
+    result = conn.execute("select * from P where A = 3 or B = 250")
     expr = (col("A").eq(3)) | (col("B").eq(250))
     assert sorted(result.rows) == oracle(table, expr)
 
 
-def test_sql_in_list_end_to_end(table, db):
-    result = db.execute("select C from P where A in (1, 2) order by C")
+def test_sql_in_list_end_to_end(table, conn):
+    result = conn.execute("select C from P where A in (1, 2) order by C")
     expected = sorted(row[2] for _, row in table.heap.scan() if row[0] in (1, 2))
     assert [row[0] for row in result.rows] == expected

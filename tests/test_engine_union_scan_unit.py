@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.competition.two_stage import MIN_PROJECTION_FRACTION
 from repro.db.session import Database
 from repro.engine.metrics import RetrievalTrace
 from repro.engine.union_scan import UnionScanProcess
@@ -113,7 +114,7 @@ def test_projection_reads_a_running_total_of_all_disjuncts(setup):
     while not union.step():
         scanned = sum(scan.scanned for scan in union._scans)
         fraction = scanned / max(union.total_estimate, float(scanned))
-        if fraction < table.config.min_projection_fraction:
+        if fraction < MIN_PROJECTION_FRACTION:
             assert union.projected_final_cost() is None
             continue
         projected += 1

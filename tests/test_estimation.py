@@ -173,12 +173,6 @@ class TestEstimator:
         assert recent == [pytest.approx(2.0)]
         assert est.take_recent() == []
 
-    def test_disabled_estimator_records_nothing(self):
-        est = Estimator(enabled=False)
-        est.record("T", "IX", col("A").eq(1), 10, 10)
-        assert est.observations == 0
-        assert est.estimate_range("T", "IX", None, None) is None
-
     def test_histogram_snapshot_is_frozen(self):
         est = Estimator()
         est.record("T", "IX", col("A") < 5, 10, 40, lo=0, hi=5)

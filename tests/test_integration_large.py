@@ -8,6 +8,7 @@ oracle, under a deliberately small buffer pool with cache interference.
 import numpy as np
 import pytest
 
+from repro.api import connect
 from repro.db.session import Database
 from repro.engine.goals import OptimizationGoal as Goal
 from repro.expr.ast import col, var
@@ -129,7 +130,7 @@ def test_host_variable_sweep(world):
 
 def test_sql_end_to_end(world):
     db, table = world
-    result = db.execute(
+    result = connect(db=db).execute(
         "select count(*) as n from SALES where STORE = :s and QTY >= 10",
         {"s": 9},
     )

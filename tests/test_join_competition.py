@@ -106,7 +106,7 @@ class TestDifferential:
         handles = handles_for(db, node)
         expected = sorted(reference_nested_loop(node, handles, {}))
         assert expected, "test workload must produce join matches"
-        orders = candidate_orders(node, handles, {}, config)
+        orders = candidate_orders(node, handles, {})
         assert len(orders) >= 4
         for order in orders:
             db.cold_cache()
@@ -124,7 +124,7 @@ class TestDifferential:
         node = join_node(db, SQL2)
         handles = handles_for(db, node)
         expected = sorted(reference_nested_loop(node, handles, {}))
-        for order in candidate_orders(node, handles, {}, config):
+        for order in candidate_orders(node, handles, {}):
             result = drain(
                 run_join_steps(
                     node, handles, {}, OptimizationGoal.TOTAL_TIME, config,
@@ -155,7 +155,7 @@ class TestDifferential:
         handles = handles_for(db, node)
         expected = sorted(reference_nested_loop(node, handles, {}))
         assert expected == [(0, 1, 0, 1)]  # NULLs on both sides match nothing
-        for order in candidate_orders(node, handles, {}, DEFAULT_CONFIG):
+        for order in candidate_orders(node, handles, {}):
             result = drain(
                 run_join_steps(
                     node, handles, {}, OptimizationGoal.TOTAL_TIME,

@@ -175,7 +175,7 @@ class TestTimeSeries:
         conn.close()
 
     def test_kill_switch_creates_no_monitor(self):
-        config = EngineConfig(monitor_enabled=False)
+        config = EngineConfig(monitor_interval=0)
         conn = repro.connect(buffer_capacity=32, config=config)
         assert conn.server.monitor is None
         report = conn.health()
@@ -325,21 +325,45 @@ class TestDriftEndToEnd:
 
 
 class TestIncidents:
-    def test_slo_breach_writes_incident_through_flight_sink(self, tmp_path):
+    @pytest.mark.parametrize(
+        "threshold, rule",
+        [
+            pytest.param(dict(slo_p95_latency_ms=1.0), "slo-p95-latency", id="p95-latency"),
+            pytest.param(dict(slo_min_hit_rate=0.9999), "slo-hit-rate", id="hit-rate"),
+            pytest.param(dict(slo_max_queue_wait_p95=1.0), "slo-queue-wait", id="queue-wait"),
+            pytest.param(dict(slo_regret_mass=0.001), "slo-regret-mass", id="regret-mass"),
+        ],
+    )
+    def test_slo_breach_writes_incident_through_flight_sink(
+        self, tmp_path, threshold, rule
+    ):
         path = str(tmp_path / "flight.jsonl")
         sink = JsonlSink(path)
-        # every clock consultation costs 10ms, so every query's measured
-        # latency crosses the 1ms SLO
+        # one window that trips every SLO, of which ``threshold`` arms one:
+        # every clock consultation costs 10ms (latency), the statements
+        # start on a cold cache (hit rate), four are submitted at once to a
+        # one-slot server (queue wait), and an unselective EXPLAIN COMPETE
+        # realizes regret. The interval is long, so the only sample is the
+        # forced one of ``health()``.
         clock = SteppingClock(auto=0.01)
-        config = EngineConfig(slo_p95_latency_ms=1.0)
+        config = EngineConfig(monitor_interval=3600.0, **threshold)
         conn = repro.connect(
-            buffer_capacity=64, config=config, clock=clock, flight_sink=sink
+            buffer_capacity=64, config=config, clock=clock, flight_sink=sink,
+            max_concurrency=1,
         )
-        build_t(conn, rows=80)
-        conn.execute("select * from T where AGE >= 50")
+        table = conn.create_table(
+            "T", [("ID", "int"), ("AGE", "int")], rows_per_page=8, index_order=8
+        )
+        table.insert_many((i, (i * 7) % 100) for i in range(600))
+        table.create_index("IX_AGE", ["AGE"])
+        table.create_index("IX_ID", ["ID"])
+        conn.db.cold_cache()
+        for _ in range(4):
+            conn.submit("select * from T where AGE >= 50")
+        conn.execute("explain compete select * from T where AGE >= 0")
         report = conn.health()
         assert report.status == "critical"
-        assert any(f.rule == "slo-p95-latency" for f in report.findings)
+        assert [f.rule for f in report.findings if f.severity == "critical"] == [rule]
         assert conn.metrics.incidents >= 1
         conn.close()
         records = [
@@ -348,7 +372,7 @@ class TestIncidents:
         incidents = [r for r in records if r.get("kind") == "incident"]
         assert incidents
         bundle = incidents[0]
-        assert "slo-p95-latency" in bundle["rules"]
+        assert rule in bundle["rules"]
         assert bundle["window"] is not None
         assert bundle["recent_windows"]
         assert isinstance(bundle["top_queries"], list)
@@ -403,7 +427,7 @@ class TestDashboard:
         import io
 
         out = io.StringIO()
-        config = EngineConfig(monitor_enabled=False)
+        config = EngineConfig(monitor_interval=0)
         conn = repro.connect(buffer_capacity=32, config=config)
         shell = Shell(conn, out=out)
         shell.feed("\\top")

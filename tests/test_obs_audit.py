@@ -166,7 +166,7 @@ class TestEngineCapture:
         assert record.inputs["guaranteed"] > 0
 
     def test_stage_transition_before_any_projection_records_none(self):
-        """A scan-cost abandon can fire before ``min_projection_fraction``
+        """A scan-cost abandon can fire before ``MIN_PROJECTION_FRACTION``
         of the index is scanned, when there is no projection yet: the record
         says ``None`` (it used to crash in ``round(None, 2)``)."""
         db = Database(buffer_capacity=64)
@@ -321,7 +321,7 @@ class TestExplainCompete:
         build_parts(conn.db)
         result = conn.execute(f"explain {UNSELECTIVE}")
         assert result.kind == "explain" and result.compete is None
-        assert result.raw.analyze is False
+        assert result.rows == [] and result.retrievals == []
         assert "retrieve P" in result.text
 
     def test_connection_audit_api(self):

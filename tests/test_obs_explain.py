@@ -16,12 +16,7 @@ import repro
 from repro.config import EngineConfig
 from repro.expr.ast import col
 from repro.shell import Shell
-from repro.sql.executor import (
-    ExplainResult,
-    execute_sql,
-    explain_sql,
-    is_explain_analyze,
-)
+from repro.sql.executor import explain_kind
 from repro.sql.parser import ExplainQuery, parse_any
 
 
@@ -55,48 +50,46 @@ class TestParsing:
         assert parsed.analyze is True
 
     def test_is_explain_analyze_sniff(self):
-        assert is_explain_analyze("explain analyze select * from P")
-        assert is_explain_analyze("  EXPLAIN   ANALYZE select 1")
-        assert not is_explain_analyze("explain select * from P")
-        assert not is_explain_analyze("select * from P")
-        assert not is_explain_analyze("not even ( sql")
+        assert explain_kind("explain analyze select * from P") == "analyze"
+        assert explain_kind("  EXPLAIN   ANALYZE select 1") == "analyze"
+        assert explain_kind("explain select * from P") is None
+        assert explain_kind("select * from P") is None
+        assert explain_kind("not even ( sql") is None
 
 
 # -- execution ---------------------------------------------------------------
 
 
 class TestExplainExecution:
-    def test_plain_explain_does_not_execute(self, db):
-        build_parts(db)
-        result = execute_sql(db, "explain " + SQL)
-        assert isinstance(result, ExplainResult)
-        assert result.analyze is False
-        assert result.result is None  # nothing ran
+    def test_plain_explain_does_not_execute(self, conn):
+        build_parts(conn.db)
+        result = conn.execute("explain " + SQL)
+        assert isinstance(result, repro.Result) and result.kind == "explain"
+        assert result.rows == [] and result.retrievals == []  # nothing ran
         assert "retrieve P" in result.text
         assert "-- execution" not in result.text
-        # matches the long-standing explain_sql rendering
-        assert result.text == explain_sql(db, SQL)
+        # the statement and the API form are one route
+        assert result.text == conn.explain(SQL).text
         assert str(result) == result.text
 
-    def test_explain_analyze_executes_and_annotates(self, db):
-        table = build_parts(db)
-        result = execute_sql(db, "explain analyze " + SQL)
-        assert isinstance(result, ExplainResult)
-        assert result.analyze is True
+    def test_explain_analyze_executes_and_annotates(self, conn):
+        table = build_parts(conn.db)
+        result = conn.execute("explain analyze " + SQL)
+        assert isinstance(result, repro.Result) and result.kind == "explain"
         plain = table.select(where=(col("COLOR").eq(3)) | (col("WEIGHT") < 10))
-        assert result.result is not None
-        assert len(result.result.rows) == len(plain.rows)
+        assert result.retrievals
+        assert len(result.rows) == len(plain.rows)
         text = result.text
         for section in ("-- plan", "-- execution", "-- timeline"):
             assert section in text
         assert f"rows returned: {len(plain.rows)}" in text
         assert "retrieval #1 on P" in text
         assert "actual   :" in text and "estimated:" in text
-        assert "explain-analyze" in text and "retrieval [" in text
+        assert "retrieval [" in text
 
-    def test_explain_analyze_timeline_has_strategy_spans(self, db):
-        build_parts(db)
-        result = execute_sql(db, "explain analyze select * from P where WEIGHT >= 0")
+    def test_explain_analyze_timeline_has_strategy_spans(self, conn):
+        build_parts(conn.db)
+        result = conn.execute("explain analyze select * from P where WEIGHT >= 0")
         # the unselective query switches: both the mark and the scans show
         assert "strategy-switch" in result.text
         assert "scan [strategy=" in result.text
@@ -142,12 +135,9 @@ class TestConnectionExplain:
     def test_sql_explain_analyze_result_through_execute(self, conn):
         result = conn.execute("explain analyze " + SQL)
         assert isinstance(result, repro.Result) and result.kind == "explain"
-        assert isinstance(result.raw, ExplainResult)
         assert result.rows and result.metrics.retrieval_count
 
     def test_explain_kind_sniff(self):
-        from repro.sql.executor import explain_kind
-
         assert explain_kind("explain analyze select 1") == "analyze"
         assert explain_kind("  EXPLAIN  COMPETE select 1") == "compete"
         assert explain_kind("explain select 1") is None

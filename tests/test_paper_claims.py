@@ -4,6 +4,7 @@ the benchmarks — each benchmark in benchmarks/ explores these in depth)."""
 import numpy as np
 import pytest
 
+from repro.api import connect
 from repro.competition.model import (
     LShapedCost,
     sequential_switch_expected_cost,
@@ -129,7 +130,7 @@ def test_claim_section4_goal_inference_example(families_db):
         table = db.create_table(name, [("ID", "int"), (("XYZ")["ABC".index(name)], "int")])
         for i in range(50):
             table.insert((i, i % 7))
-    result = db.execute(
+    result = connect(db=db).execute(
         "select * from A where A.X in ("
         " select distinct Y from B where B.Y in ("
         "  select Z from C limit to 2 rows))"

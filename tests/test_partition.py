@@ -297,7 +297,7 @@ class TestPartitionedTable:
         db, _ = make_db(rows=10)
         other = db.create_table("U", [("ID", "int")])
         other.insert((1,))
-        conn = db.default_connection()
+        conn = repro.connect(db=db)
         with pytest.raises(RetrievalError, match="partitioned"):
             conn.execute("select a.V from T a join U b on a.ID = b.ID")
 

@@ -2,12 +2,15 @@
 
 import pytest
 
+from repro.api import connect
+from repro.competition.process import drain
 from repro.config import DEFAULT_CONFIG
 from repro.db.session import Database
 from repro.engine.goals import OptimizationGoal
 from repro.engine.metrics import EventKind
 from repro.errors import QueryCancelledError, ServerError
 from repro.server import QueryServer, QueryState
+from repro.sql.executor import execute_sql_steps
 from repro.storage.pager import PageKind
 
 
@@ -49,7 +52,8 @@ def run_workload(scheduling: str):
 class TestInterleaving:
     def test_concurrent_queries_all_complete_with_correct_rows(self):
         db = build_db()
-        expected = [db.execute(sql).rows for sql in QUERIES]
+        conn = connect(db=db)
+        expected = [conn.execute(sql).rows for sql in QUERIES]
         _, handles = run_workload("round-robin")
         for handle, rows in zip(handles, expected):
             assert handle.state is QueryState.DONE
@@ -95,7 +99,7 @@ class TestInterleaving:
 
     def test_single_job_server_matches_direct_execution(self):
         direct_db = build_db()
-        direct = direct_db.execute(QUERIES[0])
+        direct = drain(execute_sql_steps(direct_db, QUERIES[0]))
         server_db = build_db()
         server = QueryServer(server_db)
         result = server.session().execute(QUERIES[0])
@@ -292,7 +296,7 @@ class TestBatchedQuanta:
     """Scheduler behaviour at the default (batched) quantum size."""
 
     def test_batched_results_match_per_step_results(self):
-        expected = [build_db().execute(sql).rows for sql in QUERIES]
+        expected = [connect(db=build_db()).execute(sql).rows for sql in QUERIES]
         db = build_db(config=DEFAULT_CONFIG)
         server = QueryServer(db, max_concurrency=4)
         handles = [

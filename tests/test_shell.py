@@ -115,6 +115,30 @@ def test_row_limit_ellipsis(shell):
     assert "more rows" in output_of(shell)
 
 
+def fill_t(shell: Shell) -> None:
+    shell.run(["create table T (ID int, V int);"]
+              + [f"insert into T values ({i}, {i * 3});" for i in range(20)])
+
+
+def test_connection_rows_render_through_the_shell(shell):
+    fill_t(shell)
+    result = shell.conn.execute("select ID, V from T where ID < 3")
+    shell._print_rows(result.columns, result.rows)
+    text = output_of(shell)
+    assert "ID" in text and "V" in text
+    assert " 2" in text and " 6" in text
+
+
+def test_shell_statement_matches_connection_rows(shell):
+    fill_t(shell)
+    sql = "select * from T where ID between 0 and 4"
+    before = len(output_of(shell))
+    shell.feed(sql + ";")
+    rendered = output_of(shell)[before:]
+    for row in shell.conn.execute(sql).rows:
+        assert str(row[-1]) in rendered
+
+
 def test_load_demo_builds_tables():
     db = Database(buffer_capacity=64)
     load_demo(db)

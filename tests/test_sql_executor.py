@@ -2,6 +2,7 @@
 
 import pytest
 
+import repro
 from repro.db.session import Database
 from repro.engine.goals import OptimizationGoal
 from repro.errors import BindingError
@@ -19,7 +20,7 @@ def db_with_data():
     u = db.create_table("U", [("K", "int"),], rows_per_page=8)
     for k in (1, 3, 5, 7):
         u.insert((k,))
-    return db
+    return repro.connect(db=db)
 
 
 def test_select_star(db_with_data):
@@ -158,23 +159,23 @@ def test_unknown_column_raises(db_with_data):
 def test_explain_output(db_with_data):
     text = db_with_data.explain(
         "select * from T where GRP in (select K from U) order by ID"
-    )
+    ).text
     assert "retrieve T" in text
     assert "retrieve U" in text
     assert "goal" in text
 
 
 def test_total_io_aggregates_retrievals(db_with_data):
-    db_with_data.cold_cache()
+    db_with_data.db.cold_cache()
     result = db_with_data.execute("select * from T where GRP in (select K from U)")
     assert result.total_io > 0
     assert result.total_cost >= result.total_io
 
 
 def test_like_predicate(db_with_data):
-    db = db_with_data
-    s = db.create_table("S", [("NAME", "str")], rows_per_page=8)
+    conn = db_with_data
+    s = conn.create_table("S", [("NAME", "str")], rows_per_page=8)
     for name in ("alpha", "beta", "alphonse", "gamma"):
         s.insert((name,))
-    result = db.execute("select * from S where NAME like 'alph%'")
+    result = conn.execute("select * from S where NAME like 'alph%'")
     assert sorted(row[0] for row in result.rows) == ["alpha", "alphonse"]

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.api import connect
 from repro.db.session import Database
 from repro.errors import ReproError
 from repro.sql.parser import parse
@@ -59,7 +60,7 @@ def fuzz_db():
         )
     table.create_index("IX_A", ["A"])
     table.create_index("IX_B", ["B"])
-    return db
+    return connect(db=db)
 
 
 @given(_query)
