@@ -19,9 +19,10 @@ Section 5 shortcut that cancels the whole retrieval.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 
-from repro.btree.tree import BTree, Entry, KeyRange
+from repro.btree.tree import BTree, KeyRange
 from repro.storage.buffer_pool import CostMeter, NULL_METER
 
 
@@ -46,20 +47,6 @@ class RangeEstimate:
         return self.exact and self.rids == 0
 
 
-def _child_intersects(
-    child_low: Entry | None,
-    child_high: Entry | None,
-    low: Entry | None,
-    high: Entry | None,
-) -> bool:
-    """Does child entry-span [child_low, child_high) intersect [low, high]?"""
-    if high is not None and child_low is not None and child_low > high:
-        return False
-    if low is not None and child_high is not None and child_high <= low:
-        return False
-    return True
-
-
 def estimate_range(
     tree: BTree, key_range: KeyRange, meter: CostMeter = NULL_METER
 ) -> RangeEstimate:
@@ -74,27 +61,28 @@ def estimate_range(
     while True:
         node = tree._node(page_id, meter)
         if node.is_leaf:
-            k = sum(1 for key, _ in node.entries if key_range.contains_key(key))
+            entries = node.entries
+            first = 0 if low is None else bisect_left(entries, low)
+            last = len(entries) if high is None else bisect_right(entries, high)
+            k = max(0, last - first)
             return RangeEstimate(rids=float(k), exact=True, split_level=1, k=k, fanout=fanout)
-        hits: list[int] = []
-        for i, child in enumerate(node.children):
-            child_low = node.separators[i - 1] if i > 0 else None
-            child_high = node.separators[i] if i < len(node.separators) else None
-            if _child_intersects(child_low, child_high, low, high):
-                hits.append(i)
-        if len(hits) == 0:
-            # the range falls between two separators with no child span —
-            # cannot happen structurally (children cover the whole space),
-            # kept as a defensive empty result.
+        # child i spans [separators[i-1], separators[i]): the children that
+        # intersect [low, high] are first..last
+        separators = node.separators
+        first = 0 if low is None else bisect_right(separators, low)
+        last = len(separators) if high is None else bisect_right(separators, high)
+        if last < first:
+            # bounds that cross inside this node (an exclusive prefix bound
+            # above a longer inclusive one): no entry can lie between them
             return RangeEstimate(rids=0.0, exact=True, split_level=level, k=0, fanout=fanout)
-        if len(hits) == 1:
-            page_id = node.children[hits[0]]
+        if last == first:
+            page_id = node.children[first]
             level -= 1
             continue
         # split node found: k+1 children contain the range; the two edge
         # children are assumed half-full of qualifying keys, so they count
         # as one child together.
-        k = len(hits) - 1
+        k = last - first
         rids = k * fanout ** (level - 1)  # RangeRIDs ~= k * f**(l-1)
         return RangeEstimate(
             rids=rids, exact=False, split_level=level, k=k, fanout=fanout

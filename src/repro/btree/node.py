@@ -37,7 +37,9 @@ class InternalNode:
     """An internal page: separator keys and child page ids.
 
     Separators are ``(key, rid)`` pairs too — separating on the full entry
-    order makes duplicate-heavy trees split cleanly.
+    order makes duplicate-heavy trees split cleanly. The child whose range
+    contains an entry is ``children[bisect_right(separators, entry)]``: every
+    descent is that one C-level search per node.
     """
 
     page_id: int
@@ -48,17 +50,6 @@ class InternalNode:
 
     def __len__(self) -> int:
         return len(self.children)
-
-    def child_index_for(self, entry: tuple[Key, RID]) -> int:
-        """Index of the child whose range contains ``entry``."""
-        lo, hi = 0, len(self.separators)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if entry < self.separators[mid]:
-                hi = mid
-            else:
-                lo = mid + 1
-        return lo
 
 
 Node = LeafNode | InternalNode

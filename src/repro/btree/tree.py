@@ -13,9 +13,9 @@ estimates correct, which is what matters here.
 from __future__ import annotations
 
 import functools
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right, insort_left
 from dataclasses import dataclass
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.errors import BTreeError
 from repro.btree.node import InternalNode, Key, LeafNode, Node, normalize_key
@@ -128,11 +128,16 @@ class KeyRange:
         return f"{lb}{lo} .. {hi}{rb}"
 
 
-def _entry_le(a: Entry | None, b: Entry, open_low: bool) -> bool:
-    """a <= b treating None as -inf (open_low) — helper for bound checks."""
-    if a is None:
-        return True
-    return a <= b
+def _packed_sizes(count: int, capacity: int) -> list[int]:
+    """Sizes of the fewest nodes of ``capacity`` that hold ``count`` items:
+    all full, but the last two evened out if the last would be under half."""
+    full, rest = divmod(count, capacity)
+    sizes = [capacity] * full
+    if rest:
+        sizes.append(rest)
+        if full and rest < (capacity + 1) // 2:
+            sizes[-2:] = [(capacity + rest + 1) // 2, (capacity + rest) // 2]
+    return sizes
 
 
 class BTree:
@@ -184,47 +189,77 @@ class BTree:
         """Insert one ``(key, rid)`` entry. Duplicates of the same pair are
         allowed (multiset semantics, like a non-unique index)."""
         entry = (normalize_key(key), rid)
-        split = self._insert_into(self._root_id, entry, meter)
-        if split is not None:
-            separator, new_child = split
-            new_root = self._new_internal(meter)
-            new_root.separators = [separator]
-            new_root.children = [self._root_id, new_child]
-            self._root_id = new_root.page_id
-            self.height += 1
+        #: (internal node, index of the child taken) from the root down —
+        #: walked back up only when the leaf splits
+        path: list[tuple[InternalNode, int]] = []
+        node = self._node(self._root_id, meter)
+        while not node.is_leaf:
+            index = bisect_right(node.separators, entry)
+            path.append((node, index))
+            node = self._node(node.children[index], meter)
+        insort_left(node.entries, entry)
         self.entry_count += 1
+        if len(node.entries) <= self.order:
+            return
+        separator, new_child = self._split_leaf(node, meter)
+        while path:
+            parent, index = path.pop()
+            parent.separators.insert(index, separator)
+            parent.children.insert(index + 1, new_child)
+            if len(parent.children) <= self.order:
+                return
+            separator, new_child = self._split_internal(parent, meter)
+        new_root = self._new_internal(meter)
+        new_root.separators = [separator]
+        new_root.children = [self._root_id, new_child]
+        self._root_id = new_root.page_id
+        self.internal_count += 1
+        self.height += 1
 
-    def _insert_into(
-        self, page_id: int, entry: Entry, meter: CostMeter
-    ) -> tuple[Entry, int] | None:
-        node = self._node(page_id, meter)
-        if node.is_leaf:
-            return self._insert_into_leaf(node, entry, meter)
-        index = node.child_index_for(entry)
-        split = self._insert_into(node.children[index], entry, meter)
-        if split is None:
-            return None
-        separator, new_child = split
-        node.separators.insert(index, separator)
-        node.children.insert(index + 1, new_child)
-        if len(node.children) <= self.order:
-            return None
-        return self._split_internal(node, meter)
+    def bulk_load(self, entries: Iterable[Entry], meter: CostMeter = NULL_METER) -> None:
+        """Fill a tree that holds nothing yet with ``(key, rid)`` entries
+        (keys as :meth:`insert` takes them), bottom-up: one sort, then each
+        level written left to right.
 
-    def _insert_into_leaf(
-        self, leaf: LeafNode, entry: Entry, meter: CostMeter
-    ) -> tuple[Entry, int] | None:
-        lo, hi = 0, len(leaf.entries)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if leaf.entries[mid] < entry:
-                lo = mid + 1
-            else:
-                hi = mid
-        leaf.entries.insert(lo, entry)
-        if len(leaf.entries) <= self.order:
-            return None
-        return self._split_leaf(leaf, meter)
+        Every node is packed full — there is no fill factor to choose: a
+        full tree is the smallest and shallowest, and the first insert into
+        a full leaf splits it exactly as it would have split on the way to
+        an incrementally built tree. Only the last two nodes of a level
+        share their load evenly when the last would otherwise be under half
+        full. Pages come from :meth:`BufferPool.allocate`, as a split's do.
+        """
+        if self.entry_count or self.height > 1:
+            raise BTreeError("bulk_load needs an empty tree")
+        entries = sorted([(normalize_key(key), rid) for key, rid in entries])
+        if not entries:
+            return
+        leaf: LeafNode = self._node(self._root_id, meter)
+        #: (smallest entry below the node, its page) for the level just built
+        level: list[tuple[Entry, int]] = []
+        start = 0
+        for size in _packed_sizes(len(entries), self.order):
+            if start:
+                previous, leaf = leaf, self._new_leaf(meter)
+                previous.next_leaf = leaf.page_id
+            leaf.entries = entries[start : start + size]
+            level.append((entries[start], leaf.page_id))
+            start += size
+        self.entry_count = len(entries)
+        self.leaf_count = len(level)
+        while len(level) > 1:
+            parents: list[tuple[Entry, int]] = []
+            start = 0
+            for size in _packed_sizes(len(level), self.order):
+                group = level[start : start + size]
+                node = self._new_internal(meter)
+                node.separators = [low for low, _ in group[1:]]
+                node.children = [page_id for _, page_id in group]
+                parents.append((group[0][0], node.page_id))
+                start += size
+            self.internal_count += len(parents)
+            self.height += 1
+            level = parents
+        self._root_id = level[0][1]
 
     def _split_leaf(self, leaf: LeafNode, meter: CostMeter) -> tuple[Entry, int]:
         mid = len(leaf.entries) // 2
@@ -253,16 +288,14 @@ class BTree:
         Lazy: leaves may underflow; separators are left untouched.
         """
         entry = (normalize_key(key), rid)
-        page_id = self._root_id
-        while True:
-            node = self._node(page_id, meter)
-            if node.is_leaf:
-                break
-            page_id = node.children[node.child_index_for(entry)]
-        try:
-            node.entries.remove(entry)
-        except ValueError:
+        node = self._node(self._root_id, meter)
+        while not node.is_leaf:
+            node = self._node(node.children[bisect_right(node.separators, entry)], meter)
+        entries = node.entries
+        position = bisect_left(entries, entry)
+        if position == len(entries) or entries[position] != entry:
             return False
+        del entries[position]
         self.entry_count -= 1
         return True
 
@@ -289,15 +322,11 @@ class BTree:
 
     def first_leaf_for(self, bound: Entry | None, meter: CostMeter) -> LeafNode:
         """Descend to the leaf that would contain ``bound`` (leftmost if None)."""
-        page_id = self._root_id
-        while True:
-            node = self._node(page_id, meter)
-            if node.is_leaf:
-                return node
-            if bound is None:
-                page_id = node.children[0]
-            else:
-                page_id = node.children[node.child_index_for(bound)]
+        node = self._node(self._root_id, meter)
+        while not node.is_leaf:
+            index = 0 if bound is None else bisect_right(node.separators, bound)
+            node = self._node(node.children[index], meter)
+        return node
 
     @property
     def average_fanout(self) -> float:
@@ -329,18 +358,27 @@ class BTree:
         return sum(1 for key, _ in self.entries() if key_range.contains_key(key))
 
     def check_invariants(self) -> None:
-        """Raise :class:`BTreeError` on any structural violation."""
-        leaf_depths: set[int] = set()
-        count = self._check_node(self._root_id, None, None, 1, leaf_depths)
+        """Raise :class:`BTreeError` on any structural violation, the
+        tree's own bookkeeping (counts and height) included."""
+        leaf_depths: list[int] = []
+        internals: list[int] = []
+        count = self._check_node(self._root_id, None, None, 1, leaf_depths, internals)
         if count != self.entry_count:
             raise BTreeError(f"entry_count={self.entry_count} but found {count}")
-        if len(leaf_depths) > 1:
-            raise BTreeError(f"leaves at multiple depths: {leaf_depths}")
-        if leaf_depths and next(iter(leaf_depths)) != self.height:
+        if len(set(leaf_depths)) > 1:
+            raise BTreeError(f"leaves at multiple depths: {set(leaf_depths)}")
+        if leaf_depths[0] != self.height:
             raise BTreeError("height mismatch")
+        if (len(leaf_depths), len(internals)) != (self.leaf_count, self.internal_count):
+            raise BTreeError(
+                f"leaf_count={self.leaf_count} internal_count={self.internal_count} "
+                f"but found {len(leaf_depths)} leaves and {len(internals)} internal nodes"
+            )
         ordered = list(self.entries())
         if ordered != sorted(ordered):
             raise BTreeError("leaf chain out of order")
+        if len(ordered) != count:
+            raise BTreeError(f"leaf chain holds {len(ordered)} of {count} entries")
 
     def _check_node(
         self,
@@ -348,17 +386,19 @@ class BTree:
         low: Entry | None,
         high: Entry | None,
         depth: int,
-        leaf_depths: set[int],
+        leaf_depths: list[int],
+        internals: list[int],
     ) -> int:
         node = self._peek_node(page_id)
         if node.is_leaf:
-            leaf_depths.add(depth)
+            leaf_depths.append(depth)
             for entry in node.entries:
                 if low is not None and entry < low:
                     raise BTreeError(f"entry {entry} below node low bound {low}")
                 if high is not None and entry >= high:
                     raise BTreeError(f"entry {entry} at/above node high bound {high}")
             return len(node.entries)
+        internals.append(page_id)
         if len(node.children) != len(node.separators) + 1:
             raise BTreeError("separator/child count mismatch")
         if node.separators != sorted(node.separators):
@@ -367,7 +407,9 @@ class BTree:
         for i, child in enumerate(node.children):
             child_low = node.separators[i - 1] if i > 0 else low
             child_high = node.separators[i] if i < len(node.separators) else high
-            total += self._check_node(child, child_low, child_high, depth + 1, leaf_depths)
+            total += self._check_node(
+                child, child_low, child_high, depth + 1, leaf_depths, internals
+            )
         return total
 
 
@@ -393,18 +435,8 @@ class RangeCursor:
             return
         low = key_range.low_bound()
         self._leaf = tree.first_leaf_for(low, meter)
-        self._pos = 0
         if low is not None:
-            # binary search within the leaf for the first qualifying entry
-            entries = self._leaf.entries
-            lo, hi = 0, len(entries)
-            while lo < hi:
-                mid = (lo + hi) // 2
-                if entries[mid] < low:
-                    lo = mid + 1
-                else:
-                    hi = mid
-            self._pos = lo
+            self._pos = bisect_left(self._leaf.entries, low)
 
     def next_entry(self) -> Entry | None:
         """Return the next (key, rid) entry, or None when the range ends."""

@@ -17,27 +17,31 @@ before committing to any single one. This package provides:
   projection approaches the guaranteed best.
 """
 
-from repro.competition.direct import DirectCompetition, TrialThenSwitch
-from repro.competition.model import (
-    LShapedCost,
-    sequential_switch_expected_cost,
-    simultaneous_expected_cost,
-    traditional_expected_cost,
-)
-from repro.competition.process import Process, SyntheticProcess
-from repro.competition.scheduler import ProportionalScheduler
-from repro.competition.two_stage import SwitchCriterion, TwoStageCompetition
+from importlib import import_module
 
-__all__ = [
-    "DirectCompetition",
-    "TrialThenSwitch",
-    "LShapedCost",
-    "sequential_switch_expected_cost",
-    "simultaneous_expected_cost",
-    "traditional_expected_cost",
-    "Process",
-    "SyntheticProcess",
-    "ProportionalScheduler",
-    "SwitchCriterion",
-    "TwoStageCompetition",
-]
+#: export -> defining submodule. Resolved on first use (PEP 562): the engine
+#: needs only ``process`` and ``two_stage``, and importing ``model`` pulls in
+#: ``scipy.optimize`` — most of what ``import repro`` used to cost.
+_EXPORTS = {
+    "DirectCompetition": "direct",
+    "TrialThenSwitch": "direct",
+    "LShapedCost": "model",
+    "sequential_switch_expected_cost": "model",
+    "simultaneous_expected_cost": "model",
+    "traditional_expected_cost": "model",
+    "Process": "process",
+    "SyntheticProcess": "process",
+    "ProportionalScheduler": "scheduler",
+    "SwitchCriterion": "two_stage",
+    "TwoStageCompetition": "two_stage",
+}
+
+__all__ = list(_EXPORTS)
+
+
+def __getattr__(name: str):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass, field
-from typing import Any, Mapping, Sequence
+from operator import itemgetter
+from typing import Any, Callable, Mapping, Sequence
 
 from repro.btree.tree import BTree
 from repro.errors import CatalogError
@@ -43,6 +44,8 @@ class TableSchema:
         if len(set(names)) != len(names):
             raise CatalogError(f"duplicate column names in {names}")
         self.columns = tuple(columns)
+        #: column names in order
+        self.names: tuple[str, ...] = tuple(names)
         self.position: dict[str, int] = {name: i for i, name in enumerate(names)}
 
     def __len__(self) -> int:
@@ -50,11 +53,6 @@ class TableSchema:
 
     def __contains__(self, name: str) -> bool:
         return name in self.position
-
-    @property
-    def names(self) -> tuple[str, ...]:
-        """Column names in order."""
-        return tuple(column.name for column in self.columns)
 
     def index_of(self, name: str) -> int:
         """Position of a column; raises :class:`CatalogError` when unknown."""
@@ -99,10 +97,18 @@ class IndexInfo:
     unique: bool = False
     #: positions of the indexed columns in the table schema
     positions: tuple[int, ...] = ()
+    #: extracts this index's key — always a tuple — from a row tuple
+    key_for: Callable[[tuple], tuple] = field(init=False, repr=False, compare=False)
 
-    def key_for(self, row: Sequence[Any]) -> tuple:
-        """Extract this index's key from a row."""
-        return tuple(row[position] for position in self.positions)
+    def __post_init__(self) -> None:
+        if len(self.positions) == 1:
+            # one column: the slice row[p:p+1] is the 1-tuple (row[p],)
+            (position,) = self.positions
+            self.key_for = itemgetter(slice(position, position + 1))
+        elif self.positions:
+            self.key_for = itemgetter(*self.positions)
+        else:
+            self.key_for = lambda row: ()
 
     def covers(self, needed_columns: frozenset[str] | set[str]) -> bool:
         """True when the index contains every needed column (self-sufficiency)."""
@@ -119,7 +125,7 @@ class Histogram:
     """Equi-width histogram over one column (compile-time statistic)."""
 
     def __init__(self, values: Sequence[Any], buckets: int = 10) -> None:
-        cleaned = sorted(v for v in values if v is not None)
+        cleaned = sorted([v for v in values if v is not None])
         self.total = len(cleaned)
         self.buckets = buckets
         if not cleaned:
@@ -131,18 +137,25 @@ class Histogram:
         if isinstance(self.lo, str):
             # string histograms: bucket by rank, keep edges as sample keys
             step = max(1, len(cleaned) // buckets)
-            self.edges = [cleaned[min(i * step, len(cleaned) - 1)] for i in range(buckets + 1)]
-            self.counts = [0] * buckets
-            for value in cleaned:
-                index = min(bisect.bisect_right(self.edges, value) - 1, buckets - 1)
-                self.counts[max(index, 0)] += 1
-            return
-        width = (self.hi - self.lo) / buckets if self.hi > self.lo else 1.0
-        self.edges = [self.lo + i * width for i in range(buckets + 1)]
-        self.counts = [0] * buckets
-        for value in cleaned:
-            index = min(int((value - self.lo) / width), buckets - 1) if width else 0
-            self.counts[index] += 1
+            edges = self.edges = [
+                cleaned[min(i * step, len(cleaned) - 1)] for i in range(buckets + 1)
+            ]
+
+            def bucket(value: Any) -> int:
+                return max(min(bisect.bisect_right(edges, value) - 1, buckets - 1), 0)
+        else:
+            lo = self.lo
+            width = (self.hi - lo) / buckets if self.hi > lo else 1.0
+            self.edges = [lo + i * width for i in range(buckets + 1)]
+
+            def bucket(value: Any) -> int:
+                return min(int((value - lo) / width), buckets - 1) if width else 0
+        # ``bucket`` never decreases along the sorted values, so where each
+        # bucket starts is a bisect, not a pass over every value
+        starts = [0] + [bisect.bisect_left(cleaned, b, key=bucket) for b in range(1, buckets)]
+        self.counts = [
+            stop - start for start, stop in zip(starts, starts[1:] + [len(cleaned)])
+        ]
 
     def selectivity_range(
         self, lo: Any | None, hi: Any | None
@@ -206,3 +219,31 @@ class TableStats:
     row_count: int
     page_count: int
     columns: dict[str, ColumnStats] = field(default_factory=dict)
+
+    @classmethod
+    def collect(
+        cls, names: Sequence[str], heaps: Sequence[Any], histogram_buckets: int
+    ) -> "TableStats":
+        """Exact statistics of the live rows of ``heaps`` (a table's heap
+        file, or one per partition), taken a page at a time."""
+        values: list[list[Any]] = [[] for _ in names]
+        for heap in heaps:
+            # runs of one: a longer run stays pinned while it is read, which
+            # can spare a re-read the row-by-row scan paid (1 in 34 922 reads
+            # on ``ingest_churn``) — analyze promises the same reads
+            for page_no in range(heap.page_count):
+                (slots,) = heap.scan_page_run(page_no, 1)
+                live = [row for row in slots if row is not None]
+                for column, of_page in zip(values, zip(*live)):
+                    column.extend(of_page)
+        stats = cls(
+            row_count=sum(heap.row_count for heap in heaps),
+            page_count=sum(heap.page_count for heap in heaps),
+        )
+        for name, column in zip(names, values):
+            distinct = set(column)
+            distinct.discard(None)
+            stats.columns[name] = ColumnStats(
+                histogram=Histogram(column, histogram_buckets), distinct=len(distinct)
+            )
+        return stats

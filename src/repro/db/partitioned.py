@@ -27,8 +27,6 @@ from repro.competition.process import drain
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.db.catalog import (
     Column,
-    ColumnStats,
-    Histogram,
     IndexInfo,
     TableSchema,
     TableStats,
@@ -192,21 +190,11 @@ class PartitionedTable:
     def analyze(self, histogram_buckets: int = 10) -> TableStats:
         """Collect table-level statistics across every partition (children
         also keep their own per-partition stats for their local engines)."""
-        column_values: dict[str, list[Any]] = {
-            name: [] for name in self.schema.names
-        }
         for child in self.partitions:
             child.analyze(histogram_buckets)
-            for _, row in child.heap.scan():
-                for name, value in zip(self.schema.names, row):
-                    column_values[name].append(value)
-        stats = TableStats(row_count=self.row_count, page_count=self.page_count)
-        for name, values in column_values.items():
-            non_null = [value for value in values if value is not None]
-            stats.columns[name] = ColumnStats(
-                histogram=Histogram(non_null, histogram_buckets),
-                distinct=len(set(non_null)),
-            )
+        stats = TableStats.collect(
+            self.schema.names, [child.heap for child in self.partitions], histogram_buckets
+        )
         self.stats = stats
         return stats
 

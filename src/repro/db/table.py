@@ -14,8 +14,6 @@ from repro.competition.process import drain
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.db.catalog import (
     Column,
-    ColumnStats,
-    Histogram,
     IndexInfo,
     TableSchema,
     TableStats,
@@ -32,7 +30,7 @@ from repro.expr.ast import ALWAYS_TRUE, Expr
 from repro.obs.trace import Tracer
 from repro.storage.buffer_pool import BufferPool, CostMeter, NULL_METER
 from repro.storage.heap import HeapFile
-from repro.storage.rid import RID
+from repro.storage.rid import RID, page_rids
 
 
 class Table:
@@ -87,8 +85,17 @@ class Table:
             unique=unique,
             positions=positions,
         )
-        for rid, row in self.heap.scan():
-            btree.insert(info.key_for(row), rid)
+        # one pass over the heap pages gathers the (key, rid) entries, one
+        # bottom-up build stores them
+        heap, key_for = self.heap, info.key_for
+        run = self.buffer_pool.read_ahead_window
+        entries: list[tuple[tuple, RID]] = []
+        for start in range(0, heap.page_count, run):
+            for page_no, slots in enumerate(heap.scan_page_run(start, run), start):
+                live = [slot for slot, row in enumerate(slots) if row is not None]
+                keys = map(key_for, map(slots.__getitem__, live))
+                entries.extend(zip(keys, page_rids(page_no, live)))
+        btree.bulk_load(entries)
         self.indexes[name] = info
         if self.on_schema_change is not None:
             self.on_schema_change()
@@ -154,17 +161,7 @@ class Table:
         are a snapshot and go stale, unlike the live B-tree descents the
         dynamic engine uses.
         """
-        column_values: dict[str, list[Any]] = {name: [] for name in self.schema.names}
-        for _, row in self.heap.scan():
-            for name, value in zip(self.schema.names, row):
-                column_values[name].append(value)
-        stats = TableStats(row_count=self.heap.row_count, page_count=self.heap.page_count)
-        for name, values in column_values.items():
-            non_null = [value for value in values if value is not None]
-            stats.columns[name] = ColumnStats(
-                histogram=Histogram(non_null, histogram_buckets),
-                distinct=len(set(non_null)),
-            )
+        stats = TableStats.collect(self.schema.names, [self.heap], histogram_buckets)
         self.stats = stats
         return stats
 

@@ -189,3 +189,31 @@ def test_check_invariants_detects_corruption():
     node.entries.reverse()
     with pytest.raises(BTreeError):
         tree.check_invariants()
+
+
+def test_counters_match_the_walked_tree():
+    # a root split makes an internal node too: internal_count used to miss
+    # it, one per level above the leaves
+    tree = make_tree()
+    fill(tree, range(400))
+    assert tree.height >= 3
+    pages = sum(1 for _ in tree.buffer_pool.pager.pages_of(tree.name))
+    assert tree.leaf_count + tree.internal_count == pages
+    tree.check_invariants()
+    for counter in ("leaf_count", "internal_count", "height"):
+        setattr(tree, counter, getattr(tree, counter) + 1)
+        with pytest.raises(BTreeError):
+            tree.check_invariants()
+        setattr(tree, counter, getattr(tree, counter) - 1)
+    tree.check_invariants()
+
+
+def test_check_invariants_detects_a_broken_leaf_chain():
+    tree = make_tree()
+    fill(tree, range(50))
+    first = tree._peek_node(tree._root_id)
+    while not first.is_leaf:
+        first = tree._peek_node(first.children[0])
+    first.next_leaf = tree._peek_node(first.next_leaf).next_leaf  # skip one leaf
+    with pytest.raises(BTreeError):
+        tree.check_invariants()

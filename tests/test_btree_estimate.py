@@ -1,8 +1,10 @@
 """Tests for the Figure 5 descent-to-split-node estimator."""
 
+import random
+
 import pytest
 
-from repro.btree.estimate import estimate_range, estimation_io_cost
+from repro.btree.estimate import RangeEstimate, estimate_range, estimation_io_cost
 from repro.btree.tree import BTree, KeyRange
 from repro.storage.buffer_pool import BufferPool, CostMeter
 from repro.storage.pager import Pager
@@ -121,3 +123,138 @@ def test_paper_worked_example_shape():
         assert estimate.rids == pytest.approx(
             estimate.k * estimate.fanout ** (estimate.split_level - 1)
         )
+
+
+# -- the bisect descent against the per-child loop it replaced ---------------
+
+
+def _child_intersects(child_low, child_high, low, high):
+    """Does child entry-span [child_low, child_high) intersect [low, high]?"""
+    if high is not None and child_low is not None and child_low > high:
+        return False
+    if low is not None and child_high is not None and child_high <= low:
+        return False
+    return True
+
+
+def estimate_range_by_testing_every_child(tree, key_range, meter):
+    """``estimate_range`` as it was before it bisected: the oracle."""
+    fanout = tree.average_fanout
+    if key_range.is_empty_syntactically:
+        return RangeEstimate(rids=0.0, exact=True, split_level=tree.height, k=0, fanout=fanout)
+    low = key_range.low_bound()
+    high = key_range.high_bound()
+    page_id = tree._root_id
+    level = tree.height
+    while True:
+        node = tree._node(page_id, meter)
+        if node.is_leaf:
+            k = sum(1 for key, _ in node.entries if key_range.contains_key(key))
+            return RangeEstimate(rids=float(k), exact=True, split_level=1, k=k, fanout=fanout)
+        hits = []
+        for i in range(len(node.children)):
+            child_low = node.separators[i - 1] if i > 0 else None
+            child_high = node.separators[i] if i < len(node.separators) else None
+            if _child_intersects(child_low, child_high, low, high):
+                hits.append(i)
+        if len(hits) == 0:
+            return RangeEstimate(rids=0.0, exact=True, split_level=level, k=0, fanout=fanout)
+        if len(hits) == 1:
+            page_id = node.children[hits[0]]
+            level -= 1
+            continue
+        k = len(hits) - 1
+        return RangeEstimate(
+            rids=k * fanout ** (level - 1), exact=False, split_level=level, k=k, fanout=fanout
+        )
+
+
+def random_range(rng):
+    """Open, exclusive, prefix, empty and inverted bounds; every other range
+    is narrow, so that descents also end in a leaf."""
+    def bound(first):
+        shape = rng.random()
+        if shape < 0.15:
+            return None
+        return (first,) if shape < 0.4 else (first, rng.randrange(-1, 25))
+
+    first = rng.randrange(-2, 42)
+    second = first + rng.randrange(-1, 2) if rng.random() < 0.5 else rng.randrange(-2, 42)
+    return KeyRange(
+        lo=bound(first), hi=bound(second),
+        lo_inclusive=rng.random() < 0.6, hi_inclusive=rng.random() < 0.6,
+    )
+
+
+@pytest.mark.parametrize("order, bulk", [(4, False), (4, True), (8, False), (32, True)])
+def test_estimate_equals_the_per_child_oracle(order, bulk):
+    rng = random.Random(order * 2 + bulk)
+    # composite keys, about two entries of each; a stretch of the key space left empty
+    entries = [
+        ((first, rng.randrange(0, 24)), RID(i, 0))
+        for i, first in enumerate(
+            rng.choice([v for v in range(40) if not 17 <= v <= 21]) for _ in range(1500)
+        )
+    ]
+    tree = BTree(BufferPool(Pager(), 4096), "ix", order=order)
+    if bulk:
+        tree.bulk_load(entries)
+    else:
+        for key, rid in entries:
+            tree.insert(key, rid)
+    for key, rid in rng.sample(entries, 300):  # lazily deleted: sparse leaves
+        tree.delete(key, rid)
+    seen = set()
+    for _ in range(3000):
+        key_range = random_range(rng)
+        expected_meter, meter = CostMeter(), CostMeter()
+        expected = estimate_range_by_testing_every_child(tree, key_range, expected_meter)
+        assert estimate_range(tree, key_range, meter) == expected, key_range
+        assert meter == expected_meter
+        low, high = key_range.low_bound(), key_range.high_bound()
+        seen.add("open-low" if low is None else "open-high" if high is None else "closed")
+        if key_range.is_empty_syntactically:
+            seen.add("syntactically-empty")
+        elif low is not None and high is not None and low > high:
+            seen.add("crossing-bounds")
+        elif expected.exact:
+            seen.add("leaf-count" if expected.rids else "leaf-empty")
+        else:
+            seen.add(f"split-at-level-{min(expected.split_level, 3)}")
+        if key_range.lo is not None and len(key_range.lo) == 1:
+            seen.add("prefix")
+        if not key_range.lo_inclusive or not key_range.hi_inclusive:
+            seen.add("exclusive")
+    assert seen >= {
+        "open-low", "open-high", "closed", "syntactically-empty", "crossing-bounds",
+        "leaf-count", "leaf-empty", "split-at-level-2", "split-at-level-3",
+        "prefix", "exclusive",
+    }
+
+
+def test_root_split_on_a_packed_tree_is_underpriced():
+    """The known bias of Figure 5 on a bulk-built index, pinned so it stays
+    visible until the estimate prices each level by its own width (ROADMAP
+    item 5): 8 000 entries pack into 250 leaves under 8 nodes under a root of
+    8, ``f`` is still ``8000 ** (1/3) = 20``, and a range that splits at the
+    root is priced at ``k * 20**2`` when each root child holds 1 024."""
+    entries = [((i,), RID(i // 32, i % 32)) for i in range(8000)]
+    packed = BTree(BufferPool(Pager(), 512), "packed", order=32)
+    packed.bulk_load(entries)
+    grown = BTree(BufferPool(Pager(), 512), "grown", order=32)
+    for key, rid in entries:
+        grown.insert(key, rid)
+    root = packed._peek_node(packed._root_id)
+    assert (packed.height, len(root.children), packed.leaf_count) == (3, 8, 250)
+    assert packed.average_fanout == grown.average_fanout == pytest.approx(20.0)
+    key_range = KeyRange(lo=(2000,), hi=(6005,))
+    actual = packed.count_range_exact(key_range)
+    assert actual == 4006
+
+    def qerror(tree):
+        estimate = estimate_range(tree, key_range)
+        assert estimate.split_level == 3 and not estimate.exact
+        return max(estimate.rids / actual, actual / estimate.rids)
+
+    assert qerror(packed) == pytest.approx(4006 / 1600)  # k = 4 root children
+    assert qerror(grown) == pytest.approx(6000 / 4006)  # k = 15 of its root's 29

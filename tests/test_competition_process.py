@@ -1,5 +1,9 @@
 """Tests for processes, the proportional scheduler, and competitions."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 
 from repro.competition.direct import DirectCompetition, TrialThenSwitch
@@ -246,3 +250,34 @@ def test_two_stage_reacts_to_guaranteed_best_drop():
     outcome = competition.run()
     assert not outcome.committed
     assert outcome.decision is SwitchDecision.ABANDON_PROJECTED
+
+
+# -- the package resolves its exports on first use ---------------------------
+
+
+def test_package_exports_resolve_lazily():
+    import repro.competition as package
+    from repro.competition import LShapedCost, Process as exported
+    from repro.competition.model import LShapedCost as defined
+
+    assert LShapedCost is defined and exported is Process
+    assert len(package.__all__) == 11
+    for name in package.__all__:
+        assert getattr(package, name).__name__ == name
+    with pytest.raises(AttributeError):
+        package.no_such_export
+
+
+def test_import_repro_does_not_load_scipy():
+    # the engine needs competition.process / two_stage only; model.py (the
+    # Section 3 arithmetic) is what imports scipy.optimize
+    program = (
+        "import sys, repro; repro.connect().execute('create table T (A int)'); "
+        "print('scipy' in sys.modules)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", program], capture_output=True, text=True, timeout=120,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"

@@ -1,5 +1,8 @@
 """Tests for the Table API and Database session."""
 
+import bisect
+import random
+
 import pytest
 
 from repro.db.catalog import Column
@@ -82,6 +85,114 @@ def test_analyze_builds_stats(table):
     assert stats.row_count == 50
     assert stats.columns["A"].distinct == 5
     assert table.stats is stats
+
+
+def naive_stats(table, buckets):
+    """``analyze`` row by row, value by value — the loop it replaced."""
+    names = table.schema.names
+    values = {name: [] for name in names}
+    for _, row in table.heap.scan():
+        for name, value in zip(names, row):
+            if value is not None:
+                values[name].append(value)
+    out = {}
+    for name, column in values.items():
+        column.sort()
+        if not column:
+            out[name] = (0, 0, None, None, [0] * buckets, [])
+            continue
+        lo, hi = column[0], column[-1]
+        counts = [0] * buckets
+        if isinstance(lo, str):
+            step = max(1, len(column) // buckets)
+            edges = [column[min(i * step, len(column) - 1)] for i in range(buckets + 1)]
+            for value in column:
+                counts[max(min(bisect.bisect_right(edges, value) - 1, buckets - 1), 0)] += 1
+        else:
+            width = (hi - lo) / buckets if hi > lo else 1.0
+            edges = [lo + i * width for i in range(buckets + 1)]
+            for value in column:
+                counts[min(int((value - lo) / width), buckets - 1)] += 1
+        out[name] = (len(set(column)), len(column), lo, hi, counts, edges)
+    return out
+
+
+@pytest.mark.parametrize("rows", [0, 1, 333])
+@pytest.mark.parametrize("buckets", [1, 10])
+def test_analyze_equals_the_row_by_row_reference(db, rows, buckets):
+    table = db.create_table(
+        "S", [("I", "int"), ("F", "float"), ("S", "str"), ("ONE", "int"), ("NULLS", "int")],
+        rows_per_page=8,
+    )
+    rng = random.Random(rows)
+    rids = [
+        table.insert((
+            rng.randrange(-50, 50) if rng.random() < 0.9 else None,
+            rng.choice([rng.random() * 1e6, rng.randrange(10), -0.5]),  # ints among floats
+            rng.choice(["", "a", "ab", "b", "zz", None]) if i % 7 else "q" * (i % 5),
+            7,
+            None,
+        ))
+        for i in range(rows)
+    ]
+    for rid in sorted({*rids[::3], *rids[8:16]}):  # scattered holes, one page of nothing else
+        table.delete_rid(rid)
+    db.cold_cache()
+    reads = db.pager.stats.reads
+    stats = table.analyze(buckets)
+    assert db.pager.stats.reads - reads == table.heap.page_count
+    assert (stats.row_count, stats.page_count) == (table.row_count, table.heap.page_count)
+    got = {
+        name: (c.distinct, c.histogram.total, c.histogram.lo, c.histogram.hi,
+               c.histogram.counts, c.histogram.edges)
+        for name, c in stats.columns.items()
+    }
+    assert got == naive_stats(table, buckets)
+    assert list(got) == list(table.schema.names)
+    for name, column in stats.columns.items():
+        assert sum(column.histogram.counts) == column.histogram.total
+
+
+def test_insert_many_into_empty_indexed_and_non_empty_tables(db):
+    rows = [(i * 37 % 101, f"r{i % 9}") for i in range(300)]
+
+    def indexed(name, first):
+        table = db.create_table(name, [("A", "int"), ("B", "str")], rows_per_page=4,
+                                index_order=4)
+        assert table.insert_many(rows[:first]) == first
+        table.create_index("IX_A", ["A"])
+        table.create_index("IX_BA", ["B", "A"])
+        assert table.insert_many(iter(rows[first:])) == len(rows) - first
+        return table
+
+    empty, holding, loaded = indexed("EMPTY", 0), indexed("HOLDING", 1), indexed("LOADED", 300)
+    for table in (holding, loaded):
+        assert list(table.heap.scan()) == list(empty.heap.scan())
+        for name in ("IX_A", "IX_BA"):
+            table.indexes[name].btree.check_invariants()
+            assert list(table.indexes[name].btree.entries()) == list(
+                empty.indexes[name].btree.entries())
+    # rows first, index after: one bottom-up build, the fewest leaves
+    assert loaded.indexes["IX_A"].btree.leaf_count < empty.indexes["IX_A"].btree.leaf_count
+    # a packed index is maintained like any other
+    rid = loaded.insert((1000, "new"))
+    assert loaded.indexes["IX_A"].btree.search(1000) == [rid]
+    loaded.delete_rid(rid)
+    loaded.indexes["IX_BA"].btree.check_invariants()
+    assert list(loaded.indexes["IX_BA"].btree.entries()) == list(
+        empty.indexes["IX_BA"].btree.entries())
+
+
+def test_create_index_on_empty_table_then_inserts(table):
+    info = table.create_index("IX_A", ["A"])
+    assert (info.btree.entry_count, info.btree.height) == (0, 1)
+    rids = [table.insert((i % 10, "r")) for i in range(50)]
+    info.btree.check_invariants()
+    assert info.btree.search(3) == rids[3::10]
+    late = table.create_index("IX_B", ["B", "A"])
+    late.btree.check_invariants()
+    assert [rid for _, rid in late.btree.entries()] == sorted(
+        rids, key=lambda rid: (table.heap.fetch(rid)[0], rid))
 
 
 def test_context_for_is_sticky(table):

@@ -439,8 +439,8 @@ SPILLING = DEFAULT_CONFIG.with_(**TINY_BUFFERS)
 #: name -> (restriction, config, JscanProcess keywords)
 JSCAN_SCENARIOS = {
     "abandon-mid-leaf": (ranges((0, 10), (0, 280)), DEFAULT_CONFIG, {}),
-    "abandon-on-leaf-last-entry": (ranges((0, 120), (0, 5)), DEFAULT_CONFIG, {}),
-    "abandon-on-leaf-first-entry": (ranges((0, 10), (46, 166)), DEFAULT_CONFIG, {}),
+    "abandon-on-leaf-last-entry": (ranges((0, 120), (10, 15)), DEFAULT_CONFIG, {}),
+    "abandon-on-leaf-first-entry": (ranges((0, 10), (4, 124)), DEFAULT_CONFIG, {}),
     "partner-wins": (ranges((0, 3), (0, 5)), DEFAULT_CONFIG, {}),
     "three-indexes": (ranges((0, 120), (40, 200), (10, 60)), DEFAULT_CONFIG, {}),
     "spill": (ranges((0, 120), (40, 200), (10, 60)), SPILLING, {}),
@@ -543,7 +543,7 @@ class TestJscanAdvanceEquivalence:
         table.create_index("IX_B", ["B"])
         table.analyze()
         handle = conn.submit(
-            "select * from T where A between 0 and 120 and B between 40 and 200"
+            "select * from T where A between 0 and 60 and B between 40 and 200"
         )
         conn.server.step()
         conn.server.step()

@@ -180,9 +180,9 @@ class TestEngineCapture:
             table.create_index(f"IX_{column}", [column])
         table.analyze()
         expr = (
-            repro.col("A").between(777, 977)
-            & repro.col("B").between(1615, 1815)
-            & repro.col("C").between(429, 1929)
+            repro.col("A").between(147, 347)
+            & repro.col("B").between(861, 1061)
+            & repro.col("C").between(393, 1893)
         )
         result, audit = self.run_audited(table, expr)
         abandons = [r.inputs for r in audit.retrievals[0].decisions
