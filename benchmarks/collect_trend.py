@@ -43,9 +43,6 @@ HEADLINES = {
     "join_competition": (
         "competitive_ratio_vs_worst", "competition cost / worst static order"
     ),
-    "partition_scaling": (
-        "speedup_at_4_workers", "modeled scatter-gather speedup @ 4 workers"
-    ),
     "estimation_quality": (
         "speedup", "variance-gated speedup vs always-compete"
     ),

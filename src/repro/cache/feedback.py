@@ -146,8 +146,8 @@ class FeedbackStore:
         """Read-only {(index, signature): ratio} view of one table's entries.
 
         Used by scatter-gather to hand each partition fetch the parent
-        table's learned corrections without sharing the mutable store
-        across worker threads. Does not touch LRU order.
+        table's learned corrections as of statement start, without
+        sharing the mutable store. Does not touch LRU order.
         """
         return {
             (key[1], key[2]): entry.ratio

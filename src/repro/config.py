@@ -73,16 +73,6 @@ class EngineConfig:
     #: completion (see docs/performance.md).
     batch_size: int = 64
 
-    # --- partitioned storage / scatter-gather -------------------------------
-    #: Worker threads fanning one retrieval out across the partitions of a
-    #: ``PARTITION BY`` table (:mod:`repro.partition`). ``1`` runs the
-    #: partitions serially on the scheduler thread — the step sequence,
-    #: switch decisions, and summed per-partition cost accounting are
-    #: identical at every setting; workers only change *when* partition
-    #: fetches run, never what they cost. The pool is shared per
-    #: :class:`~repro.db.session.Database` and created lazily.
-    partition_workers: int = 1
-
     # --- prepared statements / plan cache -----------------------------------
     #: Capacity (entries) of the server-wide LRU plan cache shared by every
     #: session of a :class:`~repro.db.session.Database`. A cached entry skips

@@ -4,9 +4,8 @@ A :class:`PartitionedTable` stores its rows in ``k`` ordinary
 :class:`~repro.db.table.Table` children (reserved names ``T#p0`` ...
 ``T#p{k-1}``), each with its own heap file, B-tree indexes, and — the
 point of the exercise — its own private :class:`~repro.storage
-.buffer_pool.BufferPool` over the database's one shared (locked) pager.
-Private pools are what make worker threads safe: the LRU bookkeeping of a
-partition is only ever touched under that partition's lock.
+.buffer_pool.BufferPool` over the database's one shared pager, so each
+partition's reads are metered against its own cache.
 
 The class mirrors the :class:`~repro.db.table.Table` surface the SQL
 layer, binder, and shell use (``schema``, ``select``/``select_steps``,
@@ -20,7 +19,6 @@ the replayer skips), rather than silently scanning one partition.
 
 from __future__ import annotations
 
-import threading
 from typing import Any, Generator, Iterable, Mapping, Sequence
 
 from repro.competition.process import drain
@@ -91,11 +89,6 @@ class PartitionedTable:
                     config=config,
                 )
             )
-        #: one lock per partition: worker threads of different scatters
-        #: serialize on a partition's buffer pool and B-trees
-        self.partition_locks = [
-            threading.Lock() for _ in range(spec.partitions)
-        ]
         self.stats: TableStats | None = None
         #: DDL notification hook, set by the owning Database (same
         #: contract as :class:`Table`)
@@ -118,19 +111,11 @@ class PartitionedTable:
         """Heap pages summed over partitions (shell catalog listing)."""
         return sum(child.heap.page_count for child in self.partitions)
 
-    def partition_stats_target(self):
+    @property
+    def partition_stats(self):
         """The database-wide :class:`~repro.partition.stats
         .PartitionStats` scatters report into (None when detached)."""
         return getattr(self.database, "partition_stats", None)
-
-    #: attribute the scatter coordinator reads
-    @property
-    def partition_stats(self):
-        return self.partition_stats_target()
-
-    def worker_pool(self):
-        """The database's shared worker pool (parallel scatters only)."""
-        return self.database.worker_pool()
 
     # -- DDL -----------------------------------------------------------------
 
@@ -243,11 +228,10 @@ class PartitionedTable:
 
         ``context_key`` iteration-context reuse and the
         ``predicate_cache`` hook are accepted for surface compatibility
-        but not forwarded into partition fetches: each fetch must be
-        self-contained to run on a worker thread. ``feedback`` and
-        ``estimator`` *are* forwarded — as thread-confined snapshot
-        views whose observations the coordinator replays post-gather
-        (see :mod:`repro.partition.scatter`).
+        but not forwarded into partition fetches: each fetch is
+        self-contained. ``feedback`` and ``estimator`` *are* forwarded —
+        as frozen snapshot views whose observations the coordinator
+        replays post-gather (see :mod:`repro.partition.scatter`).
         """
         request = RetrievalRequest(
             restriction=where,

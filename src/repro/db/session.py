@@ -8,9 +8,7 @@ processes") only exists because retrievals compete for one cache.
 
 from __future__ import annotations
 
-import atexit
 import random
-import weakref
 from typing import Any, Sequence
 
 from repro.cache.feedback import FeedbackStore
@@ -25,20 +23,6 @@ from repro.partition.partitioner import PartitionSpec
 from repro.partition.stats import PartitionStats
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
-
-#: every live partition worker pool, so interpreter exit with in-flight
-#: workers drains instead of hanging on the executor's own atexit join
-#: (workers notice their scatter's abort event within one engine quantum)
-_LIVE_WORKER_POOLS: "weakref.WeakSet" = weakref.WeakSet()
-
-
-def _drain_worker_pools_at_exit() -> None:
-    for pool in list(_LIVE_WORKER_POOLS):
-        pool.shutdown(wait=False, cancel_futures=True)
-
-
-atexit.register(_drain_worker_pools_at_exit)
-
 
 class Database:
     """A collection of tables over one simulated disk and buffer pool."""
@@ -77,9 +61,6 @@ class Database:
         #: scatter-gather aggregates for every partitioned table (wired
         #: onto the server's MetricsRegistry)
         self.partition_stats = PartitionStats()
-        #: lazily-created shared ThreadPoolExecutor for parallel scatters
-        #: (never created while ``config.partition_workers <= 1``)
-        self._worker_pool = None
 
     def schema_changed(self, table: str | None = None) -> None:
         """Note a DDL change: bump the schema version and eagerly drop the
@@ -171,33 +152,6 @@ class Database:
         for page in list(self.pager.pages_of(owner)):
             cache.evict(page.page_id)
             self.pager.free(page.page_id)
-
-    # -- partition workers --------------------------------------------------------
-
-    def worker_pool(self):
-        """The shared partition worker pool (created lazily, registered
-        for drain-at-exit). None while ``partition_workers <= 1`` — the
-        serial scatter path never touches threads."""
-        if self.config.partition_workers <= 1:
-            return None
-        if self._worker_pool is None:
-            from concurrent.futures import ThreadPoolExecutor
-
-            self._worker_pool = ThreadPoolExecutor(
-                max_workers=self.config.partition_workers,
-                thread_name_prefix="repro-partition",
-            )
-            _LIVE_WORKER_POOLS.add(self._worker_pool)
-        return self._worker_pool
-
-    def close_worker_pool(self, wait: bool = True) -> None:
-        """Shut the worker pool down (idempotent; server shutdown calls
-        this after cancelling every session, so no scatters are in
-        flight when it runs)."""
-        pool, self._worker_pool = self._worker_pool, None
-        if pool is not None:
-            _LIVE_WORKER_POOLS.discard(pool)
-            pool.shutdown(wait=wait, cancel_futures=not wait)
 
     # -- cache control ------------------------------------------------------------
 

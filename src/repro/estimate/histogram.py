@@ -209,8 +209,8 @@ class SelfTuningHistogram:
         self.merges += 1
 
     def copy(self) -> "SelfTuningHistogram":
-        """Deep copy for handing to worker threads (scatter fetches read
-        a frozen snapshot while the live histogram keeps refining)."""
+        """Deep copy for a frozen snapshot (scatter fetches read the
+        statement-start state while the live histogram keeps refining)."""
         clone = SelfTuningHistogram(budget=self.budget)
         clone.buckets = [
             Bucket(bucket.lo, bucket.hi, rows=bucket.rows, heat=bucket.heat)

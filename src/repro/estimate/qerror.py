@@ -343,9 +343,9 @@ class Estimator:
     def histogram_snapshot(self, table: str) -> dict[str, SelfTuningHistogram]:
         """Frozen {index: histogram copy} for one table.
 
-        Scatter-gather hands this to partition fetches so worker threads
-        consult learned range cardinalities without touching the live
-        (mutable) histograms."""
+        Scatter-gather hands this to partition fetches so every fetch of
+        one statement consults the same learned range cardinalities while
+        the live histograms keep refining."""
         if self._ring_len:
             self._drain()
         return {

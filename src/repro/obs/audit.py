@@ -63,7 +63,7 @@ class DecisionKind(enum.Enum):
     #: switched to mid-flight when a pilot overtook the estimated best)
     JOIN_ORDER = "join-order"
     #: how a partitioned retrieval was fanned out: candidate partitions
-    #: after pruning, worker count, partitioning method
+    #: after pruning, partitioning method
     SCATTER = "scatter"
     #: the variance gate trusted a demonstrably accurate estimate and ran
     #: the winning strategy directly, skipping the pilot race; inputs

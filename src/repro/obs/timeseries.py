@@ -11,7 +11,7 @@ wall-clock interval it snapshots the server's *cumulative* counters
 metrics, the estimator, partition/scatter stats) and diffs consecutive
 snapshots into one :class:`WindowStats` per interval — queries/sec,
 p50/p95 latency, buffer and plan-cache hit rates, competition skip ratio,
-median/p95 q-error, regret mass, worker utilization, queue-wait p95.
+median/p95 q-error, regret mass, queue-wait p95.
 Windows live in a fixed ring (``MONITOR_WINDOW`` entries), so always-on
 monitoring holds a bounded amount of history.
 
@@ -161,8 +161,6 @@ class MetricSample:
         "trusted",
         "competed",
         "regret_sum",
-        "busy_cost",
-        "capacity_cost",
         "flight_records",
     )
 
@@ -197,11 +195,6 @@ class MetricSample:
             self.trusted = 0
             self.competed = 0
         self.regret_sum = metrics.decisions.regret_hist.sum
-        partitions = metrics.partitions
-        self.busy_cost = partitions.busy_cost if partitions is not None else 0.0
-        self.capacity_cost = (
-            partitions.capacity_cost if partitions is not None else 0.0
-        )
         self.flight_records = metrics.flight_records
 
 
@@ -234,7 +227,6 @@ class WindowStats:
         "qerror_p95",
         "qerror_observations",
         "regret_mass",
-        "worker_utilization",
         "queue_wait_p95",
         "flight_records",
     )
@@ -284,10 +276,6 @@ class WindowStats:
             0, sum(newer.qerror_counts) - sum(older.qerror_counts)
         )
         self.regret_mass = max(0.0, newer.regret_sum - older.regret_sum)
-        self.worker_utilization = _ratio(
-            newer.busy_cost - older.busy_cost,
-            newer.capacity_cost - older.capacity_cost,
-        )
         self.queue_wait_p95 = delta_percentile(
             newer.queue_counts, older.queue_counts, 0.95, newer.queue_max
         )
@@ -451,11 +439,6 @@ class TimeSeriesRegistry:
             ("q-error p50", fmt(latest.qerror_p50), "qerror_p50"),
             ("q-error p95", fmt(latest.qerror_p95), "qerror_p95"),
             ("regret mass", fmt(latest.regret_mass), "regret_mass"),
-            (
-                "worker util",
-                fmt(latest.worker_utilization, pct=True),
-                "worker_utilization",
-            ),
             ("queue p95 quanta", fmt(latest.queue_wait_p95), "queue_wait_p95"),
         ]
         for label, value, field in rows:

@@ -2,19 +2,19 @@
 
 The paper's Figure-4 architecture is a *pair* of processes racing
 strategies over one table. This package generalizes that template to N
-workers over N table partitions: a ``PARTITION BY HASH(col)`` /
+table partitions: a ``PARTITION BY HASH(col)`` /
 ``PARTITION BY RANGE(col)`` table stores its rows in per-partition heap
 files and B-trees (each behind a private buffer pool), and one retrieval
 fans out as independent per-partition retrievals — each running the full
 dynamic engine, with its own initial stage, competition, and two-stage
-switch rule — whose results are merged back into a single
+switch rule, run one after another on the scheduler thread — whose
+results are merged back into a single
 :class:`~repro.engine.retrieval.RetrievalResult` (ordered k-way merge
 when the request asks for order, bag union otherwise).
 
 Cost accounting is conservative by construction: the merged result's
 estimation/execution cost and physical I/O are exactly the sums of the
-per-partition meters, so a scatter at ``partition_workers=8`` reports the
-same totals as the same scatter run serially at ``partition_workers=1``.
+per-partition meters.
 """
 
 from repro.partition.partitioner import (

@@ -4,8 +4,7 @@ Each partition fetch delivers an independent ``(rows, rids)`` run. Sscan
 goals (the request carries ``order_by``) merge the runs in key order:
 every partition already delivered in order, so a stable sort over their
 concatenation *is* the ordered k-way merge. Tscan goals take the bag union
-in partition order, which keeps the output deterministic at every worker
-count (workers change *when* runs arrive, never the gather order).
+in partition order, which keeps the output deterministic.
 """
 
 from __future__ import annotations

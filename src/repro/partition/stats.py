@@ -4,9 +4,7 @@ One :class:`PartitionStats` lives on each :class:`~repro.db.session
 .Database` and is wired onto the server's
 :class:`~repro.server.metrics.MetricsRegistry` (``\\metrics`` and the
 Prometheus exporter). The coordinator records one observation per
-scatter, after the gather — all recording happens on the scheduler
-thread, so no locking is needed even when partition fetches ran on
-worker threads.
+scatter, after the gather.
 
 ``merge_rows`` reconciles exactly with retrieval row counts: it is
 incremented by the number of rows the merge *delivered* (post global
@@ -36,10 +34,6 @@ class PartitionStats:
         self.fetch_rows_hist = LogHistogram("partition_fetch_rows")
         #: cost (page-I/O units) per partition fetch
         self.fetch_cost_hist = LogHistogram("partition_fetch_cost")
-        #: utilization accounting: busy cost summed over fetches vs the
-        #: capacity of the worker pool over each scatter's critical path
-        self.busy_cost = 0.0
-        self.capacity_cost = 0.0
 
     def record_scatter(
         self,
@@ -47,8 +41,6 @@ class PartitionStats:
         fetch_costs: list[float],
         merged_rows: int,
         pruned: int,
-        workers: int,
-        critical_path_cost: float,
         ordered: bool,
     ) -> None:
         """Fold one completed scatter-gather retrieval in."""
@@ -62,22 +54,11 @@ class PartitionStats:
             self.fetch_rows_hist.record(float(rows))
         for cost in fetch_costs:
             self.fetch_cost_hist.record(cost)
-        self.busy_cost += sum(fetch_costs)
-        self.capacity_cost += max(1, workers) * critical_path_cost
-
-    @property
-    def worker_utilization(self) -> float:
-        """Busy fraction of the worker pool across all scatters (1.0 =
-        every worker busy for every scatter's whole critical path)."""
-        if self.capacity_cost <= 0:
-            return 0.0
-        return min(1.0, self.busy_cost / self.capacity_cost)
 
     def format(self) -> str:
         """One ``\\metrics`` line."""
         return (
             f"partitions: {self.scatters} scatters, "
             f"{self.partitions_fetched} fetched / {self.partitions_pruned} pruned, "
-            f"{self.merge_rows} merged rows ({self.ordered_merges} ordered), "
-            f"utilization {self.worker_utilization:.0%}"
+            f"{self.merge_rows} merged rows ({self.ordered_merges} ordered)"
         )

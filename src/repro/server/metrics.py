@@ -372,12 +372,6 @@ class MetricsRegistry:
                 "Scatters gathered with an ordered k-way merge.",
                 None, partitions.ordered_merges,
             )
-            yield (
-                "partition_worker_utilization", "gauge",
-                "Busy fraction of the partition worker pool "
-                "(fetch cost over workers x critical-path cost).",
-                None, partitions.worker_utilization,
-            )
         decisions = self.decisions
         for kind, count in sorted(decisions.decisions.items()):
             yield (
@@ -476,9 +470,6 @@ class MetricsRegistry:
                      "P95 estimation q-error over the latest monitor window."),
                     ("window_regret_mass", latest.regret_mass,
                      "Realized regret accumulated in the latest monitor window."),
-                    ("window_worker_utilization", latest.worker_utilization,
-                     "Partition-worker utilization over the latest monitor "
-                     "window."),
                     ("window_queue_wait_p95_quanta", latest.queue_wait_p95,
                      "P95 admission queue wait over the latest monitor window."),
                 )

@@ -587,11 +587,9 @@ class QueryServer:
         """Cancel everything in flight and flush/close the sinks.
 
         In-flight queries unwind through ``GeneratorExit`` (scans
-        abandoned, temp pages released; a scatter's in-flight partition
-        workers see the abort event and release their pins) and their
-        partial traces are retired — then the database's partition
-        worker pool drains and the sinks close, so no record is lost to
-        an unflushed buffer. Idempotent: only the first call does any of
+        abandoned, temp pages released, pins dropped) and their partial
+        traces are retired — then the sinks close, so no record is lost
+        to an unflushed buffer. Idempotent: only the first call does any of
         this; later calls (a ``Connection.close()`` after an explicit
         shutdown, an atexit hook) return immediately rather than
         re-closing the sinks.
@@ -606,9 +604,6 @@ class QueryServer:
         # in the sink before it closes
         if self.monitor is not None:
             self._monitor_tick(force=True)
-        close_pool = getattr(self.db, "close_worker_pool", None)
-        if close_pool is not None:
-            close_pool()
         for sink in (self.trace_sink, self.flight_sink):
             close = getattr(sink, "close", None)
             if close is not None:

@@ -74,10 +74,11 @@ class Pager:
         self._pages: dict[int, Page] = {}
         self._next_page_id = 0
         self.stats = DiskStats()
-        # one simulated disk may be shared by several partition worker
-        # threads (each behind its own buffer pool); page allocation and
-        # the physical I/O counters are the only cross-partition state, so
-        # they are the only operations that take the lock
+        # one simulated disk sits behind several buffer pools (the shared
+        # pool and each partition's private one); page allocation and the
+        # physical I/O counters are the state they all share, so they take
+        # the lock for an embedding application that drives the database
+        # from threads of its own
         self._lock = threading.Lock()
 
     def __len__(self) -> int:

@@ -141,7 +141,8 @@ def _yao_products(total_pages: int, records_per_page: int) -> "array[float]":
 
 
 def _extend_yao_products(products: "array[float]", m: float, n: float, k: int) -> None:
-    # two partition workers may want the same table extended at once
+    # the tables are process-wide, shared by every database; an embedding
+    # application's threads may want the same table extended at once
     with _yao_extend_lock:
         per_page = n / m
         prod = products[-1]

@@ -4,9 +4,9 @@ Covers the partition subsystem end to end: the stable hash / range
 partitioners and their candidate pruning, the merge helpers, the
 :class:`~repro.db.partitioned.PartitionedTable` surface (routing, DDL
 fan-out, statistics), the scatter coordinator's accounting identity
-between serial and parallel runs, cancellation (pins released on
-abandon), the SQL ``PARTITION BY`` clause, and the scatter-gather
-metrics wired through the server registry.
+(merged costs are the per-partition sums), cancellation at every yield
+(pins and temp pages released), the SQL ``PARTITION BY`` clause, and the
+scatter-gather metrics wired through the server registry.
 """
 
 import zlib
@@ -30,13 +30,13 @@ from repro.partition import (
     stable_hash,
 )
 from repro.partition.partitioner import make_partitioner
-from repro.partition.scatter import critical_path
 from repro.server import QueryServer
+from repro.storage.pager import PageKind
 from repro.storage.rid import RID
 
 
-def make_db(workers=1, partitions=4, rows=400, buffer_capacity=64, **overrides):
-    config = DEFAULT_CONFIG.with_(partition_workers=workers, **overrides)
+def make_db(partitions=4, rows=400, buffer_capacity=64, **overrides):
+    config = DEFAULT_CONFIG.with_(**overrides)
     db = Database(buffer_capacity=buffer_capacity, config=config)
     table = db.create_table(
         "T",
@@ -226,21 +226,6 @@ class TestMerge:
         assert merge_sorted_runs([([], []), ([], [])], [0, 1]) == ([], [])
 
 
-class TestCriticalPath:
-    def test_serial_is_sum(self):
-        assert critical_path([1.0, 2.0, 3.0], 1) == 6.0
-
-    def test_balanced_split(self):
-        assert critical_path([1.0] * 8, 4) == 2.0
-        assert critical_path([1.0] * 8, 8) == 1.0
-
-    def test_skewed_load_is_bounded_by_heaviest(self):
-        assert critical_path([10.0, 1.0, 1.0], 3) == 10.0
-
-    def test_empty(self):
-        assert critical_path([], 4) == 0.0
-
-
 # -- the PartitionedTable surface --------------------------------------------
 
 
@@ -342,58 +327,66 @@ class TestScatter:
         assert [row[0] for row in result.rows] == [0, 1, 2, 3, 4]
 
     def test_accounting_identical_serial_vs_parallel(self):
-        """The tentpole invariant: worker count changes when pages are
-        read, never how many — costs are the exact per-partition sums."""
-        outcomes = {}
-        for workers in (1, 4):
-            db, table = make_db(workers=workers, rows=400)
-            db.cold_cache()
-            result = table.select(where=col("ID").between(20, 300))
-            info = result.scatter
-            assert result.total_cost == pytest.approx(
-                sum(f.cost for f in info.fetches)
-            )
-            assert result.execution_io == sum(f.io for f in info.fetches)
-            outcomes[workers] = (
-                sorted(result.rows),
-                round(result.total_cost, 9),
-                result.execution_io,
-                [f.description for f in info.fetches],
-            )
-            db.close_worker_pool()
-        assert outcomes[1] == outcomes[4]
-
-    def test_effective_workers_capped_by_candidates(self):
-        db, table = make_db(workers=8, rows=80)
-        spread = table.select(where=col("ID").between(0, 79))
-        assert spread.scatter.workers == 4
-        pruned = table.select(where=col("ID").eq(3))
-        # one candidate -> serial path, no pool involvement
-        assert pruned.scatter.workers == 1
-        db.close_worker_pool()
-
-    def test_modeled_critical_path_speedup(self):
-        db, table = make_db(workers=4, rows=400)
-        result = table.select(where=col("ID").between(0, 399))
+        """The accounting invariant: the merged result's cost and I/O are
+        exactly the sums of the per-partition fetches."""
+        db, table = make_db(rows=400)
+        db.cold_cache()
+        result = table.select(where=col("ID").between(20, 300))
         info = result.scatter
-        assert info.serial_cost / info.critical_path_cost >= 2.5
-        db.close_worker_pool()
+        assert len(info.fetches) == 4
+        assert result.total_cost == pytest.approx(
+            sum(f.cost for f in info.fetches)
+        )
+        assert result.execution_io == sum(f.io for f in info.fetches)
+        assert sum(f.rows for f in info.fetches) == len(result.rows) == 281
 
-    def test_cancellation_releases_pins(self, monkeypatch):
-        from repro.partition import scatter as scatter_mod
+    def test_cancellation_releases_pins(self):
+        # tiny quanta: three yields land inside the first partition fetch
+        db, table = make_db(rows=2000, batch_size=4)
+        gen = table.select_steps(where=col("ID").between(0, 1999))
+        for _ in range(3):
+            next(gen)
+        gen.close()
+        for child in table.partitions:
+            assert child.buffer_pool._pinned == {}
 
-        # zero poll: the parallel coordinator yields right after submitting,
-        # before its workers can finish; tiny quanta do the same for serial
-        monkeypatch.setattr(scatter_mod, "_POLL_SECONDS", 0.0)
-        for workers in (1, 4):
-            db, table = make_db(workers=workers, rows=2000, batch_size=4)
-            gen = table.select_steps(where=col("ID").between(0, 1999))
-            for _ in range(3):
+    def test_cancel_at_every_yield_point(self):
+        """Closing the coordinator after any number of quanta — inside a
+        fetch, between two fetches, at the last yield — leaves no pin, no
+        temp-table page, and a scatter span marked cancelled."""
+        db, table = make_db(
+            rows=400, batch_size=4, static_rid_buffer_size=2,
+            allocated_rid_buffer_size=8, temp_rids_per_page=4,
+        )
+        # each partition's Jscan spills to a temp table, then loses to a
+        # Tscan that discards it: temp pages exist only mid-fetch
+        where = col("ID").between(20, 300)
+
+        def temp_pages():
+            return [
+                page for page in db.pager._pages.values()
+                if page.kind is PageKind.TEMP
+            ]
+
+        gen = table.select_steps(where=where)
+        yields, spilled = 0, False
+        with pytest.raises(StopIteration):
+            while True:
+                next(gen)
+                yields += 1
+                spilled = spilled or bool(temp_pages())
+        assert spilled and yields > 2 * len(table.partitions)
+        for k in range(1, yields + 1):
+            tracer = Tracer()
+            gen = table.select_steps(where=where, tracer=tracer)
+            for _ in range(k):
                 next(gen)
             gen.close()
             for child in table.partitions:
-                assert child.buffer_pool._pinned == {}
-            db.close_worker_pool()
+                assert child.buffer_pool._pinned == {}, k
+            assert temp_pages() == [], k
+            (span,) = tracer.root.find("scatter")
+            assert span.attrs.get("cancelled") is True, k
 
     def test_scatter_audit_decision(self):
         _, table = make_db(rows=80)
@@ -471,7 +464,6 @@ class TestPartitionSql:
         text = server.metrics.expose_text()
         assert "repro_partition_scatters_total 1" in text
         assert f"repro_partition_merge_rows_total {len(rows)}" in text
-        assert "repro_partition_worker_utilization" in text
         assert "repro_partition_fetch_cost" in text
         human = server.metrics.format()
         assert "scatter" in human

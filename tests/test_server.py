@@ -403,22 +403,23 @@ class TestShutdown:
         server.shutdown()
         assert (trace_sink.closes, flight_sink.closes) == (1, 1)
 
-    def test_shutdown_drains_partition_worker_pool(self):
-        from repro.db.session import _LIVE_WORKER_POOLS
+    def test_partitioned_statement_starts_no_threads(self):
+        """A scatter runs on the scheduler thread: the product never
+        starts a thread, before or after shutdown."""
+        import threading
 
-        db = Database(config=DEFAULT_CONFIG.with_(partition_workers=4))
-        pool = db.worker_pool()
-        assert pool is not None and db.worker_pool() is pool
-        assert pool in _LIVE_WORKER_POOLS
-        QueryServer(db).shutdown()
-        assert db._worker_pool is None
-        assert pool not in _LIVE_WORKER_POOLS
-        db.close_worker_pool()  # idempotent
-
-    def test_serial_config_never_creates_a_pool(self):
-        db = build_db()
-        assert db.worker_pool() is None
-        db.close_worker_pool()  # no-op without a pool
+        before = threading.active_count()
+        conn = connect()
+        conn.execute(
+            "create table P (ID int, V int) partition by hash(ID) partitions 4"
+        )
+        for i in range(64):
+            conn.execute(f"insert into P values ({i}, {i % 5})")
+        result = conn.execute("select * from P where ID between 3 and 50")
+        assert len(result.rows) == 48
+        assert threading.active_count() == before
+        conn.server.shutdown()
+        assert threading.active_count() == before
 
     def test_connection_close_is_idempotent(self):
         import repro
