@@ -320,6 +320,41 @@ class BTree:
                 return
             yield entry
 
+    def probe(self, key_range: KeyRange, meter: CostMeter) -> list[Entry]:
+        """The entries of an equality range, found in one descent.
+
+        Reads exactly the pages a Figure 5 estimate of ``key_range``
+        followed by a :class:`RangeCursor` walk of it would read, in the
+        same order of first touch (the estimate's pages are a prefix of
+        the cursor's path): the root-to-leaf path, then the following
+        leaves while the range may continue past the current one. The one
+        difference is where the estimate proves the range empty: a descent
+        that no separator inside the range split, ending in a leaf with no
+        entry in the range, stops there.
+        """
+        low = key_range.low_bound()
+        high = key_range.high_bound()
+        node = self._node(self._root_id, meter)
+        split = False
+        while not node.is_leaf:
+            separators = node.separators
+            index = bisect_right(separators, low)
+            if index < len(separators) and separators[index] <= high:
+                split = True
+            node = self._node(node.children[index], meter)
+        entries = node.entries
+        position = bisect_left(entries, low)
+        stop = bisect_right(entries, high, position)
+        if stop == position and not split:
+            return []
+        found = entries[position:stop]
+        while stop == len(entries) and node.next_leaf is not None:
+            node = self._node(node.next_leaf, meter)
+            entries = node.entries
+            stop = bisect_right(entries, high)
+            found.extend(entries[:stop])
+        return found
+
     def first_leaf_for(self, bound: Entry | None, meter: CostMeter) -> LeafNode:
         """Descend to the leaf that would contain ``bound`` (leftmost if None)."""
         node = self._node(self._root_id, meter)

@@ -27,15 +27,20 @@ if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.db.session import Database
     from repro.sql.parser import ParsedQuery
     from repro.sql.plan import PlanNode
+    from repro.sql.tokenizer import Token
 
 
 def normalize_sql(sql: str) -> tuple[str, int]:
     """Return the normalized cache key and the ``?`` placeholder count."""
     from repro.sql.tokenizer import tokenize
 
+    return _normalize_tokens(tokenize(sql))
+
+
+def _normalize_tokens(tokens: list["Token"]) -> tuple[str, int]:
     parts: list[str] = []
     placeholders = 0
-    for token in tokenize(sql):
+    for token in tokens:
         if token.kind == "end":
             break
         if token.kind == "string":
@@ -106,6 +111,9 @@ class PlanCache:
     def __init__(self, capacity: int) -> None:
         self.capacity = capacity
         self._entries: OrderedDict[str, CachedPlan] = OrderedDict()
+        #: exact SQL text -> (normalized key, placeholder count), LRU and
+        #: bounded by ``capacity``: a repeated text skips the tokenizer
+        self._keys: OrderedDict[str, tuple[str, int]] = OrderedDict()
         self.hits = 0
         self.misses = 0
         self.evictions = 0
@@ -173,13 +181,25 @@ class PlanCache:
         """
         from repro.sql.binder import bind
         from repro.sql.parser import parse
+        from repro.sql.tokenizer import tokenize
 
-        key, param_count = normalize_sql(sql)
+        tokens = None
+        memo = self._keys.get(sql)
+        if memo is None:
+            tokens = tokenize(sql)
+            memo = _normalize_tokens(tokens)
+            if self.enabled:
+                self._keys[sql] = memo
+                if len(self._keys) > self.capacity:
+                    self._keys.popitem(last=False)
+        else:
+            self._keys.move_to_end(sql)
+        key, param_count = memo
         if self.enabled:
             entry = self.lookup(db, key)
             if entry is not None:
                 return entry, True
-        parsed = parse(sql)
+        parsed = parse(sql, tokens)
         bind(db, parsed.plan)
         return self.store(db, sql, key, parsed, param_count), False
 

@@ -59,6 +59,9 @@ class Table:
         #: DDL notification hook, set by the owning Database so index
         #: create/drop invalidates cached plans (None for standalone tables)
         self.on_schema_change: Any | None = None
+        #: the retrieval engine over the current indexes and config (built
+        #: on first use, dropped by index DDL)
+        self._engine: SingleTableRetrieval | None = None
 
     # -- data definition ------------------------------------------------------
 
@@ -97,6 +100,7 @@ class Table:
                 entries.extend(zip(keys, page_rids(page_no, live)))
         btree.bulk_load(entries)
         self.indexes[name] = info
+        self._engine = None
         if self.on_schema_change is not None:
             self.on_schema_change()
         return info
@@ -106,6 +110,7 @@ class Table:
         if name not in self.indexes:
             raise CatalogError(f"unknown index {name!r}")
         info = self.indexes.pop(name)
+        self._engine = None
         pager = self.buffer_pool.pager
         for page in list(pager.pages_of(info.btree.name)):
             self.buffer_pool.evict(page.page_id)
@@ -168,10 +173,15 @@ class Table:
     # -- retrieval ---------------------------------------------------------------------
 
     def retrieval_engine(self) -> SingleTableRetrieval:
-        """The dynamic retrieval subsystem bound to this table."""
-        return SingleTableRetrieval(
-            self.heap, self.schema, list(self.indexes.values()), self.buffer_pool, self.config
-        )
+        """The dynamic retrieval subsystem bound to this table (rebuilt
+        after index DDL or a change of :attr:`config`)."""
+        engine = self._engine
+        if engine is None or engine.config is not self.config:
+            engine = self._engine = SingleTableRetrieval(
+                self.heap, self.schema, list(self.indexes.values()),
+                self.buffer_pool, self.config,
+            )
+        return engine
 
     def context_for(self, key: Any) -> IterationContext:
         """The iteration context for one query shape (created on demand)."""

@@ -27,7 +27,7 @@ from repro.db.catalog import IndexInfo
 from repro.engine.metrics import EventKind, RetrievalTrace
 from repro.expr.ast import Expr
 from repro.expr.normalize import conjunction_terms
-from repro.expr.ranges import extract_index_restriction
+from repro.expr.ranges import column_terms, extract_index_restriction
 from repro.obs.audit import DecisionKind
 from repro.storage.buffer_pool import CostMeter
 
@@ -119,6 +119,11 @@ class InitialArrangement:
     estimation_cost: float = 0.0
     #: whether the small-range shortcut fired
     shortcut: bool = False
+    #: a fetch-needed unique index with every key column bound by
+    #: equality: the retrieval probes it and fetches, nothing is estimated
+    probe: JscanCandidate | None = None
+    #: indexes the probe spared from estimation
+    skipped_estimates: int = 0
 
 
 def _static_preorder(candidates: list[JscanCandidate]) -> list[JscanCandidate]:
@@ -202,6 +207,42 @@ def _apply_feedback(
             candidate.correction_source = "histogram"
 
 
+_FULL_RANGE = KeyRange.all()
+
+#: id(restriction) -> (restriction, its conjunction terms, index columns ->
+#: :func:`column_terms`); the stored reference pins the id
+_bindings_memo: dict[int, tuple[Expr, tuple[Expr, ...], dict]] = {}
+
+
+def _bindings(restriction: Expr) -> tuple[tuple[Expr, ...], dict]:
+    """Which terms may bind which index columns, once per restriction object.
+
+    A cached plan hands every execution the same restriction instance (as
+    :class:`~repro.cache.PredicateCache` relies on), so the structural
+    matching runs once per plan and each execution only folds its host
+    variables into bounds.
+    """
+    entry = _bindings_memo.get(id(restriction))
+    if entry is None or entry[0] is not restriction:
+        if len(_bindings_memo) >= 2048:
+            _bindings_memo.clear()
+        entry = (restriction, conjunction_terms(restriction), {})
+        _bindings_memo[id(restriction)] = entry
+    return entry[1], entry[2]
+
+
+def _is_unique_point(index: IndexInfo, key_range: KeyRange) -> bool:
+    """True when ``key_range`` pins every key column of a unique index."""
+    return (
+        index.unique
+        and key_range.lo is not None
+        and key_range.lo == key_range.hi
+        and len(key_range.lo) == len(index.columns)
+        and key_range.lo_inclusive
+        and key_range.hi_inclusive
+    )
+
+
 def run_initial_stage(
     indexes: Sequence[IndexInfo],
     restriction: Expr,
@@ -215,24 +256,51 @@ def run_initial_stage(
     feedback: Any = None,
     table_name: str = "",
     estimator: Any = None,
+    allow_probe: bool = True,
 ) -> InitialArrangement:
-    """Classify, estimate, and arrange the available indexes."""
-    terms = conjunction_terms(restriction)
+    """Classify, estimate, and arrange the available indexes.
+
+    When a fetch-needed unique index has every key column bound by
+    equality (and ``shortcut_rid_count`` admits one RID), the clearest
+    Section 5 case needs no estimate at all: the arrangement names that
+    index as :attr:`~InitialArrangement.probe` and nothing is estimated,
+    ordered or emitted here. ``allow_probe=False`` (a forced strategy)
+    always arranges in full.
+    """
+    terms, by_columns = _bindings(restriction)
     arrangement = InitialArrangement()
     fetch_needed: list[JscanCandidate] = []
     before = meter.total
 
     for index in indexes:
-        index_restriction = extract_index_restriction(terms, index.columns, host_vars)
-        key_range = index_restriction.key_range
+        candidates = by_columns.get(index.columns)
+        if candidates is None:
+            candidates = by_columns[index.columns] = column_terms(terms, index.columns)
+        if candidates[0]:
+            index_restriction = extract_index_restriction(
+                terms, index.columns, host_vars, candidates
+            )
+            key_range = index_restriction.key_range
+            matched = index_restriction.matched
+        else:
+            key_range, matched = _FULL_RANGE, False
         if index.provides_order(order_by) and arrangement.order_index is None:
             arrangement.order_index = JscanCandidate(index=index, key_range=key_range)
         if index.covers(needed_columns):
             arrangement.sscan_candidates.append(
                 SscanCandidate(index=index, key_range=key_range)
             )
-        elif index_restriction.matched:
+        elif matched:
             fetch_needed.append(JscanCandidate(index=index, key_range=key_range))
+
+    if allow_probe and config.shortcut_rid_count >= 1:
+        for candidate in fetch_needed:
+            if _is_unique_point(candidate.index, candidate.key_range):
+                arrangement.probe = candidate
+                arrangement.skipped_estimates = (
+                    len(fetch_needed) + len(arrangement.sscan_candidates) - 1
+                )
+                return arrangement
 
     # prearrange: iteration context first, static heuristic otherwise
     if context is not None and context.last_order:

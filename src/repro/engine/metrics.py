@@ -14,6 +14,7 @@ import enum
 from dataclasses import dataclass, field
 from typing import Any, Iterator
 
+from repro.obs.audit import NULL_AUDIT
 from repro.obs.trace import NULL_TRACER, Tracer
 
 
@@ -106,8 +107,10 @@ class RetrievalTrace:
         """Record one event (and attach it to the current span)."""
         event = TraceEvent(kind, detail)
         self.events.append(event)
-        self.tracer.event(event)
-        self.audit.observe_event(event)
+        if self.tracer is not NULL_TRACER:
+            self.tracer.event(event)
+        if self.audit is not NULL_AUDIT:
+            self.audit.observe_event(event)
         if kind is EventKind.STRATEGY_SWITCH:
             # a switch is a span boundary in the timeline, not just a log
             # line: EXPLAIN ANALYZE renders it between the strategies it

@@ -42,7 +42,7 @@ from repro.expr.eval import compile_predicate, referenced_columns
 from repro.obs.audit import AuditLog, DecisionKind
 from repro.obs.trace import Tracer
 from repro.storage.buffer_pool import BufferPool, CostMeter
-from repro.storage.heap import HeapFile
+from repro.storage.heap import RECORD_CPU_COST, HeapFile
 from repro.storage.rid import RID
 
 
@@ -213,7 +213,10 @@ class SingleTableRetrieval:
             feedback=request.feedback,
             table_name=self.heap.name,
             estimator=request.estimator,
+            allow_probe=request.force_strategy is None,
         )
+        if arrangement.probe is not None:
+            return self._run_probe(request, arrangement, trace, span, goal)
         if arrangement.order_index is not None and request.order_by:
             needs_post_sort = False
 
@@ -240,17 +243,7 @@ class SingleTableRetrieval:
             trace.tracer.end(span, rows=0, shortcut="empty")
             return result
 
-        # compile the restriction once for the whole retrieval — or fetch
-        # the plan's cached compilation when executing a cached plan
-        if request.predicate_cache is not None:
-            predicate = request.predicate_cache.get(
-                request.restriction, self.schema.position, request.host_vars
-            )
-        else:
-            predicate = compile_predicate(
-                request.restriction, self.schema.position, request.host_vars
-            )
-
+        predicate = self._predicate(request)
         ctx = TacticContext(
             heap=self.heap,
             schema=self.schema,
@@ -309,6 +302,96 @@ class SingleTableRetrieval:
         if audit.enabled:
             self._record_audit_estimates(audit, arrangement)
             audit.end_retrieval(result)
+        trace.tracer.end(
+            span,
+            rows=len(rows),
+            cost=round(result.total_cost, 3),
+            io=result.execution_io,
+            strategy=result.description,
+        )
+        return result
+
+    def _predicate(self, request: RetrievalRequest) -> Any:
+        """The restriction compiled once for the whole retrieval — or the
+        plan's cached compilation when executing a cached plan."""
+        if request.predicate_cache is not None:
+            return request.predicate_cache.get(
+                request.restriction, self.schema.position, request.host_vars
+            )
+        return compile_predicate(
+            request.restriction, self.schema.position, request.host_vars
+        )
+
+    def _run_probe(
+        self,
+        request: RetrievalRequest,
+        arrangement: InitialArrangement,
+        trace: RetrievalTrace,
+        span: Any,
+        goal: OptimizationGoal,
+    ) -> RetrievalResult:
+        """The unique-key probe (Section 5's clearest case).
+
+        One descent of the unique index and one fetch per entry found, the
+        full restriction applied to each row: no estimate, no Jscan, no RID
+        list, no final stage, and no yield — the retrieval completes in the
+        quantum that starts it. The pages read, and their LRU order, are
+        those of the estimate-then-Jscan path (see :meth:`BTree.probe`).
+        """
+        index = arrangement.probe.index
+        tactic = trace.tracer.begin("tactic", tactic="unique-probe")
+        meter = CostMeter(name="unique-probe")
+        entries = index.btree.probe(arrangement.probe.key_range, meter)
+        rows: list[tuple] = []
+        rids: list[RID] = []
+        result = RetrievalResult(
+            rows=rows, rids=rids, trace=trace, description="", goal=goal
+        )
+        if not entries:
+            trace.emit(EventKind.SHORTCUT_EMPTY, index=index.name)
+            result.description = "shortcut: provably empty result"
+        else:
+            trace.emit(
+                EventKind.SHORTCUT_SMALL_RANGE,
+                index=index.name,
+                rids=len(entries),
+                skipped_estimates=arrangement.skipped_estimates,
+            )
+            if trace.audit.enabled:
+                trace.audit.decision(
+                    DecisionKind.TACTIC_SELECTION,
+                    "unique-probe",
+                    (),
+                    goal=goal.value,
+                    index=index.name,
+                )
+            predicate = self._predicate(request)
+            post_sort = bool(request.order_by) and len(entries) > 1
+            sink = CollectingSink(rows, rids, None if post_sort else request.limit)
+            counters = trace.counters
+            for _, rid in entries:
+                row = self.heap.fetch(rid, meter)
+                meter.charge_cpu(RECORD_CPU_COST)
+                counters.records_fetched += 1
+                if not predicate(row):
+                    counters.fetches_rejected += 1
+                    continue
+                counters.records_delivered += 1
+                if not sink(rid, row):
+                    result.stopped_early = True
+                    break
+            if post_sort:
+                self._post_sort(rows, rids, request.order_by)
+                if request.limit is not None:
+                    del rows[request.limit:]
+                    del rids[request.limit:]
+            result.description = f"unique-probe({index.name})"
+        result.execution_cost = meter.total
+        result.execution_io = meter.io_total
+        trace.tracer.end(tactic, rows=len(rows))
+        trace.emit(EventKind.RETRIEVAL_COMPLETE, rows=len(rows))
+        if trace.audit.enabled:
+            trace.audit.end_retrieval(result)
         trace.tracer.end(
             span,
             rows=len(rows),

@@ -170,24 +170,68 @@ def _apply_term_to_bounds(
     return False
 
 
+def _may_bind(term: Expr, column: str) -> bool:
+    """True when ``term`` bounds ``column`` under *some* host-variable
+    binding — the structural half of :func:`_apply_term_to_bounds`."""
+    if isinstance(term, Comparison):
+        constant = (Literal, HostVar)
+        return (
+            isinstance(term.left, ColumnRef)
+            and term.left.name == column
+            and isinstance(term.right, constant)
+        ) or (
+            isinstance(term.right, ColumnRef)
+            and term.right.name == column
+            and isinstance(term.left, constant)
+        )
+    if isinstance(term, (Between, Like)):
+        return term.column.name == column
+    if isinstance(term, InList):
+        return term.column.name == column and len(term.values) == 1
+    return False
+
+
+def column_terms(
+    terms: Sequence[Expr], index_columns: Sequence[str]
+) -> tuple[tuple[Expr, ...], ...]:
+    """Per index column, the terms that may bound it, in term order.
+
+    Depends only on the restriction's structure, so a caller can compute
+    it once per restriction object and hand it to every
+    :func:`extract_index_restriction` call: each execution then folds only
+    these terms' host-variable values into bounds.
+    """
+    return tuple(
+        tuple(term for term in terms if _may_bind(term, column))
+        for column in index_columns
+    )
+
+
 def extract_index_restriction(
     terms: Sequence[Expr],
     index_columns: Sequence[str],
     host_vars: Mapping[str, Any] = {},
+    candidates: Sequence[Sequence[Expr]] | None = None,
 ) -> IndexRestriction:
     """Derive the scannable key range of an index from conjunctive terms.
 
     Leading columns pinned by equality extend the prefix; the first
     non-equality column contributes its (half-)open range and terminates
     extraction, matching standard composite-index sargability.
+    ``candidates`` is :func:`column_terms` of ``terms`` (computed here when
+    not given); the result is the same either way.
     """
     prefix: list[Any] = []
     contributing: list[Expr] = []
     columns = tuple(index_columns)
+    if candidates is None:
+        candidates = column_terms(terms, columns)
     for position, column in enumerate(columns):
         bounds = _ColumnBounds()
         used_terms = [
-            term for term in terms if _apply_term_to_bounds(term, column, host_vars, bounds)
+            term
+            for term in candidates[position]
+            if _apply_term_to_bounds(term, column, host_vars, bounds)
         ]
         if not used_terms:
             break

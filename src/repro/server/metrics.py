@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator
 
 from repro.engine.metrics import RetrievalCounters, RetrievalTrace
 from repro.obs.audit import DecisionMetrics
@@ -27,10 +27,14 @@ from repro.obs.hist import LogHistogram
 _HEALTH_STATUS_VALUE = {"ok": 0, "disabled": 0, "warn": 1, "critical": 2}
 
 
+#: the counter field names, in declaration order
+_COUNTER_FIELDS = tuple(spec.name for spec in fields(RetrievalCounters))
+
+
 def add_counters(into: RetrievalCounters, other: RetrievalCounters) -> None:
     """Fold ``other``'s counters into ``into`` field by field."""
-    for spec in fields(RetrievalCounters):
-        setattr(into, spec.name, getattr(into, spec.name) + getattr(other, spec.name))
+    for name in _COUNTER_FIELDS:
+        setattr(into, name, getattr(into, name) + getattr(other, name))
 
 
 @dataclass
@@ -73,6 +77,32 @@ class SessionMetrics:
         """Fraction of attributed pool accesses served from cache."""
         accesses = self.cache_hits + self.cache_misses
         return self.cache_hits / accesses if accesses else 0.0
+
+    def count_outcome(self, outcome: str) -> None:
+        """Count one query reaching a terminal state
+        (``done``/``cancelled``/``failed``)."""
+        if outcome == "done":
+            self.queries_completed += 1
+        elif outcome == "cancelled":
+            self.queries_cancelled += 1
+        elif outcome == "failed":
+            self.queries_failed += 1
+        else:  # pragma: no cover - programming error
+            raise ValueError(f"unknown outcome {outcome!r}")
+
+    def observe_completion(
+        self, latency_seconds: float, queue_wait_quanta: int, quanta: int
+    ) -> None:
+        """Record one retired query's latency/wait/step distributions.
+
+        ``quanta`` is both added to the flat counter and recorded in the
+        steps-per-query histogram, so the histogram's ``sum`` reconciles
+        exactly with the counter total.
+        """
+        self.quanta += quanta
+        self.latency.record(latency_seconds)
+        self.queue_wait.record(queue_wait_quanta)
+        self.steps_per_query.record(quanta)
 
     def merge(self, other: "SessionMetrics") -> None:
         """Fold another session's metrics into this aggregate."""
@@ -173,15 +203,7 @@ class MetricsRegistry:
     def record_outcome(self, session_id: str, outcome: str) -> None:
         """Count one query reaching a terminal state
         (``done``/``cancelled``/``failed``)."""
-        metrics = self.session(session_id)
-        if outcome == "done":
-            metrics.queries_completed += 1
-        elif outcome == "cancelled":
-            metrics.queries_cancelled += 1
-        elif outcome == "failed":
-            metrics.queries_failed += 1
-        else:  # pragma: no cover - programming error
-            raise ValueError(f"unknown outcome {outcome!r}")
+        self.session(session_id).count_outcome(outcome)
 
     def record_completion(
         self,
@@ -190,17 +212,44 @@ class MetricsRegistry:
         queue_wait_quanta: int,
         quanta: int,
     ) -> None:
-        """Record the latency/wait/step distributions of one retired query.
+        """Record the latency/wait/step distributions of one retired query."""
+        self.session(session_id).observe_completion(
+            latency_seconds, queue_wait_quanta, quanta
+        )
 
-        ``quanta`` is both added to the session's flat counter and recorded
-        in the steps-per-query histogram, so the histogram's ``sum``
-        reconciles exactly with the counter total.
+    def record_retirement(
+        self,
+        session_id: str,
+        outcome: str,
+        cache_hits: int,
+        cache_misses: int,
+        latency_seconds: float,
+        queue_wait_quanta: int,
+        quanta: int,
+        results: Iterable[Any],
+    ) -> float:
+        """Everything one retired query contributes, in one call with one
+        session lookup: what :meth:`record_outcome`, :meth:`record_cache`,
+        :meth:`record_completion` and one :meth:`record_trace` per
+        retrieval record, plus each retrieval's realized cost in the
+        server-wide cost distribution (the live L-shape, audited or not).
+        ``results`` are the query's
+        :class:`~repro.engine.retrieval.RetrievalResult` objects; returns
+        their summed total cost.
         """
         metrics = self.session(session_id)
-        metrics.quanta += quanta
-        metrics.latency.record(latency_seconds)
-        metrics.queue_wait.record(queue_wait_quanta)
-        metrics.steps_per_query.record(quanta)
+        metrics.count_outcome(outcome)
+        metrics.cache_hits += cache_hits
+        metrics.cache_misses += cache_misses
+        metrics.observe_completion(latency_seconds, queue_wait_quanta, quanta)
+        total_cost = 0.0
+        for result in results:
+            metrics.retrievals += 1
+            add_counters(metrics.counters, result.trace.counters)
+            cost = result.total_cost
+            self.decisions.observe_cost(cost)
+            total_cost += cost
+        return total_cost
 
     def record_fetch_run(self, pages_loaded: int) -> None:
         """Record one buffer-pool read-ahead run (pages loaded at once)."""

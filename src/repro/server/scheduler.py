@@ -76,6 +76,14 @@ class QueryState(enum.Enum):
     FAILED = "failed"
 
 
+#: terminal state -> the outcome label metrics count it under
+_OUTCOMES = {
+    QueryState.DONE: "done",
+    QueryState.CANCELLED: "cancelled",
+    QueryState.FAILED: "failed",
+}
+
+
 class QueryHandle:
     """One submitted statement: its state, result, and per-query metrics."""
 
@@ -465,30 +473,19 @@ class QueryServer:
         self._running.pop(index)
         if index < self._rr:
             self._rr -= 1
-        outcome = {
-            QueryState.DONE: "done",
-            QueryState.CANCELLED: "cancelled",
-            QueryState.FAILED: "failed",
-        }[handle.state]
-        self.metrics.record_outcome(handle.session_id, outcome)
-        self.metrics.record_cache(
-            handle.session_id, handle.cache_hits, handle.cache_misses
-        )
+        outcome = _OUTCOMES[handle.state]
         assert handle.admitted_at is not None and handle.admitted_wall is not None
         latency = self.clock() - handle.admitted_wall
-        self.metrics.record_completion(
+        total_cost = self.metrics.record_retirement(
             handle.session_id,
+            outcome,
+            handle.cache_hits,
+            handle.cache_misses,
             latency_seconds=latency,
             queue_wait_quanta=handle.admitted_at - handle.submitted_at_steps,
             quanta=handle.steps,
+            results=[info.result for info in handle.retrievals],
         )
-        total_cost = 0.0
-        for info in handle.retrievals:
-            self.metrics.record_trace(handle.session_id, info.result.trace)
-            # the live L-shape: every retrieval's realized cost lands in
-            # the server-wide distribution, audited or not
-            self.metrics.decisions.observe_cost(info.result.total_cost)
-            total_cost += info.result.total_cost
         if self.monitor is not None:
             self.monitor.note_query(
                 handle.sql, handle.session_id, latency, total_cost

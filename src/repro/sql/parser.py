@@ -103,9 +103,10 @@ class DeallocateStatement:
     name: str
 
 
-def parse(sql: str) -> ParsedQuery:
-    """Parse one SELECT statement."""
-    parser = _Parser(tokenize(sql))
+def parse(sql: str, tokens: list[Token] | None = None) -> ParsedQuery:
+    """Parse one SELECT statement (``tokens``: ``tokenize(sql)``, when the
+    caller already has it)."""
+    parser = _Parser(tokens if tokens is not None else tokenize(sql))
     query = parser.select_statement()
     parser.expect_end()
     return query

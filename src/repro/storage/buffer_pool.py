@@ -28,6 +28,10 @@ import random
 from repro.storage.pager import Page, Pager, PageKind
 
 
+#: a zero read count for every page kind, copied into each new meter
+_NO_READS: dict[PageKind, int] = dict.fromkeys(PageKind, 0)
+
+
 @dataclass(slots=True)
 class CostMeter:
     """Accumulates the cost charged to one process/strategy.
@@ -43,9 +47,7 @@ class CostMeter:
     buffer_hits: int = 0
     cpu: float = 0.0
     #: breakdown of read misses per page kind
-    reads_by_kind: dict[PageKind, int] = field(
-        default_factory=lambda: {kind: 0 for kind in PageKind}
-    )
+    reads_by_kind: dict[PageKind, int] = field(default_factory=_NO_READS.copy)
 
     @property
     def total(self) -> float:
