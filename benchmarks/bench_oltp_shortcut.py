@@ -14,6 +14,11 @@ skewed parameter. With every key column of a unique index bound by
 equality the default path is the unique-key probe: nothing is estimated,
 one descent and one fetch. Forcing ``background-only`` runs the same
 lookups down the estimate-then-Jscan path the probe replaces.
+
+Short ranges (``ACCT BETWEEN :a AND :a+k``, k < 20) are measured the same
+way: a range the estimation descent bounds to one quantum of leaves is
+walked on from where the descent stopped and fetched directly, at exactly
+the cost of the Jscan and final stage it skips, in fewer pool gets.
 """
 
 import numpy as np
@@ -67,6 +72,29 @@ def _run_lookups(db, table, present: bool, force=None) -> tuple[float, float]:
     return total / LOOKUPS, estimation / LOOKUPS
 
 
+def _run_ranges(db, table, force=None) -> tuple[float, float, float]:
+    """Average (total cost, pool gets, share fetched directly) per
+    cold-cache range of 2..20 accounts."""
+    rng = np.random.default_rng(11)
+    query = col("ACCT").between(var("a"), var("b"))
+    pool = db.buffer_pool
+    total = gets = direct = 0.0
+    for _ in range(LOOKUPS):
+        low = int(rng.integers(0, ROWS - 20))
+        high = low + int(rng.integers(1, 20))
+        db.cold_cache()
+        before = pool.hits + pool.misses
+        request = RetrievalRequest(
+            restriction=query, host_vars={"a": low, "b": high}, force_strategy=force
+        )
+        result = table.retrieval_engine().run(request)
+        assert len(result.rows) == high - low + 1
+        total += result.total_cost
+        gets += pool.hits + pool.misses - before
+        direct += result.description.startswith("short-range")
+    return total / LOOKUPS, gets / LOOKUPS, direct / LOOKUPS
+
+
 def experiment() -> dict:
     report = Report("oltp_shortcut", "Section 5 — OLTP shortcut techniques")
     report.line(f"\nACCOUNTS: {ROWS} rows, unique IX_ACCT + two secondary indexes")
@@ -108,6 +136,28 @@ def experiment() -> dict:
     assert on_est < off_est
     assert on_miss < on_hit
 
+    # short ranges: fetched directly vs the estimate-then-Jscan path
+    report.line(f"\nworkload: {LOOKUPS} ranges (ACCT BETWEEN :a AND :a+k, k < 20), "
+                f"cold cache\n")
+    ranges = {}
+    for label, force in (("short range (default)", None),
+                         ("estimate + Jscan (forced)", "background-only")):
+        db, table = build()
+        ranges[label] = _run_ranges(db, table, force)
+    report.table(
+        ["configuration", "total cost", "pool gets", "fetched directly"],
+        [[label, f"{cost:.2f}", f"{gets:.2f}", f"{share:.0%}"]
+         for label, (cost, gets, share) in ranges.items()],
+    )
+    direct_cost, direct_gets, direct_share = ranges["short range (default)"]
+    raced_cost, raced_gets, _ = ranges["estimate + Jscan (forced)"]
+    report.line(f"\nthe same cost ({direct_cost:.2f} against {raced_cost:.2f}) in "
+                f"{raced_gets - direct_gets:.2f} fewer pool gets a range: the")
+    report.line("Jscan's own root-to-leaf descent over the estimate's path is gone")
+    assert direct_share > 0.9
+    assert direct_cost == raced_cost
+    assert direct_gets < raced_gets
+
     # iteration-context preordering under a repeated parameterized query
     db, table = build()
     query = (col("BRANCH").eq(var("b"))) & (col("BALANCE") < var("lim"))
@@ -124,10 +174,16 @@ def experiment() -> dict:
     report.line("(the context seeds the prearrangement so the most selective index")
     report.line(" is estimated first and the shortcut fires sooner)")
     report.save()
-    return {"hit": on_hit, "miss": on_miss, "est_on": on_est, "est_off": off_est}
+    return {"hit": on_hit, "miss": on_miss, "est_on": on_est, "est_off": off_est,
+            "range_cost": (direct_cost, raced_cost),
+            "range_gets": (direct_gets, raced_gets)}
 
 
 def test_oltp_shortcuts(benchmark):
     results = run_once(benchmark, experiment)
     assert results["miss"] < results["hit"]
     assert results["est_on"] < results["est_off"]
+    direct_cost, raced_cost = results["range_cost"]
+    assert direct_cost == raced_cost
+    direct_gets, raced_gets = results["range_gets"]
+    assert direct_gets < raced_gets

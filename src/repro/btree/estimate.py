@@ -20,8 +20,9 @@ Section 5 shortcut that cancels the whole retrieval.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
+from repro.btree.node import Node
 from repro.btree.tree import BTree, KeyRange
 from repro.storage.buffer_pool import CostMeter, NULL_METER
 
@@ -40,11 +41,28 @@ class RangeEstimate:
     k: int
     #: average fanout used for extrapolation
     fanout: float
+    #: the node the descent stopped at — the leaf it counted in, or the
+    #: split node — so a walk of the range can go on from there instead of
+    #: descending again (:meth:`BTree.walk_from`); None when the bounds
+    #: alone decided the estimate
+    stop: Node | None = field(default=None, compare=False, repr=False)
+    #: the first entry (leaf) or child (split node) of the range in ``stop``
+    first: int = field(default=0, compare=False, repr=False)
 
     @property
     def is_empty(self) -> bool:
         """True when the range is known to contain no RIDs."""
         return self.exact and self.rids == 0
+
+    def bounded_leaves(self) -> int | None:
+        """How many leaves hold the whole range, when the descent shows it:
+        1 for a count in a leaf, the k+1 children of a split at level 2,
+        None for a split higher up (or no descent)."""
+        if self.stop is None:
+            return None
+        if self.exact:
+            return 1
+        return self.k + 1 if self.split_level == 2 else None
 
 
 def estimate_range(
@@ -65,7 +83,10 @@ def estimate_range(
             first = 0 if low is None else bisect_left(entries, low)
             last = len(entries) if high is None else bisect_right(entries, high)
             k = max(0, last - first)
-            return RangeEstimate(rids=float(k), exact=True, split_level=1, k=k, fanout=fanout)
+            return RangeEstimate(
+                rids=float(k), exact=True, split_level=1, k=k, fanout=fanout,
+                stop=node, first=first,
+            )
         # child i spans [separators[i-1], separators[i]): the children that
         # intersect [low, high] are first..last
         separators = node.separators
@@ -85,7 +106,8 @@ def estimate_range(
         k = last - first
         rids = k * fanout ** (level - 1)  # RangeRIDs ~= k * f**(l-1)
         return RangeEstimate(
-            rids=rids, exact=False, split_level=level, k=k, fanout=fanout
+            rids=rids, exact=False, split_level=level, k=k, fanout=fanout,
+            stop=node, first=first,
         )
 
 

@@ -342,16 +342,48 @@ class BTree:
             if index < len(separators) and separators[index] <= high:
                 split = True
             node = self._node(node.children[index], meter)
-        entries = node.entries
-        position = bisect_left(entries, low)
-        stop = bisect_right(entries, high, position)
-        if stop == position and not split:
+        position = bisect_left(node.entries, low)
+        if not split and bisect_right(node.entries, high, position) == position:
             return []
+        return self._walk_leaves(node, position, high, meter)
+
+    def walk_from(
+        self, node: Node, first: int, key_range: KeyRange, meter: CostMeter
+    ) -> list[Entry]:
+        """The entries of ``key_range``, walked on from where its Figure 5
+        estimate stopped (:attr:`RangeEstimate.stop` and ``first``).
+
+        From a leaf, ``first`` is the range's first entry there; from a
+        split node, the child the range starts in, which is descended to
+        its leftmost leaf for the low bound. Together with the estimate's
+        descent this reads exactly the pages, in the same order of first
+        touch, that the estimate followed by a :class:`RangeCursor` walk
+        reads — the cursor's own root-to-leaf descent only re-touches the
+        estimate's path, which leaves the pool's recency order as it was.
+        """
+        low = key_range.low_bound()
+        if not node.is_leaf:
+            node = self._node(node.children[first], meter)
+            while not node.is_leaf:
+                index = 0 if low is None else bisect_right(node.separators, low)
+                node = self._node(node.children[index], meter)
+            first = 0 if low is None else bisect_left(node.entries, low)
+        return self._walk_leaves(node, first, key_range.high_bound(), meter)
+
+    def _walk_leaves(
+        self, leaf: LeafNode, position: int, high: Entry | None, meter: CostMeter
+    ) -> list[Entry]:
+        """The entries from ``leaf.entries[position]`` up to ``high``,
+        reading the following leaves while the range may go on — as a
+        :class:`RangeCursor` does, including the one leaf past a range that
+        ends on its leaf's last entry."""
+        entries = leaf.entries
+        stop = len(entries) if high is None else bisect_right(entries, high, position)
         found = entries[position:stop]
-        while stop == len(entries) and node.next_leaf is not None:
-            node = self._node(node.next_leaf, meter)
-            entries = node.entries
-            stop = bisect_right(entries, high)
+        while stop == len(entries) and leaf.next_leaf is not None:
+            leaf = self._node(leaf.next_leaf, meter)
+            entries = leaf.entries
+            stop = len(entries) if high is None else bisect_right(entries, high)
             found.extend(entries[:stop])
         return found
 

@@ -124,6 +124,10 @@ class InitialArrangement:
     probe: JscanCandidate | None = None
     #: indexes the probe spared from estimation
     skipped_estimates: int = 0
+    #: the one fetch-needed candidate when its estimate bounded the range
+    #: to leaves one quantum can walk (and nothing else competes): the
+    #: retrieval may fetch it directly instead of racing a Jscan
+    short_range: JscanCandidate | None = None
 
 
 def _static_preorder(candidates: list[JscanCandidate]) -> list[JscanCandidate]:
@@ -266,6 +270,12 @@ def run_initial_stage(
     index as :attr:`~InitialArrangement.probe` and nothing is estimated,
     ordered or emitted here. ``allow_probe=False`` (a forced strategy)
     always arranges in full.
+
+    A "very short range" otherwise ends in :attr:`~InitialArrangement.short_range`:
+    with the small-range shortcut on (and the deterministic switch rule),
+    one fetch-needed candidate and nothing else to compete or to order by,
+    whose Figure 5 descent counted it in a leaf or split at level 2 over
+    leaves that hold at most ``batch_size`` entries.
     """
     terms, by_columns = _bindings(restriction)
     arrangement = InitialArrangement()
@@ -400,6 +410,18 @@ def run_initial_stage(
             # (an empty *full* range just means the table itself is empty)
             trace.emit(EventKind.SHORTCUT_EMPTY, index=best.index.name)
             arrangement.empty = True
+
+    if (
+        config.shortcut_rid_count >= 1
+        and not config.probabilistic_switch
+        and not order_by
+        and not arrangement.sscan_candidates
+        and len(arrangement.jscan_candidates) == 1
+    ):
+        candidate = arrangement.jscan_candidates[0]
+        leaves = candidate.estimate.bounded_leaves() if candidate.estimate else None
+        if leaves is not None and leaves * candidate.index.btree.order <= config.batch_size:
+            arrangement.short_range = candidate
 
     arrangement.estimation_cost = meter.total - before
     return arrangement

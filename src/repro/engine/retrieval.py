@@ -15,16 +15,18 @@ from typing import Any, Generator, Mapping, Sequence
 
 from repro.btree.tree import ENTRY_CPU_COST
 from repro.competition.process import advance, drain
+from repro.competition.two_stage import SwitchCriterion, SwitchDecision
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.db.catalog import IndexInfo, TableSchema
 from repro.engine.goals import OptimizationGoal
 from repro.engine.initial import (
     InitialArrangement,
     IterationContext,
+    JscanCandidate,
     run_initial_stage,
 )
-from repro.engine.metrics import EventKind, RetrievalTrace
-from repro.engine.scans import CollectingSink, SscanProcess, TscanProcess
+from repro.engine.metrics import EventKind, RetrievalCounters, RetrievalTrace
+from repro.engine.scans import CollectingSink, Predicate, SscanProcess, TscanProcess
 from repro.engine.tactics import (
     StepOutcome,
     TacticContext,
@@ -43,7 +45,7 @@ from repro.obs.audit import AuditLog, DecisionKind
 from repro.obs.trace import Tracer
 from repro.storage.buffer_pool import BufferPool, CostMeter
 from repro.storage.heap import RECORD_CPU_COST, HeapFile
-from repro.storage.rid import RID
+from repro.storage.rid import RID, yao_pages_bound
 
 
 @dataclass
@@ -75,8 +77,8 @@ class RetrievalRequest:
     #: counterfactual replay (:mod:`repro.obs.regret`) to execute a
     #: rejected alternative. Vocabulary: ``tscan``, ``sscan``,
     #: ``sorted-sscan``, ``sorted``, ``index-only``, ``fast-first``,
-    #: ``background-only``, ``union-or``. None (the default) keeps the
-    #: normal dynamic dispatch.
+    #: ``background-only``, ``union-or``, ``short-range``. None (the
+    #: default) keeps the normal dynamic dispatch.
     force_strategy: str | None = None
 
 
@@ -217,6 +219,14 @@ class SingleTableRetrieval:
         )
         if arrangement.probe is not None:
             return self._run_probe(request, arrangement, trace, span, goal)
+        short = arrangement.short_range
+        if short is not None and (
+            request.force_strategy == "short-range"
+            or (request.force_strategy is None and self._race_is_settled(short, goal))
+        ):
+            return self._run_short_range(
+                request, arrangement, trace, span, goal, estimation_meter, context
+            )
         if arrangement.order_index is not None and request.order_by:
             needs_post_sort = False
 
@@ -295,16 +305,33 @@ class SingleTableRetrieval:
                 del rows[limit:]
                 del rids[limit:]
             result.description += " -> sort"
-        trace.emit(EventKind.RETRIEVAL_COMPLETE, rows=len(rows))
-        self._record_context(context, arrangement)
-        self._record_feedback(request, arrangement)
-        self._record_estimator(request, arrangement)
+        return self._complete(trace, span, result, request, arrangement, context)
+
+    def _complete(
+        self,
+        trace: RetrievalTrace,
+        span: Any,
+        result: RetrievalResult,
+        request: RetrievalRequest,
+        arrangement: InitialArrangement | None,
+        context: IterationContext | None = None,
+    ) -> RetrievalResult:
+        """End a retrieval that ran: ``RETRIEVAL_COMPLETE``, what its scans
+        observed recorded (``arrangement``; None for the probe, which
+        estimated nothing), the audit closed and the span ended."""
+        trace.emit(EventKind.RETRIEVAL_COMPLETE, rows=len(result.rows))
+        audit = trace.audit
+        if arrangement is not None:
+            self._record_context(context, arrangement)
+            self._record_feedback(request, arrangement)
+            self._record_estimator(request, arrangement)
+            if audit.enabled:
+                self._record_audit_estimates(audit, arrangement)
         if audit.enabled:
-            self._record_audit_estimates(audit, arrangement)
             audit.end_retrieval(result)
         trace.tracer.end(
             span,
-            rows=len(rows),
+            rows=len(result.rows),
             cost=round(result.total_cost, 3),
             io=result.execution_io,
             strategy=result.description,
@@ -365,21 +392,12 @@ class SingleTableRetrieval:
                     goal=goal.value,
                     index=index.name,
                 )
-            predicate = self._predicate(request)
             post_sort = bool(request.order_by) and len(entries) > 1
             sink = CollectingSink(rows, rids, None if post_sort else request.limit)
-            counters = trace.counters
-            for _, rid in entries:
-                row = self.heap.fetch(rid, meter)
-                meter.charge_cpu(RECORD_CPU_COST)
-                counters.records_fetched += 1
-                if not predicate(row):
-                    counters.fetches_rejected += 1
-                    continue
-                counters.records_delivered += 1
-                if not sink(rid, row):
-                    result.stopped_early = True
-                    break
+            result.stopped_early = self._deliver(
+                [rid for _, rid in entries], self._predicate(request), sink, meter,
+                trace.counters,
+            )
             if post_sort:
                 self._post_sort(rows, rids, request.order_by)
                 if request.limit is not None:
@@ -389,17 +407,153 @@ class SingleTableRetrieval:
         result.execution_cost = meter.total
         result.execution_io = meter.io_total
         trace.tracer.end(tactic, rows=len(rows))
-        trace.emit(EventKind.RETRIEVAL_COMPLETE, rows=len(rows))
-        if trace.audit.enabled:
-            trace.audit.end_retrieval(result)
-        trace.tracer.end(
-            span,
-            rows=len(rows),
-            cost=round(result.total_cost, 3),
-            io=result.execution_io,
-            strategy=result.description,
+        return self._complete(trace, span, result, request, None)
+
+    def _race_is_settled(
+        self, candidate: JscanCandidate, goal: OptimizationGoal
+    ) -> bool:
+        """Whether the race over a short range provably never gives up on
+        the index for the Tscan, so that fetching the range directly
+        changes only the machinery.
+
+        The descent bounds what the race can meet: at most ``entries``
+        entries, and the leaves that hold them plus the one a cursor looks
+        past the range's end in. Each bound only grows what the one
+        :class:`SwitchCriterion` compares, so a single evaluation on them
+        covers every evaluation the race makes against the Tscan: the
+        Jscan's projection, at most Yao's pages for the larger of the
+        estimate and ``entries``, and the own cost of each process — the
+        Jscan's walk and, under fast-first, a foreground fetching every
+        entry. (A fast-first race also checks its foreground once more,
+        against fetching the completed RID list; that outcome depends on
+        the pages the foreground met, and the direct path, fetching in
+        index order to the limit, has no foreground to stop.) The RID list
+        must also stay in memory (a spill writes pages), and the pool must
+        hold the descent's path (else the Jscan's own descent reads it
+        again).
+        """
+        config = self.config
+        heap = self.heap
+        btree = candidate.index.btree
+        estimate = candidate.estimate
+        leaves = estimate.bounded_leaves()
+        entries = estimate.k if estimate.exact else leaves * btree.order
+        if (
+            entries > config.allocated_rid_buffer_size
+            or btree.buffer_pool.capacity < btree.height
+        ):
+            return False
+        criterion = SwitchCriterion(
+            threshold=config.switch_threshold,
+            scan_cost_limit_fraction=config.scan_cost_limit_fraction,
         )
-        return result
+        projection = yao_pages_bound(
+            heap.page_count,
+            heap.rows_per_page,
+            int(max(candidate.estimated_rids, entries)),
+        )
+        cost = leaves + 1 + entries * ENTRY_CPU_COST
+        if goal is OptimizationGoal.FAST_FIRST:
+            cost = max(cost, entries * (1.0 + RECORD_CPU_COST))
+        decision = criterion.evaluate(projection, cost, float(heap.page_count))
+        return decision is SwitchDecision.CONTINUE
+
+    def _run_short_range(
+        self,
+        request: RetrievalRequest,
+        arrangement: InitialArrangement,
+        trace: RetrievalTrace,
+        span: Any,
+        goal: OptimizationGoal,
+        estimation_meter: CostMeter,
+        context: IterationContext | None,
+    ) -> RetrievalResult:
+        """A very short range, fetched directly (Section 5).
+
+        The walk goes on from where the Figure 5 descent stopped and reads
+        the leaves the Jscan's cursor would (:meth:`BTree.walk_from`); every
+        entry's record then goes through :meth:`_deliver`. Under total-time
+        the fetch is the final stage's: page order after the same
+        read-ahead, so rows, page reads, pool recency and costs are those of
+        background-only. Under fast-first it is in index order and stops at
+        the limit. No Jscan, RID list, final stage or yield: the retrieval
+        completes in the quantum that starts it, and records what a
+        completed Jscan records.
+        """
+        candidate = arrangement.short_range
+        index = candidate.index
+        estimate = candidate.estimate
+        fast_first = goal is OptimizationGoal.FAST_FIRST
+        tactic = trace.tracer.begin("tactic", tactic="short-range")
+        trace.emit(EventKind.TACTIC_SELECTED, tactic="short-range", index=index.name)
+        audit = trace.audit
+        if audit.enabled:
+            audit.decision(
+                DecisionKind.TACTIC_SELECTION,
+                "short-range",
+                ("fast-first" if fast_first else "background-only", "tscan"),
+                goal=goal.value,
+                index=index.name,
+                tscan_pages=self.heap.page_count,
+                best_jscan_rids=candidate.estimated_rids,
+            )
+        walk = CostMeter(name="short-range")
+        entries = index.btree.walk_from(
+            estimate.stop, estimate.first, candidate.key_range, walk
+        )
+        walk.charge_cpu_each(ENTRY_CPU_COST, len(entries))
+        trace.counters.index_entries_scanned += len(entries)
+        candidate.observed = len(entries)
+        rids = [rid for _, rid in entries]
+        fetch = CostMeter(name="short-range-fetch")
+        if not fast_first:
+            rids.sort()
+            pool = self.heap.buffer_pool
+            self.heap.prefetch(
+                rids, fetch, window=min(pool.read_ahead_window, pool.capacity)
+            )
+        rows: list[tuple] = []
+        delivered: list[RID] = []
+        result = RetrievalResult(
+            rows=rows, rids=delivered, trace=trace,
+            description=f"short-range({index.name})", goal=goal,
+            estimation_cost=estimation_meter.total,
+        )
+        result.stopped_early = self._deliver(
+            rids, self._predicate(request),
+            CollectingSink(rows, delivered, request.limit), fetch, trace.counters,
+        )
+        # two meters summed as the Jscan's and the final stage's are: the
+        # float total is then bit for bit the raced retrieval's
+        result.execution_cost = walk.total + fetch.total
+        result.execution_io = walk.io_total + fetch.io_total
+        trace.tracer.end(tactic, rows=len(rows))
+        return self._complete(trace, span, result, request, arrangement, context)
+
+    def _deliver(
+        self,
+        rids: Sequence[RID],
+        predicate: Predicate,
+        sink: CollectingSink,
+        meter: CostMeter,
+        counters: RetrievalCounters,
+    ) -> bool:
+        """Fetch each RID's record, apply the full restriction, and hand
+        the survivors to ``sink`` — the final stage's per-RID work, for the
+        two paths that have no final stage. Returns True when the sink
+        stopped the retrieval."""
+        heap = self.heap
+        for rid in rids:
+            row = heap.fetch(rid, meter)
+            meter.charge_cpu(RECORD_CPU_COST)
+            counters.records_fetched += 1
+            if not predicate(row):
+                counters.fetches_rejected += 1
+                continue
+            counters.records_delivered += 1
+            if not sink(rid, row):
+                return True
+        return False
 
     # -- dispatch ---------------------------------------------------------------
 
@@ -549,6 +703,11 @@ class SingleTableRetrieval:
                     "cannot force 'union-or': disjuncts not index-covered"
                 )
             return (yield from union_or_steps(ctx, covered))
+        if strategy == "short-range":
+            # a short range that qualifies never gets here (run_steps)
+            raise RetrievalError(
+                "cannot force 'short-range': the range is not one quantum short"
+            )
         raise RetrievalError(f"unknown forced strategy {strategy!r}")
 
     def _gate_competition(

@@ -15,9 +15,13 @@ never a correctness dependency.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
+from operator import add, attrgetter
 from typing import Any
 
 __all__ = ["Bucket", "SelfTuningHistogram"]
+
+_LOWER = attrgetter("lo")
 
 
 class Bucket:
@@ -135,8 +139,8 @@ class SelfTuningHistogram:
         except TypeError:
             return
         self.observations += 1
-        while len(self.buckets) > self.budget:
-            self._merge_coldest()
+        if len(self.buckets) > self.budget:
+            self._merge_to_budget()
 
     def _observe_point(self, key: Any, actual: float) -> None:
         """Equality probe: a zero-width range cannot be carved (a ``[k, k)``
@@ -152,10 +156,24 @@ class SelfTuningHistogram:
                 return
 
     def _carve(self, lo: Any, hi: Any, actual: float) -> None:
+        """Give ``[lo, hi]`` a bucket of its own, in O(log B) comparisons
+        and one splice.
+
+        The buckets are contiguous and sorted, so only ``[first, end)`` —
+        found by bisecting on the lower bounds — can overlap the observed
+        span; every other bucket meets it at most in a boundary point and
+        is left as it is. Each bisect compares a bound of the span with the
+        buckets' bounds before anything changes, so a bound of another type
+        raises ``TypeError`` with the histogram untouched.
+        """
+        buckets = self.buckets
+        first = 0 if lo is None else bisect_right(buckets, lo, 1, key=_LOWER) - 1
+        end = len(buckets) if hi is None else bisect_left(buckets, hi, 1, key=_LOWER)
+        end = max(first, end)  # an inverted span overlaps nothing
         new: list[Bucket] = []
         carved = Bucket(lo, hi, rows=actual, heat=1)
         placed = False
-        for bucket in self.buckets:
+        for bucket in buckets[first:end]:
             overlap = _fraction(bucket.lo, bucket.hi, lo, hi)
             if overlap <= 0.0:
                 new.append(bucket)
@@ -178,35 +196,42 @@ class SelfTuningHistogram:
                 new.append(carved)
                 placed = True
             if right_span:
-                start = hi
-                new.append(Bucket(start, bucket.hi, rows=share, heat=bucket.heat))
-        if not placed:
-            # observed range fell outside every bucket (shouldn't happen
-            # with the unbounded sentinels, but stay safe)
-            new.append(carved)
+                new.append(Bucket(hi, bucket.hi, rows=share, heat=bucket.heat))
         # drop zero-width buckets produced by carving at an existing edge
         pruned = [
             bucket
             for bucket in new
             if bucket.lo is None or bucket.hi is None or bucket.lo < bucket.hi
         ]
-        if len(pruned) > len(self.buckets):
-            self.splits += len(pruned) - len(self.buckets)
-        self.buckets = pruned if pruned else [carved]
+        grown = len(pruned) - (end - first)
+        buckets[first:end] = pruned
+        if not placed and (lo is None or hi is None or lo < hi):
+            # no bucket took the span (only an inverted one, with the
+            # unbounded sentinels): it goes last, as it always has
+            buckets.append(carved)
+            grown += 1
+        if grown > 0:
+            self.splits += grown
 
-    def _merge_coldest(self) -> None:
-        """Fold the adjacent pair with the least combined heat."""
-        if len(self.buckets) < 2:
-            return
-        best, best_heat = 0, None
-        for i in range(len(self.buckets) - 1):
-            heat = self.buckets[i].heat + self.buckets[i + 1].heat
-            if best_heat is None or heat < best_heat:
-                best, best_heat = i, heat
-        a, b = self.buckets[best], self.buckets[best + 1]
-        merged = Bucket(a.lo, b.hi, rows=a.rows + b.rows, heat=max(a.heat, b.heat))
-        self.buckets[best : best + 2] = [merged]
-        self.merges += 1
+    def _merge_to_budget(self) -> None:
+        """Fold the adjacent pair with the least combined heat (the
+        leftmost such pair) until the budget holds; the pair heats are
+        summed once and patched around each fold."""
+        buckets = self.buckets
+        heats = [bucket.heat for bucket in buckets]
+        pairs = list(map(add, heats, heats[1:]))
+        while len(buckets) > self.budget:
+            best = pairs.index(min(pairs))
+            a, b = buckets[best], buckets[best + 1]
+            merged = Bucket(a.lo, b.hi, rows=a.rows + b.rows, heat=max(a.heat, b.heat))
+            buckets[best : best + 2] = [merged]
+            heats[best : best + 2] = [merged.heat]
+            del pairs[best]
+            if best:
+                pairs[best - 1] = heats[best - 1] + merged.heat
+            if best < len(pairs):
+                pairs[best] = merged.heat + heats[best + 1]
+            self.merges += 1
 
     def copy(self) -> "SelfTuningHistogram":
         """Deep copy for a frozen snapshot (scatter fetches read the

@@ -156,6 +156,10 @@ def _extend_yao_products(products: "array[float]", m: float, n: float, k: int) -
             products.append(prod)
 
 
+#: the largest record count :func:`yao_pages_touched` multiplies out exactly
+_YAO_EXACT_LIMIT = 1000
+
+
 def yao_pages_touched(total_pages: int, records_per_page: int, k: int) -> float:
     """Yao's formula: expected distinct pages touched fetching ``k`` records.
 
@@ -180,10 +184,23 @@ def yao_pages_touched(total_pages: int, records_per_page: int, k: int) -> float:
     n = float(total_pages * records_per_page)
     if k >= n:
         return m
-    if k > 1000:
+    if k > _YAO_EXACT_LIMIT:
         return m * (1.0 - (1.0 - 1.0 / m) ** k)
     k = int(k)
     products = _yao_products(total_pages, records_per_page)
     if k >= len(products):
         _extend_yao_products(products, m, n, k)
     return m * (1.0 - products[k])
+
+
+def yao_pages_bound(total_pages: int, records_per_page: int, k: int) -> float:
+    """The most :func:`yao_pages_touched` gives for any count up to ``k``.
+
+    Both of its branches grow with ``k``, but the closed form starts a
+    little below the exact product it takes over from, so the bound is the
+    larger of the two branch ends.
+    """
+    return max(
+        yao_pages_touched(total_pages, records_per_page, min(k, _YAO_EXACT_LIMIT)),
+        yao_pages_touched(total_pages, records_per_page, k),
+    )

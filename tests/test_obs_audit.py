@@ -48,7 +48,11 @@ def build_parts(db, rows=600):
     return table
 
 
-SELECTIVE = "select * from ORDERS where CUSTOMER between 100 and 120"
+#: on the default 3 000 rows, a range wider than one quantum of leaves: the
+#: Jscan race runs (and beats the Tscan it rejects)
+SELECTIVE = "select * from ORDERS where CUSTOMER between 110 and 140"
+#: a range the Figure 5 descent bounds to one quantum: fetched directly
+SHORT = "select * from ORDERS where CUSTOMER between 100 and 120"
 UNSELECTIVE = "select * from P where WEIGHT >= 0"
 
 
@@ -257,9 +261,9 @@ class TestReplay:
         assert outcome.cost <= full.cost  # partial cost is a lower bound
 
     def test_run_compete_annotates_decisions(self, db):
-        table = build_orders(db, rows=1500)
+        table = build_orders(db)
         tracer = Tracer(audit=AuditLog())
-        table.select(where=repro.col("CUSTOMER").between(100, 120), tracer=tracer)
+        table.select(where=repro.col("CUSTOMER").between(110, 140), tracer=tracer)
         report = run_compete(db, tracer.audit, budget_steps=1_000_000)
         assert report.replays == 2  # chosen + one alternative
         selection = tracer.audit.retrievals[0].tactic_selection()
@@ -302,6 +306,17 @@ class TestExplainCompete:
         assert "regret" in result.text
         assert "Decisions:" in result.text
         assert "tactic-selection: background-only (over tscan)" in result.text
+        # a range one quantum short skips the race; its replay is priced
+        # against the race it skipped, which costs exactly the same
+        short = conn.execute(f"explain compete {SHORT}")
+        assert (
+            "tactic-selection: short-range (over background-only, tscan)"
+            in short.text
+        )
+        assert short.compete.replays == 3
+        assert short.compete.total_regret == 0.0
+        (compete,) = short.compete.retrievals
+        assert compete.chosen_outcome.cost == compete.best_alternative.cost
 
     def test_compete_without_audit_flag(self):
         """EXPLAIN COMPETE forces its own audit even with auditing off."""
@@ -326,8 +341,8 @@ class TestExplainCompete:
 
     def test_connection_audit_api(self):
         conn = repro.connect(buffer_capacity=128)
-        build_orders(conn.db, rows=1500)
-        report = conn.audit("select * from ORDERS where CUSTOMER between 100 and 120")
+        build_orders(conn.db)
+        report = conn.audit(SELECTIVE)
         assert report.replays >= 2
         assert report.audit is not None
         assert report.audit.retrievals[0].tactic_selection().counterfactuals
@@ -403,7 +418,7 @@ class TestDecisionMetrics:
 
     def test_prometheus_exposes_decision_metrics(self):
         conn = repro.connect(buffer_capacity=128)
-        build_orders(conn.db, rows=1500)
+        build_orders(conn.db)
         conn.execute(f"explain compete {SELECTIVE}")
         payload = conn.metrics.expose_text()
         assert 'repro_audit_decisions_total{kind="tactic-selection"} 1' in payload
@@ -420,7 +435,7 @@ class TestDecisionMetrics:
 
         out = io.StringIO()
         conn = repro.connect(buffer_capacity=128)
-        build_orders(conn.db, rows=1500)
+        build_orders(conn.db)
         shell = Shell(conn, out=out)
         shell.feed(f"explain compete {SELECTIVE};")
         shell.feed("\\decisions")

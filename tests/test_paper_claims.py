@@ -16,6 +16,7 @@ from repro.distribution.hyperbola import fit_truncated_hyperbola
 from repro.distribution.operators import apply_chain
 from repro.distribution.shapes import classify_shape
 from repro.engine.goals import OptimizationGoal
+from repro.engine.retrieval import RetrievalRequest
 from repro.engine.static_optimizer import StaticOptimizer
 from repro.expr.ast import col, var
 from repro.workloads.scenarios import build_families_table
@@ -102,12 +103,30 @@ def test_claim_section6_jscan_vs_tscan_crossover(families_db):
     db, families = families_db
     expr = col("AGE") >= var("A1")
     db.cold_cache()
-    selective = families.select(where=expr, host_vars={"A1": 118})
+    # selective, but wider than the one quantum of leaves a short range is
+    selective = families.select(where=expr, host_vars={"A1": 115})
     assert "final-stage" in selective.description
     db.cold_cache()
     unselective = families.select(where=expr, host_vars={"A1": 1})
     assert "tscan" in unselective.description
     assert selective.total_cost < unselective.total_cost
+
+
+def test_claim_section5_short_range_costs_the_race_it_skips(families_db):
+    """A range the descent bounds to one quantum of leaves is fetched
+    directly, at exactly the cost of the Jscan and final stage it skips."""
+    db, families = families_db
+    expr = col("AGE") >= var("A1")
+    db.cold_cache()
+    short = families.select(where=expr, host_vars={"A1": 118})
+    assert short.description == "short-range(IX_AGE)"
+    db.cold_cache()
+    raced = families.retrieval_engine().run(RetrievalRequest(
+        restriction=expr, host_vars={"A1": 118}, force_strategy="background-only"))
+    assert "final-stage" in raced.description
+    assert short.rows == raced.rows
+    assert short.total_cost == raced.total_cost
+    assert short.execution_io == raced.execution_io
 
 
 def test_claim_section7_fast_first_early_termination(families_db):
