@@ -50,18 +50,10 @@ class EngineConfig:
     #: A range estimate at or below this RID count is a "very short range":
     #: the initial stage stops estimating the remaining indexes immediately.
     shortcut_rid_count: int = 20
-    #: Use descent-to-split-node estimation (True) or compile-time histogram
-    #: estimates only (False) at start-retrieval time.
-    dynamic_estimation: bool = True
 
     # --- Section 7: tactics ----------------------------------------------
     #: Foreground RID buffer capacity for fast-first / index-only tactics.
     foreground_buffer_size: int = 4096
-    #: Foreground/background speed proportion (foreground steps per
-    #: background step) for direct competition, per [Ant91B] "proportional
-    #: or equal speeds".
-    foreground_speed: float = 1.0
-    background_speed: float = 1.0
 
     # --- batched execution -------------------------------------------------
     #: Engine steps executed per scheduling quantum: step generators (tactics,
@@ -127,8 +119,9 @@ class EngineConfig:
     #: demonstrably trustworthy (confidence at or above
     #: ``COMPETITION_CONFIDENCE`` with at least
     #: ``CONFIDENCE_MIN_OBSERVATIONS`` observations, both in
-    #: :mod:`repro.estimate.qerror`); the skip is audited
-    #: as ``DecisionKind.COMPETITION_SKIPPED`` with its confidence inputs.
+    #: :mod:`repro.estimate.qerror`); the skip is audited as the
+    #: retrieval's ``DecisionKind.TACTIC_SELECTION`` with
+    #: ``basis="trusted"`` and its confidence inputs.
     #: False restores always-compete.
     competition_gate: bool = True
 

@@ -119,15 +119,18 @@ class InitialArrangement:
     estimation_cost: float = 0.0
     #: whether the small-range shortcut fired
     shortcut: bool = False
-    #: a fetch-needed unique index with every key column bound by
-    #: equality: the retrieval probes it and fetches, nothing is estimated
-    probe: JscanCandidate | None = None
+    #: the one fetch-needed candidate the retrieval may fetch directly:
+    #: a unique index with every key column bound by equality (``unique``;
+    #: probed, nothing estimated), or a range whose estimate bounded it to
+    #: leaves one quantum can walk with nothing else to compete
+    direct: JscanCandidate | None = None
+    #: whether ``direct`` is the unique-key probe
+    unique: bool = False
     #: indexes the probe spared from estimation
     skipped_estimates: int = 0
-    #: the one fetch-needed candidate when its estimate bounded the range
-    #: to leaves one quantum can walk (and nothing else competes): the
-    #: retrieval may fetch it directly instead of racing a Jscan
-    short_range: JscanCandidate | None = None
+    #: the restriction's top-level disjuncts, each covered by an index
+    #: range (Section 8), once the dispatch has looked (None = not yet)
+    covered: list | None = None
 
 
 def _static_preorder(candidates: list[JscanCandidate]) -> list[JscanCandidate]:
@@ -267,11 +270,11 @@ def run_initial_stage(
     When a fetch-needed unique index has every key column bound by
     equality (and ``shortcut_rid_count`` admits one RID), the clearest
     Section 5 case needs no estimate at all: the arrangement names that
-    index as :attr:`~InitialArrangement.probe` and nothing is estimated,
-    ordered or emitted here. ``allow_probe=False`` (a forced strategy)
-    always arranges in full.
+    index as :attr:`~InitialArrangement.direct` with ``unique`` set, and
+    nothing is estimated, ordered or emitted here. ``allow_probe=False``
+    (a forced strategy) always arranges in full.
 
-    A "very short range" otherwise ends in :attr:`~InitialArrangement.short_range`:
+    A "very short range" otherwise ends in :attr:`~InitialArrangement.direct`:
     with the small-range shortcut on (and the deterministic switch rule),
     one fetch-needed candidate and nothing else to compete or to order by,
     whose Figure 5 descent counted it in a leaf or split at level 2 over
@@ -306,7 +309,8 @@ def run_initial_stage(
     if allow_probe and config.shortcut_rid_count >= 1:
         for candidate in fetch_needed:
             if _is_unique_point(candidate.index, candidate.key_range):
-                arrangement.probe = candidate
+                arrangement.direct = candidate
+                arrangement.unique = True
                 arrangement.skipped_estimates = (
                     len(fetch_needed) + len(arrangement.sscan_candidates) - 1
                 )
@@ -319,40 +323,39 @@ def run_initial_stage(
         fetch_needed = _static_preorder(fetch_needed)
 
     # estimate in prearranged order, with shortcut and empty detection
-    if config.dynamic_estimation:
-        for position, candidate in enumerate(fetch_needed):
-            candidate.estimate = estimate_range(
-                candidate.index.btree, candidate.key_range, meter
+    for position, candidate in enumerate(fetch_needed):
+        candidate.estimate = estimate_range(
+            candidate.index.btree, candidate.key_range, meter
+        )
+        _apply_feedback(candidate, feedback, table_name, restriction, estimator)
+        detail: dict[str, Any] = dict(
+            index=candidate.index.name,
+            range=candidate.key_range.describe(),
+            rids=round(candidate.estimate.rids, 1),
+            exact=candidate.estimate.exact,
+        )
+        if candidate.adjusted_rids is not None:
+            label = (
+                "learned_rids"
+                if candidate.correction_source == "histogram"
+                else "feedback_rids"
             )
-            _apply_feedback(candidate, feedback, table_name, restriction, estimator)
-            detail: dict[str, Any] = dict(
+            detail[label] = round(candidate.adjusted_rids, 1)
+        trace.emit(EventKind.INITIAL_ESTIMATE, **detail)
+        if candidate.estimate.is_empty:
+            trace.emit(EventKind.SHORTCUT_EMPTY, index=candidate.index.name)
+            arrangement.empty = True
+            arrangement.estimation_cost = meter.total - before
+            return arrangement
+        if candidate.estimated_rids <= config.shortcut_rid_count:
+            trace.emit(
+                EventKind.SHORTCUT_SMALL_RANGE,
                 index=candidate.index.name,
-                range=candidate.key_range.describe(),
-                rids=round(candidate.estimate.rids, 1),
-                exact=candidate.estimate.exact,
+                rids=round(candidate.estimated_rids, 1),
+                skipped_estimates=len(fetch_needed) - position - 1,
             )
-            if candidate.adjusted_rids is not None:
-                label = (
-                    "learned_rids"
-                    if candidate.correction_source == "histogram"
-                    else "feedback_rids"
-                )
-                detail[label] = round(candidate.adjusted_rids, 1)
-            trace.emit(EventKind.INITIAL_ESTIMATE, **detail)
-            if candidate.estimate.is_empty:
-                trace.emit(EventKind.SHORTCUT_EMPTY, index=candidate.index.name)
-                arrangement.empty = True
-                arrangement.estimation_cost = meter.total - before
-                return arrangement
-            if candidate.estimated_rids <= config.shortcut_rid_count:
-                trace.emit(
-                    EventKind.SHORTCUT_SMALL_RANGE,
-                    index=candidate.index.name,
-                    rids=round(candidate.estimated_rids, 1),
-                    skipped_estimates=len(fetch_needed) - position - 1,
-                )
-                arrangement.shortcut = True
-                break
+            arrangement.shortcut = True
+            break
 
     # final order: estimated candidates ascending, unestimated after in
     # prearranged order
@@ -386,26 +389,15 @@ def run_initial_stage(
 
     # estimate self-sufficient candidates (scan cost ~ range size)
     for candidate in arrangement.sscan_candidates:
-        if config.dynamic_estimation:
-            candidate.estimate = estimate_range(
-                candidate.index.btree, candidate.key_range, meter
-            )
-            _apply_feedback(candidate, feedback, table_name, restriction, estimator)
-    arrangement.sscan_candidates.sort(
-        key=lambda candidate: (
-            candidate.estimated_rids
-            if candidate.estimate is not None
-            else float("inf")
+        candidate.estimate = estimate_range(
+            candidate.index.btree, candidate.key_range, meter
         )
-    )
+        _apply_feedback(candidate, feedback, table_name, restriction, estimator)
+    arrangement.sscan_candidates.sort(key=lambda candidate: candidate.estimated_rids)
     if arrangement.sscan_candidates:
         arrangement.best_sscan = arrangement.sscan_candidates[0]
         best = arrangement.best_sscan
-        if (
-            config.dynamic_estimation
-            and best.estimate is not None
-            and best.estimate.is_empty
-        ):
+        if best.estimate.is_empty:
             # a provably empty range proves the whole conjunction empty
             # (an empty *full* range just means the table itself is empty)
             trace.emit(EventKind.SHORTCUT_EMPTY, index=best.index.name)
@@ -421,7 +413,7 @@ def run_initial_stage(
         candidate = arrangement.jscan_candidates[0]
         leaves = candidate.estimate.bounded_leaves() if candidate.estimate else None
         if leaves is not None and leaves * candidate.index.btree.order <= config.batch_size:
-            arrangement.short_range = candidate
+            arrangement.direct = candidate
 
     arrangement.estimation_cost = meter.total - before
     return arrangement

@@ -1,20 +1,23 @@
 """The single-table retrieval executor (Figure 4).
 
 Entry point of the dynamic optimizer: classify and estimate the available
-indexes (initial stage), resolve the clear cases statically, and dispatch
-the uncertain ones to a competition tactic. Foreground processes deliver
-records immediately; background processes work toward the shortest RID list
-or a Tscan recommendation; the final stage runs only on background
-completion.
+indexes (initial stage), then make one decision before any race —
+:meth:`SingleTableRetrieval.decide` settles the clear cases (``proven``),
+skips the race when both arms' estimates are demonstrably trustworthy
+(``trusted``), and stages a competition tactic for the uncertain rest
+(``raced``). One strategy table runs the decision, and the same table runs
+a forced strategy. Foreground processes deliver records immediately;
+background processes work toward the shortest RID list or a Tscan
+recommendation; the final stage runs only on background completion.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Generator, Mapping, Sequence
+from typing import Any, Callable, Generator, Mapping, Sequence
 
 from repro.btree.tree import ENTRY_CPU_COST
-from repro.competition.process import advance, drain
+from repro.competition.process import drain
 from repro.competition.two_stage import SwitchCriterion, SwitchDecision
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.db.catalog import IndexInfo, TableSchema
@@ -22,19 +25,19 @@ from repro.engine.goals import OptimizationGoal
 from repro.engine.initial import (
     InitialArrangement,
     IterationContext,
-    JscanCandidate,
+    SscanCandidate,
     run_initial_stage,
 )
-from repro.engine.metrics import EventKind, RetrievalCounters, RetrievalTrace
-from repro.engine.scans import CollectingSink, Predicate, SscanProcess, TscanProcess
+from repro.engine.metrics import EventKind, RetrievalTrace
+from repro.engine.scans import CollectingSink
 from repro.engine.tactics import (
-    StepOutcome,
     TacticContext,
-    TacticOutcome,
     background_only_steps,
     fast_first_steps,
     index_only_steps,
     sorted_tactic_steps,
+    sscan_steps,
+    tscan_steps,
     union_or_steps,
 )
 from repro.expr.disjunction import cover_disjuncts
@@ -73,12 +76,13 @@ class RetrievalRequest:
     #: cold feedback signatures, and its confidence verdicts gate whether
     #: a competition is staged at all
     estimator: Any | None = None
-    #: bypass the dispatcher and run one named strategy — used by
-    #: counterfactual replay (:mod:`repro.obs.regret`) to execute a
-    #: rejected alternative. Vocabulary: ``tscan``, ``sscan``,
-    #: ``sorted-sscan``, ``sorted``, ``index-only``, ``fast-first``,
-    #: ``background-only``, ``union-or``, ``short-range``. None (the
-    #: default) keeps the normal dynamic dispatch.
+    #: bypass :meth:`SingleTableRetrieval.decide` and run one named
+    #: strategy from the strategy table — used by counterfactual replay
+    #: (:mod:`repro.obs.regret`) to execute a rejected alternative.
+    #: Vocabulary: ``tscan``, ``sscan``, ``sorted-sscan``, ``sorted``,
+    #: ``index-only``, ``fast-first``, ``background-only``, ``union-or``,
+    #: ``short-range`` (a forced retrieval never probes). None (the
+    #: default) decides.
     force_strategy: str | None = None
 
 
@@ -126,6 +130,87 @@ class RetrievalResult:
             f"{self.execution_cost:.1f} execution; {self.execution_io} physical I/O)",
         ]
         return "\n".join(lines)
+
+
+#: the three bases of a decision: a clear case that needs no race, a race
+#: skipped because both arms' estimates are trusted, a race staged
+PROVEN, TRUSTED, RACED = "proven", "trusted", "raced"
+
+
+@dataclass(frozen=True, slots=True)
+class Decision:
+    """What :meth:`SingleTableRetrieval.decide` chose, and on what basis."""
+
+    #: the strategy, in the ``force_strategy`` vocabulary
+    strategy: str
+    #: ``proven``, ``trusted`` or ``raced``
+    basis: str
+    #: the rejected strategies, in the same (replayable) vocabulary
+    alternatives: tuple[str, ...] = ()
+    #: inputs the choice was made on beyond the arrangement's estimates
+    #: (the audit adds those, the goal and the basis); None when none
+    inputs: Mapping[str, Any] | None = None
+
+
+_UNIQUE_PROBE = Decision("unique-probe", PROVEN)
+
+
+def _covering_sscan(arrangement: InitialArrangement) -> SscanCandidate | None:
+    """The self-sufficient candidate on the order index, if any: an ordered
+    Sscan of it delivers sorted results with zero record fetches."""
+    order = arrangement.order_index
+    if order is None:
+        return None
+    return next((c for c in arrangement.sscan_candidates if c.index is order.index), None)
+
+
+def _sorted_sscan(arrangement: InitialArrangement) -> tuple | None:
+    """What ``sorted-sscan`` scans: the covering order index in order, or
+    else (a forced run) the cheapest self-sufficient index unordered."""
+    covering = _covering_sscan(arrangement)
+    if covering is not None:
+        return covering, True
+    best = arrangement.best_sscan
+    return (best, False) if best is not None else None
+
+
+_NO_SSCAN = "no self-sufficient index"
+_NO_JSCAN = "no fetch-needed index"
+
+#: The strategy table, for a decided and a forced strategy alike: name ->
+#: (what it runs on, read off (retrieval, arrangement, request); why it
+#: cannot run when that is missing; its tactic — None: fetched directly).
+_STRATEGIES: dict[str, tuple[Callable, str, Callable | None]] = {
+    "unique-probe": (lambda r, a, q: a.unique, "a forced retrieval never probes", None),
+    "short-range": (
+        lambda r, a, q: a.direct is not None and not a.unique,
+        "the range is not one quantum short", None,
+    ),
+    "tscan": (lambda r, a, q: True, "", lambda ctx, _: tscan_steps(ctx)),
+    "sscan": (lambda r, a, q: a.best_sscan, _NO_SSCAN, sscan_steps),
+    "sorted-sscan": (
+        lambda r, a, q: _sorted_sscan(a), _NO_SSCAN,
+        lambda ctx, scan: sscan_steps(ctx, *scan),
+    ),
+    "sorted": (
+        lambda r, a, q: a.order_index, "no order index",
+        lambda ctx, _: sorted_tactic_steps(ctx),
+    ),
+    "index-only": (
+        lambda r, a, q: a.best_sscan, _NO_SSCAN, lambda ctx, _: index_only_steps(ctx)
+    ),
+    "fast-first": (
+        lambda r, a, q: a.jscan_candidates, _NO_JSCAN,
+        lambda ctx, _: fast_first_steps(ctx),
+    ),
+    "background-only": (
+        lambda r, a, q: a.jscan_candidates, _NO_JSCAN,
+        lambda ctx, _: background_only_steps(ctx),
+    ),
+    "union-or": (
+        lambda r, a, q: r._cover(a, q), "disjuncts not index-covered", union_or_steps
+    ),
+}
 
 
 class SingleTableRetrieval:
@@ -189,11 +274,6 @@ class SingleTableRetrieval:
         if goal is OptimizationGoal.DEFAULT:
             goal = OptimizationGoal.TOTAL_TIME
 
-        needs_post_sort = bool(request.order_by)
-        rows: list[tuple] = []
-        rids: list[RID] = []
-        limit = request.limit
-
         output = request.output_columns or self.schema.names
         needed = frozenset(referenced_columns(request.restriction)) | set(output) | set(
             request.order_by
@@ -202,6 +282,7 @@ class SingleTableRetrieval:
         if unknown:
             raise RetrievalError(f"unknown columns {sorted(unknown)}")
 
+        force = request.force_strategy
         arrangement = run_initial_stage(
             self.indexes,
             request.restriction,
@@ -215,45 +296,47 @@ class SingleTableRetrieval:
             feedback=request.feedback,
             table_name=self.heap.name,
             estimator=request.estimator,
-            allow_probe=request.force_strategy is None,
+            allow_probe=force is None,
         )
-        if arrangement.probe is not None:
-            return self._run_probe(request, arrangement, trace, span, goal)
-        short = arrangement.short_range
-        if short is not None and (
-            request.force_strategy == "short-range"
-            or (request.force_strategy is None and self._race_is_settled(short, goal))
-        ):
-            return self._run_short_range(
-                request, arrangement, trace, span, goal, estimation_meter, context
-            )
-        if arrangement.order_index is not None and request.order_by:
-            needs_post_sort = False
-
         # a SORT node controls the retrieval when we must post-sort: the
         # paper's rule forces total-time in that case
+        needs_post_sort = bool(request.order_by) and arrangement.order_index is None
         if needs_post_sort:
             goal = OptimizationGoal.TOTAL_TIME
-
-        collect_limit = None if needs_post_sort else limit
-
-        sink = CollectingSink(rows, rids, collect_limit)
-
+        rows: list[tuple] = []
+        rids: list[RID] = []
         result = RetrievalResult(
             rows=rows, rids=rids, trace=trace, description="", goal=goal,
             estimation_cost=estimation_meter.total,
         )
-
         if arrangement.empty:
             result.description = "shortcut: provably empty result"
-            trace.emit(EventKind.RETRIEVAL_COMPLETE, rows=0)
-            self._record_context(context, arrangement)
-            if audit.enabled:
-                audit.end_retrieval(result)
-            trace.tracer.end(span, rows=0, shortcut="empty")
-            return result
+            return self._complete(trace, span, result, request, arrangement, context)
 
-        predicate = self._predicate(request)
+        if force is None:
+            decision = self.decide(arrangement, goal, request)
+            strategy = decision.strategy
+            if audit.enabled:
+                self._audit_decision(audit, decision, arrangement, goal)
+            if decision.basis == TRUSTED:
+                trace.emit(
+                    EventKind.COMPETITION_SKIPPED,
+                    winner=strategy,
+                    confidence=decision.inputs["confidence"],
+                )
+        else:
+            strategy = force
+        row = _STRATEGIES.get(strategy)
+        if row is None:
+            raise RetrievalError(f"unknown forced strategy {strategy!r}")
+        needs, missing, tactic = row
+        operand = needs(self, arrangement, request)
+        if not operand:
+            raise RetrievalError(f"cannot force {strategy!r}: {missing}")
+        if tactic is None:
+            return self._fetch_directly(request, arrangement, result, trace, span, context)
+
+        limit = request.limit
         ctx = TacticContext(
             heap=self.heap,
             schema=self.schema,
@@ -261,18 +344,12 @@ class SingleTableRetrieval:
             host_vars=request.host_vars,
             buffer_pool=self.buffer_pool,
             arrangement=arrangement,
-            sink=sink,
+            sink=CollectingSink(rows, rids, None if needs_post_sort else limit),
             trace=trace,
             config=self.config,
-            predicate=predicate,
+            predicate=self._predicate(request),
         )
-        if request.force_strategy is not None:
-            inner = self._dispatch_forced(ctx, arrangement, request.force_strategy)
-        else:
-            inner = self._dispatch_steps(
-                ctx, arrangement, goal, bool(request.order_by),
-                estimator=request.estimator,
-            )
+        inner = tactic(ctx, operand)
         try:
             while True:
                 try:
@@ -307,26 +384,302 @@ class SingleTableRetrieval:
             result.description += " -> sort"
         return self._complete(trace, span, result, request, arrangement, context)
 
+    # -- the decision ---------------------------------------------------------
+
+    def decide(
+        self,
+        arrangement: InitialArrangement,
+        goal: OptimizationGoal,
+        request: RetrievalRequest,
+    ) -> Decision:
+        """Figure 4's one choice before any race: the strategy this
+        retrieval runs, and on what basis (Sections 5 and 7).
+
+        ``proven`` — a clear case the race would settle the same way: the
+        unique-key probe; a short range whose race provably never gives
+        up on the index; a covering order index (sorted-sscan); a
+        self-sufficient index with nothing to race (sscan); no usable
+        index at all (tscan). ``trusted`` — the variance gate found both
+        arms of an index-only race demonstrably well estimated and picks
+        the winner statically. ``raced`` — everything else stages a
+        competition tactic: index-only, fast-first, background-only,
+        sorted and union-or. The only side effect is the estimator's
+        ``competed``/``trusted`` count when the gate is consulted.
+        """
+        direct = arrangement.direct
+        if direct is not None:
+            if arrangement.unique:
+                return _UNIQUE_PROBE
+            # A short range: does its race provably never give up on the
+            # index for the Tscan? The descent bounds what the race can
+            # meet: at most ``entries`` entries, and the leaves that hold
+            # them plus the one a cursor looks past the range's end in.
+            # Each bound only grows what the one SwitchCriterion compares,
+            # so a single evaluation on them covers every evaluation the
+            # race makes against the Tscan: the Jscan's projection, at most
+            # Yao's pages for the larger of the estimate and ``entries``,
+            # and the own cost of each process — the Jscan's walk and,
+            # under fast-first, a foreground fetching every entry. (A
+            # fast-first race also checks its foreground once more, against
+            # fetching the completed RID list; that outcome depends on the
+            # pages the foreground met, and the direct path, fetching in
+            # index order to the limit, has no foreground to stop.) The RID
+            # list must also stay in memory (a spill writes pages), and the
+            # pool must hold the descent's path (else the Jscan's own
+            # descent reads it again).
+            config = self.config
+            heap = self.heap
+            btree = direct.index.btree
+            estimate = direct.estimate
+            leaves = estimate.bounded_leaves()
+            entries = estimate.k if estimate.exact else leaves * btree.order
+            fast_first = goal is OptimizationGoal.FAST_FIRST
+            if (
+                entries <= config.allocated_rid_buffer_size
+                and btree.buffer_pool.capacity >= btree.height
+            ):
+                criterion = SwitchCriterion(
+                    threshold=config.switch_threshold,
+                    scan_cost_limit_fraction=config.scan_cost_limit_fraction,
+                )
+                projection = yao_pages_bound(
+                    heap.page_count,
+                    heap.rows_per_page,
+                    int(max(direct.estimated_rids, entries)),
+                )
+                cost = leaves + 1 + entries * ENTRY_CPU_COST
+                if fast_first:
+                    cost = max(cost, entries * (1.0 + RECORD_CPU_COST))
+                settled = criterion.evaluate(projection, cost, float(heap.page_count))
+                if settled is SwitchDecision.CONTINUE:
+                    race = "fast-first" if fast_first else "background-only"
+                    return Decision("short-range", PROVEN, (race, "tscan"))
+
+        order_index = arrangement.order_index
+        if request.order_by and order_index is not None:
+            covering = _covering_sscan(arrangement)
+            if covering is not None:
+                return Decision(
+                    "sorted-sscan", PROVEN, ("sorted",),
+                    {"index": covering.index.name},
+                )
+            return Decision(
+                "sorted", RACED, ("tscan",), {"order_index": order_index.index.name}
+            )
+        best = arrangement.best_sscan
+        candidates = arrangement.jscan_candidates
+        estimator = request.estimator
+        if best is not None and candidates:
+            # The variance gate. Competition exists because initial
+            # estimates are untrusted. Once the estimator has seen this
+            # (table, index, signature) enough times with stable, near-1
+            # q-errors on *both* arms, the corrected estimates decide the
+            # race's outcome just as reliably as running it — so the
+            # cheaper arm runs alone, and the loser's wasted steps are
+            # saved. An unestimated arm (the estimation shortcut) has no
+            # projection to trust, and competes.
+            if estimator is not None and self.config.competition_gate:
+                verdict = None
+                if all(candidate.estimated_rids is not None for candidate in candidates):
+                    verdict = estimator.combined_verdict([
+                        (self.heap.name, best.index.name, request.restriction),
+                        (self.heap.name, candidates[0].index.name, request.restriction),
+                    ])
+                if verdict is None or not verdict.trust:
+                    estimator.competed += 1
+                else:
+                    # trusted corrected projections of both arms: the sscan
+                    # walks its whole range entry by entry; the jscan walks
+                    # every candidate's range and then random-fetches the
+                    # (at most) shortest RID list
+                    sscan_cost = best.estimated_rids * ENTRY_CPU_COST
+                    jscan_entries = sum(c.estimated_rids for c in candidates)
+                    fetch_rids = min(c.estimated_rids for c in candidates)
+                    jscan_cost = jscan_entries * ENTRY_CPU_COST + fetch_rids * 1.0
+                    estimator.trusted += 1
+                    winner, other = (
+                        ("sscan", "background-only")
+                        if sscan_cost <= jscan_cost
+                        else ("background-only", "sscan")
+                    )
+                    return Decision(winner, TRUSTED, (other, "index-only"), {
+                        "sscan_cost": round(sscan_cost, 3),
+                        "jscan_cost": round(jscan_cost, 3),
+                        **verdict.inputs(),
+                    })
+            return Decision("index-only", RACED, ("sscan", "background-only"))
+        if best is not None:
+            # "the only optimization task to be resolved is to pick the
+            # one whose scan is the cheapest"
+            return Decision("sscan", PROVEN, ("tscan",), {"index": best.index.name})
+        if candidates:
+            if goal is OptimizationGoal.FAST_FIRST:
+                return Decision("fast-first", RACED, ("tscan",))
+            return Decision("background-only", RACED, ("tscan",))
+        # OR extension (Section 8): a disjunctive restriction whose every
+        # top-level disjunct is covered by some index range is resolved by
+        # a union joint scan
+        covered = self._cover(arrangement, request)
+        if covered:
+            return Decision("union-or", RACED, ("tscan",), {"disjuncts": len(covered)})
+        return Decision("tscan", PROVEN)
+
+    def _cover(
+        self, arrangement: InitialArrangement, request: RetrievalRequest
+    ) -> list:
+        """The restriction's top-level disjuncts, each covered by an index
+        range (empty when one is not), found once per retrieval."""
+        if arrangement.covered is None:
+            arrangement.covered = (
+                cover_disjuncts(request.restriction, self.indexes, request.host_vars)
+                or []
+            )
+        return arrangement.covered
+
+    def _audit_decision(
+        self,
+        audit: AuditLog,
+        decision: Decision,
+        arrangement: InitialArrangement,
+        goal: OptimizationGoal,
+    ) -> None:
+        """The retrieval's one tactic selection: the chosen strategy, its
+        basis, the rejected strategies in the replayable ``force_strategy``
+        vocabulary, and the estimates it was decided on."""
+        candidates = arrangement.jscan_candidates
+        best = arrangement.best_sscan
+        inputs: dict[str, Any] = {
+            "goal": goal.value,
+            "basis": decision.basis,
+            "tscan_pages": self.heap.page_count,
+            "jscan_candidates": len(candidates),
+            "best_jscan_rids": candidates[0].estimated_rids if candidates else None,
+            "best_sscan_rids": best.estimated_rids if best is not None else None,
+        }
+        if arrangement.direct is not None:
+            inputs["index"] = arrangement.direct.index.name
+        if decision.inputs:
+            inputs.update(decision.inputs)
+        audit.decision(
+            DecisionKind.TACTIC_SELECTION,
+            decision.strategy,
+            decision.alternatives,
+            **inputs,
+        )
+
+    # -- running it -----------------------------------------------------------
+
+    def _fetch_directly(
+        self,
+        request: RetrievalRequest,
+        arrangement: InitialArrangement,
+        result: RetrievalResult,
+        trace: RetrievalTrace,
+        span: Any,
+        context: IterationContext | None,
+    ) -> RetrievalResult:
+        """The unique-key probe or a very short range, fetched directly
+        (Section 5): no Jscan, RID list, final stage or yield — the
+        retrieval completes in the quantum that starts it.
+
+        The probe descends the unique index once (:meth:`BTree.probe`,
+        which reads the pages of the estimate-then-Jscan path, in the same
+        order) and estimates nothing. A short range walks on from where its
+        Figure 5 descent stopped, reading the leaves the Jscan's cursor
+        would (:meth:`BTree.walk_from`), and records what a completed
+        Jscan records. Every entry's record is then fetched and the full
+        restriction applied. Under total-time a short range fetches as the
+        final stage does — page order after the same read-ahead, so rows,
+        page reads, pool recency and costs are those of background-only;
+        under fast-first (and for the probe) in index order, to the limit.
+        """
+        candidate = arrangement.direct
+        index = candidate.index
+        unique = arrangement.unique
+        label = "unique-probe" if unique else "short-range"
+        tactic = trace.tracer.begin("tactic", tactic=label)
+        result.description = f"{label}({index.name})"
+        walk = CostMeter(name=label)
+        if unique:
+            entries = index.btree.probe(candidate.key_range, walk)
+            fetch = walk
+            if entries:
+                trace.emit(
+                    EventKind.SHORTCUT_SMALL_RANGE,
+                    index=index.name,
+                    rids=len(entries),
+                    skipped_estimates=arrangement.skipped_estimates,
+                )
+            else:
+                trace.emit(EventKind.SHORTCUT_EMPTY, index=index.name)
+                result.description = "shortcut: provably empty result"
+        else:
+            trace.emit(EventKind.TACTIC_SELECTED, tactic=label, index=index.name)
+            estimate = candidate.estimate
+            entries = index.btree.walk_from(
+                estimate.stop, estimate.first, candidate.key_range, walk
+            )
+            walk.charge_cpu_each(ENTRY_CPU_COST, len(entries))
+            trace.counters.index_entries_scanned += len(entries)
+            candidate.observed = len(entries)
+            fetch = CostMeter(name="short-range-fetch")
+        rids = [rid for _, rid in entries]
+        if not unique and result.goal is not OptimizationGoal.FAST_FIRST:
+            rids.sort()
+            pool = self.heap.buffer_pool
+            self.heap.prefetch(
+                rids, fetch, window=min(pool.read_ahead_window, pool.capacity)
+            )
+        rows, delivered = result.rows, result.rids
+        post_sort = bool(request.order_by) and len(rids) > 1
+        limit = request.limit
+        if rids:
+            predicate = self._predicate(request)
+            sink = CollectingSink(rows, delivered, None if post_sort else limit)
+            heap = self.heap
+            counters = trace.counters
+            for rid in rids:
+                row = heap.fetch(rid, fetch)
+                fetch.charge_cpu(RECORD_CPU_COST)
+                counters.records_fetched += 1
+                if not predicate(row):
+                    counters.fetches_rejected += 1
+                    continue
+                counters.records_delivered += 1
+                if not sink(rid, row):
+                    result.stopped_early = True
+                    break
+        if post_sort:
+            self._post_sort(rows, delivered, request.order_by)
+            if limit is not None:
+                del rows[limit:]
+                del delivered[limit:]
+        result.execution_cost = walk.total
+        result.execution_io = walk.io_total
+        if fetch is not walk:
+            # two meters summed as the Jscan's and the final stage's are:
+            # the float total is then bit for bit the raced retrieval's
+            result.execution_cost += fetch.total
+            result.execution_io += fetch.io_total
+        trace.tracer.end(tactic, rows=len(rows))
+        return self._complete(trace, span, result, request, arrangement, context)
+
     def _complete(
         self,
         trace: RetrievalTrace,
         span: Any,
         result: RetrievalResult,
         request: RetrievalRequest,
-        arrangement: InitialArrangement | None,
-        context: IterationContext | None = None,
+        arrangement: InitialArrangement,
+        context: IterationContext | None,
     ) -> RetrievalResult:
-        """End a retrieval that ran: ``RETRIEVAL_COMPLETE``, what its scans
-        observed recorded (``arrangement``; None for the probe, which
-        estimated nothing), the audit closed and the span ended."""
+        """End a retrieval: ``RETRIEVAL_COMPLETE``, what its scans observed
+        retired (the probe estimated nothing), the audit closed and the
+        span ended."""
         trace.emit(EventKind.RETRIEVAL_COMPLETE, rows=len(result.rows))
         audit = trace.audit
-        if arrangement is not None:
-            self._record_context(context, arrangement)
-            self._record_feedback(request, arrangement)
-            self._record_estimator(request, arrangement)
-            if audit.enabled:
-                self._record_audit_estimates(audit, arrangement)
+        if not arrangement.unique:
+            self._retire(request, arrangement, context, audit)
         if audit.enabled:
             audit.end_retrieval(result)
         trace.tracer.end(
@@ -338,6 +691,66 @@ class SingleTableRetrieval:
         )
         return result
 
+    def _retire(
+        self,
+        request: RetrievalRequest,
+        arrangement: InitialArrangement,
+        context: IterationContext | None,
+        audit: AuditLog,
+    ) -> None:
+        """Hand what the retrieval learned to everyone who learns from it.
+
+        The iteration context keeps the settled Jscan order and its raw
+        estimates. Then, for every candidate whose scan completed: the
+        feedback store gets the raw descent estimate (never the adjusted
+        one, so corrections converge instead of compounding; exact
+        estimates are already the truth and give no feedback); the
+        estimator gets the estimate the engine *acted on* —
+        ``estimated_rids``, feedback applied — because that is the number
+        whose trustworthiness the variance gate rides on, with the key
+        range for its self-tuning histogram; and the audit gets the raw
+        estimated-vs-observed pair, the live capture of the paper's Figure
+        2.1/2.2 L-shapes.
+        """
+        if context is not None:
+            context.record(
+                [candidate.index.name for candidate in arrangement.jscan_candidates],
+                {
+                    candidate.index.name: candidate.estimate.rids
+                    for candidate in arrangement.jscan_candidates
+                    if candidate.estimate is not None
+                },
+            )
+        feedback = request.feedback
+        estimator = request.estimator
+        audited = audit.enabled
+        if feedback is None and estimator is None and not audited:
+            return
+        table = self.heap.name
+        for candidate in (*arrangement.jscan_candidates, *arrangement.sscan_candidates):
+            estimate = candidate.estimate
+            observed = candidate.observed
+            if estimate is None or observed is None:
+                continue
+            name = candidate.index.name
+            if feedback is not None and not estimate.exact:
+                feedback.record(
+                    table, name, request.restriction, estimate.rids, observed
+                )
+            if estimator is not None:
+                key_range = candidate.key_range
+                estimator.record(
+                    table,
+                    name,
+                    request.restriction,
+                    candidate.estimated_rids,
+                    observed,
+                    lo=key_range.lo[0] if key_range.lo else None,
+                    hi=key_range.hi[0] if key_range.hi else None,
+                )
+            if audited:
+                audit.observe_estimate(name, estimate.rids, observed)
+
     def _predicate(self, request: RetrievalRequest) -> Any:
         """The restriction compiled once for the whole retrieval — or the
         plan's cached compilation when executing a cached plan."""
@@ -347,508 +760,6 @@ class SingleTableRetrieval:
             )
         return compile_predicate(
             request.restriction, self.schema.position, request.host_vars
-        )
-
-    def _run_probe(
-        self,
-        request: RetrievalRequest,
-        arrangement: InitialArrangement,
-        trace: RetrievalTrace,
-        span: Any,
-        goal: OptimizationGoal,
-    ) -> RetrievalResult:
-        """The unique-key probe (Section 5's clearest case).
-
-        One descent of the unique index and one fetch per entry found, the
-        full restriction applied to each row: no estimate, no Jscan, no RID
-        list, no final stage, and no yield — the retrieval completes in the
-        quantum that starts it. The pages read, and their LRU order, are
-        those of the estimate-then-Jscan path (see :meth:`BTree.probe`).
-        """
-        index = arrangement.probe.index
-        tactic = trace.tracer.begin("tactic", tactic="unique-probe")
-        meter = CostMeter(name="unique-probe")
-        entries = index.btree.probe(arrangement.probe.key_range, meter)
-        rows: list[tuple] = []
-        rids: list[RID] = []
-        result = RetrievalResult(
-            rows=rows, rids=rids, trace=trace, description="", goal=goal
-        )
-        if not entries:
-            trace.emit(EventKind.SHORTCUT_EMPTY, index=index.name)
-            result.description = "shortcut: provably empty result"
-        else:
-            trace.emit(
-                EventKind.SHORTCUT_SMALL_RANGE,
-                index=index.name,
-                rids=len(entries),
-                skipped_estimates=arrangement.skipped_estimates,
-            )
-            if trace.audit.enabled:
-                trace.audit.decision(
-                    DecisionKind.TACTIC_SELECTION,
-                    "unique-probe",
-                    (),
-                    goal=goal.value,
-                    index=index.name,
-                )
-            post_sort = bool(request.order_by) and len(entries) > 1
-            sink = CollectingSink(rows, rids, None if post_sort else request.limit)
-            result.stopped_early = self._deliver(
-                [rid for _, rid in entries], self._predicate(request), sink, meter,
-                trace.counters,
-            )
-            if post_sort:
-                self._post_sort(rows, rids, request.order_by)
-                if request.limit is not None:
-                    del rows[request.limit:]
-                    del rids[request.limit:]
-            result.description = f"unique-probe({index.name})"
-        result.execution_cost = meter.total
-        result.execution_io = meter.io_total
-        trace.tracer.end(tactic, rows=len(rows))
-        return self._complete(trace, span, result, request, None)
-
-    def _race_is_settled(
-        self, candidate: JscanCandidate, goal: OptimizationGoal
-    ) -> bool:
-        """Whether the race over a short range provably never gives up on
-        the index for the Tscan, so that fetching the range directly
-        changes only the machinery.
-
-        The descent bounds what the race can meet: at most ``entries``
-        entries, and the leaves that hold them plus the one a cursor looks
-        past the range's end in. Each bound only grows what the one
-        :class:`SwitchCriterion` compares, so a single evaluation on them
-        covers every evaluation the race makes against the Tscan: the
-        Jscan's projection, at most Yao's pages for the larger of the
-        estimate and ``entries``, and the own cost of each process — the
-        Jscan's walk and, under fast-first, a foreground fetching every
-        entry. (A fast-first race also checks its foreground once more,
-        against fetching the completed RID list; that outcome depends on
-        the pages the foreground met, and the direct path, fetching in
-        index order to the limit, has no foreground to stop.) The RID list
-        must also stay in memory (a spill writes pages), and the pool must
-        hold the descent's path (else the Jscan's own descent reads it
-        again).
-        """
-        config = self.config
-        heap = self.heap
-        btree = candidate.index.btree
-        estimate = candidate.estimate
-        leaves = estimate.bounded_leaves()
-        entries = estimate.k if estimate.exact else leaves * btree.order
-        if (
-            entries > config.allocated_rid_buffer_size
-            or btree.buffer_pool.capacity < btree.height
-        ):
-            return False
-        criterion = SwitchCriterion(
-            threshold=config.switch_threshold,
-            scan_cost_limit_fraction=config.scan_cost_limit_fraction,
-        )
-        projection = yao_pages_bound(
-            heap.page_count,
-            heap.rows_per_page,
-            int(max(candidate.estimated_rids, entries)),
-        )
-        cost = leaves + 1 + entries * ENTRY_CPU_COST
-        if goal is OptimizationGoal.FAST_FIRST:
-            cost = max(cost, entries * (1.0 + RECORD_CPU_COST))
-        decision = criterion.evaluate(projection, cost, float(heap.page_count))
-        return decision is SwitchDecision.CONTINUE
-
-    def _run_short_range(
-        self,
-        request: RetrievalRequest,
-        arrangement: InitialArrangement,
-        trace: RetrievalTrace,
-        span: Any,
-        goal: OptimizationGoal,
-        estimation_meter: CostMeter,
-        context: IterationContext | None,
-    ) -> RetrievalResult:
-        """A very short range, fetched directly (Section 5).
-
-        The walk goes on from where the Figure 5 descent stopped and reads
-        the leaves the Jscan's cursor would (:meth:`BTree.walk_from`); every
-        entry's record then goes through :meth:`_deliver`. Under total-time
-        the fetch is the final stage's: page order after the same
-        read-ahead, so rows, page reads, pool recency and costs are those of
-        background-only. Under fast-first it is in index order and stops at
-        the limit. No Jscan, RID list, final stage or yield: the retrieval
-        completes in the quantum that starts it, and records what a
-        completed Jscan records.
-        """
-        candidate = arrangement.short_range
-        index = candidate.index
-        estimate = candidate.estimate
-        fast_first = goal is OptimizationGoal.FAST_FIRST
-        tactic = trace.tracer.begin("tactic", tactic="short-range")
-        trace.emit(EventKind.TACTIC_SELECTED, tactic="short-range", index=index.name)
-        audit = trace.audit
-        if audit.enabled:
-            audit.decision(
-                DecisionKind.TACTIC_SELECTION,
-                "short-range",
-                ("fast-first" if fast_first else "background-only", "tscan"),
-                goal=goal.value,
-                index=index.name,
-                tscan_pages=self.heap.page_count,
-                best_jscan_rids=candidate.estimated_rids,
-            )
-        walk = CostMeter(name="short-range")
-        entries = index.btree.walk_from(
-            estimate.stop, estimate.first, candidate.key_range, walk
-        )
-        walk.charge_cpu_each(ENTRY_CPU_COST, len(entries))
-        trace.counters.index_entries_scanned += len(entries)
-        candidate.observed = len(entries)
-        rids = [rid for _, rid in entries]
-        fetch = CostMeter(name="short-range-fetch")
-        if not fast_first:
-            rids.sort()
-            pool = self.heap.buffer_pool
-            self.heap.prefetch(
-                rids, fetch, window=min(pool.read_ahead_window, pool.capacity)
-            )
-        rows: list[tuple] = []
-        delivered: list[RID] = []
-        result = RetrievalResult(
-            rows=rows, rids=delivered, trace=trace,
-            description=f"short-range({index.name})", goal=goal,
-            estimation_cost=estimation_meter.total,
-        )
-        result.stopped_early = self._deliver(
-            rids, self._predicate(request),
-            CollectingSink(rows, delivered, request.limit), fetch, trace.counters,
-        )
-        # two meters summed as the Jscan's and the final stage's are: the
-        # float total is then bit for bit the raced retrieval's
-        result.execution_cost = walk.total + fetch.total
-        result.execution_io = walk.io_total + fetch.io_total
-        trace.tracer.end(tactic, rows=len(rows))
-        return self._complete(trace, span, result, request, arrangement, context)
-
-    def _deliver(
-        self,
-        rids: Sequence[RID],
-        predicate: Predicate,
-        sink: CollectingSink,
-        meter: CostMeter,
-        counters: RetrievalCounters,
-    ) -> bool:
-        """Fetch each RID's record, apply the full restriction, and hand
-        the survivors to ``sink`` — the final stage's per-RID work, for the
-        two paths that have no final stage. Returns True when the sink
-        stopped the retrieval."""
-        heap = self.heap
-        for rid in rids:
-            row = heap.fetch(rid, meter)
-            meter.charge_cpu(RECORD_CPU_COST)
-            counters.records_fetched += 1
-            if not predicate(row):
-                counters.fetches_rejected += 1
-                continue
-            counters.records_delivered += 1
-            if not sink(rid, row):
-                return True
-        return False
-
-    # -- dispatch ---------------------------------------------------------------
-
-    def _dispatch_steps(
-        self,
-        ctx: TacticContext,
-        arrangement: InitialArrangement,
-        goal: OptimizationGoal,
-        order_requested: bool,
-        estimator: Any | None = None,
-    ) -> StepOutcome:
-        audit = ctx.trace.audit
-
-        def record(chosen: str, alternatives: tuple[str, ...], **inputs: Any) -> None:
-            # the explicit tactic-selection decision: names the rejected
-            # strategies in the replayable force_strategy vocabulary and
-            # carries the estimates the dispatch was decided on
-            if audit.enabled:
-                best = arrangement.best_sscan
-                audit.decision(
-                    DecisionKind.TACTIC_SELECTION,
-                    chosen,
-                    alternatives,
-                    goal=goal.value,
-                    tscan_pages=self.heap.page_count,
-                    jscan_candidates=len(arrangement.jscan_candidates),
-                    best_jscan_rids=(
-                        arrangement.jscan_candidates[0].estimated_rids
-                        if arrangement.jscan_candidates
-                        else None
-                    ),
-                    best_sscan_rids=(
-                        best.estimated_rids if best is not None else None
-                    ),
-                    **inputs,
-                )
-
-        if order_requested and arrangement.order_index is not None:
-            order_index = arrangement.order_index.index
-            covering = next(
-                (
-                    candidate
-                    for candidate in arrangement.sscan_candidates
-                    if candidate.index is order_index
-                ),
-                None,
-            )
-            if covering is not None:
-                # the order index is also self-sufficient: an ordered Sscan
-                # delivers sorted results with zero record fetches — a clear
-                # case, no competition needed
-                record("sorted-sscan", ("sorted",), index=covering.index.name)
-                return (yield from self._run_sscan_steps(ctx, covering, ordered=True))
-            record("sorted", ("tscan",), order_index=order_index.name)
-            return (yield from sorted_tactic_steps(ctx))
-        has_jscan = bool(arrangement.jscan_candidates)
-        has_sscan = arrangement.best_sscan is not None
-        if has_sscan and has_jscan:
-            winner = self._gate_competition(ctx, arrangement, estimator, audit)
-            if winner == "sscan":
-                best = arrangement.best_sscan
-                assert best is not None
-                return (yield from self._run_sscan_steps(ctx, best))
-            if winner == "background-only":
-                return (yield from background_only_steps(ctx))
-            record("index-only", ("sscan", "background-only"))
-            return (yield from index_only_steps(ctx))
-        if has_sscan:
-            # clear case: "the only optimization task to be resolved is to
-            # pick the one whose scan is the cheapest"
-            best = arrangement.best_sscan
-            assert best is not None
-            record("sscan", ("tscan",), index=best.index.name)
-            return (yield from self._run_sscan_steps(ctx, best))
-        if has_jscan:
-            if goal is OptimizationGoal.FAST_FIRST:
-                record("fast-first", ("tscan",))
-                return (yield from fast_first_steps(ctx))
-            record("background-only", ("tscan",))
-            return (yield from background_only_steps(ctx))
-        # OR extension (Section 8): a disjunctive restriction whose every
-        # top-level disjunct is covered by some index range can be resolved
-        # by a union joint scan
-        covered = cover_disjuncts(ctx.restriction, self.indexes, ctx.host_vars)
-        if covered:
-            record("union-or", ("tscan",), disjuncts=len(covered))
-            return (yield from union_or_steps(ctx, covered))
-        # clear case: no useful index at all
-        record("tscan", ())
-        return (yield from self._run_tscan_steps(ctx))
-
-    def _dispatch_forced(
-        self, ctx: TacticContext, arrangement: InitialArrangement, strategy: str
-    ) -> StepOutcome:
-        """Run one named strategy, bypassing the dynamic dispatch.
-
-        Counterfactual replay (:mod:`repro.obs.regret`) uses this to
-        execute a rejected alternative against the (shadow) arrangement.
-        Raises :class:`~repro.errors.RetrievalError` when the arrangement
-        cannot support the strategy.
-        """
-        if strategy == "tscan":
-            return (yield from self._run_tscan_steps(ctx))
-        if strategy in ("sscan", "sorted-sscan"):
-            if strategy == "sorted-sscan" and arrangement.order_index is not None:
-                order_index = arrangement.order_index.index
-                covering = next(
-                    (
-                        candidate
-                        for candidate in arrangement.sscan_candidates
-                        if candidate.index is order_index
-                    ),
-                    None,
-                )
-                if covering is not None:
-                    return (
-                        yield from self._run_sscan_steps(ctx, covering, ordered=True)
-                    )
-            best = arrangement.best_sscan
-            if best is None:
-                raise RetrievalError(
-                    f"cannot force {strategy!r}: no self-sufficient index"
-                )
-            return (yield from self._run_sscan_steps(ctx, best))
-        if strategy == "sorted":
-            if arrangement.order_index is None:
-                raise RetrievalError("cannot force 'sorted': no order index")
-            return (yield from sorted_tactic_steps(ctx))
-        if strategy == "index-only":
-            if arrangement.best_sscan is None:
-                raise RetrievalError(
-                    "cannot force 'index-only': no self-sufficient index"
-                )
-            return (yield from index_only_steps(ctx))
-        if strategy in ("fast-first", "background-only"):
-            if not arrangement.jscan_candidates:
-                raise RetrievalError(
-                    f"cannot force {strategy!r}: no fetch-needed index"
-                )
-            if strategy == "fast-first":
-                return (yield from fast_first_steps(ctx))
-            return (yield from background_only_steps(ctx))
-        if strategy == "union-or":
-            covered = cover_disjuncts(ctx.restriction, self.indexes, ctx.host_vars)
-            if not covered:
-                raise RetrievalError(
-                    "cannot force 'union-or': disjuncts not index-covered"
-                )
-            return (yield from union_or_steps(ctx, covered))
-        if strategy == "short-range":
-            # a short range that qualifies never gets here (run_steps)
-            raise RetrievalError(
-                "cannot force 'short-range': the range is not one quantum short"
-            )
-        raise RetrievalError(f"unknown forced strategy {strategy!r}")
-
-    def _gate_competition(
-        self,
-        ctx: TacticContext,
-        arrangement: InitialArrangement,
-        estimator: Any | None,
-        audit: AuditLog,
-    ) -> str | None:
-        """The variance gate: skip the index-only race when estimates are
-        demonstrably trustworthy.
-
-        Competition exists because initial estimates are untrusted. Once
-        the estimator has seen this (table, index, signature) enough times
-        with stable, near-1 q-errors on *both* competing candidates, the
-        corrected estimates decide the race's outcome just as reliably as
-        running it — so pick the winner statically, audit the skip with
-        its confidence inputs, and save the loser's wasted steps. Returns
-        the strategy to run directly (``"sscan"`` / ``"background-only"``)
-        or None to compete as usual.
-        """
-        if estimator is None or not self.config.competition_gate:
-            return None
-        best = arrangement.best_sscan
-        lead = arrangement.jscan_candidates[0]
-        assert best is not None
-        if best.estimated_rids is None or any(
-            candidate.estimated_rids is None
-            for candidate in arrangement.jscan_candidates
-        ):
-            # an unestimated candidate (estimation shortcut or disabled
-            # dynamic estimation) has no projection to trust — compete
-            estimator.competed += 1
-            return None
-        verdict = estimator.combined_verdict(
-            [
-                (self.heap.name, best.index.name, ctx.restriction),
-                (self.heap.name, lead.index.name, ctx.restriction),
-            ]
-        )
-        # even a non-trusting score informs the switch criteria downstream
-        ctx.confidence = verdict.score
-        if not verdict.trust:
-            estimator.competed += 1
-            return None
-        config = self.config
-        # trusted corrected projections of both arms: the sscan walks its
-        # whole range entry by entry; the jscan walks every candidate's
-        # range and then random-fetches the (at most) shortest RID list
-        sscan_cost = best.estimated_rids * ENTRY_CPU_COST
-        jscan_entries = sum(
-            candidate.estimated_rids for candidate in arrangement.jscan_candidates
-        )
-        fetch_rids = min(
-            candidate.estimated_rids for candidate in arrangement.jscan_candidates
-        )
-        jscan_cost = jscan_entries * ENTRY_CPU_COST + fetch_rids * 1.0
-        winner = "sscan" if sscan_cost <= jscan_cost else "background-only"
-        estimator.trusted += 1
-        if audit.enabled:
-            audit.decision(
-                DecisionKind.COMPETITION_SKIPPED,
-                winner,
-                ("index-only",),
-                sscan_cost=round(sscan_cost, 3),
-                jscan_cost=round(jscan_cost, 3),
-                **verdict.inputs(),
-            )
-        ctx.trace.emit(
-            EventKind.COMPETITION_SKIPPED,
-            winner=winner,
-            confidence=round(verdict.score, 4),
-        )
-        return winner
-
-    @staticmethod
-    def _record_audit_estimates(
-        audit: AuditLog, arrangement: InitialArrangement
-    ) -> None:
-        """Feed estimated-vs-observed cardinalities into the audit log.
-
-        These pairs drive the estimate-error-ratio histogram — the live
-        capture of the paper's Figure 2.1/2.2 L-shapes."""
-        candidates = list(arrangement.jscan_candidates) + list(
-            arrangement.sscan_candidates
-        )
-        for candidate in candidates:
-            estimate = candidate.estimate
-            if estimate is None or candidate.observed is None:
-                continue
-            audit.observe_estimate(
-                candidate.index.name, estimate.rids, candidate.observed
-            )
-
-    def _run_sscan_steps(
-        self, ctx: TacticContext, candidate, ordered: bool = False
-    ) -> StepOutcome:
-        label = "sorted-sscan" if ordered else "sscan"
-        span = ctx.trace.tracer.begin("tactic", tactic=label)
-        try:
-            ctx.trace.emit(
-                EventKind.TACTIC_SELECTED,
-                tactic=label,
-                index=candidate.index.name,
-            )
-            ctx.trace.emit(
-                EventKind.SCAN_START, strategy="sscan", index=candidate.index.name
-            )
-            sscan = ctx.spawn(SscanProcess(
-                candidate.index, candidate.key_range, ctx.schema, ctx.restriction,
-                ctx.host_vars, ctx.sink, ctx.trace, ctx.config,
-                predicate=ctx.predicate,
-            ))
-            yield from advance(sscan, ctx.config.batch_size)
-            if sscan.finished and not sscan.stopped_by_consumer:
-                # whole range walked: true cardinality for the feedback loop
-                candidate.observed = sscan.cursor.consumed
-        finally:
-            ctx.trace.tracer.end(span)
-        return TacticOutcome(
-            processes=[sscan],
-            description=f"{label}({candidate.index.name})",
-            stopped_by_consumer=sscan.stopped_by_consumer,
-        )
-
-    def _run_tscan_steps(self, ctx: TacticContext) -> StepOutcome:
-        span = ctx.trace.tracer.begin("tactic", tactic="tscan")
-        try:
-            ctx.trace.emit(EventKind.TACTIC_SELECTED, tactic="tscan")
-            ctx.trace.emit(EventKind.SCAN_START, strategy="tscan")
-            tscan = ctx.spawn(TscanProcess(
-                ctx.heap, ctx.schema, ctx.restriction, ctx.host_vars, ctx.sink,
-                ctx.trace, ctx.config, predicate=ctx.predicate,
-            ))
-            yield from advance(tscan, ctx.config.batch_size)
-        finally:
-            ctx.trace.tracer.end(span)
-        return TacticOutcome(
-            processes=[tscan],
-            description="tscan",
-            stopped_by_consumer=tscan.stopped_by_consumer,
         )
 
     @staticmethod
@@ -868,8 +779,6 @@ class SingleTableRetrieval:
                 )
         trace.emit(EventKind.CONSUMER_STOPPED, by="cancellation")
 
-    # -- helpers -------------------------------------------------------------------
-
     def _post_sort(
         self, rows: list[tuple], rids: list[RID], order_by: tuple[str, ...]
     ) -> None:
@@ -880,76 +789,3 @@ class SingleTableRetrieval:
         )
         rows[:] = [row for row, _ in paired]
         rids[:] = [rid for _, rid in paired]
-
-    def _record_feedback(
-        self, request: RetrievalRequest, arrangement: InitialArrangement
-    ) -> None:
-        """Record estimated-vs-actual cardinality for every completed scan.
-
-        The raw descent estimate (never the adjusted one) is compared to
-        the observed entry count, so corrections converge instead of
-        compounding across executions. Exact estimates are already the
-        truth and produce no feedback.
-        """
-        feedback = request.feedback
-        if feedback is None:
-            return
-        candidates = list(arrangement.jscan_candidates) + list(
-            arrangement.sscan_candidates
-        )
-        for candidate in candidates:
-            estimate = candidate.estimate
-            if estimate is None or estimate.exact or candidate.observed is None:
-                continue
-            feedback.record(
-                self.heap.name,
-                candidate.index.name,
-                request.restriction,
-                estimate.rids,
-                candidate.observed,
-            )
-
-    def _record_estimator(
-        self, request: RetrievalRequest, arrangement: InitialArrangement
-    ) -> None:
-        """Ring-buffer every completed scan's *effective* estimate q-error.
-
-        Unlike :meth:`_record_feedback` (which must record raw estimates
-        so corrections converge), the estimator scores the estimate the
-        engine actually *acted on* — ``estimated_rids`` with feedback
-        applied — because that is the number whose trustworthiness the
-        competition gate rides on. The scanned key range tags along so the
-        per-(table, index) self-tuning histogram can refine itself.
-        """
-        estimator = request.estimator
-        if estimator is None:
-            return
-        candidates = list(arrangement.jscan_candidates) + list(
-            arrangement.sscan_candidates
-        )
-        for candidate in candidates:
-            if candidate.estimate is None or candidate.observed is None:
-                continue
-            key_range = candidate.key_range
-            estimator.record(
-                self.heap.name,
-                candidate.index.name,
-                request.restriction,
-                candidate.estimated_rids,
-                candidate.observed,
-                lo=key_range.lo[0] if key_range.lo else None,
-                hi=key_range.hi[0] if key_range.hi else None,
-            )
-
-    def _record_context(
-        self, context: IterationContext | None, arrangement: InitialArrangement
-    ) -> None:
-        if context is None:
-            return
-        order = [candidate.index.name for candidate in arrangement.jscan_candidates]
-        estimates = {
-            candidate.index.name: candidate.estimate.rids
-            for candidate in arrangement.jscan_candidates
-            if candidate.estimate is not None
-        }
-        context.record(order, estimates)

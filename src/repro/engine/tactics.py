@@ -1,4 +1,4 @@
-"""The four competition tactics of Section 7.
+"""The four competition tactics of Section 7, and the single scans.
 
 * **Background-only** — total-time, fetch-needed indexes only: Jscan, then
   the final stage (or Tscan when Jscan recommends it).
@@ -24,8 +24,8 @@ one step at a time and evaluates every switch criterion after every step;
 a scan left without a partner runs the rest of each quantum in one
 ``run_batch`` call (the same steps, the same yields), so switch points and
 cost accounting are identical at any batch size
-(``batch_size=1`` restores one yield per step exactly). The dispatcher
-lives in :mod:`repro.engine.retrieval`.
+(``batch_size=1`` restores one yield per step exactly). The decision and
+the strategy table that runs these live in :mod:`repro.engine.retrieval`.
 """
 
 from __future__ import annotations
@@ -77,24 +77,11 @@ class TacticContext:
     #: abandons whatever is still running so scans release their buffers and
     #: temp structures mid-flight
     spawned: list[Process] = field(default_factory=list)
-    #: estimate-confidence score for this retrieval's candidates, set by
-    #: the dispatcher's variance gate (None = no estimator attached).
-    #: Tactics that apply switch criteria scale their thresholds with it:
-    #: trustworthy projections justify abandoning laggards earlier.
-    confidence: float | None = None
 
     def spawn(self, process: Process) -> Process:
         """Register a process for cancellation tracking and return it."""
         self.spawned.append(process)
         return process
-
-    def switch_fraction(self) -> float:
-        """``scan_cost_limit_fraction`` tightened by estimate confidence
-        (up to 20% at full confidence; unchanged with no estimator)."""
-        fraction = self.config.scan_cost_limit_fraction
-        if self.confidence is not None and self.confidence > 0.0:
-            fraction *= 1.0 - 0.2 * min(1.0, self.confidence)
-        return fraction
 
 
 @dataclass
@@ -280,6 +267,61 @@ def _finish_background(
 
 
 # ---------------------------------------------------------------------------
+# The single-scan strategies: Tscan, and Sscan of one self-sufficient index
+# ---------------------------------------------------------------------------
+
+
+def tscan_steps(ctx: TacticContext) -> StepOutcome:
+    """A sequential scan of the whole table (no useful index, or forced)."""
+    span = ctx.trace.tracer.begin("tactic", tactic="tscan")
+    try:
+        ctx.trace.emit(EventKind.TACTIC_SELECTED, tactic="tscan")
+        ctx.trace.emit(EventKind.SCAN_START, strategy="tscan")
+        tscan = ctx.spawn(TscanProcess(
+            ctx.heap, ctx.schema, ctx.restriction, ctx.host_vars, ctx.sink,
+            ctx.trace, ctx.config, predicate=ctx.predicate,
+        ))
+        yield from advance(tscan, ctx.config.batch_size)
+    finally:
+        ctx.trace.tracer.end(span)
+    return TacticOutcome(
+        processes=[tscan],
+        description="tscan",
+        stopped_by_consumer=tscan.stopped_by_consumer,
+    )
+
+
+def sscan_steps(ctx: TacticContext, candidate, ordered: bool = False) -> StepOutcome:
+    """An Sscan of one self-sufficient index, no record fetched; ``ordered``
+    when it is the order index, delivering the requested order."""
+    label = "sorted-sscan" if ordered else "sscan"
+    span = ctx.trace.tracer.begin("tactic", tactic=label)
+    try:
+        ctx.trace.emit(
+            EventKind.TACTIC_SELECTED, tactic=label, index=candidate.index.name
+        )
+        ctx.trace.emit(
+            EventKind.SCAN_START, strategy="sscan", index=candidate.index.name
+        )
+        sscan = ctx.spawn(SscanProcess(
+            candidate.index, candidate.key_range, ctx.schema, ctx.restriction,
+            ctx.host_vars, ctx.sink, ctx.trace, ctx.config,
+            predicate=ctx.predicate,
+        ))
+        yield from advance(sscan, ctx.config.batch_size)
+        if sscan.finished and not sscan.stopped_by_consumer:
+            # whole range walked: true cardinality for the feedback loop
+            candidate.observed = sscan.cursor.consumed
+    finally:
+        ctx.trace.tracer.end(span)
+    return TacticOutcome(
+        processes=[sscan],
+        description=f"{label}({candidate.index.name})",
+        stopped_by_consumer=sscan.stopped_by_consumer,
+    )
+
+
+# ---------------------------------------------------------------------------
 # Union (OR) tactic — the Section 8 extension
 # ---------------------------------------------------------------------------
 
@@ -375,8 +417,6 @@ def fast_first_steps(ctx: TacticContext) -> StepOutcome:
         ctx.sink, fgr_buffer, ctx.trace, ctx.config, predicate=ctx.predicate,
     ))
     outcome.processes = [jscan, fgr]
-    fgr_weight = ctx.config.foreground_speed
-    bgr_weight = ctx.config.background_speed
     # competition checks run after every step; only the yield is batched
     quantum = max(1, ctx.config.batch_size)
     pending = 0
@@ -400,7 +440,7 @@ def fast_first_steps(ctx: TacticContext) -> StepOutcome:
         if (
             fgr.active
             and fgr.meter.total
-            >= ctx.switch_fraction() * jscan.guaranteed_best_cost()
+            >= ctx.config.scan_cost_limit_fraction * jscan.guaranteed_best_cost()
         ):
             fgr.abandon()
             ctx.trace.emit(EventKind.FOREGROUND_TERMINATED, reason="competition")
@@ -411,12 +451,9 @@ def fast_first_steps(ctx: TacticContext) -> StepOutcome:
             if fgr.active:
                 ctx.trace.emit(EventKind.FOREGROUND_TERMINATED, reason="background-complete")
             break
-        # proportional interleave via virtual time
+        # equal-speed interleave: whichever process has spent less goes next
         fgr_ready = fgr.active and fgr.has_work
-        if fgr_ready and (
-            not jscan.active
-            or fgr.meter.total / fgr_weight <= jscan.meter.total / bgr_weight
-        ):
+        if fgr_ready and (not jscan.active or fgr.meter.total <= jscan.meter.total):
             fgr.step()
         elif jscan.active:
             jscan.step()
@@ -473,8 +510,6 @@ def sorted_tactic_steps(ctx: TacticContext) -> StepOutcome:
     else:
         outcome.processes = [fscan]
 
-    fgr_weight = ctx.config.foreground_speed
-    bgr_weight = ctx.config.background_speed
     filter_installed = False
     quantum = max(1, ctx.config.batch_size)
     pending = 0
@@ -500,7 +535,7 @@ def sorted_tactic_steps(ctx: TacticContext) -> StepOutcome:
             # no partner left to interleave with: the rest of the quantum
             # in one call (the same steps, the same yields)
             pending += fscan.run_batch(quantum - pending)[0]
-        elif jscan.meter.total / bgr_weight < fscan.meter.total / fgr_weight:
+        elif jscan.meter.total < fscan.meter.total:
             jscan.step()
             pending += 1
         else:
@@ -559,8 +594,6 @@ def index_only_steps(ctx: TacticContext) -> StepOutcome:
     else:
         outcome.processes = [sscan]
 
-    fgr_weight = ctx.config.foreground_speed
-    bgr_weight = ctx.config.background_speed
     quantum = max(1, ctx.config.batch_size)
     pending = 0
     while sscan.active:
@@ -597,7 +630,7 @@ def index_only_steps(ctx: TacticContext) -> StepOutcome:
             # no partner left to interleave with: the rest of the quantum
             # in one call (the same steps, the same yields)
             pending += sscan.run_batch(quantum - pending)[0]
-        elif jscan.meter.total / bgr_weight < sscan.meter.total / fgr_weight:
+        elif jscan.meter.total < sscan.meter.total:
             jscan.step()
             pending += 1
         else:
@@ -627,8 +660,7 @@ def _estimated_remaining_cost(sscan: SscanProcess, candidate) -> float:
     from earlier executions sharpens the stage-switch projection too.
     """
     consumed = sscan.cursor.consumed
-    estimate = candidate.estimated_rids if candidate.estimate is not None else None
-    if not consumed or estimate is None:
+    if not consumed:
         return float("inf")
     per_entry = sscan.meter.total / consumed
-    return max(0.0, (estimate - consumed)) * per_entry
+    return max(0.0, (candidate.estimated_rids - consumed)) * per_entry

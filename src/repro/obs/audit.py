@@ -65,9 +65,10 @@ class DecisionKind(enum.Enum):
     #: how a partitioned retrieval was fanned out: candidate partitions
     #: after pruning, partitioning method
     SCATTER = "scatter"
-    #: the variance gate trusted a demonstrably accurate estimate and ran
-    #: the winning strategy directly, skipping the pilot race; inputs
-    #: carry the confidence score, observation count, and log-q moments
+    #: the join competition trusted the estimated-best order's edge
+    #: estimates and ran it alone, skipping the pilot race; inputs carry
+    #: the confidence score, observation count, and log-q moments (a
+    #: single-table skip is its ``TACTIC_SELECTION``, ``basis="trusted"``)
     COMPETITION_SKIPPED = "competition-skipped"
 
 

@@ -35,17 +35,22 @@ def test_custom_config_flows_through_engine():
     from repro.db.session import Database
     from repro.expr.ast import col
 
-    config = EngineConfig(dynamic_estimation=False, simultaneous_adjacent_scans=False)
-    db = Database(buffer_capacity=32, config=config)
-    table = db.create_table("T", [("A", "int")])
-    for i in range(50):
-        table.insert((i,))
-    table.create_index("IX", ["A"])
-    result = table.select(where=col("A") < 10)
-    # with dynamic estimation off, no initial-estimate events appear
     from repro.engine.metrics import EventKind
 
-    assert not result.trace.has(EventKind.INITIAL_ESTIMATE)
+    def run(config):
+        db = Database(buffer_capacity=32, config=config)
+        table = db.create_table("T", [("A", "int"), ("B", "int")], rows_per_page=8)
+        for i in range(400):
+            table.insert((i, i))
+        table.create_index("IX", ["A"])
+        return table.select(where=col("A") < 10)
+
+    assert run(EngineConfig()).description == "short-range(IX)"
+    result = run(EngineConfig(shortcut_rid_count=-1, simultaneous_adjacent_scans=False))
+    # with the small-range shortcut off, the short range is raced, not
+    # fetched directly
+    assert not result.trace.has(EventKind.SHORTCUT_SMALL_RANGE)
+    assert result.description.startswith("background-only")
     assert len(result.rows) == 10
 
 
@@ -59,7 +64,7 @@ def test_option_budget():
     count may only fall, and every field must be set (``name=``) by some
     test, benchmark or example — otherwise it is a constant, not an option."""
     names = [field.name for field in dataclasses.fields(EngineConfig)]
-    assert len(names) <= 29
+    assert len(names) <= 26
     users = "\n".join(
         path.read_text()
         for root in ("tests", "benchmarks", "examples")

@@ -1,7 +1,7 @@
 """Property: every engine configuration returns the same rows.
 
-The dynamic optimizer's knobs (thresholds, buffer sizes, pair mode,
-estimation on/off) may change *cost*, never *results*. This is the
+The dynamic optimizer's knobs (thresholds, buffer sizes, pair mode, the
+switch rule, the scheduling quantum) may change *cost*, never *results*. This is the
 load-bearing safety property of competition-based optimization: abandoning
 a scan mid-run must be invisible to the consumer.
 """
@@ -18,13 +18,13 @@ from repro.expr.ast import col
 CONFIGS = [
     EngineConfig(),  # defaults
     EngineConfig(simultaneous_adjacent_scans=False),
-    EngineConfig(dynamic_estimation=False),
+    EngineConfig(probabilistic_switch=True),
     EngineConfig(switch_threshold=0.25),
     EngineConfig(switch_threshold=10.0, scan_cost_limit_fraction=100.0),
     EngineConfig(static_rid_buffer_size=2, allocated_rid_buffer_size=8),
     EngineConfig(shortcut_rid_count=0),
     EngineConfig(foreground_buffer_size=4),
-    EngineConfig(foreground_speed=4.0, background_speed=1.0),
+    EngineConfig(batch_size=1),
 ]
 
 

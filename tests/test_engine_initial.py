@@ -109,22 +109,26 @@ def test_host_vars_resolved_at_run_time(parts):
     assert len(bound.jscan_candidates) == 1
 
 
+def _estimation_order(trace) -> list[str]:
+    """The indexes in the order they were estimated: the prearranged order."""
+    return [event.detail["index"] for event in trace.of_kind(EventKind.INITIAL_ESTIMATE)]
+
+
 def test_context_preorder_used(parts):
     context = IterationContext()
     context.record(["IX_WEIGHT", "IX_COLOR"], {})
-    config = parts.config.with_(dynamic_estimation=False)
     expr = (col("COLOR").eq(3)) & (col("WEIGHT") < 8)
-    arrangement, _ = run_stage(parts, expr, config=config, context=context)
-    names = [c.index.name for c in arrangement.jscan_candidates]
-    assert names == ["IX_WEIGHT", "IX_COLOR"]
+    _, trace = run_stage(parts, expr, context=context)
+    assert _estimation_order(trace) == ["IX_WEIGHT", "IX_COLOR"]
+    _, fresh = run_stage(parts, expr)
+    assert _estimation_order(fresh) == ["IX_COLOR", "IX_WEIGHT"]
 
 
 def test_static_preorder_prefers_equality(parts):
-    config = parts.config.with_(dynamic_estimation=False)
     expr = (col("WEIGHT") < 90) & (col("COLOR").eq(3))
-    arrangement, _ = run_stage(parts, expr, config=config)
-    names = [c.index.name for c in arrangement.jscan_candidates]
-    assert names[0] == "IX_COLOR"  # equality ranked before open range
+    _, trace = run_stage(parts, expr)
+    # equality ranked before open range
+    assert _estimation_order(trace) == ["IX_COLOR", "IX_WEIGHT"]
 
 
 def test_estimation_cost_recorded(parts):

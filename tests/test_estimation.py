@@ -21,6 +21,8 @@ from repro.estimate import Estimator, SelfTuningHistogram, q_error
 from repro.expr.ast import col
 from repro.obs.audit import AuditLog, DecisionMetrics
 from repro.obs.hist import LogHistogram
+from repro.obs.regret import run_compete
+from repro.obs.trace import Tracer
 
 
 # -- q-error ------------------------------------------------------------------
@@ -293,6 +295,33 @@ class TestVarianceGate:
         # the audited skip carries its confidence inputs
         events = skipped.trace.of_kind(EventKind.COMPETITION_SKIPPED)
         assert events[0].detail["confidence"] >= 0.75
+
+    def test_trusted_skip_is_a_replayable_tactic_selection(self):
+        """The gate's skip is the retrieval's one tactic selection, with
+        ``basis="trusted"``: EXPLAIN COMPETE replays the winner, the other
+        arm and the race it skipped."""
+        db = Database(buffer_capacity=128)
+        table = _gate_table(db)
+        where = (col("A") < 100) & (col("B").eq(3))
+        est = Estimator()
+        skipped = None
+        for _ in range(8):
+            tracer = Tracer(audit=AuditLog())
+            outcome = drain(table.select_steps(
+                where=where, columns=("A", "B"), estimator=est, tracer=tracer))
+            if outcome.trace.has(EventKind.COMPETITION_SKIPPED):
+                skipped = tracer
+                break
+        assert skipped is not None, "gate never trusted a stable workload"
+        (winner,) = [event.detail["winner"] for event in
+                     outcome.trace.of_kind(EventKind.COMPETITION_SKIPPED)]
+        selection = skipped.audit.retrievals[0].tactic_selection()
+        assert selection.chosen == winner
+        assert selection.inputs["basis"] == "trusted"
+        assert "index-only" in selection.alternatives
+        report = run_compete(db, skipped.audit, budget_steps=1_000_000)
+        assert report.replays == 3
+        assert selection.regret is not None
 
     def test_gate_disabled_by_config(self):
         db = Database(buffer_capacity=128)
