@@ -24,7 +24,7 @@ from repro.db.session import Database
 from repro.expr.ast import col
 from repro.storage.buffer_pool import BufferPool, CostMeter
 from repro.storage.pager import Pager
-from repro.storage.rid import RID
+from repro.storage.rid import make_rid
 
 
 def experiment() -> dict:
@@ -33,7 +33,7 @@ def experiment() -> dict:
     # -- worked example: fanout-3-ish tree -------------------------------
     tree = BTree(BufferPool(Pager(), 512), "ix", order=4)
     for i in range(27):
-        tree.insert(i, RID(i, 0))
+        tree.insert(i, make_rid(i, 0))
     estimate = estimate_range(tree, KeyRange(lo=(7,), hi=(9,)))
     report.line(f"\nworked example (27 keys, order 4, height {tree.height}):")
     report.line(f"  range [7..9]: k={estimate.k}, split level l={estimate.split_level}, "
@@ -45,7 +45,7 @@ def experiment() -> dict:
     values = sorted(int(v) for v in rng.integers(0, 100_000, size=20_000))
     big = BTree(BufferPool(Pager(), 4096), "big", order=32)
     for i, value in enumerate(values):
-        big.insert(value, RID(i, 0))
+        big.insert(value, make_rid(i, 0))
     histogram = Histogram(values, buckets=10)
 
     report.line("\naccuracy sweep (20k uniform keys in [0, 100k), 10-bucket histogram):")
@@ -79,7 +79,7 @@ def experiment() -> dict:
     # -- empty-range detection ------------------------------------------------
     gap_tree = BTree(BufferPool(Pager(), 512), "gap", order=16)
     for i in range(0, 5000, 10):  # keys 0, 10, 20, ... gaps in between
-        gap_tree.insert(i, RID(i, 0))
+        gap_tree.insert(i, make_rid(i, 0))
     empty = estimate_range(gap_tree, KeyRange(lo=(101,), hi=(105,)))
     hist_gap = Histogram([i for i in range(0, 5000, 10)], 10)
     hist_guess = hist_gap.selectivity_range(101, 105) * 500

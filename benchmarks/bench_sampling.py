@@ -21,7 +21,7 @@ from repro.btree.sampling import (
 from repro.btree.tree import BTree
 from repro.storage.buffer_pool import BufferPool, CostMeter
 from repro.storage.pager import Pager
-from repro.storage.rid import RID
+from repro.storage.rid import make_rid
 
 SAMPLE = 200
 
@@ -31,7 +31,7 @@ def build_tree(n=20_000, order=32) -> BTree:
     rng = np.random.default_rng(17)
     keys = rng.integers(0, 1_000_000, size=n)
     for i, key in enumerate(keys):
-        tree.insert(int(key), RID(i, 0))
+        tree.insert(int(key), make_rid(i, 0))
     return tree
 
 

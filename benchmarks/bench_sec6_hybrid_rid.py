@@ -22,7 +22,7 @@ from repro.config import EngineConfig
 from repro.storage.buffer_pool import BufferPool, CostMeter
 from repro.storage.hybrid_list import HybridRidList, RidListRegion
 from repro.storage.pager import Pager
-from repro.storage.rid import RID
+from repro.storage.rid import make_rid
 from repro.storage.temp_table import TempTable
 
 LISTS = 2000
@@ -45,7 +45,7 @@ def experiment() -> dict:
     for index, size in enumerate(sizes):
         hybrid = HybridRidList(pool, f"l{index}", config)
         for i in range(size):
-            hybrid.add(RID(i, 0), hybrid_meter)
+            hybrid.add(make_rid(i, 0), hybrid_meter)
         regions[hybrid.region] += 1
         hybrid.discard()
 
@@ -53,7 +53,7 @@ def experiment() -> dict:
     for index, size in enumerate(sizes):
         temp = TempTable(pool, f"n{index}", rids_per_page=512)
         for i in range(size):
-            temp.append(RID(i, 0), naive_meter)
+            temp.append(make_rid(i, 0), naive_meter)
         temp._flush(naive_meter)
         temp.release()
 
@@ -75,12 +75,12 @@ def experiment() -> dict:
 
     # membership-filter correctness across regions (bitmap: no false negatives)
     hybrid = HybridRidList(pool, "check", config)
-    members = [RID(i * 3, 1) for i in range(10_000)]
+    members = [make_rid(i * 3, 1) for i in range(10_000)]
     for rid in members:
         hybrid.add(rid)
     assert hybrid.region is RidListRegion.SPILLED
     misses = sum(1 for rid in members if not hybrid.may_contain(rid))
-    probes = [RID(i * 3 + 1, 2) for i in range(10_000)]
+    probes = [make_rid(i * 3 + 1, 2) for i in range(10_000)]
     false_positives = sum(1 for rid in probes if hybrid.may_contain(rid))
     report.line(f"\nspilled filter on 10k RIDs: {misses} false negatives (must be 0), "
                 f"{false_positives / len(probes):.1%} false positives")

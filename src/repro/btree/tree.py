@@ -24,8 +24,8 @@ from repro.storage.pager import PageKind
 from repro.storage.rid import RID
 
 #: RID sentinels for entry-space range bounds.
-RID_MIN = RID(-1, -1)
-RID_MAX = RID(1 << 62, 1 << 62)
+RID_MIN: RID = -1
+RID_MAX: RID = 1 << 62
 
 
 @functools.total_ordering

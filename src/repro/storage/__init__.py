@@ -13,7 +13,7 @@ from repro.storage.buffer_pool import BufferPool, CostMeter
 from repro.storage.heap import HeapFile
 from repro.storage.hybrid_list import HybridRidList, RidListRegion
 from repro.storage.pager import Page, Pager, PageKind
-from repro.storage.rid import RID, SortedRidBuffer, yao_pages_touched
+from repro.storage.rid import RID, SortedRidBuffer, make_rid, rid_page, rid_slot, yao_pages_touched
 from repro.storage.temp_table import TempTable
 
 __all__ = [
@@ -29,5 +29,8 @@ __all__ = [
     "RID",
     "SortedRidBuffer",
     "TempTable",
+    "make_rid",
+    "rid_page",
+    "rid_slot",
     "yao_pages_touched",
 ]

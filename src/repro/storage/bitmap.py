@@ -38,7 +38,7 @@ class BitmapFilter:
         # a final right-shift fold: the entropy of a multiplicative hash
         # lives in the high bits, so they must be mixed down before the
         # modulo or page numbers (multiples of 2^16) would all collide.
-        h = (rid.encode() * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
+        h = (rid * 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
         h ^= h >> 31
         bit = h % self.bits
         return bit >> 3, 1 << (bit & 7)

@@ -12,8 +12,8 @@ from typing import Callable, Iterable, Iterator, Sequence
 
 from repro.errors import RecordNotFoundError, StorageError
 from repro.storage.buffer_pool import BufferPool, CostMeter, NULL_METER
-from repro.storage.pager import Page, PageKind
-from repro.storage.rid import RID
+from repro.storage.pager import PageKind
+from repro.storage.rid import RID, SLOT_BITS, SLOT_MASK, make_rid
 
 Row = tuple
 
@@ -32,10 +32,13 @@ class HeapFile:
     def __init__(self, buffer_pool: BufferPool, name: str, rows_per_page: int = 32) -> None:
         if rows_per_page < 1:
             raise StorageError("rows_per_page must be >= 1")
+        if rows_per_page > 1 << SLOT_BITS:
+            # a larger slot would spill into the page bits of its RID
+            raise StorageError(f"rows_per_page must be <= {1 << SLOT_BITS}")
         self.buffer_pool = buffer_pool
         self.name = name
         self.rows_per_page = rows_per_page
-        #: page ids in file order; index in this list == RID.page
+        #: page ids in file order; index in this list == the RID's page
         self._page_ids: list[int] = []
         self._row_count = 0
 
@@ -65,7 +68,7 @@ class HeapFile:
         slots: list = page.payload
         slots.append(row)
         self._row_count += 1
-        return RID(page_no, len(slots) - 1)
+        return make_rid(page_no, len(slots) - 1)
 
     def insert_many(self, rows: Iterable[Row], meter: CostMeter = NULL_METER) -> list[RID]:
         """Bulk insert; returns RIDs in insertion order."""
@@ -73,30 +76,21 @@ class HeapFile:
 
     def delete(self, rid: RID, meter: CostMeter = NULL_METER) -> None:
         """Mark a slot empty. The RID becomes dangling."""
-        page = self._page_for(rid, meter)
-        slots: list = page.payload
-        if rid.slot >= len(slots) or slots[rid.slot] is None:
-            raise RecordNotFoundError(f"no record at {rid}")
-        slots[rid.slot] = None
+        slots, slot = self._record(rid, meter)
+        slots[slot] = None
         self._row_count -= 1
 
     def update(self, rid: RID, row: Row, meter: CostMeter = NULL_METER) -> None:
         """Overwrite a slot in place."""
-        page = self._page_for(rid, meter)
-        slots: list = page.payload
-        if rid.slot >= len(slots) or slots[rid.slot] is None:
-            raise RecordNotFoundError(f"no record at {rid}")
-        slots[rid.slot] = row
+        slots, slot = self._record(rid, meter)
+        slots[slot] = row
 
     # -- access --------------------------------------------------------------
 
     def fetch(self, rid: RID, meter: CostMeter = NULL_METER) -> Row:
         """Read one record by RID (a "data record fetch")."""
-        page = self._page_for(rid, meter)
-        slots: list = page.payload
-        if rid.slot >= len(slots) or slots[rid.slot] is None:
-            raise RecordNotFoundError(f"no record at {rid}")
-        return slots[rid.slot]
+        slots, slot = self._record(rid, meter)
+        return slots[slot]
 
     def scan(self, meter: CostMeter = NULL_METER) -> Iterator[tuple[RID, Row]]:
         """Full sequential scan: yields (RID, row) in physical order."""
@@ -111,7 +105,7 @@ class HeapFile:
         page = self.buffer_pool.get(self._page_ids[page_no], meter)
         for slot, row in enumerate(page.payload):
             if row is not None:
-                yield RID(page_no, slot), row
+                yield make_rid(page_no, slot), row
 
     def scan_page_run(
         self, start: int, count: int, meter: CostMeter = NULL_METER
@@ -120,7 +114,7 @@ class HeapFile:
 
         Returns the slot list of each page in the run
         ``[start, min(start+count, page_count))`` — the page's own list, not
-        a copy: slot ``i`` of page ``n`` is the record ``RID(n, i)``,
+        a copy: slot ``i`` of page ``n`` is the record ``make_rid(n, i)``,
         ``None`` where it was deleted, and the caller must not change it.
         The pages are pulled (and pinned meanwhile) through
         :meth:`BufferPool.get_many`, so hits and misses are charged exactly
@@ -159,15 +153,9 @@ class HeapFile:
         :meth:`BufferPool.prefetch`. Returns the number of pages physically
         read — each charged to ``meter`` as a normal miss.
         """
-        seen: set[int] = set()
-        page_ids: list[int] = []
         limit = len(self._page_ids)
-        for rid in rids:
-            page_no = rid.page
-            if page_no < 0 or page_no >= limit or page_no in seen:
-                continue
-            seen.add(page_no)
-            page_ids.append(self._page_ids[page_no])
+        pages = dict.fromkeys(rid >> SLOT_BITS for rid in rids)
+        page_ids = [self._page_ids[page_no] for page_no in pages if 0 <= page_no < limit]
         return self.buffer_pool.prefetch(page_ids, meter, window)
 
     def fetch_sorted(
@@ -189,10 +177,14 @@ class HeapFile:
 
     # -- internals ----------------------------------------------------------
 
-    def _page_for(self, rid: RID, meter: CostMeter) -> Page:
-        if rid.page < 0 or rid.page >= len(self._page_ids):
-            raise RecordNotFoundError(f"no record at {rid}")
-        return self.buffer_pool.get(self._page_ids[rid.page], meter)
+    def _record(self, rid: RID, meter: CostMeter) -> tuple[list[Row | None], int]:
+        """The slot list (read through the pool) and slot of a live record."""
+        page_no, slot = rid >> SLOT_BITS, rid & SLOT_MASK
+        if 0 <= page_no < len(self._page_ids):
+            slots = self.buffer_pool.get(self._page_ids[page_no], meter).payload
+            if slot < len(slots) and slots[slot] is not None:
+                return slots, slot
+        raise RecordNotFoundError(f"no record at page {page_no} slot {slot}")
 
     def _last_page_full(self, meter: CostMeter) -> bool:
         page = self.buffer_pool.get(self._page_ids[-1], meter)

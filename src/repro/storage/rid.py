@@ -1,9 +1,9 @@
 """Record identifiers and RID-list helpers.
 
-A RID names a record by (page number, slot). Jscan (Section 6) manipulates
-RID lists heavily: building them from index scans, intersecting them through
-filters, sorting them for page-clustered final fetches. Yao's formula
-estimates how many distinct pages a sorted RID fetch will touch, which is the
+A RID names a record by (page number, slot) in one int. Jscan (Section 6)
+manipulates RID lists heavily: building them from index scans, intersecting
+them through filters, sorting them for page-clustered final fetches. Yao's
+formula estimates how many distinct pages a sorted RID fetch will touch, the
 "projected second stage cost" used by the two-stage competition.
 """
 
@@ -12,34 +12,38 @@ from __future__ import annotations
 import threading
 from array import array
 from bisect import bisect_left, insort
-from functools import lru_cache, partial
-from itertools import repeat
-from typing import Iterable, Iterator, NamedTuple
+from functools import lru_cache
+from typing import Iterable, Iterator
+
+#: A record identifier, ``page << SLOT_BITS | slot``: ordered page-major like
+#: the pair it packs and, unlike a tuple subclass, never on the cyclic GC's
+#: heap, so the ``(key, rid)`` leaf entry holding it leaves that heap too.
+RID = int
+
+#: bits of a RID that hold the slot; a heap page has at most ``1 << SLOT_BITS``
+SLOT_BITS = 16
+SLOT_MASK = (1 << SLOT_BITS) - 1
 
 
-class RID(NamedTuple):
-    """A record identifier: heap page number and slot within the page."""
-
-    page: int
-    slot: int
-
-    def encode(self, slots_per_page: int = 1 << 16) -> int:
-        """Pack into a single integer (for hashing into bitmap filters)."""
-        return self.page * slots_per_page + self.slot
-
-    @classmethod
-    def decode(cls, value: int, slots_per_page: int = 1 << 16) -> "RID":
-        """Inverse of :meth:`encode`."""
-        return cls(value // slots_per_page, value % slots_per_page)
+def make_rid(page: int, slot: int) -> RID:
+    """The RID of ``slot`` on heap page ``page``."""
+    return page << SLOT_BITS | slot
 
 
-_new_rid = partial(tuple.__new__, RID)
+def rid_page(rid: RID) -> int:
+    """The heap page number a RID names."""
+    return rid >> SLOT_BITS
+
+
+def rid_slot(rid: RID) -> int:
+    """The slot within its page a RID names."""
+    return rid & SLOT_MASK
 
 
 def page_rids(page: int, slots: Iterable[int]) -> list[RID]:
     """The RIDs of the given slots of one heap page (built without a
     Python-level call per RID: the bulk scans name every survivor)."""
-    return list(map(_new_rid, zip(repeat(page), slots)))
+    return list(map((page << SLOT_BITS).__or__, slots))
 
 
 class SortedRidBuffer:
@@ -119,7 +123,7 @@ class SortedRidBuffer:
 
     def distinct_pages(self) -> int:
         """Number of distinct heap pages referenced."""
-        return len({rid.page for rid in self._rids})
+        return len({rid >> SLOT_BITS for rid in self._rids})
 
 
 #: prefix-product tables are kept for this many ``(pages, records/page)``

@@ -6,7 +6,7 @@ from repro.btree.tree import BTree, KeyRange
 from repro.errors import BTreeError
 from repro.storage.buffer_pool import BufferPool, CostMeter
 from repro.storage.pager import Pager
-from repro.storage.rid import RID
+from repro.storage.rid import make_rid
 
 
 def make_tree(order=4) -> BTree:
@@ -15,7 +15,7 @@ def make_tree(order=4) -> BTree:
 
 def fill(tree: BTree, keys) -> None:
     for i, key in enumerate(keys):
-        tree.insert(key, RID(i, 0))
+        tree.insert(key, make_rid(i, 0))
 
 
 def test_empty_tree_search():
@@ -27,8 +27,8 @@ def test_empty_tree_search():
 
 def test_insert_and_search_single():
     tree = make_tree()
-    tree.insert(5, RID(1, 1))
-    assert tree.search(5) == [RID(1, 1)]
+    tree.insert(5, make_rid(1, 1))
+    assert tree.search(5) == [make_rid(1, 1)]
 
 
 def test_order_validation():
@@ -45,19 +45,19 @@ def test_split_grows_height():
 
 def test_duplicate_keys_supported():
     tree = make_tree()
-    tree.insert(7, RID(1, 0))
-    tree.insert(7, RID(2, 0))
-    tree.insert(7, RID(3, 0))
-    assert sorted(tree.search(7)) == [RID(1, 0), RID(2, 0), RID(3, 0)]
+    tree.insert(7, make_rid(1, 0))
+    tree.insert(7, make_rid(2, 0))
+    tree.insert(7, make_rid(3, 0))
+    assert sorted(tree.search(7)) == [make_rid(1, 0), make_rid(2, 0), make_rid(3, 0)]
 
 
 def test_composite_keys():
     tree = make_tree()
-    tree.insert((1, "a"), RID(0, 0))
-    tree.insert((1, "b"), RID(1, 0))
-    tree.insert((2, "a"), RID(2, 0))
+    tree.insert((1, "a"), make_rid(0, 0))
+    tree.insert((1, "b"), make_rid(1, 0))
+    tree.insert((2, "a"), make_rid(2, 0))
     rids = [rid for _, rid in tree.scan_range(KeyRange(lo=(1,), hi=(1,)))]
-    assert rids == [RID(0, 0), RID(1, 0)]
+    assert rids == [make_rid(0, 0), make_rid(1, 0)]
 
 
 def test_range_scan_inclusive_bounds():
@@ -107,7 +107,7 @@ def test_range_between_keys_is_empty():
 def test_delete_existing():
     tree = make_tree()
     fill(tree, range(30))
-    assert tree.delete(7, RID(7, 0))
+    assert tree.delete(7, make_rid(7, 0))
     assert tree.search(7) == []
     assert tree.entry_count == 29
     tree.check_invariants()
@@ -116,17 +116,17 @@ def test_delete_existing():
 def test_delete_missing_returns_false():
     tree = make_tree()
     fill(tree, range(5))
-    assert not tree.delete(3, RID(99, 0))
-    assert not tree.delete(42, RID(0, 0))
+    assert not tree.delete(3, make_rid(99, 0))
+    assert not tree.delete(42, make_rid(0, 0))
     assert tree.entry_count == 5
 
 
 def test_delete_one_duplicate_only():
     tree = make_tree()
-    tree.insert(5, RID(1, 0))
-    tree.insert(5, RID(2, 0))
-    tree.delete(5, RID(1, 0))
-    assert tree.search(5) == [RID(2, 0)]
+    tree.insert(5, make_rid(1, 0))
+    tree.insert(5, make_rid(2, 0))
+    tree.delete(5, make_rid(1, 0))
+    assert tree.search(5) == [make_rid(2, 0)]
 
 
 def test_entries_iterator_sorted():

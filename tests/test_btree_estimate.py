@@ -8,13 +8,13 @@ from repro.btree.estimate import RangeEstimate, estimate_range, estimation_io_co
 from repro.btree.tree import BTree, KeyRange
 from repro.storage.buffer_pool import BufferPool, CostMeter
 from repro.storage.pager import Pager
-from repro.storage.rid import RID
+from repro.storage.rid import make_rid
 
 
 def make_tree(n, order=4):
     tree = BTree(BufferPool(Pager(), 512), "ix", order=order)
     for i in range(n):
-        tree.insert(i, RID(i, 0))
+        tree.insert(i, make_rid(i, 0))
     return tree
 
 
@@ -81,7 +81,7 @@ def test_estimate_always_fresh_after_inserts():
     before = estimate_range(tree, KeyRange(lo=(100,), hi=(200,)))
     assert before.is_empty
     for i in range(100, 120):
-        tree.insert(i, RID(i, 0))
+        tree.insert(i, make_rid(i, 0))
     after = estimate_range(tree, KeyRange(lo=(100,), hi=(200,)))
     assert not after.is_empty
     assert after.rids >= 1
@@ -96,7 +96,7 @@ def test_full_range_estimate_near_entry_count():
 def test_duplicate_heavy_range():
     tree = BTree(BufferPool(Pager(), 512), "ix", order=4)
     for i in range(60):
-        tree.insert(5, RID(i, 0))  # all entries share one key
+        tree.insert(5, make_rid(i, 0))  # all entries share one key
     estimate = estimate_range(tree, KeyRange(lo=(5,), hi=(5,)))
     assert estimate.rids > 0
 
@@ -109,7 +109,7 @@ def test_paper_worked_example_shape():
     """
     tree = BTree(BufferPool(Pager(), 512), "ix", order=4)
     for i in range(27):
-        tree.insert(i, RID(i, 0))
+        tree.insert(i, make_rid(i, 0))
     # pick a range that straddles exactly two leaves
     node = tree._peek_node(tree._root_id)
     while not node.is_leaf:
@@ -191,7 +191,7 @@ def test_estimate_equals_the_per_child_oracle(order, bulk):
     rng = random.Random(order * 2 + bulk)
     # composite keys, about two entries of each; a stretch of the key space left empty
     entries = [
-        ((first, rng.randrange(0, 24)), RID(i, 0))
+        ((first, rng.randrange(0, 24)), make_rid(i, 0))
         for i, first in enumerate(
             rng.choice([v for v in range(40) if not 17 <= v <= 21]) for _ in range(1500)
         )
@@ -238,7 +238,7 @@ def test_root_split_on_a_packed_tree_is_underpriced():
     item 5): 8 000 entries pack into 250 leaves under 8 nodes under a root of
     8, ``f`` is still ``8000 ** (1/3) = 20``, and a range that splits at the
     root is priced at ``k * 20**2`` when each root child holds 1 024."""
-    entries = [((i,), RID(i // 32, i % 32)) for i in range(8000)]
+    entries = [((i,), make_rid(i // 32, i % 32)) for i in range(8000)]
     packed = BTree(BufferPool(Pager(), 512), "packed", order=32)
     packed.bulk_load(entries)
     grown = BTree(BufferPool(Pager(), 512), "grown", order=32)

@@ -7,7 +7,7 @@ from repro.btree.tree import BTree, KeyRange
 from repro.errors import BTreeError
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
-from repro.storage.rid import RID
+from repro.storage.rid import make_rid
 
 keys = st.lists(st.integers(min_value=-50, max_value=50), max_size=120)
 
@@ -16,7 +16,7 @@ def build(key_list, order=4):
     tree = BTree(BufferPool(Pager(), 512), "ix", order=order)
     entries = []
     for i, key in enumerate(key_list):
-        rid = RID(i, 0)
+        rid = make_rid(i, 0)
         tree.insert(key, rid)
         entries.append(((key,), rid))
     return tree, sorted(entries)
@@ -72,8 +72,8 @@ def test_interleaved_insert_delete_matches_oracle(key_list, data):
     tree = BTree(BufferPool(Pager(), 512), "ix", order=4)
     live: list = []
     for i, key in enumerate(key_list):
-        tree.insert(key, RID(i, 0))
-        live.append(((key,), RID(i, 0)))
+        tree.insert(key, make_rid(i, 0))
+        live.append(((key,), make_rid(i, 0)))
         if live and data.draw(st.booleans()):
             victim = data.draw(st.sampled_from(live))
             live.remove(victim)
@@ -100,7 +100,7 @@ composite_keys = st.lists(
 def build_both(key_list, order):
     """The same entries in a ``bulk_load``ed tree and an incrementally built
     one."""
-    entries = [(key, RID(i, 0)) for i, key in enumerate(key_list)]
+    entries = [(key, make_rid(i, 0)) for i, key in enumerate(key_list)]
     packed = BTree(BufferPool(Pager(), 512), "packed", order=order)
     packed.bulk_load(entries)
     grown = BTree(BufferPool(Pager(), 512), "grown", order=order)
@@ -138,7 +138,7 @@ def test_bulk_load_equals_incremental_build(key_list, order, data):
             victim = live.pop(data.draw(st.integers(0, len(live) - 1)))
             assert packed.delete(*victim) and grown.delete(*victim)
         else:
-            entry = (data.draw(key_pair), RID(1000 + step, 0))
+            entry = (data.draw(key_pair), make_rid(1000 + step, 0))
             packed.insert(*entry)
             grown.insert(*entry)
             live.append(entry)
@@ -155,7 +155,7 @@ def test_bulk_load_at_the_node_boundaries(order):
     under half full (the root excepted), with exact bookkeeping."""
     for count in [0, 1, order, order + 1, *range(order * order - 2, order * order + order + 3)]:
         tree = BTree(BufferPool(Pager(), 4096), "ix", order=order)
-        entries = [((i // 2,), RID(i, 0)) for i in range(count)]
+        entries = [((i // 2,), make_rid(i, 0)) for i in range(count)]
         tree.bulk_load(reversed(entries))
         tree.check_invariants()
         assert list(tree.entries()) == entries
@@ -173,16 +173,17 @@ def test_bulk_load_at_the_node_boundaries(order):
 def test_bulk_load_takes_keys_as_insert_does():
     # scalar keys are wrapped like insert's, so the two can be mixed
     tree = BTree(BufferPool(Pager(), 64), "ix", order=4)
-    tree.bulk_load([(key, RID(key, 0)) for key in (5, 3, (4,), 9, 1, 7)])
-    tree.insert(6, RID(6, 0))
-    assert tree.delete(5, RID(5, 0)) and tree.delete((3,), RID(3, 0))
+    pages, keys = (5, 3, 4, 9, 1, 7), (5, 3, (4,), 9, 1, 7)
+    tree.bulk_load([(key, make_rid(page, 0)) for page, key in zip(pages, keys)])
+    tree.insert(6, make_rid(6, 0))
+    assert tree.delete(5, make_rid(5, 0)) and tree.delete((3,), make_rid(3, 0))
     tree.check_invariants()
     assert [key for key, _ in tree.entries()] == [(1,), (4,), (6,), (7,), (9,)]
-    assert tree.search(7) == [RID(7, 0)]
+    assert tree.search(7) == [make_rid(7, 0)]
 
 
 def test_bulk_load_refuses_a_tree_that_holds_entries():
     tree = BTree(BufferPool(Pager(), 64), "ix", order=4)
-    tree.insert(1, RID(0, 0))
+    tree.insert(1, make_rid(0, 0))
     with pytest.raises(BTreeError):
-        tree.bulk_load([((2,), RID(0, 1))])
+        tree.bulk_load([((2,), make_rid(0, 1))])

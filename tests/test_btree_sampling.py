@@ -12,13 +12,13 @@ from repro.btree.sampling import (
 from repro.btree.tree import BTree
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.pager import Pager
-from repro.storage.rid import RID
+from repro.storage.rid import make_rid
 
 
 def make_tree(n, order=8):
     tree = BTree(BufferPool(Pager(), 512), "ix", order=order)
     for i in range(n):
-        tree.insert(i, RID(i, 0))
+        tree.insert(i, make_rid(i, 0))
     return tree
 
 

@@ -27,10 +27,20 @@ from repro.engine.retrieval import RetrievalRequest
 from repro.errors import RetrievalError
 from repro.estimate import Estimator
 from repro.expr.ast import ALWAYS_TRUE, col
+from repro.storage.rid import rid_page, rid_slot
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "dispatch.json")
 
 FAST = OptimizationGoal.FAST_FIRST
+
+
+class _PrintedRid(int):
+    """An int RID printed as the ``RID(page=…, slot=…)`` named tuple the
+    pinned digests were recorded from, so they still pin the same RIDs in
+    the same order."""
+
+    def __repr__(self) -> str:
+        return f"RID(page={rid_page(self)}, slot={rid_slot(self)})"
 
 
 def _digest(value) -> str:
@@ -84,7 +94,7 @@ def _pin(db, result) -> dict:
                                   for event in result.trace.events]),
         "rows": len(result.rows),
         "rows_digest": _digest(result.rows),
-        "rids_digest": _digest(result.rids),
+        "rids_digest": _digest(list(map(_PrintedRid, result.rids))),
         "total_cost": repr(result.total_cost),
         "execution_io": result.execution_io,
         "pager_reads": db.pager.stats.reads,

@@ -26,6 +26,7 @@ from repro.expr.ast import ALWAYS_TRUE, col
 from repro.expr.disjunction import cover_disjuncts
 from repro.storage.buffer_pool import CostMeter
 from repro.storage.heap import RECORD_CPU_COST
+from repro.storage.rid import rid_page, rid_slot
 
 BATCH_SIZES = [1, 2, 64]
 
@@ -593,7 +594,7 @@ class EveryOtherPage:
     """A stand-in for a completed Jscan filter."""
 
     def may_contain(self, rid):
-        return rid.page % 2 == 0
+        return rid_page(rid) % 2 == 0
 
 
 def scan_range(kind, table):
@@ -725,7 +726,7 @@ SCAN_SCENARIOS = {
     "tscan-stop-on-first-row": ("tscan", ALWAYS_TRUE, 1, {}),
     "tscan-stop-on-page-last-row": ("tscan", ALWAYS_TRUE, 13, {}),
     "tscan-skip-rids": ("tscan", col("B") < 60, 37,
-                        {"skip": lambda rid: rid.slot % 3 == 0}),
+                        {"skip": lambda rid: rid_slot(rid) % 3 == 0}),
     "tscan-raises": ("tscan", col("C") >= 0, None, {}),
     "tscan-stop-before-raise": ("tscan", col("C") >= 0, 100, {}),
     "tscan-stop-on-page-of-raise": ("tscan", col("C") >= 200, 2, {}),
@@ -765,10 +766,11 @@ class TestScanAdvanceEquivalence:
                 seen = reference(name)
                 assert seen["stopped"] and seen["error"] is None, name
         # the stop row sits where the name says it does
-        assert reference("tscan-stop-mid-page")["rids"][-1].slot not in (0, 7)
-        assert reference("tscan-stop-on-page-last-row")["rids"][-1].slot == 7
-        assert reference("tscan-stop-on-page-of-raise")["rids"][-1].page == bad.page
-        assert reference("tscan-stop-on-page-of-raise")["rids"][-1].slot < bad.slot
+        assert rid_slot(reference("tscan-stop-mid-page")["rids"][-1]) not in (0, 7)
+        assert rid_slot(reference("tscan-stop-on-page-last-row")["rids"][-1]) == 7
+        last = reference("tscan-stop-on-page-of-raise")["rids"][-1]
+        assert rid_page(last) == rid_page(bad)
+        assert rid_slot(last) < rid_slot(bad)
         assert reference("fscan-rid-filter")["counters"]["rids_filtered_out"] > 0
 
     @pytest.mark.parametrize("drive", ["step", *BATCH_SIZES])
@@ -792,19 +794,19 @@ class TestScanAdvanceEquivalence:
 
     def test_collecting_sink_takes_pages_as_it_takes_rows(self):
         from repro.engine.scans import CollectingSink
-        from repro.storage.rid import RID, page_rids
+        from repro.storage.rid import RID, make_rid, page_rids
 
         rids = page_rids(3, range(6))
-        assert rids == [RID(3, slot) for slot in range(6)]
+        assert rids == [make_rid(3, slot) for slot in range(6)]
         assert all(type(rid) is RID for rid in rids)
         rows = [(slot,) for slot in range(6)]
         for limit in (None, 0, 1, 4, 6, 7):
             for already in (0, 2):
-                one_by_one = CollectingSink([(9,)] * already, [RID(0, 0)] * already, limit)
+                one_by_one = CollectingSink([(9,)] * already, [make_rid(0, 0)] * already, limit)
                 stop_at = next(
                     (i for i in range(6) if not one_by_one(rids[i], rows[i])), None
                 )
-                at_once = CollectingSink([(9,)] * already, [RID(0, 0)] * already, limit)
+                at_once = CollectingSink([(9,)] * already, [make_rid(0, 0)] * already, limit)
                 assert at_once.take(rids, rows) == stop_at
                 assert (at_once.rows, at_once.rids) == (one_by_one.rows, one_by_one.rids)
                 assert at_once.take([], []) is None

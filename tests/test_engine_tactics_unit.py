@@ -8,22 +8,22 @@ from repro.engine.metrics import RetrievalTrace
 from repro.engine.tactics import BorrowingFetchProcess, ForegroundBuffer, TacticOutcome
 from repro.competition.process import SyntheticProcess
 from repro.expr.ast import ALWAYS_TRUE, col
-from repro.storage.rid import RID
+from repro.storage.rid import make_rid
 
 
 def test_foreground_buffer_records_until_capacity():
     buffer = ForegroundBuffer(capacity=2)
-    assert buffer.add(RID(0, 0))
-    assert buffer.add(RID(0, 1))
-    assert not buffer.add(RID(0, 2))  # overflow
+    assert buffer.add(make_rid(0, 0))
+    assert buffer.add(make_rid(0, 1))
+    assert not buffer.add(make_rid(0, 2))  # overflow
     assert len(buffer) == 2
-    assert RID(0, 0) in buffer and RID(0, 2) not in buffer
+    assert make_rid(0, 0) in buffer and make_rid(0, 2) not in buffer
 
 
 def test_foreground_buffer_deduplicates():
     buffer = ForegroundBuffer(capacity=10)
-    buffer.add(RID(1, 1))
-    buffer.add(RID(1, 1))
+    buffer.add(make_rid(1, 1))
+    buffer.add(make_rid(1, 1))
     assert len(buffer) == 1
 
 

@@ -32,7 +32,7 @@ from repro.partition import (
 from repro.partition.partitioner import make_partitioner
 from repro.server import QueryServer
 from repro.storage.pager import PageKind
-from repro.storage.rid import RID
+from repro.storage.rid import make_rid
 
 
 def make_db(partitions=4, rows=400, buffer_capacity=64, **overrides):
@@ -163,17 +163,17 @@ class TestRangePruning:
 class TestMerge:
     def test_bag_union_keeps_partition_order(self):
         runs = [
-            ([(3,), (1,)], [RID(0, 0), RID(0, 1)]),
-            ([(2,)], [RID(1, 0)]),
+            ([(3,), (1,)], [make_rid(0, 0), make_rid(0, 1)]),
+            ([(2,)], [make_rid(1, 0)]),
         ]
         rows, rids = bag_union(runs)
         assert rows == [(3,), (1,), (2,)]
-        assert rids == [RID(0, 0), RID(0, 1), RID(1, 0)]
+        assert rids == [make_rid(0, 0), make_rid(0, 1), make_rid(1, 0)]
 
     def test_merge_sorted_runs_globally_ordered(self):
         runs = [
-            ([(1, "a"), (4, "a")], [RID(0, 0), RID(0, 1)]),
-            ([(2, "b"), (3, "b"), (9, "b")], [RID(1, 0), RID(1, 1), RID(1, 2)]),
+            ([(1, "a"), (4, "a")], [make_rid(0, 0), make_rid(0, 1)]),
+            ([(2, "b"), (3, "b"), (9, "b")], [make_rid(1, 0), make_rid(1, 1), make_rid(1, 2)]),
         ]
         rows, rids = merge_sorted_runs(runs, [0])
         assert [row[0] for row in rows] == [1, 2, 3, 4, 9]
@@ -181,8 +181,8 @@ class TestMerge:
 
     def test_merge_ties_break_by_partition(self):
         runs = [
-            ([(5, "p1")], [RID(1, 0)]),
-            ([(5, "p0")], [RID(0, 0)]),
+            ([(5, "p1")], [make_rid(1, 0)]),
+            ([(5, "p0")], [make_rid(0, 0)]),
         ]
         rows, _ = merge_sorted_runs(runs, [0])
         # equal keys deliver in partition order, never comparing payloads
@@ -195,11 +195,11 @@ class TestMerge:
         # an empty run, and payloads (dicts) no comparison could order
         runs = [
             ([(1, 1, {"p": 0}), (2, 1, {"p": 0}), (2, 1, {"q": 0}), (2, 3, {})],
-             [RID(0, 0), RID(0, 1), RID(0, 2), RID(0, 3)]),
+             [make_rid(0, 0), make_rid(0, 1), make_rid(0, 2), make_rid(0, 3)]),
             ([], []),
-            ([(2, 1, {"p": 2}), (2, 2, {"p": 2})], [RID(0, 0), RID(0, 1)]),
+            ([(2, 1, {"p": 2}), (2, 2, {"p": 2})], [make_rid(0, 0), make_rid(0, 1)]),
             ([(0, 9, {}), (2, 1, {"p": 3}), (7, 0, {})],
-             [RID(5, 0), RID(5, 1), RID(5, 2)]),
+             [make_rid(5, 0), make_rid(5, 1), make_rid(5, 2)]),
         ]
         for positions in ([0], [0, 1], [1, 0]):
             in_order = [

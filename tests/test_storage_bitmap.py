@@ -4,16 +4,16 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.storage.bitmap import BitmapFilter
-from repro.storage.rid import RID
+from repro.storage.rid import make_rid
 
 rid_strategy = st.tuples(
     st.integers(min_value=0, max_value=10_000), st.integers(min_value=0, max_value=63)
-).map(lambda pair: RID(*pair))
+).map(lambda pair: make_rid(*pair))
 
 
 def test_added_rid_is_found():
     bitmap = BitmapFilter(1024)
-    rid = RID(5, 3)
+    rid = make_rid(5, 3)
     bitmap.add(rid)
     assert rid in bitmap
     assert bitmap.may_contain(rid)
@@ -21,7 +21,7 @@ def test_added_rid_is_found():
 
 def test_empty_bitmap_contains_nothing():
     bitmap = BitmapFilter(1024)
-    assert RID(1, 1) not in bitmap
+    assert make_rid(1, 1) not in bitmap
 
 
 @given(st.lists(rid_strategy, max_size=200))
@@ -34,9 +34,9 @@ def test_no_false_negatives(rids):
 
 def test_false_positive_rate_is_reasonable():
     bitmap = BitmapFilter(1 << 14)
-    members = [RID(i, i % 32) for i in range(500)]
+    members = [make_rid(i, i % 32) for i in range(500)]
     bitmap.add_many(members)
-    probes = [RID(100_000 + i, i % 32) for i in range(2000)]
+    probes = [make_rid(100_000 + i, i % 32) for i in range(2000)]
     false_positives = sum(1 for rid in probes if rid in bitmap)
     # fill factor ~ 500/16384 ~ 3%; single-hash FP rate should be near that
     assert false_positives / len(probes) < 0.10
@@ -45,7 +45,7 @@ def test_false_positive_rate_is_reasonable():
 def test_fill_factor_and_population():
     bitmap = BitmapFilter(256)
     for i in range(20):
-        bitmap.add(RID(i, 0))
+        bitmap.add(make_rid(i, 0))
     assert bitmap.population == 20
     assert 0 < bitmap.fill_factor() <= 20 / 256
 
@@ -69,6 +69,6 @@ def test_size_for_zero():
 def test_set_bit_count_le_population():
     bitmap = BitmapFilter(64)  # force collisions
     for i in range(200):
-        bitmap.add(RID(i, 1))
+        bitmap.add(make_rid(i, 1))
     assert bitmap.set_bit_count() <= 64
     assert bitmap.population == 200

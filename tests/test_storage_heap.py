@@ -5,7 +5,7 @@ import pytest
 from repro.errors import RecordNotFoundError, StorageError
 from repro.storage.buffer_pool import CostMeter
 from repro.storage.heap import HeapFile
-from repro.storage.rid import RID
+from repro.storage.rid import SLOT_BITS, make_rid
 
 
 @pytest.fixture
@@ -15,9 +15,9 @@ def heap(buffer_pool):
 
 def test_insert_returns_sequential_rids(heap):
     rids = [heap.insert((i,)) for i in range(6)]
-    assert rids[0] == RID(0, 0)
-    assert rids[3] == RID(0, 3)
-    assert rids[4] == RID(1, 0)  # new page after 4 rows
+    assert rids[0] == make_rid(0, 0)
+    assert rids[3] == make_rid(0, 3)
+    assert rids[4] == make_rid(1, 0)  # new page after 4 rows
 
 
 def test_fetch_roundtrip(heap):
@@ -28,9 +28,9 @@ def test_fetch_roundtrip(heap):
 def test_fetch_bad_rid_raises(heap):
     heap.insert((1,))
     with pytest.raises(RecordNotFoundError):
-        heap.fetch(RID(0, 5))
+        heap.fetch(make_rid(0, 5))
     with pytest.raises(RecordNotFoundError):
-        heap.fetch(RID(9, 0))
+        heap.fetch(make_rid(9, 0))
 
 
 def test_scan_returns_all_in_physical_order(heap):
@@ -84,6 +84,24 @@ def test_update_deleted_raises(heap):
 def test_rows_per_page_validation(buffer_pool):
     with pytest.raises(StorageError):
         HeapFile(buffer_pool, "bad", rows_per_page=0)
+
+
+def test_rows_per_page_must_fit_the_slot_bits(buffer_pool):
+    # slot 1 << SLOT_BITS would read as slot 0 of the next page's RIDs
+    HeapFile(buffer_pool, "widest", rows_per_page=1 << SLOT_BITS)
+    with pytest.raises(StorageError, match="rows_per_page"):
+        HeapFile(buffer_pool, "too-wide", rows_per_page=(1 << SLOT_BITS) + 1)
+
+
+def test_record_not_found_names_page_and_slot(heap):
+    rids = heap.insert_many([(i,) for i in range(6)])
+    heap.delete(rids[5])
+    with pytest.raises(RecordNotFoundError, match="^no record at page 1 slot 1$"):
+        heap.fetch(rids[5])
+    with pytest.raises(RecordNotFoundError, match="^no record at page 3 slot 5$"):
+        heap.delete(make_rid(3, 5))
+    with pytest.raises(RecordNotFoundError, match="^no record at page 0 slot 7$"):
+        heap.update(make_rid(0, 7), (0,))
 
 
 def test_cold_scan_costs_page_count(heap, buffer_pool):

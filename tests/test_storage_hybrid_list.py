@@ -7,7 +7,7 @@ from repro.config import EngineConfig
 from repro.storage.buffer_pool import BufferPool
 from repro.storage.hybrid_list import HybridRidList, RidListRegion
 from repro.storage.pager import Pager
-from repro.storage.rid import RID
+from repro.storage.rid import RID, make_rid, rid_page
 
 SMALL = EngineConfig(static_rid_buffer_size=4, allocated_rid_buffer_size=10)
 
@@ -18,14 +18,14 @@ def make_list(config=SMALL) -> HybridRidList:
 
 
 def rids(n: int) -> list[RID]:
-    return [RID(i, i % 7) for i in range(n)]
+    return [make_rid(i, i % 7) for i in range(n)]
 
 
 def test_empty_region():
     hybrid = make_list()
     assert hybrid.region is RidListRegion.EMPTY
     assert len(hybrid) == 0
-    assert not hybrid.may_contain(RID(0, 0))
+    assert not hybrid.may_contain(make_rid(0, 0))
 
 
 def test_static_region_below_threshold():
@@ -54,8 +54,8 @@ def test_membership_exact_in_memory():
     hybrid = make_list()
     hybrid.extend(rids(8))
     assert hybrid.is_exact_filter
-    assert hybrid.may_contain(RID(3, 3))
-    assert not hybrid.may_contain(RID(100, 0))
+    assert hybrid.may_contain(make_rid(3, 3))
+    assert not hybrid.may_contain(make_rid(100, 0))
 
 
 def test_membership_no_false_negatives_after_spill():
@@ -70,14 +70,14 @@ def test_membership_no_false_negatives_after_spill():
 def test_sorted_rids_across_regions():
     for count in (0, 3, 7, 25):
         hybrid = make_list()
-        data = [RID(i * 13 % 50, 0) for i in range(count)]
+        data = [make_rid(i * 13 % 50, 0) for i in range(count)]
         hybrid.extend(data)
         assert hybrid.sorted_rids() == sorted(data)
 
 
 def test_iter_unsorted_preserves_insertion_for_static():
     hybrid = make_list()
-    data = [RID(3, 0), RID(1, 0), RID(2, 0)]
+    data = [make_rid(3, 0), make_rid(1, 0), make_rid(2, 0)]
     hybrid.extend(data)
     assert list(hybrid.iter_unsorted()) == data
 
@@ -85,10 +85,10 @@ def test_iter_unsorted_preserves_insertion_for_static():
 def test_refilter_in_memory():
     hybrid = make_list()
     hybrid.extend(rids(8))
-    dropped = hybrid.refilter(lambda rid: rid.page % 2 == 0)
+    dropped = hybrid.refilter(lambda rid: rid_page(rid) % 2 == 0)
     assert dropped == 4
     assert len(hybrid) == 4
-    assert all(rid.page % 2 == 0 for rid in hybrid.iter_unsorted())
+    assert all(rid_page(rid) % 2 == 0 for rid in hybrid.iter_unsorted())
 
 
 def test_refilter_spilled_raises():
@@ -115,7 +115,7 @@ def test_discard_resets_everything():
 @given(st.integers(min_value=0, max_value=60))
 def test_contents_preserved_across_all_regions(count):
     hybrid = make_list()
-    data = [RID(i, 0) for i in range(count)]
+    data = [make_rid(i, 0) for i in range(count)]
     hybrid.extend(data)
     assert sorted(hybrid.sorted_rids()) == sorted(data)
     assert len(hybrid) == count

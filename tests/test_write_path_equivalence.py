@@ -24,6 +24,7 @@ import numpy as np
 
 import repro
 from repro.storage.buffer_pool import CostMeter
+from repro.storage.rid import rid_page, rid_slot
 from repro.workloads.generators import uniform_ints, zipf_ints
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "write_path.json")
@@ -57,6 +58,15 @@ def orders_rows(n: int, first: int = 0) -> list[tuple]:
          statuses[i], amounts[i])
         for i in range(n)
     ]
+
+
+class _PrintedRid(int):
+    """An int RID printed as the ``RID(page=…, slot=…)`` named tuple the
+    pinned digests were recorded from, so they still pin the same RIDs in
+    the same order."""
+
+    def __repr__(self) -> str:
+        return f"RID(page={rid_page(self)}, slot={rid_slot(self)})"
 
 
 def _digest(value) -> str:
@@ -121,10 +131,11 @@ def fingerprint() -> dict:
         "trees": {
             name: [info.btree.height, info.btree.entry_count, info.btree.leaf_count,
                    sum(1 for _ in pager.pages_of(info.btree.name)),
-                   _digest(list(info.btree.entries()))]
+                   _digest([(key, _PrintedRid(rid))
+                            for key, rid in info.btree.entries()])]
             for name, info in table.indexes.items()
         },
-        "rids": _digest(rids),
+        "rids": _digest(list(map(_PrintedRid, rids))),
         "write_meter": [write_meter.io_reads, write_meter.io_writes,
                         write_meter.buffer_hits, repr(write_meter.cpu)],
         "pager_after_load": [pager.stats.reads, pager.stats.writes],
@@ -138,7 +149,7 @@ def fingerprint() -> dict:
         out["queries"].append({
             "rows": len(result.rows),
             "rows_digest": _digest(result.rows),
-            "rids_digest": _digest(retrieval.rids),
+            "rids_digest": _digest(list(map(_PrintedRid, retrieval.rids))),
             "description": retrieval.description,
             "costs": [repr(retrieval.estimation_cost), repr(retrieval.execution_cost),
                       retrieval.execution_io],
