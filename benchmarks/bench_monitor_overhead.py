@@ -7,7 +7,7 @@ interval has actually elapsed. This benchmark holds that always-on path to
 a <2% throughput budget against the identical workload with monitoring
 disabled (``monitor_interval=0``), min-of-N wall clocks on both sides.
 
-Methodology follows ``bench_audit_overhead.py``: the off and on runs are
+Methodology follows ``_util.best_of``: the off and on runs are
 measured *in this process with trials interleaved* so machine-wide drift
 (thermal throttling, noisy CI neighbors) hits both sides equally, and each
 sweep times the monitoring-off workload twice — the spread between those
@@ -51,7 +51,7 @@ sys.path.insert(
 )
 
 import repro
-from bench_audit_overhead import interleaved_best_of
+from _util import best_of
 from bench_throughput import N_SESSIONS, band_sql
 from bench_trace_overhead import REFERENCE_BATCH
 from repro.config import DEFAULT_CONFIG
@@ -208,7 +208,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # longer timed sections than the audit bench: the trial must span many
+    # longer timed sections than the trace bench: the trial must span many
     # sampling intervals for the on-arm to pay a representative number of
     # snapshots (a sub-interval trial would gate nothing)
     if args.smoke:
@@ -225,7 +225,7 @@ def main(argv: list[str] | None = None) -> int:
         "monitor_on": lambda: run_workload(True, rows, span, repeats),
         "monitor_off_b": lambda: run_workload(False, rows, span, repeats),
     }
-    best = interleaved_best_of(runs, trials)
+    best = best_of(runs, trials)
     for _ in range(2):
         ratio = best["monitor_on"]["wall_sec"] / best["monitor_off"]["wall_sec"]
         noise = abs(
@@ -234,7 +234,7 @@ def main(argv: list[str] | None = None) -> int:
         )
         if (ratio - 1.0) * 100 <= OVERHEAD_BUDGET_PCT + noise * 100:
             break
-        best = interleaved_best_of(runs, trials, best)
+        best = best_of(runs, trials, best)
     off, on = best["monitor_off"], best["monitor_on"]
     noise_pct = round(
         abs(best["monitor_off_b"]["wall_sec"] / off["wall_sec"] - 1.0) * 100, 2

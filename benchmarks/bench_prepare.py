@@ -40,6 +40,7 @@ sys.path.insert(
 )
 
 import repro
+from _util import best_of
 from repro.config import DEFAULT_CONFIG
 
 REPEATS = [1, 4, 16, 32]
@@ -120,19 +121,15 @@ def run_prepared(conn: repro.Connection, params: list[int]) -> dict:
             "qps": len(params) / elapsed}
 
 
-def best_of(run, trials: int) -> dict:
-    """Fastest of ``trials`` runs; the I/O total must never vary."""
-    results = [run() for _ in range(trials)]
-    assert len({r["io_total"] for r in results}) == 1, "io varies across trials"
-    return min(results, key=lambda r: r["wall_sec"])
-
-
 def measure(rows: int, trials: int) -> dict:
     results = {}
     for repeat in REPEATS:
         params = param_values(repeat, rows)
-        unprepared = best_of(lambda: run_unprepared(build_connection(rows), params), trials)
-        prepared = best_of(lambda: run_prepared(build_connection(rows), params), trials)
+        best = best_of({
+            "unprepared": lambda: run_unprepared(build_connection(rows), params),
+            "prepared": lambda: run_prepared(build_connection(rows), params),
+        }, trials)
+        unprepared, prepared = best["unprepared"], best["prepared"]
         results[str(repeat)] = {
             "queries": len(params),
             "unprepared_qps": round(unprepared["qps"], 1),

@@ -33,6 +33,7 @@ sys.path.insert(
 )
 
 import repro
+from _util import best_of
 from repro.config import DEFAULT_CONFIG
 from repro.storage.buffer_pool import CostMeter
 
@@ -108,17 +109,6 @@ def run_multi_session(batch_size: int, rows: int, span: int, repeats: int) -> di
     return _summary(delivered, len(handles), io_total, elapsed)
 
 
-def best_of(run, trials: int) -> dict:
-    """Run a workload ``trials`` times and keep the fastest wall clock.
-
-    Min-of-N is the standard defense against scheduler noise in wall-clock
-    benchmarks; the I/O accounting must be identical on every trial.
-    """
-    results = [run() for _ in range(trials)]
-    assert len({r["io_total"] for r in results}) == 1, "io varies across trials"
-    return min(results, key=lambda r: r["wall_sec"])
-
-
 def _summary(delivered: int, queries: int, io_total: int, elapsed: float) -> dict:
     return {
         "rows": delivered,
@@ -190,12 +180,12 @@ def main(argv: list[str] | None = None) -> int:
     single: dict[str, dict] = {}
     multi: dict[str, dict] = {}
     for batch_size in BATCH_SIZES:
-        single[str(batch_size)] = best_of(
-            lambda: run_single_session(batch_size, rows, span, repeats), trials
-        )
-        multi[str(batch_size)] = best_of(
-            lambda: run_multi_session(batch_size, rows, span, repeats), trials
-        )
+        best = best_of({
+            "single": lambda: run_single_session(batch_size, rows, span, repeats),
+            "multi": lambda: run_multi_session(batch_size, rows, span, repeats),
+        }, trials)
+        single[str(batch_size)] = best["single"]
+        multi[str(batch_size)] = best["multi"]
         print(
             f"batch {batch_size:4d}: "
             f"single {single[str(batch_size)]['rows_per_sec']:>10.1f} rows/s  "

@@ -39,7 +39,8 @@ sys.path.insert(
 )
 
 import repro
-from bench_throughput import N_SESSIONS, band_sql, best_of
+from _util import best_of
+from bench_throughput import N_SESSIONS, band_sql
 from repro.config import DEFAULT_CONFIG
 
 #: gate: disabled-path tracing may cost at most this fraction of throughput
@@ -150,8 +151,11 @@ def main(argv: list[str] | None = None) -> int:
     else:
         rows, span, repeats, trials = 6400, 1200, 8, 5
 
-    rate0 = best_of(lambda: run_workload(0.0, rows, span, repeats), trials)
-    rate1 = best_of(lambda: run_workload(1.0, rows, span, repeats), trials)
+    best = best_of({
+        "rate0": lambda: run_workload(0.0, rows, span, repeats),
+        "rate1": lambda: run_workload(1.0, rows, span, repeats),
+    }, trials)
+    rate0, rate1 = best["rate0"], best["rate1"]
     assert rate0["io_total"] == rate1["io_total"], "tracing changed I/O accounting"
 
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")

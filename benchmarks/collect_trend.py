@@ -2,7 +2,7 @@
 
 Each benchmark writes an independent JSON report at the repository root
 (``BENCH_throughput.json``, ``BENCH_trace_overhead.json``,
-``BENCH_prepare.json``, ``BENCH_audit_overhead.json``, ...). CI uploads
+``BENCH_prepare.json``, ``BENCH_monitor_overhead.json``, ...). CI uploads
 them individually, which makes cross-run comparison a download-and-diff
 chore. This collector gathers every ``BENCH_*.json`` present into a
 single document keyed by benchmark name, with a small headline block per
@@ -35,10 +35,6 @@ HEADLINES = {
     "trace_overhead": (
         "overhead_rate0_vs_reference_pct", "disabled-path overhead %"
     ),
-    "audit_overhead": [
-        ("overhead_off_vs_reference_pct", "audit-off overhead %"),
-        ("overhead_on_vs_off_pct", "audit-on overhead % vs off"),
-    ],
     "prepare": ("speedup_at_repeat_16", "prepared/unprepared speedup"),
     "join_competition": (
         "competitive_ratio_vs_worst", "competition cost / worst static order"

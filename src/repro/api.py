@@ -139,8 +139,8 @@ class Connection:
         sql: str,
         host_vars: Mapping[str, Any] | None = None,
     ):
-        """Execute one SELECT with a full decision audit and counterfactual
-        replay of the rejected strategies — the API form of
+        """Execute one SELECT and counterfactually replay the strategies
+        its decision log rejected — the API form of
         ``EXPLAIN COMPETE <sql>``.
 
         Returns the :class:`~repro.obs.regret.CompeteReport`: per-decision

@@ -88,19 +88,11 @@ class EngineConfig:
     #: a trace regardless of the rate. The disabled path is held to a <2%
     #: throughput budget by ``benchmarks/bench_trace_overhead.py``.
     trace_sample_rate: float = 0.0
-    #: Audit every query's optimizer decisions (goal inference, tactic
-    #: selection, shortcuts, stage transitions, strategy switches, feedback
-    #: application) into a structured :class:`repro.obs.audit.AuditLog` and
-    #: aggregate them into the server's decision metrics. Off by default —
-    #: the disabled path shares the tracing <2% budget
-    #: (``benchmarks/bench_audit_overhead.py``). EXPLAIN COMPETE forces an
-    #: audit for its statement regardless of this flag.
-    audit_enabled: bool = False
     #: Queries slower than this (wall milliseconds) are captured by the
     #: flight recorder: full span tree + decision log written to the
     #: server's ``flight_sink`` as one JSONL record. 0 disables.
     slow_query_ms: float = 0.0
-    #: Audited queries whose realized regret (chosen replay cost above the
+    #: Statements whose realized regret (chosen replay cost above the
     #: best rejected alternative — only EXPLAIN COMPETE computes it) meets
     #: this threshold are captured by the flight recorder. 0 disables.
     regret_threshold: float = 0.0
@@ -119,7 +111,7 @@ class EngineConfig:
     #: demonstrably trustworthy (confidence at or above
     #: ``COMPETITION_CONFIDENCE`` with at least
     #: ``CONFIDENCE_MIN_OBSERVATIONS`` observations, both in
-    #: :mod:`repro.estimate.qerror`); the skip is audited as the
+    #: :mod:`repro.estimate.qerror`); the skip is recorded as the
     #: retrieval's ``DecisionKind.TACTIC_SELECTION`` with
     #: ``basis="trusted"`` and its confidence inputs.
     #: False restores always-compete.

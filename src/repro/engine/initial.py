@@ -28,7 +28,6 @@ from repro.engine.metrics import EventKind, RetrievalTrace
 from repro.expr.ast import Expr
 from repro.expr.normalize import conjunction_terms
 from repro.expr.ranges import column_terms, extract_index_restriction
-from repro.obs.audit import DecisionKind
 from repro.storage.buffer_pool import CostMeter
 
 
@@ -367,25 +366,6 @@ def run_initial_stage(
         EventKind.INDEXES_ORDERED,
         order=[candidate.index.name for candidate in arrangement.jscan_candidates],
     )
-    audit = trace.audit
-    if audit.enabled and arrangement.jscan_candidates:
-        audit.decision(
-            DecisionKind.INDEX_ORDERING,
-            chosen=arrangement.jscan_candidates[0].index.name,
-            alternatives=tuple(
-                candidate.index.name
-                for candidate in arrangement.jscan_candidates[1:]
-            ),
-            estimates={
-                candidate.index.name: (
-                    round(candidate.estimated_rids, 1)
-                    if candidate.estimate is not None
-                    else None
-                )
-                for candidate in arrangement.jscan_candidates
-            },
-            shortcut=arrangement.shortcut,
-        )
 
     # estimate self-sufficient candidates (scan cost ~ range size)
     for candidate in arrangement.sscan_candidates:

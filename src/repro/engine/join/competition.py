@@ -49,9 +49,9 @@ JOIN_SWITCH_THRESHOLD = 0.95
 
 @dataclass
 class JoinReplayRequest:
-    """The audit-side record of one join retrieval — enough to replay it.
+    """The replayable record of one join retrieval.
 
-    Stored as the ``request`` of the retrieval's audit entry so
+    Kept as the ``request`` of the join's trace (and so of its audit) so
     counterfactual replay (:mod:`repro.obs.regret`) can recognize a join
     retrieval and re-run any rejected order on shadow tables via
     ``force_order``.
@@ -94,18 +94,15 @@ def run_join_steps(
     """
     if goal is OptimizationGoal.DEFAULT:
         goal = OptimizationGoal.TOTAL_TIME
-    trace = RetrievalTrace(tracer)
     display = join_display_name(plan)
+    request = JoinReplayRequest(plan=plan, host_vars=dict(host_vars), goal=goal)
+    trace = RetrievalTrace(tracer, display, request)
     span = trace.tracer.begin(
         "retrieval",
         table=display,
         goal=goal.value,
         tables=len(plan.sources),
     )
-    audit = trace.audit
-    request = JoinReplayRequest(plan=plan, host_vars=dict(host_vars), goal=goal)
-    if audit.enabled:
-        audit.begin_retrieval(display, request)
 
     orders = enumerate_orders(plan, handles, host_vars, feedback)
     if not orders:
@@ -134,26 +131,24 @@ def run_join_steps(
         if verdict is not None:
             if verdict.trust and len(orders) > 1:
                 estimator.trusted += 1
-                if audit.enabled:
-                    audit.decision(
-                        DecisionKind.COMPETITION_SKIPPED,
-                        candidates[0].key,
-                        tuple(o.key for o in orders[1:]),
-                        scope="join-order",
-                        **verdict.inputs(),
-                    )
+                trace.note(
+                    DecisionKind.COMPETITION_SKIPPED,
+                    candidates[0].key,
+                    tuple(o.key for o in orders[1:]),
+                    scope="join-order",
+                    **verdict.inputs(),
+                )
             else:
                 estimator.competed += 1
 
-    if audit.enabled:
-        audit.decision(
-            DecisionKind.JOIN_ORDER,
-            candidates[0].key,
-            alternatives=tuple(o.key for o in orders if o.key != candidates[0].key),
-            tables=len(plan.sources),
-            racing=len(candidates),
-            estimates={o.key: round(o.estimated_cost, 3) for o in orders},
-        )
+    trace.note(
+        DecisionKind.JOIN_ORDER,
+        candidates[0].key,
+        tuple(o.key for o in orders if o.key != candidates[0].key),
+        tables=len(plan.sources),
+        racing=len(candidates),
+        estimates={o.key: round(o.estimated_cost, 3) for o in orders},
+    )
 
     schema = JoinSchema(plan, handles)
     processes = [
@@ -206,7 +201,7 @@ def run_join_steps(
             if winner is not None:
                 break
             current_choice = _apply_switch_rule(
-                processes, criterion, config, trace, audit, current_choice
+                processes, criterion, config, trace, current_choice
             )
 
         # the race is over: every other still-active order is abandoned and
@@ -216,7 +211,7 @@ def run_join_steps(
                 _abandon(process, trace, reason="lost-competition")
         if winner.order.key != current_choice:
             _record_switch(
-                trace, audit, current_choice, winner.order.key, "finished-first",
+                trace, current_choice, winner.order.key, "finished-first",
                 projected=None, guaranteed=winner.meter.total,
             )
     except GeneratorExit:
@@ -235,11 +230,9 @@ def run_join_steps(
     result.execution_cost, result.execution_io = sunk_totals()
     request.chosen_order = winner.order.key
 
-    _record_feedback(winner, plan, handles, feedback, audit, estimator)
+    _record_feedback(winner, plan, handles, feedback, trace, estimator)
 
     trace.emit(EventKind.RETRIEVAL_COMPLETE, rows=len(result.rows))
-    if audit.enabled:
-        audit.end_retrieval(result)
     trace.tracer.end(span, rows=len(result.rows), order=winner.order.key)
     return result
 
@@ -249,7 +242,6 @@ def _apply_switch_rule(
     criterion: SwitchCriterion,
     config: EngineConfig,
     trace: RetrievalTrace,
-    audit: Any,
     current_choice: str,
 ) -> str:
     """Abandon trailing orders; returns the (possibly new) front-runner key.
@@ -261,7 +253,7 @@ def _apply_switch_rule(
     """
     active = [p for p in processes if p.active]
     if len(active) < 2:
-        return _front_runner_key(processes, current_choice, trace, audit)
+        return _front_runner_key(processes, current_choice, trace)
     pilots_done = all(p.steps_taken >= config.join_pilot_steps for p in active)
     projections = {p.order.key: p.projected_total() for p in active}
     ranked = sorted(
@@ -283,7 +275,7 @@ def _apply_switch_rule(
         _abandon(process, trace, reason=decision.value, projected=round(projected, 3),
                  guaranteed=round(guaranteed, 3))
     return _front_runner_key(
-        processes, current_choice, trace, audit,
+        processes, current_choice, trace,
         projected=projections.get(current_choice), guaranteed=guaranteed,
     )
 
@@ -292,7 +284,6 @@ def _front_runner_key(
     processes: list[JoinOrderProcess],
     current_choice: str,
     trace: RetrievalTrace,
-    audit: Any,
     projected: float | None = None,
     guaranteed: float | None = None,
 ) -> str:
@@ -310,7 +301,7 @@ def _front_runner_key(
         else p.order.estimated_cost,
     )
     _record_switch(
-        trace, audit, current_choice, best.order.key, "order-overtaken",
+        trace, current_choice, best.order.key, "order-overtaken",
         projected=projected, guaranteed=guaranteed,
     )
     return best.order.key
@@ -318,14 +309,14 @@ def _front_runner_key(
 
 def _record_switch(
     trace: RetrievalTrace,
-    audit: Any,
     old: str,
     new: str,
     reason: str,
     projected: float | None,
     guaranteed: float | None,
 ) -> None:
-    """One mid-flight join-order switch: trace event + JOIN_ORDER decision."""
+    """One mid-flight join-order switch: a ``STRATEGY_SWITCH`` event, which
+    the decision log also reads as the join's new ``JOIN_ORDER``."""
     detail: dict[str, Any] = {"from": old, "to": new, "scope": "join-order",
                               "reason": reason}
     if projected is not None:
@@ -334,10 +325,6 @@ def _record_switch(
         detail["guaranteed"] = round(guaranteed, 3)
     trace.emit(EventKind.STRATEGY_SWITCH, **detail)
     trace.counters.strategy_switches += 1
-    if audit.enabled:
-        audit.decision(DecisionKind.JOIN_ORDER, new, alternatives=(old,), **{
-            k: v for k, v in detail.items() if k not in ("from", "to")
-        }, switched_from=old)
 
 
 def _abandon(process: JoinOrderProcess, trace: RetrievalTrace, **detail: Any) -> None:
@@ -381,7 +368,7 @@ def _record_feedback(
     plan: JoinPlan,
     handles: Mapping[str, JoinTableHandle],
     feedback: Any | None,
-    audit: Any,
+    trace: RetrievalTrace,
     estimator: Any | None = None,
 ) -> None:
     """Record realized per-edge fanouts so the next execution's estimates
@@ -416,8 +403,7 @@ def _record_feedback(
                 outputs[position] if position < len(outputs) else float(estimated)
             )
             estimator.record(handle.name, signature, restriction, effective, matches)
-        if audit.enabled:
-            audit.observe_estimate(signature, estimated, matches)
+        trace.estimates.append((signature, estimated, matches))
 
 
 def candidate_orders(

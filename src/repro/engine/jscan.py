@@ -435,22 +435,20 @@ class JscanProcess(Process):
                 reason = "scan-cost"
             else:
                 continue
-            audit = self.trace.audit
-            if audit.enabled:
-                # the switch-criterion's inputs at the moment it fired: what
-                # the scan had cost, what the projection said it would cost
-                # (None while no reliable projection exists), and the
-                # guaranteed bound it lost to
-                audit.decision(
-                    DecisionKind.STAGE_TRANSITION,
-                    chosen=f"abandon({scan.name})",
-                    reason=reason,
-                    scanned=scanned,
-                    kept=scan.kept,
-                    scan_cost=round(scan_cost, 2),
-                    guaranteed=round(guaranteed, 2),
-                    projection=None if projection is None else round(projection, 2),
-                )
+            # the switch criterion's inputs at the moment it fired: what the
+            # scan had cost, what the projection said it would cost (None
+            # while no reliable projection exists), and the guaranteed
+            # bound it lost to
+            self.trace.note(
+                DecisionKind.STAGE_TRANSITION,
+                f"abandon({scan.name})",
+                reason=reason,
+                scanned=scanned,
+                kept=scan.kept,
+                scan_cost=round(scan_cost, 2),
+                guaranteed=round(guaranteed, 2),
+                projection=None if projection is None else round(projection, 2),
+            )
             self._abandon_scan(scan, reason)
             self._maybe_start_partner()
         return steps, False
@@ -525,7 +523,11 @@ class JscanProcess(Process):
     # -- consuming the result ------------------------------------------------------
 
     def sorted_result(self, meter: CostMeter | None = None) -> list[RID]:
-        """Materialize the final RID list, sorted for page-clustered fetch."""
+        """Materialize the final RID list, sorted for page-clustered fetch,
+        then discard the list: Jscan releases its memory and temp space
+        "before any records are delivered"."""
         if self.result_list is None:
             raise RuntimeError("jscan produced no RID list")
-        return self.result_list.sorted_rids(meter if meter is not None else self.meter)
+        rids = self.result_list.sorted_rids(meter if meter is not None else self.meter)
+        self.result_list.discard()
+        return rids

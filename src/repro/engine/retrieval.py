@@ -44,7 +44,6 @@ from repro.expr.disjunction import cover_disjuncts
 from repro.errors import RetrievalError
 from repro.expr.ast import ALWAYS_TRUE, Expr
 from repro.expr.eval import compile_predicate, referenced_columns
-from repro.obs.audit import AuditLog, DecisionKind
 from repro.obs.trace import Tracer
 from repro.storage.buffer_pool import BufferPool, CostMeter
 from repro.storage.heap import RECORD_CPU_COST, HeapFile
@@ -262,13 +261,10 @@ class SingleTableRetrieval:
         retrieval runs inside a ``retrieval`` span: initial-stage events,
         tactic spans, and scan spans all nest under it in the timeline.
         """
-        trace = RetrievalTrace(tracer)
+        trace = RetrievalTrace(tracer, self.heap.name, request)
         span = trace.tracer.begin(
             "retrieval", table=self.heap.name, goal=request.goal.value
         )
-        audit = trace.audit
-        if audit.enabled:
-            audit.begin_retrieval(self.heap.name, request)
         estimation_meter = CostMeter(name="initial-stage")
         goal = request.goal
         if goal is OptimizationGoal.DEFAULT:
@@ -316,8 +312,10 @@ class SingleTableRetrieval:
         if force is None:
             decision = self.decide(arrangement, goal, request)
             strategy = decision.strategy
-            if audit.enabled:
-                self._audit_decision(audit, decision, arrangement, goal)
+            trace.decision = decision
+            trace.decided_on = (
+                len(trace.events), goal, self.heap.page_count, arrangement
+            )
             if decision.basis == TRUSTED:
                 trace.emit(
                     EventKind.COMPETITION_SKIPPED,
@@ -536,37 +534,6 @@ class SingleTableRetrieval:
             )
         return arrangement.covered
 
-    def _audit_decision(
-        self,
-        audit: AuditLog,
-        decision: Decision,
-        arrangement: InitialArrangement,
-        goal: OptimizationGoal,
-    ) -> None:
-        """The retrieval's one tactic selection: the chosen strategy, its
-        basis, the rejected strategies in the replayable ``force_strategy``
-        vocabulary, and the estimates it was decided on."""
-        candidates = arrangement.jscan_candidates
-        best = arrangement.best_sscan
-        inputs: dict[str, Any] = {
-            "goal": goal.value,
-            "basis": decision.basis,
-            "tscan_pages": self.heap.page_count,
-            "jscan_candidates": len(candidates),
-            "best_jscan_rids": candidates[0].estimated_rids if candidates else None,
-            "best_sscan_rids": best.estimated_rids if best is not None else None,
-        }
-        if arrangement.direct is not None:
-            inputs["index"] = arrangement.direct.index.name
-        if decision.inputs:
-            inputs.update(decision.inputs)
-        audit.decision(
-            DecisionKind.TACTIC_SELECTION,
-            decision.strategy,
-            decision.alternatives,
-            **inputs,
-        )
-
     # -- running it -----------------------------------------------------------
 
     def _fetch_directly(
@@ -674,14 +641,10 @@ class SingleTableRetrieval:
         context: IterationContext | None,
     ) -> RetrievalResult:
         """End a retrieval: ``RETRIEVAL_COMPLETE``, what its scans observed
-        retired (the probe estimated nothing), the audit closed and the
-        span ended."""
+        retired (the probe estimated nothing) and the span ended."""
         trace.emit(EventKind.RETRIEVAL_COMPLETE, rows=len(result.rows))
-        audit = trace.audit
         if not arrangement.unique:
-            self._retire(request, arrangement, context, audit)
-        if audit.enabled:
-            audit.end_retrieval(result)
+            self._retire(request, arrangement, context, trace)
         trace.tracer.end(
             span,
             rows=len(result.rows),
@@ -696,7 +659,7 @@ class SingleTableRetrieval:
         request: RetrievalRequest,
         arrangement: InitialArrangement,
         context: IterationContext | None,
-        audit: AuditLog,
+        trace: RetrievalTrace,
     ) -> None:
         """Hand what the retrieval learned to everyone who learns from it.
 
@@ -708,7 +671,7 @@ class SingleTableRetrieval:
         estimator gets the estimate the engine *acted on* —
         ``estimated_rids``, feedback applied — because that is the number
         whose trustworthiness the variance gate rides on, with the key
-        range for its self-tuning histogram; and the audit gets the raw
+        range for its self-tuning histogram; and the trace keeps the raw
         estimated-vs-observed pair, the live capture of the paper's Figure
         2.1/2.2 L-shapes.
         """
@@ -723,9 +686,6 @@ class SingleTableRetrieval:
             )
         feedback = request.feedback
         estimator = request.estimator
-        audited = audit.enabled
-        if feedback is None and estimator is None and not audited:
-            return
         table = self.heap.name
         for candidate in (*arrangement.jscan_candidates, *arrangement.sscan_candidates):
             estimate = candidate.estimate
@@ -748,8 +708,7 @@ class SingleTableRetrieval:
                     lo=key_range.lo[0] if key_range.lo else None,
                     hi=key_range.hi[0] if key_range.hi else None,
                 )
-            if audited:
-                audit.observe_estimate(name, estimate.rids, observed)
+            trace.estimates.append((name, estimate.rids, observed))
 
     def _predicate(self, request: RetrievalRequest) -> Any:
         """The restriction compiled once for the whole retrieval — or the

@@ -179,7 +179,7 @@ class Estimator:
         #: cumulative q-error distribution across every signature — the
         #: continuous monitor diffs its buckets between samples to get
         #: per-interval median/p95 q-error without draining ``_recent``
-        #: (which benchmarks own) and regardless of ``audit_enabled``
+        #: (which benchmarks own)
         self.qerror_hist = LogHistogram("estimate_qerror")
         # preallocated ring: record() writes tuples, _drain() materializes
         self._ring: list[tuple | None] = [None] * max(1, ring_size)

@@ -15,8 +15,8 @@ surfaces layered on top of the flat per-retrieval counters:
 * :mod:`repro.obs.explain` — the EXPLAIN ANALYZE report combining plan,
   estimate-vs-actual, and the span tree;
 * :mod:`repro.obs.audit` — structured decision records (what the optimizer
-  chose, over what, and why) and their server-wide aggregation
-  (:class:`DecisionMetrics`);
+  chose, over what, and why), read off every retrieval's trace, and their
+  server-wide aggregation (:class:`DecisionMetrics`);
 * :mod:`repro.obs.regret` — counterfactual replay of rejected strategies
   on shadow buffer pools, turning decisions into realized regret
   (``EXPLAIN COMPETE`` / ``Connection.audit()``);
@@ -29,12 +29,10 @@ surfaces layered on top of the flat per-retrieval counters:
 """
 
 from repro.obs.audit import (
-    NULL_AUDIT,
     AuditLog,
     DecisionKind,
     DecisionMetrics,
     DecisionRecord,
-    NullAudit,
     RetrievalAudit,
 )
 from repro.obs.health import (
@@ -82,9 +80,7 @@ __all__ = [
     "JsonlSink",
     "LogHistogram",
     "MetricSample",
-    "NULL_AUDIT",
     "NULL_TRACER",
-    "NullAudit",
     "NullTracer",
     "ReplayOutcome",
     "RetrievalAudit",

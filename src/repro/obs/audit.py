@@ -1,47 +1,54 @@
-"""Decision audit: structured records of every optimizer choice.
+"""Decision audit: every optimizer choice, read off what each retrieval records.
 
 The tracer (:mod:`repro.obs.trace`) records *what the engine did*; this
-module records *what the engine decided and why*. Every choice point of the
+module says *what the engine decided and why*. Every choice point of the
 dynamic optimizer — goal inference, index ordering, the Section-5
 shortcuts, tactic selection, Jscan's two-stage scan abandonment, strategy
-switches, selectivity-feedback application — lands in an :class:`AuditLog`
-as a :class:`DecisionRecord` carrying the inputs that drove it (estimates,
-guaranteed costs, the candidate set) and the alternatives it rejected.
+switches, selectivity-feedback application, join orders, scatter fan-outs
+— reads as a :class:`DecisionRecord` carrying the inputs that drove it
+(estimates, guaranteed costs, the candidate set) and the alternatives it
+rejected.
 
-The audit rides on the tracer: a query's :class:`AuditLog` is attached as
-``tracer.audit`` and mirrored onto every
-:class:`~repro.engine.metrics.RetrievalTrace` the query produces, so the
-engine's decision sites pay one ``enabled`` attribute check when auditing
-is off (:data:`NULL_AUDIT`, the same null-object discipline as
-:data:`~repro.obs.trace.NULL_TRACER`). ``benchmarks/bench_audit_overhead.py``
-holds the disabled path to the same <2% throughput budget as tracing.
+There is no second recording channel, and no switch: every retrieval's
+:class:`~repro.engine.metrics.RetrievalTrace` is its one record — its
+events, the ``Decision`` that ``SingleTableRetrieval.decide`` returned
+(with the numbers it was made on), one plain tuple for each decision whose
+inputs appear in no event (``trace.notes``: a Jscan abandonment's
+projection, a join order, a scatter fan-out), and its completed scans'
+estimated-vs-observed pairs. ``trace.decisions()`` reads one trace's
+decisions in the order they were made; :meth:`AuditLog.of` builds a
+statement's log from its retrievals only when something reads it (EXPLAIN
+ANALYZE / COMPETE, ``Connection.audit()``, the flight recorder), and
+:meth:`DecisionMetrics.absorb` counts every retired statement's decisions
+without building it.
 
 Two consumers build on the records:
 
 * :mod:`repro.obs.regret` replays the rejected alternatives against a
   shadow buffer pool to turn each :class:`DecisionRecord` into realized
   regret (``EXPLAIN COMPETE`` / ``Connection.audit()``);
-* :class:`DecisionMetrics` aggregates server-wide — per-tactic win rates,
-  regret and estimate-error-ratio histograms, and the per-retrieval cost
-  histogram that reproduces the paper's Figure 2.1/2.2 L-shapes from live
-  traffic (``\\decisions`` in the shell, the Prometheus writer).
+* :class:`DecisionMetrics` aggregates every retired statement server-wide
+  — decision counts, per-tactic win rates, regret and estimate-error-ratio
+  histograms, and the per-retrieval cost histogram that reproduces the
+  paper's Figure 2.1/2.2 L-shapes from live traffic (``\\decisions`` in
+  the shell, the Prometheus writer).
 
-This module must not import :mod:`repro.obs.trace` (the tracer imports
-:data:`NULL_AUDIT` from here) nor anything from :mod:`repro.engine`;
-events are matched by their ``kind.value`` strings.
+This module must not import :mod:`repro.obs.trace` nor anything from
+:mod:`repro.engine` (the engine imports :class:`DecisionKind` from here).
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Any, Iterator
+from typing import Any, Iterable, Iterator, Sequence
 
 from repro.obs.hist import LogHistogram
 
 
-class DecisionKind(enum.Enum):
-    """Kinds of optimizer decisions the audit records."""
+class DecisionKind(str, enum.Enum):
+    """Kinds of optimizer decisions the audit records (a member equals its
+    value, so counts keyed by member read back by name)."""
 
     #: which optimization goal the executor inferred for a retrieval
     GOAL_INFERENCE = "goal-inference"
@@ -72,6 +79,14 @@ class DecisionKind(enum.Enum):
     COMPETITION_SKIPPED = "competition-skipped"
 
 
+# bound once: every lookup of an enum member on its class is a descriptor
+# call, and these are read per retired statement
+_GOAL_INFERENCE = DecisionKind.GOAL_INFERENCE
+_TACTIC_SELECTION = DecisionKind.TACTIC_SELECTION
+_JOIN_ORDER = DecisionKind.JOIN_ORDER
+
+
+@dataclass(slots=True)
 class DecisionRecord:
     """One optimizer decision: what was chosen, over what, and why.
 
@@ -82,74 +97,19 @@ class DecisionRecord:
     counterfactual replay, ``counterfactuals`` maps each replayed strategy
     to its realized cost and ``regret`` is ``max(0, chosen − best
     alternative)`` in page-I/O cost units.
-
-    Input capture is lazy: the record can *borrow* an engine detail
-    mapping by reference (``raw_inputs``) and only materializes a private
-    ``inputs`` dict — applying ``drop_keys`` filtering — when someone
-    actually reads it (export, EXPLAIN COMPETE, DecisionMetrics). The
-    audit-on hot path therefore pays one object construction per
-    decision, never a dict copy. Safe because
-    :class:`~repro.engine.metrics.TraceEvent` is frozen and the engine
-    never mutates a detail dict after emitting it.
     """
 
-    __slots__ = (
-        "kind",
-        "chosen",
-        "alternatives",
-        "retrieval_index",
-        "regret",
-        "counterfactuals",
-        "_inputs",
-        "_raw",
-        "_drop",
-    )
-
-    def __init__(
-        self,
-        kind: DecisionKind,
-        chosen: str,
-        alternatives: tuple[str, ...] = (),
-        inputs: dict[str, Any] | None = None,
-        retrieval_index: int = -1,
-        regret: float | None = None,
-        counterfactuals: dict[str, float] | None = None,
-        raw_inputs: Any = None,
-        drop_keys: tuple[str, ...] = (),
-    ) -> None:
-        self.kind = kind
-        self.chosen = chosen
-        self.alternatives = alternatives
-        #: which retrieval of the statement made this decision (-1 = the
-        #: statement level, e.g. goal inference before the retrieval
-        #: starts)
-        self.retrieval_index = retrieval_index
-        #: realized regret in cost units, set by counterfactual replay
-        self.regret = regret
-        #: replayed strategy -> realized cost, set by counterfactual replay
-        self.counterfactuals = counterfactuals
-        self._inputs = inputs
-        self._raw = raw_inputs
-        self._drop = drop_keys
-
-    @property
-    def inputs(self) -> dict[str, Any]:
-        """The decision's input numbers, materialized on first read."""
-        inputs = self._inputs
-        if inputs is None:
-            raw = self._raw
-            if raw is None:
-                inputs = {}
-            elif self._drop:
-                inputs = {
-                    key: value
-                    for key, value in raw.items()
-                    if key not in self._drop
-                }
-            else:
-                inputs = dict(raw)
-            self._inputs = inputs
-        return inputs
+    kind: DecisionKind
+    chosen: str
+    alternatives: tuple[str, ...] = ()
+    inputs: dict[str, Any] = field(default_factory=dict)
+    #: which retrieval of the statement made this decision (-1 = the
+    #: statement level: goal inference before the retrieval starts)
+    retrieval_index: int = -1
+    #: realized regret in cost units, set by counterfactual replay
+    regret: float | None = None
+    #: replayed strategy -> realized cost, set by counterfactual replay
+    counterfactuals: dict[str, float] | None = None
 
     def to_dict(self) -> dict[str, Any]:
         """JSON-ready rendering (flight recorder, EXPLAIN COMPETE)."""
@@ -200,12 +160,35 @@ class RetrievalAudit:
     decisions: list[DecisionRecord] = field(default_factory=list)
     #: (index name, estimated RIDs, observed RIDs) per completed scan
     estimates: list[tuple[str, float, int]] = field(default_factory=list)
-    #: filled by :meth:`AuditLog.end_retrieval` when the retrieval completes
+    #: whether the retrieval ran to completion (not cancelled or failed)
     complete: bool = False
     cost: float = 0.0
     io: int = 0
     rows: int = 0
     description: str = ""
+
+    @classmethod
+    def of(cls, index: int, result: Any) -> "RetrievalAudit":
+        """The audit of one retrieval, read off its result's trace."""
+        trace = result.trace
+        events = trace.events
+        audit = cls(
+            index=index,
+            table=trace.table,
+            request=trace.request,
+            decisions=[
+                DecisionRecord(kind, chosen, alternatives, inputs, index)
+                for kind, chosen, alternatives, inputs in trace.decisions()
+            ],
+            estimates=list(trace.estimates),
+        )
+        if events and events[-1].kind.value == "retrieval-complete":
+            audit.complete = True
+            audit.cost = float(result.total_cost)
+            audit.io = int(result.execution_io)
+            audit.rows = len(result.rows)
+            audit.description = result.description
+        return audit
 
     def tactic_selection(self) -> DecisionRecord | None:
         """The tactic-selection decision (the replayable choice point)."""
@@ -241,139 +224,45 @@ class RetrievalAudit:
         return out
 
 
+def _goal_inference(info: Any) -> DecisionRecord:
+    """The statement-level decision the executor made before starting one
+    retrieval: the optimization goal it runs under, and (single-table)
+    whether ORDER BY and LIMIT were pushed into it."""
+    request = info.result.trace.request
+    inputs: dict[str, Any] = {"table": info.table}
+    if getattr(request, "is_join", False):
+        inputs["tables"] = len(request.plan.sources)
+    elif request is not None:
+        inputs["order_by"] = bool(request.order_by)
+        inputs["pushed_limit"] = request.limit
+    return DecisionRecord(DecisionKind.GOAL_INFERENCE, info.goal.value, inputs=inputs)
+
+
 class AuditLog:
-    """One query's decision log, attached to its tracer as ``tracer.audit``.
+    """One statement's decision log, built from its retrievals on demand.
 
-    The engine calls :meth:`begin_retrieval`/:meth:`end_retrieval` around
-    every retrieval and :meth:`decision` at explicit choice points;
-    :meth:`observe_event` derives further decisions from the trace-event
-    stream (shortcuts, strategy switches, feedback applications) without
-    extra engine instrumentation.
+    :meth:`of` takes the statement's
+    :class:`~repro.sql.executor.RetrievalInfo` list (each one adds the
+    executor's goal inference) or bare
+    :class:`~repro.engine.retrieval.RetrievalResult` objects.
     """
-
-    enabled = True
 
     def __init__(self) -> None:
         #: statement-level decisions (goal inference happens before the
         #: retrieval exists)
         self.query_decisions: list[DecisionRecord] = []
         self.retrievals: list[RetrievalAudit] = []
-        self._current: RetrievalAudit | None = None
 
-    # -- retrieval lifecycle ------------------------------------------------
-
-    def begin_retrieval(self, table: str, request: Any = None) -> RetrievalAudit:
-        """Open the decision scope of one retrieval."""
-        audit = RetrievalAudit(index=len(self.retrievals), table=table, request=request)
-        self.retrievals.append(audit)
-        self._current = audit
-        return audit
-
-    def end_retrieval(self, result: Any) -> None:
-        """Close the current retrieval scope with its realized outcome."""
-        current = self._current
-        if current is None:
-            return
-        current.complete = True
-        current.cost = float(getattr(result, "total_cost", 0.0))
-        current.io = int(getattr(result, "execution_io", 0))
-        current.rows = len(getattr(result, "rows", ()))
-        current.description = getattr(result, "description", "")
-        self._current = None
-
-    # -- recording ----------------------------------------------------------
-
-    def decision(
-        self,
-        kind: DecisionKind,
-        chosen: str,
-        alternatives: tuple[str, ...] = (),
-        **inputs: Any,
-    ) -> DecisionRecord:
-        """Record one decision in the current retrieval (or statement) scope."""
-        current = self._current
-        record = DecisionRecord(
-            kind=kind,
-            chosen=chosen,
-            alternatives=alternatives,
-            inputs=inputs,
-            retrieval_index=current.index if current is not None else -1,
-        )
-        if current is not None:
-            current.decisions.append(record)
-        else:
-            self.query_decisions.append(record)
-        return record
-
-    def decision_raw(
-        self,
-        kind: DecisionKind,
-        chosen: str,
-        raw_inputs: Any = None,
-        drop_keys: tuple[str, ...] = (),
-    ) -> DecisionRecord:
-        """Record a decision whose inputs are *borrowed* from an engine
-        detail mapping — the zero-copy hot path used by
-        :meth:`observe_event`. ``drop_keys`` are filtered out when (if)
-        the inputs are materialized at export time."""
-        current = self._current
-        record = DecisionRecord(
-            kind=kind,
-            chosen=chosen,
-            raw_inputs=raw_inputs,
-            drop_keys=drop_keys,
-            retrieval_index=current.index if current is not None else -1,
-        )
-        if current is not None:
-            current.decisions.append(record)
-        else:
-            self.query_decisions.append(record)
-        return record
-
-    def observe_event(self, event: Any) -> None:
-        """Derive decisions from the engine's trace-event stream.
-
-        Tactic selection and Jscan scan abandonment are *not* mapped here —
-        the engine records those explicitly with richer inputs (the
-        alternative set, the projection vs guaranteed-cost numbers); mapping
-        their events too would double-record them.
-        """
-        kind = getattr(getattr(event, "kind", None), "value", None)
-        if kind is None:
-            return
-        detail = event.detail
-        if kind == "shortcut-empty":
-            self.decision_raw(DecisionKind.SHORTCUT, "empty", detail)
-        elif kind == "shortcut-small-range":
-            self.decision_raw(DecisionKind.SHORTCUT, "small-range", detail)
-        elif kind == "strategy-switch":
-            self.decision_raw(
-                DecisionKind.STRATEGY_SWITCH,
-                str(detail.get("to", "?")),
-                detail,
-                drop_keys=("to",),
-            )
-        elif kind == "foreground-terminated":
-            self.decision_raw(
-                DecisionKind.STRATEGY_SWITCH, "terminate-foreground", detail
-            )
-        elif kind == "tscan-recommended":
-            self.decision_raw(
-                DecisionKind.STAGE_TRANSITION, "tscan-recommended", detail
-            )
-        elif kind == "initial-estimate" and "feedback_rids" in detail:
-            self.decision_raw(
-                DecisionKind.FEEDBACK_APPLICATION, "adjusted-estimate", detail
-            )
-
-    def observe_estimate(self, index: str, estimated: float, actual: int) -> None:
-        """Record one estimated-vs-observed cardinality pair (completed
-        scans only), feeding the estimate-error-ratio histogram."""
-        current = self._current
-        if current is not None:
-            current.estimates.append((index, float(estimated), int(actual)))
-
-    # -- querying -----------------------------------------------------------
+    @classmethod
+    def of(cls, retrievals: Iterable[Any]) -> "AuditLog":
+        """Read a statement's decision log off its retrievals."""
+        log = cls()
+        for index, retrieval in enumerate(retrievals):
+            result = getattr(retrieval, "result", retrieval)
+            if result is not retrieval:
+                log.query_decisions.append(_goal_inference(retrieval))
+            log.retrievals.append(RetrievalAudit.of(index, result))
+        return log
 
     def records(self) -> Iterator[DecisionRecord]:
         """Every decision, statement-level first, then per retrieval."""
@@ -415,70 +304,19 @@ class AuditLog:
         return "\n".join(lines)
 
 
-class NullAudit(AuditLog):
-    """The audit used when auditing is off: every method is a no-op.
-
-    Shared by every unaudited query (as ``NULL_TRACER.audit`` and the
-    default ``Tracer.audit``), so the engine's decision sites stay
-    unconditional attribute reads plus one ``enabled`` check.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        self.query_decisions = []
-        self.retrievals = []
-        self._current = None
-
-    def begin_retrieval(self, table: str, request: Any = None) -> RetrievalAudit:
-        return RetrievalAudit(index=-1, table=table)
-
-    def end_retrieval(self, result: Any) -> None:
-        pass
-
-    def decision(
-        self,
-        kind: DecisionKind,
-        chosen: str,
-        alternatives: tuple[str, ...] = (),
-        **inputs: Any,
-    ) -> DecisionRecord:
-        return DecisionRecord(kind=kind, chosen=chosen)
-
-    def decision_raw(
-        self,
-        kind: DecisionKind,
-        chosen: str,
-        raw_inputs: Any = None,
-        drop_keys: tuple[str, ...] = (),
-    ) -> DecisionRecord:
-        return DecisionRecord(kind=kind, chosen=chosen)
-
-    def observe_event(self, event: Any) -> None:
-        pass
-
-    def observe_estimate(self, index: str, estimated: float, actual: int) -> None:
-        pass
-
-
-#: Audit used when decision auditing is off. All methods are no-ops;
-#: sharing one instance is safe.
-NULL_AUDIT = NullAudit()
-
-
 class DecisionMetrics:
     """Server-wide aggregation of decision quality.
 
     Lives on the :class:`~repro.server.MetricsRegistry`; the scheduler
-    absorbs every retired audited query and every EXPLAIN COMPETE report,
-    and records every retired retrieval's cost unconditionally — the
+    absorbs every retired statement's decisions and every EXPLAIN COMPETE
+    report, and records every retired retrieval's cost — the
     :attr:`retrieval_cost_hist` is the live reproduction of the paper's
     Figure 2.1/2.2 L-shaped cost distributions from production traffic.
     """
 
     def __init__(self) -> None:
-        #: decisions recorded, by :class:`DecisionKind` value
-        self.decisions: dict[str, int] = {}
+        #: decisions recorded, by :class:`DecisionKind`
+        self.decisions: dict[DecisionKind, int] = {}
         #: tactic-selection counts by chosen strategy
         self.tactic_selected: dict[str, int] = {}
         #: replay outcomes: chosen strategy beat (or tied) an alternative
@@ -513,37 +351,49 @@ class DecisionMetrics:
         """Record one retired retrieval's execution cost (all queries)."""
         self.retrieval_cost_hist.record(cost)
 
-    def absorb(self, audit: AuditLog) -> None:
-        """Fold one retired query's decision log into the aggregates."""
-        for record in audit.records():
-            key = record.kind.value
-            self.decisions[key] = self.decisions.get(key, 0) + 1
-            if record.kind is DecisionKind.TACTIC_SELECTION:
-                self.tactic_selected[record.chosen] = (
-                    self.tactic_selected.get(record.chosen, 0) + 1
-                )
-            if record.kind is DecisionKind.JOIN_ORDER:
-                tables = record.inputs.get("tables")
-                if tables:
-                    self.join_depth_hist.record(float(tables))
-                if record.inputs.get("switched_from"):
+    def absorb(self, retrievals: Sequence[Any]) -> None:
+        """Fold one retired statement's decisions into the aggregates, read
+        straight off its :class:`~repro.sql.executor.RetrievalInfo` list
+        without building the log: a count needs no order, so each
+        retrieval's goal inference, tactic selection, notes and event
+        decisions are counted apart."""
+        if not retrievals:
+            return
+        decisions = self.decisions
+        decisions[_GOAL_INFERENCE] = decisions.get(_GOAL_INFERENCE, 0) + len(retrievals)
+        for info in retrievals:
+            trace = info.result.trace
+            decision = trace.decision
+            if decision is not None:
+                decisions[_TACTIC_SELECTION] = decisions.get(_TACTIC_SELECTION, 0) + 1
+                strategy = decision.strategy
+                self.tactic_selected[strategy] = self.tactic_selected.get(strategy, 0) + 1
+            for _, kind, _, _, inputs in trace.notes:
+                decisions[kind] = decisions.get(kind, 0) + 1
+                if kind is _JOIN_ORDER:  # the join's initial order
+                    self.join_depth_hist.record(float(inputs["tables"]))
+            for _, kind, _, _, _ in trace.event_decisions(inputs=False):
+                decisions[kind] = decisions.get(kind, 0) + 1
+                if kind is _JOIN_ORDER:  # a mid-flight switch
                     self.join_order_switches += 1
-            if record.regret is not None:
-                self.regret_hist.record(record.regret)
-        for retrieval in audit.retrievals:
-            for _, estimated, actual in retrieval.estimates:
+            for _, estimated, actual in trace.estimates:
                 if estimated > 0:
                     self.estimate_error_hist.record(actual / estimated)
                     # the same pairs feed the q-error histogram, so its
-                    # count reconciles exactly with the audit log's
-                    # estimate observations (tested identity)
+                    # count reconciles exactly with the completed scans'
+                    # estimate pairs (tested identity)
                     est = max(float(estimated), 1.0)
                     act = max(float(actual), 1.0)
                     self.qerror_hist.record(est / act if est >= act else act / est)
 
     def absorb_compete(self, report: Any) -> None:
-        """Fold one :class:`~repro.obs.regret.CompeteReport` in: win/loss
-        counters per tactic and the competition-vs-rejected cost sums."""
+        """Fold one :class:`~repro.obs.regret.CompeteReport` in: the
+        replayed decisions' regret, win/loss counters per tactic and the
+        competition-vs-rejected cost sums."""
+        if report.audit is not None:
+            for record in report.audit.records():
+                if record.regret is not None:
+                    self.regret_hist.record(record.regret)
         self.replays += report.replays
         self.replay_truncated += report.truncated
         for compete in report.retrievals:
@@ -609,12 +459,11 @@ class DecisionMetrics:
         lines = ["decision metrics:"]
         if self.decisions:
             ordered = ", ".join(
-                f"{kind}={count}" for kind, count in sorted(self.decisions.items())
+                f"{kind.value}={count}" for kind, count in sorted(self.decisions.items())
             )
             lines.append(f"  decisions: {ordered}")
         else:
-            lines.append("  decisions: (none recorded — enable audit_enabled "
-                         "or run EXPLAIN COMPETE)")
+            lines.append("  decisions: (none recorded yet)")
         for tactic in sorted(
             set(self.tactic_selected) | set(self.tactic_wins) | set(self.tactic_losses)
         ):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Protocol, Sequence, runtime_checkable
 
 from repro.engine.metrics import EventKind
+from repro.obs.audit import DecisionKind
 from repro.obs.trace import Span, Tracer
 from repro.sql.plan import PlanNode, format_plan
 
@@ -63,13 +64,32 @@ def _fmt_estimates(trace) -> str:
     return ", ".join(parts) if parts else "(no index estimates)"
 
 
+def _fmt_decision(trace) -> str | None:
+    """The retrieval's choice, read from its decision log: the strategy
+    (or a join's first order), its basis and the rejected alternatives."""
+    for kind, chosen, alternatives, inputs in trace.decisions():
+        if kind is DecisionKind.TACTIC_SELECTION or kind is DecisionKind.JOIN_ORDER:
+            basis = inputs.get("basis")
+            text = chosen + (f" ({basis})" if basis else "")
+            if alternatives:
+                text += f" over {', '.join(alternatives)}"
+            return text
+    return None
+
+
 def _retrieval_line(index: int, info) -> list[str]:
-    """The estimate-vs-actual block for one executed retrieval."""
+    """The decision and estimate-vs-actual block for one executed
+    retrieval."""
     result = info.result
     counters = result.trace.counters
     lines = [
         f"retrieval #{index + 1} on {info.table} "
         f"[goal: {info.goal.value}]: {result.description}",
+    ]
+    decision = _fmt_decision(result.trace)
+    if decision is not None:
+        lines.append(f"  decision : {decision}")
+    lines += [
         f"  estimated: {_fmt_estimates(result.trace)}",
         f"  actual   : {len(result.rows)} rows delivered, "
         f"{counters.records_fetched} records fetched, "

@@ -408,7 +408,9 @@ class HealthMonitor:
             ],
             "top_queries": self.timeseries.top_queries(),
             "decisions": {
-                "counts": dict(decisions.decisions),
+                "counts": {
+                    kind.value: count for kind, count in decisions.decisions.items()
+                },
                 "regret": {
                     "count": decisions.regret_hist.count,
                     "sum": round(decisions.regret_hist.sum, 3),

@@ -33,6 +33,9 @@ MAX_EXP = 30
 #: overflow (> 2^MAX_EXP) buckets
 BUCKETS = MAX_EXP - MIN_EXP + 2
 
+_INF = math.inf
+_frexp = math.frexp
+
 
 def bucket_index(value: float) -> int:
     """The bucket a value falls into.
@@ -43,13 +46,13 @@ def bucket_index(value: float) -> int:
     Exact powers of two land in the bucket they bound (upper-inclusive),
     computed via ``frexp`` so no float-log rounding can misplace them.
     """
-    if value <= 0.0 or math.isnan(value):
+    if value <= 0.0 or value != value:  # value != value: NaN
         return 0
-    if math.isinf(value):  # frexp(inf) reports exponent 0, not "huge"
+    if value == _INF:  # frexp(inf) reports exponent 0, not "huge"
         return BUCKETS - 1
-    mantissa, exponent = math.frexp(value)  # value == mantissa * 2**exponent
-    upper = exponent - 1 if mantissa == 0.5 else exponent
-    return max(0, min(BUCKETS - 1, upper - MIN_EXP))
+    mantissa, exponent = _frexp(value)  # value == mantissa * 2**exponent
+    index = (exponent - 1 if mantissa == 0.5 else exponent) - MIN_EXP
+    return 0 if index < 0 else BUCKETS - 1 if index >= BUCKETS else index
 
 
 def bucket_upper_bound(index: int) -> float:

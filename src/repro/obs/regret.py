@@ -26,7 +26,7 @@ production queries:
   of its true cost.
 
 The entry point is :func:`run_compete`, called by ``EXPLAIN COMPETE`` after
-the audited statement finishes — off the scheduler's hot path, on the
+the statement finishes — off the scheduler's hot path, on the
 caller's time.
 """
 
@@ -385,7 +385,7 @@ def replay_join_order(
 def run_compete(
     db: Any, audit: AuditLog, budget_steps: int | None = None
 ) -> CompeteReport:
-    """Replay every rejected alternative of an audited statement.
+    """Replay every rejected alternative in a statement's decision log.
 
     For each retrieval whose tactic selection recorded alternatives, the
     chosen strategy and each alternative are replayed cold-for-cold; the

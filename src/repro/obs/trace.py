@@ -37,7 +37,6 @@ import os
 import time
 from typing import Any, Callable, Iterator, TextIO
 
-from repro.obs.audit import AuditLog, NULL_AUDIT
 
 
 class Span:
@@ -160,16 +159,11 @@ class Tracer:
         self,
         name: str = "query",
         clock: Callable[[], float] = time.perf_counter,
-        audit: Any | None = None,
         **attrs: Any,
     ) -> None:
         self._clock = clock
         self.root = Span(name, attrs, clock)
         self._stack: list[Span] = [self.root]
-        #: the query's decision audit log (:class:`repro.obs.audit.AuditLog`);
-        #: defaults to the no-op :data:`~repro.obs.audit.NULL_AUDIT` and is
-        #: mirrored onto every RetrievalTrace the query produces
-        self.audit = audit if audit is not None else NULL_AUDIT
 
     # -- the span stack ----------------------------------------------------
 
@@ -255,7 +249,6 @@ class NullTracer(Tracer):
     """
 
     enabled = False
-    audit = NULL_AUDIT
 
     def __init__(self) -> None:
         self._null = _NullSpan()
@@ -285,24 +278,6 @@ class NullTracer(Tracer):
 #: Tracer used when tracing is off. All methods are no-ops; sharing one
 #: instance (and one null span) is safe.
 NULL_TRACER = NullTracer()
-
-
-class AuditOnlyTracer(NullTracer):
-    """Carries a live :class:`~repro.obs.audit.AuditLog` with no span tree.
-
-    With ``audit_enabled`` on but the query neither sampled for tracing
-    nor an EXPLAIN, the scheduler previously paid for a full span
-    timeline (perf_counter clocks, one Span per quantum) just to ferry
-    the audit log to retirement. This tracer keeps every span operation a
-    no-op while ``tracer.audit`` records decisions normally — the bulk of
-    the measured audit-on overhead came from the spans, not the audit.
-    """
-
-    enabled = False
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.audit = AuditLog()
 
 
 def should_sample(sequence: int, rate: float) -> bool:

@@ -170,8 +170,7 @@ def scatter_steps(
     generator contract matches
     :meth:`~repro.engine.retrieval.SingleTableRetrieval.run_steps`.
     """
-    trace = RetrievalTrace(tracer)
-    audit = trace.audit
+    trace = RetrievalTrace(tracer, table.name, request)
     goal = request.goal
     if goal is OptimizationGoal.DEFAULT:
         goal = OptimizationGoal.TOTAL_TIME
@@ -188,16 +187,14 @@ def scatter_steps(
         candidates=len(candidates),
         goal=goal.value,
     )
-    if audit.enabled:
-        audit.begin_retrieval(table.name, request)
-        audit.decision(
-            DecisionKind.SCATTER,
-            f"scatter[{len(candidates)}/{partitioner.partitions}]",
-            partitions=partitioner.partitions,
-            candidates=list(candidates),
-            pruned=partitioner.partitions - len(candidates),
-            method=partitioner.spec.method,
-        )
+    trace.note(
+        DecisionKind.SCATTER,
+        f"scatter[{len(candidates)}/{partitioner.partitions}]",
+        partitions=partitioner.partitions,
+        candidates=list(candidates),
+        pruned=partitioner.partitions - len(candidates),
+        method=partitioner.spec.method,
+    )
 
     result = RetrievalResult(
         rows=[], rids=[], trace=trace, description="", goal=goal
@@ -347,8 +344,6 @@ def scatter_steps(
             pruned=info.pruned,
             ordered=info.ordered_merge,
         )
-    if audit.enabled:
-        audit.end_retrieval(result)
     trace.tracer.end(
         span,
         rows=len(result.rows),

@@ -232,7 +232,7 @@ class MetricsRegistry:
         session lookup: what :meth:`record_outcome`, :meth:`record_cache`,
         :meth:`record_completion` and one :meth:`record_trace` per
         retrieval record, plus each retrieval's realized cost in the
-        server-wide cost distribution (the live L-shape, audited or not).
+        server-wide cost distribution (the live L-shape).
         ``results`` are the query's
         :class:`~repro.engine.retrieval.RetrievalResult` objects; returns
         their summed total cost.
@@ -426,7 +426,7 @@ class MetricsRegistry:
             yield (
                 "audit_decisions_total", "counter",
                 "Optimizer decisions recorded, by decision kind.",
-                {"kind": kind}, count,
+                {"kind": kind.value}, count,
             )
         for tactic, count in sorted(decisions.tactic_selected.items()):
             yield (

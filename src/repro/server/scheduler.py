@@ -48,7 +48,7 @@ from repro.errors import QueryCancelledError, ServerError
 from repro.obs.audit import AuditLog
 from repro.obs.health import HealthMonitor, HealthReport
 from repro.obs.timeseries import TimeSeriesRegistry
-from repro.obs.trace import AuditOnlyTracer, Span, Tracer, should_sample
+from repro.obs.trace import Span, Tracer, should_sample
 from repro.result import Result
 from repro.server.metrics import MetricsRegistry
 from repro.sql.executor import (
@@ -325,13 +325,9 @@ class QueryServer:
         )
         # deterministic sampling by submission ticket; EXPLAIN ANALYZE /
         # COMPETE are always traced (the rendered report *is* the span
-        # timeline). An enabled audit alone rides on an AuditOnlyTracer:
-        # the decision log records normally but no span tree is built —
-        # spans, not the audit, were the bulk of the audit-on overhead
+        # timeline)
         rate = self.db.config.trace_sample_rate
-        kind = explain_kind(sql)
-        audit_on = self.db.config.audit_enabled
-        if should_sample(handle.ticket, rate) or kind is not None:
+        if should_sample(handle.ticket, rate) or explain_kind(sql) is not None:
             handle.tracer = Tracer(
                 "query",
                 clock=self.clock,
@@ -339,11 +335,7 @@ class QueryServer:
                 ticket=handle.ticket,
                 sql=sql,
             )
-            if audit_on or kind == "compete":
-                handle.tracer.audit = AuditLog()
             handle._wait_span = handle.tracer.open("admission-wait")
-        elif audit_on:
-            handle.tracer = AuditOnlyTracer()
         self._queue.append(handle)
         self._admit()
         return handle
@@ -490,23 +482,22 @@ class QueryServer:
             self.monitor.note_query(
                 handle.sql, handle.session_id, latency, total_cost
             )
-        audit = handle.tracer.audit if handle.tracer is not None else None
-        if audit is not None and audit.enabled:
-            self.metrics.decisions.absorb(audit)
+        self.metrics.decisions.absorb(handle.retrievals)
         result = handle._result
-        if result is not None and result.compete is not None:
-            self.metrics.decisions.absorb_compete(result.compete)
+        compete = result.compete if result is not None else None
+        if compete is not None:
+            self.metrics.decisions.absorb_compete(compete)
         if handle.tracer is not None and handle.tracer.enabled:
             handle.tracer.finish(outcome=outcome, quanta=handle.steps)
             if self.trace_sink is not None:
                 self.trace_sink.write(handle.tracer.to_dict())
-        self._maybe_flight_record(handle, audit, outcome, latency)
+        self._maybe_flight_record(handle, compete, outcome, latency)
         self._admit()
 
     def _maybe_flight_record(
         self,
         handle: QueryHandle,
-        audit: AuditLog | None,
+        compete: Any,
         outcome: str,
         latency: float,
     ) -> None:
@@ -516,7 +507,8 @@ class QueryServer:
         regret (``config.regret_threshold`` — populated by EXPLAIN
         COMPETE's replays, so regret captures fire for competed
         statements). The record carries everything a post-mortem needs:
-        the full span tree and the decision log.
+        the full span tree and the decision log (the replayed one, regret
+        and counterfactuals included, for an EXPLAIN COMPETE).
         """
         if self.flight_sink is None:
             return
@@ -527,13 +519,13 @@ class QueryServer:
             reasons.append("slow")
         if (
             config.regret_threshold > 0
-            and audit is not None
-            and audit.enabled
-            and audit.max_regret() >= config.regret_threshold
+            and compete is not None
+            and compete.audit.max_regret() >= config.regret_threshold
         ):
             reasons.append("regret")
         if not reasons:
             return
+        audit = compete.audit if compete is not None else AuditLog.of(handle.retrievals)
         self.metrics.flight_records += 1
         self.flight_sink.write(
             {
@@ -546,11 +538,7 @@ class QueryServer:
                 "spans": (
                     handle.tracer.to_dict() if handle.tracer is not None else None
                 ),
-                "decisions": (
-                    audit.to_dict()
-                    if audit is not None and audit.enabled
-                    else None
-                ),
+                "decisions": audit.to_dict(),
             }
         )
 

@@ -60,8 +60,7 @@ def explain_kind(sql: str) -> str | None:
     """``"analyze"`` / ``"compete"`` for an executing EXPLAIN variant,
     None otherwise (including plain ``EXPLAIN``, which never runs).
 
-    Used by the server to force a tracer (and, for COMPETE, an audit log)
-    for the statement before parsing it in earnest — the sampling decision
+    Used by the server to force a tracer for the statement before parsing it in earnest — the sampling decision
     happens at submission time. The prefix check keeps the common case —
     every non-EXPLAIN submission — free of a full tokenize.
     """
@@ -230,9 +229,8 @@ def _execute_explain(
     ANALYZE and COMPETE always execute under a live tracer — one is
     created on the spot when the caller did not force one — so the
     rendered report can lay the span timeline next to the static plan;
-    COMPETE additionally guarantees a live audit log on that tracer.
+    COMPETE then replays the decision log its retrievals recorded.
     """
-    from repro.obs.audit import AuditLog
     from repro.obs.explain import render_analyze
 
     query = parsed.query
@@ -254,8 +252,6 @@ def _execute_explain(
                       text=format_plan(plan_root, goals))
     if tracer is None or not tracer.enabled:
         tracer = Tracer("explain-compete" if parsed.compete else "explain-analyze")
-    if parsed.compete and not tracer.audit.enabled:
-        tracer.audit = AuditLog()
     if retrievals is None:
         retrievals = []
     if entry is not None:
@@ -268,9 +264,10 @@ def _execute_explain(
     text = render_analyze(plan_root, goals, retrievals, tracer, len(rows))
     compete_report = None
     if parsed.compete:
+        from repro.obs.audit import AuditLog
         from repro.obs.regret import run_compete
 
-        compete_report = run_compete(db, tracer.audit)
+        compete_report = run_compete(db, AuditLog.of(retrievals))
         text += "\n\n" + compete_report.format()
     return Result(
         "explain", columns, rows, plan=plan_root, text=text,
@@ -383,19 +380,6 @@ def _execute_block(
         ):
             push_limit = forced_limit
 
-        if tracer is not None and tracer.audit.enabled:
-            # the statement-level decision: which optimization goal this
-            # retrieval runs under, and whether LIMIT/ORDER BY pushed down
-            from repro.obs.audit import DecisionKind
-
-            tracer.audit.decision(
-                DecisionKind.GOAL_INFERENCE,
-                chosen=goal.value,
-                table=chain.retrieve.table,
-                order_by=bool(order_keys),
-                pushed_limit=push_limit,
-            )
-
         result = yield from _tracked(
             table.select_steps(
                 where=restriction,
@@ -481,16 +465,6 @@ def _execute_join_retrieve(
     if goal is OptimizationGoal.DEFAULT:
         goal = OptimizationGoal.TOTAL_TIME
     display = join_display_name(node)
-
-    if tracer is not None and tracer.audit.enabled:
-        from repro.obs.audit import DecisionKind
-
-        tracer.audit.decision(
-            DecisionKind.GOAL_INFERENCE,
-            chosen=goal.value,
-            table=display,
-            tables=len(node.sources),
-        )
 
     result = yield from _tracked(
         run_join_steps(

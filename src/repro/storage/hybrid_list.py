@@ -179,8 +179,3 @@ class HybridRidList:
         self._temp = None
         self._bitmap = None
         self._count = 0
-
-    def release_memory(self) -> None:
-        """Alias of :meth:`discard`, named for the Fin hand-off path where
-        the list content has already been consumed."""
-        self.discard()

@@ -230,3 +230,26 @@ def test_requires_candidates(db):
     table = build_parts(db)
     with pytest.raises(ValueError):
         JscanProcess([], table.heap, table.buffer_pool, RetrievalTrace(), table.config)
+
+
+def test_completed_jscan_frees_its_temp_pages():
+    """Section 6: Jscan releases its memory and temp space "before any
+    records are delivered" — once the final stage holds its sorted RIDs,
+    not only when it is abandoned or cancelled."""
+    from repro.db.session import Database
+    from repro.storage.pager import PageKind
+
+    config = EngineConfig(allocated_rid_buffer_size=64, temp_rids_per_page=16)
+    db = Database(config=config)
+    table = db.create_table("T", [("A", "int"), ("B", "int")], rows_per_page=16)
+    for i in range(6000):
+        table.insert((i + 1, i + 1))
+    table.create_index("IX_A", ["A"])
+    table.create_index("IX_B", ["B"])
+    table.analyze()
+    result = table.select(where=(col("A") < 120) & (col("B") < 120))
+    assert result.description == "background-only: jscan -> final-stage(119 rids)"
+    assert len(result.trace.of_kind(EventKind.SPILL)) == 2
+    assert sorted(result.rows) == [(i, i) for i in range(1, 120)]
+    temp = [page for page in db.pager._pages.values() if page.kind is PageKind.TEMP]
+    assert temp == []

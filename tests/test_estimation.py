@@ -16,13 +16,15 @@ import pytest
 
 from repro.competition.process import drain
 from repro.db.session import Database
-from repro.engine.metrics import EventKind
+from repro.engine.goals import OptimizationGoal
+from repro.engine.metrics import EventKind, RetrievalTrace
+from repro.engine.retrieval import RetrievalResult
 from repro.estimate import Estimator, SelfTuningHistogram, q_error
 from repro.expr.ast import col
 from repro.obs.audit import AuditLog, DecisionMetrics
 from repro.obs.hist import LogHistogram
 from repro.obs.regret import run_compete
-from repro.obs.trace import Tracer
+from repro.sql.executor import RetrievalInfo
 
 
 # -- q-error ------------------------------------------------------------------
@@ -189,17 +191,16 @@ class TestEstimator:
 
 class TestQErrorAccountingIdentity:
     def test_qerror_hist_reconciles_with_audit_estimate_pairs(self):
-        """Every (estimated, actual) pair in the audit log lands in the
+        """Every (estimated, actual) pair a retrieval records lands in the
         q-error histogram exactly once, with the exact q-error value."""
-        audit = AuditLog()
-        audit.begin_retrieval("T")
+        trace = RetrievalTrace()
         pairs = [(10.0, 20), (100.0, 10), (7.0, 7), (0.5, 3)]
         for estimated, actual in pairs:
-            audit.observe_estimate("IX", estimated, actual)
-        audit.end_retrieval(None)
+            trace.estimates.append(("IX", estimated, actual))
+        result = RetrievalResult([], [], trace, "", OptimizationGoal.TOTAL_TIME)
 
         metrics = DecisionMetrics()
-        metrics.absorb(audit)
+        metrics.absorb([RetrievalInfo("T", OptimizationGoal.TOTAL_TIME, result)])
 
         recorded = [p for p in pairs if p[0] > 0]
         assert metrics.qerror_hist.count == len(recorded)
@@ -221,19 +222,17 @@ class TestQErrorAccountingIdentity:
         table.create_index("IX_B", ["B"])
 
         metrics = DecisionMetrics()
+        pairs = 0
         for lo in (0, 50, 100):
-            from repro.obs.trace import Tracer
-
-            tracer = Tracer("q", audit=AuditLog())
             result = drain(
                 table.select_steps(
                     where=(col("A") >= lo) & (col("A") < lo + 40) & (col("B").eq(3)),
-                    tracer=tracer,
                 )
             )
             assert result.rows is not None
-            metrics.absorb(tracer.audit)
-        assert metrics.qerror_hist.count == metrics.estimate_error_hist.count
+            metrics.absorb([RetrievalInfo("T", result.goal, result)])
+            pairs += sum(1 for _, estimated, _ in result.trace.estimates if estimated > 0)
+        assert metrics.qerror_hist.count == metrics.estimate_error_hist.count == pairs
         assert metrics.qerror_hist.count > 0
 
 
@@ -306,20 +305,20 @@ class TestVarianceGate:
         est = Estimator()
         skipped = None
         for _ in range(8):
-            tracer = Tracer(audit=AuditLog())
             outcome = drain(table.select_steps(
-                where=where, columns=("A", "B"), estimator=est, tracer=tracer))
+                where=where, columns=("A", "B"), estimator=est))
             if outcome.trace.has(EventKind.COMPETITION_SKIPPED):
-                skipped = tracer
+                skipped = outcome
                 break
         assert skipped is not None, "gate never trusted a stable workload"
         (winner,) = [event.detail["winner"] for event in
-                     outcome.trace.of_kind(EventKind.COMPETITION_SKIPPED)]
-        selection = skipped.audit.retrievals[0].tactic_selection()
+                     skipped.trace.of_kind(EventKind.COMPETITION_SKIPPED)]
+        audit = AuditLog.of([skipped])
+        selection = audit.retrievals[0].tactic_selection()
         assert selection.chosen == winner
         assert selection.inputs["basis"] == "trusted"
         assert "index-only" in selection.alternatives
-        report = run_compete(db, skipped.audit, budget_steps=1_000_000)
+        report = run_compete(db, audit, budget_steps=1_000_000)
         assert report.replays == 3
         assert selection.regret is not None
 

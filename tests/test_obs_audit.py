@@ -1,13 +1,14 @@
 """Decision audit, counterfactual replay, and regret accounting.
 
-The audit is an *observer*: with ``audit_enabled=False`` (the default)
-execution must be bit-for-bit what it was before the subsystem existed —
-same rows, same cost, same physical I/O. With it on, every optimizer
-choice point produces a structured :class:`DecisionRecord`, EXPLAIN
-COMPETE replays the rejected strategies on shadow buffer pools, and the
-server aggregates per-tactic win rates plus the live Figure 2.1/2.2
-L-shape. The Section-7-style acceptance test pins the paper's headline:
-competition cost well below the rejected static plan's (ratio <= ~0.6).
+The audit is a *view*: every retrieval's trace records what its decisions
+were made on, and every optimizer choice point reads back as a structured
+:class:`DecisionRecord` — for any statement, with no switch to turn on
+(the unchanged goldens hold that this never perturbs rows, cost or I/O).
+EXPLAIN COMPETE replays the rejected strategies on shadow buffer pools,
+and the server aggregates every statement's decisions, per-tactic win
+rates and the live Figure 2.1/2.2 L-shape. The Section-7-style acceptance
+test pins the paper's headline: competition cost well below the rejected
+static plan's (ratio <= ~0.6).
 """
 
 import json
@@ -16,17 +17,18 @@ import repro
 from repro.config import EngineConfig
 from repro.db.session import Database
 from repro.engine.goals import OptimizationGoal as Goal
+from repro.engine.initial import InitialArrangement
 from repro.engine.metrics import EventKind, RetrievalTrace
+from repro.engine.retrieval import PROVEN, Decision, RetrievalResult
 from repro.obs.audit import (
-    NULL_AUDIT,
     AuditLog,
     DecisionKind,
     DecisionMetrics,
     DecisionRecord,
 )
-from repro.obs.regret import replay_strategy, run_compete
-from repro.obs.trace import Tracer
+from repro.obs.regret import CompeteReport, replay_strategy, run_compete
 from repro.shell import Shell
+from repro.sql.executor import RetrievalInfo
 
 
 def build_orders(db, rows=3000):
@@ -60,60 +62,45 @@ UNSELECTIVE = "select * from P where WEIGHT >= 0"
 
 
 class TestAuditLog:
-    def test_null_audit_is_inert(self):
-        assert NULL_AUDIT.enabled is False
-        NULL_AUDIT.begin_retrieval("T")
-        NULL_AUDIT.decision(DecisionKind.TACTIC_SELECTION, "tscan")
-        NULL_AUDIT.end_retrieval(None)
-        NULL_AUDIT.observe_estimate("IX", 10.0, 12)
-        assert NULL_AUDIT.retrievals == []
-        assert NULL_AUDIT.query_decisions == []
-        assert NULL_AUDIT.max_regret() == 0.0
-
-    def test_tracer_default_audit_is_null(self):
-        assert Tracer().audit is NULL_AUDIT
-        assert RetrievalTrace().audit is NULL_AUDIT
-        audit = AuditLog()
-        assert Tracer(audit=audit).audit is audit
-
     def test_decision_scoping_statement_vs_retrieval(self):
-        audit = AuditLog()
-        audit.decision(DecisionKind.GOAL_INFERENCE, "total-time")
-        audit.begin_retrieval("T")
-        audit.decision(DecisionKind.TACTIC_SELECTION, "sscan", ("tscan",), rids=5)
-        audit.end_retrieval(None)
-        assert [r.retrieval_index for r in audit.records()] == [-1, 0]
+        conn = repro.connect(buffer_capacity=128)
+        build_parts(conn.db)
+        result = conn.execute("select * from P where COLOR = 3")
+        audit = AuditLog.of(result.retrievals)
+        indexes = [r.retrieval_index for r in audit.records()]
+        assert indexes[0] == -1 and set(indexes[1:]) == {0}
+        (goal,) = audit.query_decisions
+        assert goal.kind is DecisionKind.GOAL_INFERENCE
+        assert goal.inputs["table"] == "P"
         selection = audit.retrievals[0].tactic_selection()
-        assert selection.chosen == "sscan"
+        assert selection.chosen == "background-only"
         assert selection.alternatives == ("tscan",)
-        assert selection.inputs == {"rids": 5}
+        assert selection.inputs["basis"] == "raced"
 
     def test_observe_event_derives_decisions(self):
-        audit = AuditLog()
-        trace = RetrievalTrace(Tracer(audit=audit))
-        audit.begin_retrieval("T")
+        trace = RetrievalTrace()
         trace.emit(EventKind.SHORTCUT_SMALL_RANGE, index="IX", rids=3)
         trace.emit(EventKind.STRATEGY_SWITCH, to="tscan", reason="projected")
         trace.emit(EventKind.TSCAN_RECOMMENDED)
         trace.emit(EventKind.INITIAL_ESTIMATE, index="IX", rids=9.0,
                    feedback_rids=4.5)
         trace.emit(EventKind.INITIAL_ESTIMATE, index="IX2", rids=2.0)  # no feedback
-        trace.emit(EventKind.TACTIC_SELECTED, tactic="tscan")  # engine-owned, unmapped
-        kinds = [r.kind for r in audit.retrievals[0].decisions]
-        assert kinds == [
+        # the tactic selection is ``trace.decision``, not this event
+        trace.emit(EventKind.TACTIC_SELECTED, tactic="tscan")
+        decided = list(trace.decisions())
+        assert [kind for kind, *_ in decided] == [
             DecisionKind.SHORTCUT,
             DecisionKind.STRATEGY_SWITCH,
             DecisionKind.STAGE_TRANSITION,
             DecisionKind.FEEDBACK_APPLICATION,
         ]
-        switch = audit.retrievals[0].decisions[1]
-        assert switch.chosen == "tscan" and switch.inputs == {"reason": "projected"}
+        _, chosen, _, inputs = decided[1]
+        assert chosen == "tscan" and inputs == {"reason": "projected"}
 
     def test_to_dict_is_json_safe(self, db):
         table = build_parts(db)
-        tracer = Tracer(audit=AuditLog())
-        table.select(where=repro.col("COLOR").eq(3), tracer=tracer)
-        exported = tracer.audit.to_dict()
+        result = table.select(where=repro.col("COLOR").eq(3))
+        exported = AuditLog.of([result]).to_dict()
         json.dumps(exported)
         assert exported["retrievals"][0]["complete"] is True
 
@@ -123,9 +110,8 @@ class TestAuditLog:
 
 class TestEngineCapture:
     def run_audited(self, table, expr, **kwargs):
-        tracer = Tracer(audit=AuditLog())
-        result = table.select(where=expr, tracer=tracer, **kwargs)
-        return result, tracer.audit
+        result = table.select(where=expr, **kwargs)
+        return result, AuditLog.of([result])
 
     def test_tactic_selection_names_replayable_alternatives(self, db):
         table = build_parts(db)
@@ -203,20 +189,6 @@ class TestEngineCapture:
         plain = table.select(where=expr)
         assert sorted(result.rows) == sorted(plain.rows)
 
-    def test_audit_off_execution_identical(self):
-        """The observer contract: rows, cost, and I/O are unchanged."""
-        results = []
-        for audited in (False, True):
-            db = Database(buffer_capacity=64)
-            table = build_parts(db)
-            tracer = Tracer(audit=AuditLog()) if audited else None
-            result = table.select(where=repro.col("WEIGHT") >= 0, tracer=tracer)
-            results.append(
-                (sorted(result.rows), result.total_cost, result.execution_io,
-                 [e.kind for e in result.trace.events])
-            )
-        assert results[0] == results[1]
-
 
 # -- counterfactual replay ---------------------------------------------------
 
@@ -224,9 +196,8 @@ class TestEngineCapture:
 class TestReplay:
     def test_forced_strategies_run_on_shadow_pool(self, db):
         table = build_orders(db, rows=1500)
-        tracer = Tracer(audit=AuditLog())
-        table.select(where=repro.col("CUSTOMER").between(100, 120), tracer=tracer)
-        request = tracer.audit.retrievals[0].request
+        result = table.select(where=repro.col("CUSTOMER").between(100, 120))
+        request = AuditLog.of([result]).retrievals[0].request
         hits_before = db.buffer_pool.hits
         misses_before = db.buffer_pool.misses
         chosen = replay_strategy(db, table, request, "background-only", 100_000)
@@ -240,9 +211,8 @@ class TestReplay:
 
     def test_unsupported_strategy_fails_as_data_point(self, db):
         table = build_parts(db)
-        tracer = Tracer(audit=AuditLog())
-        table.select(where=repro.col("WEIGHT") >= 0, tracer=tracer)
-        request = tracer.audit.retrievals[0].request
+        result = table.select(where=repro.col("WEIGHT") >= 0)
+        request = AuditLog.of([result]).retrievals[0].request
         outcome = replay_strategy(db, table, request, "sorted", 100_000)
         assert outcome.failed is not None  # request has no order index
         outcome = replay_strategy(db, table, request, "no-such-tactic", 100_000)
@@ -250,9 +220,8 @@ class TestReplay:
 
     def test_budget_truncates_hopeless_replays(self, db):
         table = build_orders(db, rows=1500)
-        tracer = Tracer(audit=AuditLog())
-        table.select(where=repro.col("CUSTOMER").between(100, 120), tracer=tracer)
-        request = tracer.audit.retrievals[0].request
+        result = table.select(where=repro.col("CUSTOMER").between(100, 120))
+        request = AuditLog.of([result]).retrievals[0].request
         outcome = replay_strategy(db, table, request, "tscan",
                                   budget_steps=db.config.batch_size)
         assert outcome.truncated
@@ -262,11 +231,10 @@ class TestReplay:
 
     def test_run_compete_annotates_decisions(self, db):
         table = build_orders(db)
-        tracer = Tracer(audit=AuditLog())
-        table.select(where=repro.col("CUSTOMER").between(110, 140), tracer=tracer)
-        report = run_compete(db, tracer.audit, budget_steps=1_000_000)
+        audit = AuditLog.of([table.select(where=repro.col("CUSTOMER").between(110, 140))])
+        report = run_compete(db, audit, budget_steps=1_000_000)
         assert report.replays == 2  # chosen + one alternative
-        selection = tracer.audit.retrievals[0].tactic_selection()
+        selection = audit.retrievals[0].tactic_selection()
         assert selection.regret is not None
         assert set(selection.counterfactuals) == {"background-only", "tscan"}
         compete = report.retrievals[0]
@@ -279,10 +247,9 @@ class TestReplay:
         and falls back to Tscan — replaying that choice costs more than the
         clean Tscan it rejected, so realized regret is positive."""
         table = build_parts(db)
-        tracer = Tracer(audit=AuditLog())
-        table.select(where=repro.col("WEIGHT") >= 0, tracer=tracer,
-                     optimize_for=Goal.TOTAL_TIME)
-        report = run_compete(db, tracer.audit, budget_steps=1_000_000)
+        result = table.select(where=repro.col("WEIGHT") >= 0,
+                              optimize_for=Goal.TOTAL_TIME)
+        report = run_compete(db, AuditLog.of([result]), budget_steps=1_000_000)
         assert report.total_regret > 0
         assert report.retrievals[0].advantage > 1.0
 
@@ -319,9 +286,9 @@ class TestExplainCompete:
         assert compete.chosen_outcome.cost == compete.best_alternative.cost
 
     def test_compete_without_audit_flag(self):
-        """EXPLAIN COMPETE forces its own audit even with auditing off."""
+        """EXPLAIN COMPETE needs no flag: it replays the decision log every
+        retrieval records."""
         conn = repro.connect(buffer_capacity=128)
-        assert conn.db.config.audit_enabled is False
         build_parts(conn.db)
         result = conn.execute(f"explain compete {UNSELECTIVE}")
         assert result.compete is not None
@@ -362,21 +329,22 @@ class TestExplainCompete:
 
 class TestDecisionMetrics:
     def test_absorb_counts_kinds_and_tactics(self):
-        audit = AuditLog()
-        audit.decision(DecisionKind.GOAL_INFERENCE, "total-time")
-        audit.begin_retrieval("T")
-        record = audit.decision(
-            DecisionKind.TACTIC_SELECTION, "sscan", ("tscan",)
-        )
-        record.regret = 2.5
-        audit.observe_estimate("IX", 10.0, 15)
-        audit.end_retrieval(None)
+        trace = RetrievalTrace(table="T")
+        trace.decision = Decision("sscan", PROVEN, ("tscan",), {"index": "IX"})
+        trace.decided_on = (0, Goal.TOTAL_TIME, 10, InitialArrangement())
+        trace.estimates.append(("IX", 10.0, 15))
+        result = RetrievalResult([], [], trace, "sscan", Goal.TOTAL_TIME)
         metrics = DecisionMetrics()
-        metrics.absorb(audit)
+        metrics.absorb([RetrievalInfo("T", Goal.TOTAL_TIME, result)])
         assert metrics.decisions == {"goal-inference": 1, "tactic-selection": 1}
+        assert metrics.decisions[DecisionKind.TACTIC_SELECTION] == 1
         assert metrics.tactic_selected == {"sscan": 1}
-        assert metrics.regret_hist.count == 1 and metrics.regret_hist.sum == 2.5
         assert metrics.estimate_error_hist.count == 1
+        # regret arrives with an EXPLAIN COMPETE's replayed log
+        audit = AuditLog.of([result])
+        audit.retrievals[0].tactic_selection().regret = 2.5
+        metrics.absorb_compete(CompeteReport(audit=audit))
+        assert metrics.regret_hist.count == 1 and metrics.regret_hist.sum == 2.5
 
     def test_win_rate_and_merge(self):
         a = DecisionMetrics()
@@ -406,15 +374,29 @@ class TestDecisionMetrics:
         assert hist.count == 2
         assert hist.max > hist.p50  # the skew: one cheap, one expensive
 
-    def test_audit_enabled_feeds_server_metrics(self):
-        cfg = EngineConfig(audit_enabled=True)
-        conn = repro.connect(buffer_capacity=128, config=cfg)
+    def test_default_config_feeds_server_metrics(self):
+        """Every statement's decisions reach the server metrics, with no
+        flag set: one tactic selection, and one estimate-error and one
+        q-error observation per completed scan's estimate pair."""
+        conn = repro.connect(buffer_capacity=128)
         build_parts(conn.db)
-        conn.execute("select * from P where COLOR = 3")
+        result = conn.execute("select * from P where COLOR = 3")
         decisions = conn.metrics.decisions
-        assert decisions.decisions.get("tactic-selection") == 1
+        assert decisions.decisions["tactic-selection"] == 1
+        assert decisions.decisions[DecisionKind.GOAL_INFERENCE] == 1
         assert decisions.tactic_selected == {"background-only": 1}
-        assert decisions.estimate_error_hist.count >= 1
+        pairs = [
+            pair
+            for info in result.retrievals
+            for pair in info.result.trace.estimates
+            if pair[1] > 0
+        ]
+        assert pairs
+        assert (
+            decisions.estimate_error_hist.count
+            == decisions.qerror_hist.count
+            == len(pairs)
+        )
 
     def test_prometheus_exposes_decision_metrics(self):
         conn = repro.connect(buffer_capacity=128)
@@ -481,7 +463,7 @@ class TestFlightRecorder:
         sink = _ListSink()
         conn = repro.connect(buffer_capacity=128, config=cfg, flight_sink=sink)
         build_parts(conn.db)
-        conn.execute(UNSELECTIVE)  # no audit, no regret: not captured
+        conn.execute(UNSELECTIVE)  # no replay, no regret: not captured
         assert sink.records == []
         conn.execute(f"explain compete {UNSELECTIVE}")  # positive regret
         assert len(sink.records) == 1
@@ -514,19 +496,8 @@ class TestFlightRecorder:
 
 
 class TestLazyDecisionRecord:
-    """The audit-on hot path borrows the engine's detail mapping by
-    reference and only materializes (and filters) it on first read."""
-
-    def test_raw_inputs_materialize_on_first_read(self):
-        raw = {"est": 12, "cost": 3.5, "to": "tscan"}
-        record = DecisionRecord(
-            DecisionKind.STRATEGY_SWITCH, "tscan",
-            raw_inputs=raw, drop_keys=("to",),
-        )
-        assert record._inputs is None  # nothing copied yet
-        inputs = record.inputs
-        assert inputs == {"est": 12, "cost": 3.5}
-        assert record.inputs is inputs  # materialized exactly once
+    """Decision records are built only when something reads the log; a
+    record's inputs are the decision's own numbers."""
 
     def test_owned_inputs_pass_through(self):
         record = DecisionRecord(
@@ -540,32 +511,20 @@ class TestLazyDecisionRecord:
 
     def test_to_dict_includes_lazy_inputs(self):
         record = DecisionRecord(
-            DecisionKind.SHORTCUT, "empty", raw_inputs={"reason": "contradiction"}
+            DecisionKind.SHORTCUT, "empty", inputs={"reason": "contradiction"}
         )
         payload = record.to_dict()
         assert payload["inputs"] == {"reason": "contradiction"}
 
-    def test_decision_raw_borrows_without_copying(self):
-        audit = AuditLog()
-        audit.begin_retrieval("T")
-        detail = {"from": "jscan", "to": "tscan", "crossover": 41.5}
-        audit.decision_raw(
-            DecisionKind.STRATEGY_SWITCH, "tscan",
-            raw_inputs=detail, drop_keys=("to",),
-        )
-        record = audit.retrievals[-1].decisions[-1]
-        assert record._raw is detail  # borrowed by reference, no copy
-        assert record.inputs == {"from": "jscan", "crossover": 41.5}
-
     def test_observe_event_records_stay_equivalent(self):
-        """The event-derived records carry the same payloads as before
-        the lazy refactor (detail minus the chosen-value key)."""
-        trace = RetrievalTrace(Tracer(audit=AuditLog()))
-        trace.audit.begin_retrieval("T")
+        """The event-derived records carry the event's payload minus the
+        chosen-value key."""
+        trace = RetrievalTrace(table="T")
         trace.emit(
             EventKind.STRATEGY_SWITCH, to="tscan", sunk_cost=2.0, reason="crossover"
         )
-        audit = trace.audit
+        result = RetrievalResult([], [], trace, "", Goal.TOTAL_TIME)
+        audit = AuditLog.of([result])
         switches = [
             record
             for retrieval in audit.retrievals
@@ -575,3 +534,4 @@ class TestLazyDecisionRecord:
         assert switches and switches[-1].chosen == "tscan"
         assert "to" not in switches[-1].inputs
         assert switches[-1].inputs["sunk_cost"] == 2.0
+        assert trace.events[0].detail["to"] == "tscan"  # the event is untouched

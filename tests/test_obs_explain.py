@@ -95,6 +95,49 @@ class TestExplainExecution:
         assert "scan [strategy=" in result.text
 
 
+class TestDecisionLine:
+    """Each retrieval's block names its decision — the strategy, its basis
+    and the rejected alternatives — read from the decision log every
+    retrieval keeps."""
+
+    def test_raced(self, conn):
+        build_parts(conn.db)
+        result = conn.execute("explain analyze select * from P where COLOR = 3")
+        assert "  decision : background-only (raced) over tscan\n" in result.text
+
+    def test_proven(self, conn):
+        build_parts(conn.db)
+        result = conn.execute("explain analyze select COLOR from P where COLOR = 3")
+        assert "  decision : sscan (proven) over tscan\n" in result.text
+
+    def test_trusted(self):
+        conn = repro.connect(
+            buffer_capacity=128, config=EngineConfig(shortcut_rid_count=0)
+        )
+        table = conn.db.create_table(
+            "G", [("A", "int"), ("B", "int"), ("C", "int")], rows_per_page=8
+        )
+        for i in range(400):
+            table.insert((i, i % 10, (i * 3) % 50))
+        table.create_index("IX_AB", ["A", "B"])  # covering: the Sscan arm
+        table.create_index("IX_A", ["A"])
+        table.create_index("IX_B", ["B"])
+        sql = "select A, B from G where A < 100 and B = 3"
+        for _ in range(8):  # warm the estimator until the gate trusts
+            (info,) = conn.execute(sql).retrievals
+            if info.result.trace.decision.basis == "trusted":
+                break
+        result = conn.execute("explain analyze " + sql)
+        (info,) = result.retrievals
+        decision = info.result.trace.decision
+        assert decision.basis == "trusted"
+        others = ", ".join(decision.alternatives)
+        assert (
+            f"  decision : {decision.strategy} (trusted) over {others}\n"
+            in result.text
+        )
+
+
 # -- through the connection / server -----------------------------------------
 
 

@@ -390,11 +390,9 @@ class TestScatter:
 
     def test_scatter_audit_decision(self):
         _, table = make_db(rows=80)
-        audit = AuditLog()
-        result = table.select(
-            where=col("ID").eq(5), tracer=Tracer(audit=audit)
-        )
+        result = table.select(where=col("ID").eq(5))
         assert result.rows == [(5, 5)]
+        audit = AuditLog.of([result])
         records = [
             record
             for retrieval in audit.retrievals

@@ -293,7 +293,7 @@ class TestOldPathKept:
 class TestPath:
     def test_events_span_and_audit(self, flat):
         _, table = flat
-        tracer = Tracer("query", audit=AuditLog())
+        tracer = Tracer("query")
         bindings = shapes(table)["two-leaf-straddle"]
         result = table.select(where=ID_RANGE, host_vars=bindings, tracer=tracer)
         assert [event.kind for event in result.trace] == [
@@ -305,16 +305,15 @@ class TestPath:
         (retrieval,) = tracer.root.children
         assert [span.attrs.get("tactic") for span in retrieval.children] == [
             "short-range"]
-        selection = tracer.audit.retrievals[0].tactic_selection()
+        selection = AuditLog.of([result]).retrievals[0].tactic_selection()
         assert selection.chosen == "short-range"
         assert selection.alternatives == ("background-only", "tscan")
 
     def test_fast_first_alternative_is_the_fast_first_tactic(self, flat):
         _, table = flat
-        tracer = Tracer("query", audit=AuditLog())
-        table.select(where=ID_RANGE, host_vars=shapes(table)["one-leaf"],
-                     optimize_for=OptimizationGoal.FAST_FIRST, tracer=tracer)
-        selection = tracer.audit.retrievals[0].tactic_selection()
+        result = table.select(where=ID_RANGE, host_vars=shapes(table)["one-leaf"],
+                              optimize_for=OptimizationGoal.FAST_FIRST)
+        selection = AuditLog.of([result]).retrievals[0].tactic_selection()
         assert selection.alternatives == ("fast-first", "tscan")
 
     def test_completes_in_the_quantum_that_starts_it(self, flat):

@@ -242,9 +242,8 @@ class TestPaths:
 
     def test_audited_probe_records_a_selection_without_alternatives(self):
         _, table = make_table()
-        tracer = Tracer("query", audit=AuditLog())
-        table.select(where=ID_POINT, host_vars={"K": 17}, tracer=tracer)
-        (audit,) = tracer.audit.retrievals
+        result = table.select(where=ID_POINT, host_vars={"K": 17})
+        (audit,) = AuditLog.of([result]).retrievals
         selection = audit.tactic_selection()
         assert selection.chosen == "unique-probe"
         assert selection.alternatives == ()
