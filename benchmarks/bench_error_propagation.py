@@ -14,10 +14,10 @@ degenerates to the L-shape family that motivates competition.
 
 from _util import Report, run_once
 
-from repro.distribution.density import SelectivityDistribution
-from repro.distribution.hyperbola import fit_truncated_hyperbola
-from repro.distribution.operators import join_unknown
-from repro.distribution.shapes import classify_shape
+from paper.distribution.density import SelectivityDistribution
+from paper.distribution.hyperbola import fit_truncated_hyperbola
+from paper.distribution.operators import join_unknown
+from paper.distribution.shapes import classify_shape
 
 
 def experiment() -> dict:

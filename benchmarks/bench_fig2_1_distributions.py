@@ -12,10 +12,10 @@ Paper claims reproduced here:
 
 from _util import Report, run_once
 
-from repro.distribution.density import SelectivityDistribution
-from repro.distribution.hyperbola import fit_truncated_hyperbola
-from repro.distribution.operators import and_c, apply_chain
-from repro.distribution.shapes import classify_shape, shape_metrics
+from paper.distribution.density import SelectivityDistribution
+from paper.distribution.hyperbola import fit_truncated_hyperbola
+from paper.distribution.operators import and_c, apply_chain
+from paper.distribution.shapes import classify_shape, shape_metrics
 
 BINS = 400
 

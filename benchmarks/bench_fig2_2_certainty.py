@@ -13,9 +13,9 @@ statements (Section 2):
 
 from _util import Report, run_once
 
-from repro.distribution.density import SelectivityDistribution
-from repro.distribution.operators import apply_chain
-from repro.distribution.shapes import classify_shape
+from paper.distribution.density import SelectivityDistribution
+from paper.distribution.operators import apply_chain
+from paper.distribution.shapes import classify_shape
 
 MEAN, ERROR, BINS = 0.2, 0.005, 256
 

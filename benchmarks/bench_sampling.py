@@ -13,7 +13,7 @@ import numpy as np
 
 from _util import Report, run_once
 
-from repro.btree.sampling import (
+from paper.sampling import (
     acceptance_rejection_sample,
     pseudo_ranked_sample,
     selectivity_from_sample,

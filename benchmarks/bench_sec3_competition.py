@@ -14,7 +14,7 @@ import numpy as np
 
 from _util import Report, run_once
 
-from repro.competition.direct import DirectCompetition, TrialThenSwitch
+from paper.direct import DirectCompetition, TrialThenSwitch
 from repro.competition.model import (
     LShapedCost,
     sequential_switch_expected_cost,

@@ -14,8 +14,8 @@ Reproduced claims:
 
 from _util import Report, run_once
 
+from paper.mohan_jscan import run_static_jscan
 from repro.db.session import Database
-from repro.engine.mohan_jscan import run_static_jscan
 from repro.engine.static_optimizer import StaticOptimizer
 from repro.expr.ast import col, var
 from repro.workloads.scenarios import build_parts_table

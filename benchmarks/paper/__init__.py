@@ -1,0 +1,21 @@
+"""The paper's models and comparators — reproduced claims, not the product.
+
+The engine in ``src/repro`` never imports this package. It holds what the
+figure and section benchmarks (``benchmarks/bench_*.py``) and their tests
+need to reproduce the paper's arguments:
+
+* :mod:`paper.distribution` — the Section 2 selectivity-distribution toolkit
+  (AND / OR / NOT / JOIN transformations, truncated-hyperbola fits, shape
+  classification);
+* :mod:`paper.scheduler`, :mod:`paper.direct` and :mod:`paper.two_stage` —
+  the Section 3 competition arrangements run over synthetic processes:
+  proportional-speed scheduling, trial-then-switch and direct competition,
+  and the standalone two-stage controller;
+* :mod:`paper.sampling` — B+-tree random sampling, [OlRo89] and [Ant92]
+  (Section 5);
+* :mod:`paper.mohan_jscan` — the statically-thresholded Jscan of [MoHa90]
+  that Section 6 argues against.
+
+Tests and the ``bench_*`` scripts find it through ``pythonpath =
+["benchmarks"]`` in ``pyproject.toml`` (or by running from ``benchmarks/``).
+"""

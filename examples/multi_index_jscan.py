@@ -11,9 +11,18 @@ Jscan of [MoHa90] and a plain Tscan for comparison.
 Run:  python examples/multi_index_jscan.py
 """
 
+import os
+import sys
+
+# the [MoHa90] static-threshold comparator lives in benchmarks/paper/ with
+# the paper's other reproduced claims, not in the product package
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "benchmarks")
+)
+
 import repro
+from paper.mohan_jscan import run_static_jscan
 from repro import col
-from repro.engine.mohan_jscan import run_static_jscan
 from repro.workloads.scenarios import build_parts_table
 
 

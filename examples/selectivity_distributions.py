@@ -9,17 +9,26 @@ Also prints the truncated-hyperbola fit errors the paper quotes (1/4, 1/7,
 Run:  python examples/selectivity_distributions.py
 """
 
+import os
+import sys
+
 import numpy as np
 
+# the Section 2 selectivity-distribution toolkit lives in benchmarks/paper/
+# with the paper's other reproduced claims, not in the product package
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "benchmarks")
+)
+
+from paper.distribution.density import SelectivityDistribution
+from paper.distribution.hyperbola import fit_truncated_hyperbola
+from paper.distribution.operators import and_c, apply_chain
+from paper.distribution.shapes import classify_shape
 from repro.competition.model import (
     LShapedCost,
     sequential_switch_expected_cost,
     simultaneous_expected_cost,
 )
-from repro.distribution.density import SelectivityDistribution
-from repro.distribution.hyperbola import fit_truncated_hyperbola
-from repro.distribution.operators import and_c, apply_chain
-from repro.distribution.shapes import classify_shape
 
 BARS = " .:-=+*#%@"
 

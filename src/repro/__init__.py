@@ -4,10 +4,12 @@
 The package implements the paper's dynamic single-table optimizer —
 competition-based strategy selection over Tscan / Sscan / Fscan / Jscan —
 together with every substrate it needs: a simulated storage engine with
-physical-I/O accounting, B+-tree indexes with descent-to-split estimation
-and sampling, the Section 2 selectivity-distribution toolkit, the Section 3
-competition framework, an SQL front end with the Rdb/VMS extensions, and
-the static-optimizer / static-Jscan baselines the paper argues against.
+physical-I/O accounting, B+-tree indexes with descent-to-split estimation,
+the Section 3 competition framework, an SQL front end with the Rdb/VMS
+extensions, and the static-optimizer baseline the paper argues against.
+The models and comparators only the paper's experiments run (the Section 2
+selectivity-distribution toolkit, B+-tree sampling, the [MoHa90]
+static-threshold Jscan) live in ``benchmarks/paper/``, outside the package.
 
 Statements are served by a multi-query scheduler: open a connection with
 :func:`repro.connect`, then execute SQL on it — or open several sessions

@@ -8,13 +8,17 @@ before committing to any single one. This package provides:
   the paper's expected-cost arithmetic for traditional choice, sequential
   try-then-switch, and simultaneous proportional runs;
 * :mod:`repro.competition.process` — the step-wise ``Process`` protocol all
-  competing strategies implement, plus synthetic processes for experiments;
-* :mod:`repro.competition.scheduler` — proportional-speed fair scheduling of
-  simultaneous processes;
-* :mod:`repro.competition.direct` — direct competition (first finisher wins);
-* :mod:`repro.competition.two_stage` — two-stage competition: a cheap stage
-  continuously re-estimates an expensive stage and is abandoned when the
-  projection approaches the guaranteed best.
+  competing strategies implement, plus a synthetic process for tests and
+  experiments;
+* :mod:`repro.competition.two_stage` — the two-stage switch criterion: a
+  cheap stage continuously re-estimates an expensive stage and is abandoned
+  when the projection approaches the guaranteed best;
+* :mod:`repro.competition.probabilistic` — the Bayesian variant of that
+  criterion (``EngineConfig.probabilistic_switch``).
+
+The Section 3 arrangements that race synthetic processes — the
+proportional scheduler, direct competition and the standalone two-stage
+controller — live in ``benchmarks/paper/``, outside the package.
 """
 
 from importlib import import_module
@@ -23,17 +27,13 @@ from importlib import import_module
 #: needs only ``process`` and ``two_stage``, and importing ``model`` pulls in
 #: ``scipy.optimize`` — most of what ``import repro`` used to cost.
 _EXPORTS = {
-    "DirectCompetition": "direct",
-    "TrialThenSwitch": "direct",
     "LShapedCost": "model",
     "sequential_switch_expected_cost": "model",
     "simultaneous_expected_cost": "model",
     "traditional_expected_cost": "model",
     "Process": "process",
     "SyntheticProcess": "process",
-    "ProportionalScheduler": "scheduler",
     "SwitchCriterion": "two_stage",
-    "TwoStageCompetition": "two_stage",
 }
 
 __all__ = list(_EXPORTS)

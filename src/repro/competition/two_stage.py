@@ -1,10 +1,11 @@
 """Two-stage competition (Section 3, applied in Section 6's Jscan).
 
 A plan splits into a cheap first stage and an expensive second stage whose
-cost becomes reliably estimable *during* the first stage. The controller
-steps the first stage, recomputes the projection, and abandons when the
-projection approaches the guaranteed best — "we terminate the scan a bit
-before the costs are equalized".
+cost becomes reliably estimable *during* the first stage. The first stage
+is abandoned when its projection approaches the guaranteed best — "we
+terminate the scan a bit before the costs are equalized". Jscan, the union
+scan and the join race evaluate :class:`SwitchCriterion` inside their own
+advance loops.
 
 Two criteria combine (both from Section 6):
 
@@ -18,9 +19,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Callable
-
-from repro.competition.process import Process
 
 
 #: scan at least this fraction of a range before trusting a projection
@@ -76,72 +74,4 @@ class SwitchCriterion:
         return SwitchCriterion(
             threshold=self.threshold * scale,
             scan_cost_limit_fraction=self.scan_cost_limit_fraction * scale,
-        )
-
-
-@dataclass
-class TwoStageOutcome:
-    """Result of one two-stage competition run."""
-
-    #: True when the first stage completed (its result should be committed)
-    committed: bool
-    #: the decision that ended the run
-    decision: SwitchDecision
-    #: cost sunk into the (possibly abandoned) first stage
-    first_stage_cost: float
-    #: last projection computed before the run ended
-    last_projection: float | None
-
-
-class TwoStageCompetition:
-    """Drives one first-stage process under a :class:`SwitchCriterion`.
-
-    ``projector`` maps the live process to the current projected
-    second-stage cost (or None while no reliable projection exists);
-    ``guaranteed_best`` supplies the cost the projection competes against
-    and may change between steps — the dynamic readjustment that the
-    statically-thresholded Jscan of [MoHa90] lacks.
-    """
-
-    def __init__(
-        self,
-        first_stage: Process,
-        projector: Callable[[Process], float | None],
-        guaranteed_best: Callable[[], float],
-        criterion: SwitchCriterion = SwitchCriterion(),
-    ) -> None:
-        self.first_stage = first_stage
-        self.projector = projector
-        self.guaranteed_best = guaranteed_best
-        self.criterion = criterion
-
-    def run(self) -> TwoStageOutcome:
-        """Step the first stage to completion or abandonment."""
-        projection: float | None = None
-        while self.first_stage.active:
-            finished = self.first_stage.step()
-            if finished:
-                return TwoStageOutcome(
-                    committed=True,
-                    decision=SwitchDecision.CONTINUE,
-                    first_stage_cost=self.first_stage.meter.total,
-                    last_projection=projection,
-                )
-            projection = self.projector(self.first_stage)
-            decision = self.criterion.evaluate(
-                projection, self.first_stage.meter.total, self.guaranteed_best()
-            )
-            if decision is not SwitchDecision.CONTINUE:
-                self.first_stage.abandon()
-                return TwoStageOutcome(
-                    committed=False,
-                    decision=decision,
-                    first_stage_cost=self.first_stage.meter.total,
-                    last_projection=projection,
-                )
-        return TwoStageOutcome(
-            committed=self.first_stage.finished,
-            decision=SwitchDecision.CONTINUE,
-            first_stage_cost=self.first_stage.meter.total,
-            last_projection=projection,
         )

@@ -20,10 +20,11 @@ partial list is refiltered in memory.
 The result is either a complete RID list (possibly empty — an immediate
 end-of-data), or the recommendation that Tscan is the best retrieval.
 
-Setting ``dynamic_guaranteed_best=False``, ``projection_enabled=False`` and
-a ``static_rid_threshold`` turns this class into the statically-controlled
-Jscan of [MoHa90] used as a baseline (see
-:mod:`repro.engine.mohan_jscan`).
+A ``static_rid_threshold`` turns this class into the statically-controlled
+Jscan of [MoHa90]: a scan is abandoned only when its list outgrows the
+threshold, and neither the guaranteed best nor a projection is consulted.
+The baseline that sets it (``benchmarks/paper/mohan_jscan.py``) also turns
+``simultaneous_adjacent_scans`` off.
 """
 
 from __future__ import annotations
@@ -86,10 +87,7 @@ class JscanProcess(Process):
         buffer_pool: BufferPool,
         trace: RetrievalTrace,
         config: EngineConfig = DEFAULT_CONFIG,
-        dynamic_guaranteed_best: bool = True,
-        projection_enabled: bool = True,
         static_rid_threshold: float | None = None,
-        simultaneous: bool | None = None,
         on_keep: Callable[[RID, int], None] | None = None,
         name: str = "jscan",
     ) -> None:
@@ -113,12 +111,7 @@ class JscanProcess(Process):
                 rows_per_page=heap.rows_per_page,
                 scan_cost_limit_fraction=config.scan_cost_limit_fraction,
             )
-        self.dynamic_guaranteed_best = dynamic_guaranteed_best
-        self.projection_enabled = projection_enabled
         self.static_rid_threshold = static_rid_threshold
-        self.simultaneous = (
-            config.simultaneous_adjacent_scans if simultaneous is None else simultaneous
-        )
         #: tap: called with (rid, scan_position) for every kept RID —
         #: the fast-first tactic "borrows" RIDs through this hook
         self.on_keep = on_keep
@@ -174,7 +167,7 @@ class JscanProcess(Process):
         if cached is not None and cached[0] is self._filter and cached[1] == pages:
             return cached[2]
         best = self.tscan_cost()
-        if self.dynamic_guaranteed_best and self._filter is not None:
+        if self._filter is not None:
             best = min(best, self.rid_fetch_cost(len(self._filter), self._filter))
         self._guaranteed = (self._filter, pages, best)
         return best
@@ -203,7 +196,7 @@ class JscanProcess(Process):
 
     def _maybe_start_partner(self) -> None:
         if (
-            self.simultaneous
+            self.config.simultaneous_adjacent_scans
             and self._partner is None
             and self._active is not None
             and self._queue
@@ -327,7 +320,6 @@ class JscanProcess(Process):
         limit_fraction = self.criterion.scan_cost_limit_fraction
         static_threshold = self.static_rid_threshold
         probabilistic = self._prob_criterion
-        project = self.projection_enabled
         on_keep = self.on_keep
         pages = self.heap.page_count
         rows_per_page = self.heap.rows_per_page
@@ -415,7 +407,7 @@ class JscanProcess(Process):
             # pages for the projected size, plus reading the spill pages back
             projection = None
             estimate = scan.candidate.estimated_rids
-            if project and estimate is not None:
+            if estimate is not None:
                 fraction = scanned / max(estimate, float(scanned))
                 if fraction >= min_fraction:
                     projected_size = scan.kept / fraction

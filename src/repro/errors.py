@@ -58,10 +58,6 @@ class CatalogError(ReproError):
     """Catalog inconsistencies: duplicate tables, unknown indexes, etc."""
 
 
-class DistributionError(ReproError):
-    """Errors in the selectivity-distribution toolkit (Section 2)."""
-
-
 class CompetitionError(ReproError):
     """Errors in the competition framework (Section 3)."""
 

@@ -18,8 +18,8 @@ default ``batch_size=64`` this is ~64× fewer generator suspensions per
 query than one-yield-per-step scheduling; setting ``batch_size=1`` in the
 engine config restores exact per-step interleaving.
 
-Scheduling generalizes the per-retrieval proportional-speed scheduler of
-:class:`repro.competition.scheduler.ProportionalScheduler` to whole
+Scheduling lifts Section 3's proportional-speed scheduling of competing
+plans (modelled over synthetic processes in ``benchmarks/paper/``) to whole
 queries: ``round-robin`` steps admitted queries in rotation, ``weighted``
 steps the query with the smallest virtual time ``steps / weight`` where the
 weight comes from its optimization goal (fast-first queries are

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from repro.btree.sampling import (
+from paper.sampling import (
     acceptance_rejection_sample,
     pseudo_ranked_sample,
     selectivity_from_sample,

@@ -6,14 +6,11 @@ import sys
 
 import pytest
 
-from repro.competition.direct import DirectCompetition, TrialThenSwitch
+from paper.direct import DirectCompetition, TrialThenSwitch
+from paper.scheduler import ProportionalScheduler
+from paper.two_stage import TwoStageCompetition
 from repro.competition.process import Process, SyntheticProcess
-from repro.competition.scheduler import ProportionalScheduler
-from repro.competition.two_stage import (
-    SwitchCriterion,
-    SwitchDecision,
-    TwoStageCompetition,
-)
+from repro.competition.two_stage import SwitchCriterion, SwitchDecision
 from repro.errors import CompetitionError
 
 
@@ -261,7 +258,7 @@ def test_package_exports_resolve_lazily():
     from repro.competition.model import LShapedCost as defined
 
     assert LShapedCost is defined and exported is Process
-    assert len(package.__all__) == 11
+    assert len(package.__all__) == 7
     for name in package.__all__:
         assert getattr(package, name).__name__ == name
     with pytest.raises(AttributeError):

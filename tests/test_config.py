@@ -1,5 +1,6 @@
 """Tests for the engine configuration object."""
 
+import ast
 import dataclasses
 import pathlib
 import re
@@ -72,6 +73,64 @@ def test_option_budget():
     )
     orphans = [name for name in names if not re.search(rf"\b{name}\s*=", users)]
     assert not orphans, f"EngineConfig fields nothing sets: {orphans}"
+
+
+#: modules under src/repro that the product never imports, and why each
+#: stays; every other model or comparator the engine does not run lives in
+#: benchmarks/paper/, beside the experiments that run it
+UNREACHED_ON_PURPOSE = {
+    "repro.competition.model": "the Section 3 cost arithmetic, until it and the "
+    "engine share one switch criterion or it moves out",
+    "repro.engine.static_optimizer": "the traditional optimizer the dynamic one "
+    "is measured against",
+}
+
+
+def _import_targets(path: pathlib.Path) -> set[str]:
+    """Every dotted name one file's ``import``/``from`` statements name,
+    lazy ones inside functions included (``from a import b`` names both
+    ``a`` and ``a.b``)."""
+    targets = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Import):
+            targets.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            assert not node.level, f"{path}: src/ imports are absolute"
+            targets.add(node.module)
+            targets.update(f"{node.module}.{alias.name}" for alias in node.names)
+    return targets
+
+
+def test_product_package_holds_only_what_the_product_runs():
+    """Every module under src/repro is loaded by the product's own imports,
+    starting from ``repro/__init__.py`` and ``repro/__main__.py``, except
+    the listed ones, and no src/ file imports the benchmarks' ``paper``
+    package."""
+    src = REPO / "src"
+    paths = {}
+    for path in (src / "repro").rglob("*.py"):
+        parts = path.relative_to(src).with_suffix("").parts
+        paths[".".join(parts[:-1] if parts[-1] == "__init__" else parts)] = path
+    reached, todo = set(), ["repro", "repro.__main__"]
+    while todo:
+        module = todo.pop()
+        if module in reached:
+            continue
+        reached.add(module)
+        for target in _import_targets(paths[module]):
+            parts = target.split(".")
+            # loading a module loads every package above it
+            todo.extend(
+                name for name in (".".join(parts[:end]) for end in range(1, len(parts) + 1))
+                if name in paths and name not in reached
+            )
+    assert sorted(set(paths) - reached) == sorted(UNREACHED_ON_PURPOSE)
+    importers = [
+        str(path.relative_to(REPO))
+        for path in src.rglob("*.py")
+        if any(target.split(".")[0] == "paper" for target in _import_targets(path))
+    ]
+    assert not importers, f"src/ files importing paper: {importers}"
 
 
 def test_cpu_costs_have_one_source():

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distribution.density import SelectivityDistribution
-from repro.errors import DistributionError
+from paper.distribution import DistributionError
+from paper.distribution.density import SelectivityDistribution
 
 
 def test_uniform_moments():

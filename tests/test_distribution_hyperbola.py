@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.distribution.density import SelectivityDistribution
-from repro.distribution.hyperbola import (
+from paper.distribution import DistributionError
+from paper.distribution.density import SelectivityDistribution
+from paper.distribution.hyperbola import (
     fit_truncated_hyperbola,
     hyperbola_weights,
     truncated_hyperbola,
 )
-from repro.distribution.operators import apply_chain
-from repro.errors import DistributionError
+from paper.distribution.operators import apply_chain
 
 
 def test_hyperbola_weights_normalized():

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.distribution.density import SelectivityDistribution
-from repro.distribution.operators import (
+from paper.distribution import DistributionError
+from paper.distribution.density import SelectivityDistribution
+from paper.distribution.operators import (
     and_c,
     and_unknown,
     apply_chain,
@@ -14,7 +15,6 @@ from repro.distribution.operators import (
     or_c,
     or_unknown,
 )
-from repro.errors import DistributionError
 
 U = SelectivityDistribution.uniform(128)
 

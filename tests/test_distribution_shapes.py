@@ -2,10 +2,10 @@
 
 import pytest
 
-from repro.distribution.density import SelectivityDistribution
-from repro.distribution.hyperbola import truncated_hyperbola
-from repro.distribution.operators import apply_chain
-from repro.distribution.shapes import classify_shape, half_mass_width, shape_metrics
+from paper.distribution.density import SelectivityDistribution
+from paper.distribution.hyperbola import truncated_hyperbola
+from paper.distribution.operators import apply_chain
+from paper.distribution.shapes import classify_shape, half_mass_width, shape_metrics
 
 
 def test_uniform_classified_uniform():

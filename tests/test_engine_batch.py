@@ -431,9 +431,7 @@ def ranges(a, b, c=None):
     return expr if c is None else expr & col("C").between(*c)
 
 
-MOHAN = dict(
-    dynamic_guaranteed_best=False, projection_enabled=False, static_rid_threshold=12.0
-)
+MOHAN = dict(static_rid_threshold=12.0)
 PROBABILISTIC = DEFAULT_CONFIG.with_(probabilistic_switch=True)
 SPILLING = DEFAULT_CONFIG.with_(**TINY_BUFFERS)
 

@@ -146,8 +146,6 @@ def test_static_threshold_mode(db):
     jscan, trace = run_jscan(
         table, expr,
         config=table.config.with_(simultaneous_adjacent_scans=False),
-        dynamic_guaranteed_best=False,
-        projection_enabled=False,
         static_rid_threshold=30.0,
     )
     # COLOR=3 yields 60 rids > 30 threshold: abandoned under static control

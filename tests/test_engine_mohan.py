@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.engine.mohan_jscan import run_static_jscan
+from paper.mohan_jscan import run_static_jscan
 from repro.expr.ast import ALWAYS_TRUE, col
 
 

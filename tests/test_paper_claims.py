@@ -4,6 +4,10 @@ the benchmarks — each benchmark in benchmarks/ explores these in depth)."""
 import numpy as np
 import pytest
 
+from paper.distribution.density import SelectivityDistribution
+from paper.distribution.hyperbola import fit_truncated_hyperbola
+from paper.distribution.operators import apply_chain
+from paper.distribution.shapes import classify_shape
 from repro.api import connect
 from repro.competition.model import (
     LShapedCost,
@@ -11,10 +15,6 @@ from repro.competition.model import (
     simultaneous_expected_cost,
 )
 from repro.db.session import Database
-from repro.distribution.density import SelectivityDistribution
-from repro.distribution.hyperbola import fit_truncated_hyperbola
-from repro.distribution.operators import apply_chain
-from repro.distribution.shapes import classify_shape
 from repro.engine.goals import OptimizationGoal
 from repro.engine.retrieval import RetrievalRequest
 from repro.engine.static_optimizer import StaticOptimizer
