@@ -39,7 +39,6 @@ sys.path.insert(
 import numpy as np
 
 import repro
-from repro.config import DEFAULT_CONFIG
 from repro.engine.goals import OptimizationGoal
 from repro.engine.join import JoinTableHandle, candidate_orders, run_join_steps
 from repro.sql.binder import bind
@@ -141,9 +140,7 @@ def main() -> int:
     orders, customers, items = (
         (800, 100, 50) if args.smoke else (4000, 250, 120)
     )
-    # a generous replay budget so the io-identity replay never truncates
-    config = DEFAULT_CONFIG.with_(replay_budget_steps=2_000_000)
-    conn = repro.connect(buffer_capacity=128, config=config)
+    conn = repro.connect(buffer_capacity=128)
     build_workload(conn, orders, customers, items)
     db = conn.db
 
@@ -178,7 +175,8 @@ def main() -> int:
 
     # -- io identity: COMPETE's shadow replay vs a forced production run --
     db.cold_cache()
-    report = conn.audit(SQL)
+    # a generous replay budget so the io-identity replay never truncates
+    report = conn.audit(SQL, budget_steps=2_000_000)
     join_compete = next(
         (r for r in report.retrievals if r.chosen_outcome is not None), None
     )

@@ -32,23 +32,34 @@ def experiment() -> dict:
 
     rows = []
     totals = {False: 0.0, True: 0.0}
+    verdicts = {"cheaper": [], "dearer": [], "tied": []}
     for bound in (5, 15, 50, 120, 300, 600, 1000):
         line = [bound]
+        costs = {}
         for probabilistic in (False, True):
             db, table = build(probabilistic)
             db.cold_cache()
             run = table.select(where=query, host_vars={"W": bound, "S": bound})
             totals[probabilistic] += run.total_cost
+            costs[probabilistic] = round(run.total_cost)
             line.append(f"{run.total_cost:.0f}")
             if probabilistic:
                 line.append(run.description.split(" -> ")[-1][:22])
         rows.append(line)
+        deterministic, bayesian = costs[False], costs[True]
+        if bayesian == deterministic:
+            verdicts["tied"].append(str(bound))
+        else:
+            verdict = "cheaper" if bayesian < deterministic else "dearer"
+            verdicts[verdict].append(f"{bound} ({bayesian} vs {deterministic})")
     report.table(["W=S", "deterministic", "bayesian", "bayesian ending"], rows)
     report.line(f"\nsweep totals: deterministic {totals[False]:.0f}, "
                 f"bayesian {totals[True]:.0f}")
-    report.line("(both rules find the same crossovers; the posterior rule's")
-    report.line(" advantage is robustness, not headline cost — it needs no")
-    report.line(" hand-picked threshold)")
+    # the verdict is read off the rows above, so it cannot contradict them
+    for verdict in ("cheaper", "dearer", "tied"):
+        where = ", ".join(verdicts[verdict]) or "none"
+        report.line(f"bayesian {verdict} at W=S = {where}")
+    report.line("(the posterior rule needs no hand-picked threshold)")
 
     # robustness: a misleading early sample (first entries all survive the
     # filter) must not fool either rule into premature abandonment

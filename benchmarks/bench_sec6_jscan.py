@@ -62,7 +62,7 @@ def experiment() -> dict:
         ["W=S", "rows", "tscan", "fscan", "MoHa90", "dynamic", "dynamic ending"],
         rows,
     )
-    report.line(f"\ndynamic cost stays within {dynamic_worst:.1f}x of the per-point best")
+    report.line(f"\ndynamic cost stays within {dynamic_worst:.2f}x of the per-point best")
     report.line("of (fscan, tscan); the frozen fscan explodes at high selectivity and")
     report.line("tscan wastes at low selectivity — the crossover is found at run time.")
 

@@ -64,10 +64,9 @@ def build_connection(sample_rate: float, rows: int) -> repro.Connection:
     """The bench_throughput connection, plus a trace sampling rate."""
     conn = repro.connect(
         buffer_capacity=128,
-        config=DEFAULT_CONFIG.with_(
-            batch_size=REFERENCE_BATCH, trace_sample_rate=sample_rate
-        ),
+        config=DEFAULT_CONFIG.with_(batch_size=REFERENCE_BATCH),
         max_concurrency=N_SESSIONS,
+        trace_sample_rate=sample_rate,
     )
     table = conn.create_table(
         "EVENTS", [("ID", "int"), ("V", "int")],

@@ -2,7 +2,7 @@
 
 Each benchmark writes an independent JSON report at the repository root
 (``BENCH_throughput.json``, ``BENCH_trace_overhead.json``,
-``BENCH_prepare.json``, ``BENCH_monitor_overhead.json``, ...). CI uploads
+``BENCH_prepare.json``, ``BENCH_join_competition.json``, ...). CI uploads
 them individually, which makes cross-run comparison a download-and-diff
 chore. This collector gathers every ``BENCH_*.json`` present into a
 single document keyed by benchmark name, with a small headline block per
@@ -28,8 +28,7 @@ import json
 import os
 import sys
 
-#: per-benchmark headline extractors: name -> (json path, metric label),
-#: or a list of such pairs when one report carries several plottable numbers
+#: per-benchmark headline extractors: name -> (json path, metric label)
 HEADLINES = {
     "throughput": ("multi_session_4.64.rows_per_sec", "rows/sec @ batch 64"),
     "trace_overhead": (
@@ -42,11 +41,6 @@ HEADLINES = {
     "estimation_quality": (
         "speedup", "variance-gated speedup vs always-compete"
     ),
-    "monitor_overhead": [
-        ("overhead_pct", "monitoring-on overhead %"),
-        ("drift_detector.fired_on_shift", "drift detector fired on shift"),
-        ("drift_detector.quiet_on_steady", "drift detector quiet on steady"),
-    ],
 }
 
 
@@ -60,14 +54,12 @@ def dig(report: dict, dotted: str):
     return node
 
 
-def headlines(name: str, report: dict) -> list[dict]:
+def headline(name: str, report: dict) -> dict | None:
     spec = HEADLINES.get(name)
     if spec is None:
-        return []
-    specs = spec if isinstance(spec, list) else [spec]
-    return [
-        {"metric": label, "value": dig(report, path)} for path, label in specs
-    ]
+        return None
+    path, label = spec
+    return {"metric": label, "value": dig(report, path)}
 
 
 def collect(root: str) -> dict:
@@ -84,11 +76,9 @@ def collect(root: str) -> dict:
             trend["errors"][name] = str(error)
             continue
         entry = {"file": base, "report": report}
-        heads = headlines(name, report)
-        if heads:
-            entry["headline"] = heads[0]
-            if len(heads) > 1:
-                entry["headlines"] = heads
+        head = headline(name, report)
+        if head is not None:
+            entry["headline"] = head
         if isinstance(report, dict) and "smoke" in report:
             entry["smoke"] = report["smoke"]
         trend["benchmarks"][name] = entry
@@ -121,13 +111,9 @@ def main(argv: list[str] | None = None) -> int:
         handle.write("\n")
 
     for name, entry in sorted(trend["benchmarks"].items()):
-        heads = entry.get("headlines") or (
-            [entry["headline"]] if entry.get("headline") else []
-        )
-        shown = [h for h in heads if h["value"] is not None]
-        if shown:
-            for head in shown:
-                print(f"{name:>16}: {head['value']} ({head['metric']})")
+        head = entry.get("headline")
+        if head is not None and head["value"] is not None:
+            print(f"{name:>16}: {head['value']} ({head['metric']})")
         else:
             print(f"{name:>16}: collected ({entry['file']})")
     for name, error in sorted(trend["errors"].items()):

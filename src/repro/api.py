@@ -26,6 +26,7 @@ from typing import Any, Mapping
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.db.session import Database
 from repro.engine.goals import OptimizationGoal
+from repro.obs.regret import REPLAY_BUDGET_STEPS
 from repro.result import Result
 from repro.server.scheduler import QueryHandle, QueryServer, ServerSession
 
@@ -36,29 +37,13 @@ class Connection:
     The connection's own :meth:`execute`/:meth:`explain` run on a default
     session named ``"main"``; :meth:`session` opens further concurrent
     sessions that share the buffer pool and compete for engine steps.
+    ``server_options`` are :class:`~repro.server.QueryServer`'s (see
+    :func:`connect`).
     """
 
-    def __init__(
-        self,
-        db: Database,
-        max_concurrency: int = 4,
-        scheduling: str = "round-robin",
-        trace_sink: Any | None = None,
-        flight_sink: Any | None = None,
-        clock: Any | None = None,
-    ) -> None:
+    def __init__(self, db: Database, **server_options: Any) -> None:
         self.db = db
-        server_kwargs: dict[str, Any] = {}
-        if clock is not None:
-            server_kwargs["clock"] = clock
-        self.server = QueryServer(
-            db,
-            max_concurrency=max_concurrency,
-            scheduling=scheduling,
-            trace_sink=trace_sink,
-            flight_sink=flight_sink,
-            **server_kwargs,
-        )
+        self.server = QueryServer(db, **server_options)
         self._main = self.server.session("main")
         self._closed = False
 
@@ -138,6 +123,7 @@ class Connection:
         self,
         sql: str,
         host_vars: Mapping[str, Any] | None = None,
+        budget_steps: int = REPLAY_BUDGET_STEPS,
     ):
         """Execute one SELECT and counterfactually replay the strategies
         its decision log rejected — the API form of
@@ -146,12 +132,16 @@ class Connection:
         Returns the :class:`~repro.obs.regret.CompeteReport`: per-decision
         realized regret, per-retrieval chosen-vs-rejected replay costs, and
         the statement's complete decision log (``report.audit``). Replays
-        run on shadow buffer pools, off the scheduler's hot path, capped by
-        ``config.replay_budget_steps``.
+        run on shadow buffer pools, off the scheduler's hot path, each
+        capped at ``budget_steps`` engine steps (a truncated replay's cost
+        is a lower bound; 0 = unbounded).
         """
         self._check_open()
-        result = self._main.execute(f"explain compete {sql}", host_vars)
-        return result.compete
+        handle = self.server.submit(
+            f"explain compete {sql}", host_vars, session=self._main,
+            replay_budget_steps=budget_steps,
+        )
+        return handle.wait().compete
 
     # -- sessions & metrics ------------------------------------------------
 
@@ -168,8 +158,9 @@ class Connection:
     def health(self):
         """Sample the continuous monitor now and return the current
         :class:`~repro.obs.health.HealthReport` (status, findings, latest
-        window). Returns a ``disabled``-status report when monitoring is
-        off (``config.monitor_interval=0``)."""
+        window). Monitoring is always on: the server samples its metrics
+        every 0.25 s of its clock, and the drift rules plus any SLO armed
+        by ``connect(slo=...)`` judge each window."""
         self._check_open()
         return self.server.health()
 
@@ -219,22 +210,38 @@ def connect(
     trace_sink: Any | None = None,
     flight_sink: Any | None = None,
     clock: Any | None = None,
+    trace_sample_rate: float = 0.0,
+    slow_query_ms: float = 0.0,
+    regret_threshold: float = 0.0,
+    slo: Mapping[str, float] | None = None,
 ) -> Connection:
     """Open a :class:`Connection` — the package's front door.
 
     Creates a fresh in-memory :class:`~repro.db.session.Database` (or wraps
     the one passed via ``db``) and fronts it with a multi-query scheduler.
-    ``scheduling`` is ``"round-robin"`` or ``"weighted"``. ``trace_sink``
-    receives the finished span tree of every traced query (anything with
-    ``write(tree_dict)``, e.g. :class:`repro.obs.JsonlSink`); queries are
-    traced when sampled by ``config.trace_sample_rate`` or run via
-    EXPLAIN ANALYZE. ``flight_sink`` receives the flight recorder's
-    captures — one record (span tree + decision log) per query exceeding
-    ``config.slow_query_ms`` or ``config.regret_threshold``, plus incident
-    bundles from the health monitor. ``clock`` injects a monotonic clock
-    (default ``time.perf_counter``) for latency measurement and monitor
-    intervals — tests pass a :class:`repro.obs.SteppingClock` to make
-    time-dependent behaviour deterministic.
+    ``config`` tunes the engine; the other arguments set up the server and
+    its telemetry:
+
+    * ``max_concurrency`` bounds the admitted statements; ``scheduling``
+      is ``"round-robin"`` or ``"weighted"``.
+    * ``trace_sink`` receives the finished span tree of every traced query
+      (anything with ``write(tree_dict)``, e.g. :class:`repro.obs.JsonlSink`).
+      A query is traced when ``trace_sample_rate`` (0.0 = none, 1.0 = all,
+      sampled deterministically by submission ticket) picks it, and always
+      under EXPLAIN ANALYZE / COMPETE.
+    * ``flight_sink`` receives the flight recorder's captures — one record
+      (span tree + decision log) per query at least ``slow_query_ms`` wall
+      milliseconds slow or whose replayed regret reaches
+      ``regret_threshold`` (0 turns either trigger off) — plus the health
+      monitor's incident bundles.
+    * ``slo`` arms the health monitor's SLO rules, e.g.
+      ``{"p95_latency_ms": 50, "min_hit_rate": 0.8}``; the keys are
+      :data:`repro.obs.health.SLO_RULES`'s (``p95_latency_ms``,
+      ``min_hit_rate``, ``max_queue_wait_p95``, ``regret_mass``).
+    * ``clock`` injects a monotonic clock (default ``time.perf_counter``)
+      for latency measurement and monitor intervals — tests pass a
+      :class:`repro.obs.SteppingClock` to make time-dependent behaviour
+      deterministic.
     """
     if db is None:
         db = Database(buffer_capacity=buffer_capacity, config=config)
@@ -245,4 +252,8 @@ def connect(
         trace_sink=trace_sink,
         flight_sink=flight_sink,
         clock=clock,
+        trace_sample_rate=trace_sample_rate,
+        slow_query_ms=slow_query_ms,
+        regret_threshold=regret_threshold,
+        slo=slo,
     )

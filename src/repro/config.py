@@ -81,26 +81,6 @@ class EngineConfig:
     #: are already ground truth. Ignored when ``plan_cache_size`` is 0.
     selectivity_feedback: bool = True
 
-    # --- observability ------------------------------------------------------
-    #: Fraction of queries traced with a full span timeline (0.0 = tracing
-    #: off, 1.0 = every query). Sampling is deterministic by submission
-    #: ticket (see :func:`repro.obs.should_sample`); EXPLAIN ANALYZE forces
-    #: a trace regardless of the rate. The disabled path is held to a <2%
-    #: throughput budget by ``benchmarks/bench_trace_overhead.py``.
-    trace_sample_rate: float = 0.0
-    #: Queries slower than this (wall milliseconds) are captured by the
-    #: flight recorder: full span tree + decision log written to the
-    #: server's ``flight_sink`` as one JSONL record. 0 disables.
-    slow_query_ms: float = 0.0
-    #: Statements whose realized regret (chosen replay cost above the
-    #: best rejected alternative — only EXPLAIN COMPETE computes it) meets
-    #: this threshold are captured by the flight recorder. 0 disables.
-    regret_threshold: float = 0.0
-    #: Engine-step budget for each counterfactual replay
-    #: (:mod:`repro.obs.regret`); a replay hitting the cap is truncated and
-    #: its partial cost stands as a lower bound. 0 = unbounded.
-    replay_budget_steps: int = 250_000
-
     # --- join competition ---------------------------------------------------
     #: Engine-step budget each pilot runs before the switch rule is applied
     #: between orders (scaled by the driving table's size when larger).
@@ -116,30 +96,6 @@ class EngineConfig:
     #: ``basis="trusted"`` and its confidence inputs.
     #: False restores always-compete.
     competition_gate: bool = True
-
-    # --- continuous monitoring ---------------------------------------------
-    #: Seconds between time-series samples (the registry snapshots the
-    #: server's cumulative counters and derives per-interval rates:
-    #: queries/sec, p50/p95 latency, hit rates, q-error, regret mass).
-    #: 0 disables monitoring: the scheduler creates no time-series
-    #: registry and pays nothing per quantum
-    #: (``benchmarks/bench_monitor_overhead.py`` gates the *on* path).
-    monitor_interval: float = 0.25
-    #: Windows a drift detector observes before it may fire (baseline
-    #: warm-up; transient start-of-run noise never pages anyone).
-    drift_min_intervals: int = 3
-    #: SLO: window p95 latency at or above this many wall milliseconds is
-    #: a critical health finding. 0 disables the rule.
-    slo_p95_latency_ms: float = 0.0
-    #: SLO: window buffer-pool hit rate below this fraction is a critical
-    #: health finding. 0 disables the rule.
-    slo_min_hit_rate: float = 0.0
-    #: SLO: window p95 admission queue wait (scheduling quanta) at or
-    #: above this is a critical health finding. 0 disables the rule.
-    slo_max_queue_wait_p95: float = 0.0
-    #: SLO: realized regret mass (cost units) accumulated within one
-    #: window at or above this is a critical health finding. 0 disables.
-    slo_regret_mass: float = 0.0
 
     def with_(self, **changes) -> "EngineConfig":
         """Return a copy of this config with ``changes`` applied."""

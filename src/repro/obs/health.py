@@ -5,9 +5,10 @@ directly: learned estimates drift as the data changes, so drift must be
 *detected*, not assumed away. Two rule families run over every
 :class:`~repro.obs.timeseries.WindowStats` the registry produces:
 
-* :class:`ThresholdRule` — SLO checks against absolute limits from the
-  engine config (window p95 latency, minimum buffer hit rate, queue-wait
-  saturation, per-window regret mass). Breaches are ``critical``.
+* :class:`ThresholdRule` — SLO checks against absolute limits set by the
+  server's ``slo=`` mapping (window p95 latency, minimum buffer hit rate,
+  queue-wait saturation, per-window regret mass; see :data:`SLO_RULES`).
+  Breaches are ``critical``.
 * :class:`DriftRule` — EWMA-baseline detectors: each window's value
   updates a baseline with ``DRIFT_BASELINE_ALPHA``; a window landing
   ``DRIFT_FACTOR`` away from the baseline (above for q-error, regret,
@@ -26,13 +27,14 @@ writes through the existing flight-recorder JSONL path.
 
 from __future__ import annotations
 
-from typing import Any, Callable
+from typing import Any, Callable, Mapping
 
 __all__ = [
     "DriftRule",
     "HealthFinding",
     "HealthMonitor",
     "HealthReport",
+    "SLO_RULES",
     "ThresholdRule",
 ]
 
@@ -46,6 +48,32 @@ DRIFT_FACTOR = 2.0
 #: EWMA weight of the newest window when updating a drift detector's
 #: baseline (small = long memory, slow to forgive a regime change)
 DRIFT_BASELINE_ALPHA = 0.2
+
+#: the SLO rules an ``slo=`` mapping may arm, by key: (rule name, the
+#: window value it reads, which side of the limit breaches, unit). A
+#: breach is a critical finding.
+SLO_RULES: dict[str, tuple[str, Callable[[Any], float | None], str, str]] = {
+    # window p95 latency at or above this many wall milliseconds
+    "p95_latency_ms": (
+        "slo-p95-latency",
+        lambda w: w.p95_latency * 1e3 if w.p95_latency is not None else None,
+        "above",
+        "ms",
+    ),
+    # window buffer-pool hit rate below this fraction
+    "min_hit_rate": ("slo-hit-rate", lambda w: w.cache_hit_rate, "below", ""),
+    # window p95 admission queue wait (scheduling quanta) at or above this
+    "max_queue_wait_p95": (
+        "slo-queue-wait", lambda w: w.queue_wait_p95, "above", ""
+    ),
+    # realized regret mass (cost units) within one window at or above this
+    "regret_mass": (
+        "slo-regret-mass",
+        lambda w: w.regret_mass if w.regret_mass > 0 else None,
+        "above",
+        "",
+    ),
+}
 
 
 class HealthFinding:
@@ -76,35 +104,25 @@ class HealthFinding:
 
 
 class HealthReport:
-    """The health verdict for one window (or for a disabled monitor)."""
+    """The health verdict for one window."""
 
     def __init__(
-        self,
-        findings: list[HealthFinding],
-        window: Any | None = None,
-        enabled: bool = True,
+        self, findings: list[HealthFinding], window: Any | None = None
     ) -> None:
         self.findings = findings
         self.window = window
-        self.enabled = enabled
         #: set by the monitor when this report's rising-edge breaches
         #: warrant an incident bundle (the scheduler writes it)
         self.incident: dict[str, Any] | None = None
 
     @property
     def status(self) -> str:
-        """``ok``/``warn``/``critical`` (``disabled`` without a monitor)."""
-        if not self.enabled:
-            return "disabled"
+        """``ok``/``warn``/``critical``: the worst finding's severity."""
         worst = "ok"
         for finding in self.findings:
             if _SEVERITY_RANK[finding.severity] > _SEVERITY_RANK[worst]:
                 worst = finding.severity
         return worst
-
-    @property
-    def healthy(self) -> bool:
-        return self.status in ("ok", "disabled")
 
     def to_dict(self) -> dict[str, Any]:
         return {
@@ -115,8 +133,6 @@ class HealthReport:
 
     def format_line(self) -> str:
         """One-line summary (the dashboard's footer)."""
-        if not self.enabled:
-            return "disabled (monitor_interval=0)"
         if not self.findings:
             return "OK"
         return f"{self.status.upper()} — " + "; ".join(
@@ -128,7 +144,7 @@ class HealthReport:
         lines = [f"health: {self.status}"]
         for finding in self.findings:
             lines.append(f"  [{finding.severity}] {finding.rule}: {finding.message}")
-        if self.enabled and not self.findings:
+        if not self.findings:
             lines.append("  (no findings)")
         return "\n".join(lines)
 
@@ -266,77 +282,41 @@ class DriftRule:
 
 
 class HealthMonitor:
-    """Runs every rule over each sampled window; builds incident bundles."""
+    """Runs every rule over each sampled window; builds incident bundles.
 
-    def __init__(self, timeseries: Any, config: Any) -> None:
+    ``slo`` arms the SLO rules, one limit per :data:`SLO_RULES` key
+    (a missing key or a limit of 0 leaves that rule off); the drift
+    detectors always run.
+    """
+
+    def __init__(
+        self, timeseries: Any, slo: Mapping[str, float] | None = None
+    ) -> None:
         self.timeseries = timeseries
-        self.config = config
-        warmup = config.drift_min_intervals
+        slo = dict(slo or {})
+        unknown = sorted(set(slo) - set(SLO_RULES))
+        if unknown:
+            raise ValueError(
+                f"unknown SLO {', '.join(unknown)} "
+                f"(expected one of {', '.join(SLO_RULES)})"
+            )
         #: the drift detectors, ISSUE order: q-error drift, hit-rate
         #: collapse, regret spikes, queue-wait saturation
         self.drift_rules: list[DriftRule] = [
+            DriftRule("qerror-drift", lambda w: w.qerror_p50, floor=1.2),
             DriftRule(
-                "qerror-drift",
-                lambda w: w.qerror_p50,
-                warmup=warmup,
-                floor=1.2,
+                "hit-rate-collapse", lambda w: w.cache_hit_rate, direction="down"
             ),
+            DriftRule("regret-spike", lambda w: w.regret_mass, floor=1.0),
             DriftRule(
-                "hit-rate-collapse",
-                lambda w: w.cache_hit_rate,
-                warmup=warmup,
-                direction="down",
-            ),
-            DriftRule(
-                "regret-spike",
-                lambda w: w.regret_mass,
-                warmup=warmup,
-                floor=1.0,
-            ),
-            DriftRule(
-                "queue-wait-saturation",
-                lambda w: w.queue_wait_p95,
-                warmup=warmup,
-                floor=1.0,
+                "queue-wait-saturation", lambda w: w.queue_wait_p95, floor=1.0
             ),
         ]
-        self.slo_rules: list[ThresholdRule] = []
-        if config.slo_p95_latency_ms > 0:
-            self.slo_rules.append(
-                ThresholdRule(
-                    "slo-p95-latency",
-                    lambda w: (
-                        w.p95_latency * 1e3 if w.p95_latency is not None else None
-                    ),
-                    config.slo_p95_latency_ms,
-                    unit="ms",
-                )
-            )
-        if config.slo_min_hit_rate > 0:
-            self.slo_rules.append(
-                ThresholdRule(
-                    "slo-hit-rate",
-                    lambda w: w.cache_hit_rate,
-                    config.slo_min_hit_rate,
-                    direction="below",
-                )
-            )
-        if config.slo_max_queue_wait_p95 > 0:
-            self.slo_rules.append(
-                ThresholdRule(
-                    "slo-queue-wait",
-                    lambda w: w.queue_wait_p95,
-                    config.slo_max_queue_wait_p95,
-                )
-            )
-        if config.slo_regret_mass > 0:
-            self.slo_rules.append(
-                ThresholdRule(
-                    "slo-regret-mass",
-                    lambda w: w.regret_mass if w.regret_mass > 0 else None,
-                    config.slo_regret_mass,
-                )
-            )
+        self.slo_rules: list[ThresholdRule] = [
+            ThresholdRule(name, extract, slo[key], direction, unit)
+            for key, (name, extract, direction, unit) in SLO_RULES.items()
+            if slo.get(key, 0) > 0
+        ]
         #: per-rule breach counts (exposed as labeled Prometheus counters)
         self.breaches: dict[str, int] = {}
         #: incident bundles assembled (== flight-recorder incident writes

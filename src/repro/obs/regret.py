@@ -20,10 +20,10 @@ production queries:
   replay on *identical fresh pools*, so the comparison is between plans,
   not between one plan's warm cache and another's cold one. Regret is
   therefore ``max(0, chosen_replay − best_alternative_replay)``.
-* **Step budget** — ``config.replay_budget_steps`` caps each replay; a
-  hopeless alternative (say, a Tscan of a huge table losing to an index
-  nobody doubted) is truncated, its partial cost standing as a lower bound
-  of its true cost.
+* **Step budget** — ``budget_steps`` (default :data:`REPLAY_BUDGET_STEPS`)
+  caps each replay; a hopeless alternative (say, a Tscan of a huge table
+  losing to an index nobody doubted) is truncated, its partial cost
+  standing as a lower bound of its true cost.
 
 The entry point is :func:`run_compete`, called by ``EXPLAIN COMPETE`` after
 the statement finishes — off the scheduler's hot path, on the
@@ -40,6 +40,11 @@ from typing import Any
 
 from repro.obs.audit import AuditLog, RetrievalAudit
 
+#: Engine-step budget of each counterfactual replay by default; a replay
+#: hitting it is truncated and its partial cost stands as a lower bound
+#: (``Connection.audit(budget_steps=...)`` / :func:`run_compete` take
+#: another; 0 = unbounded).
+REPLAY_BUDGET_STEPS = 250_000
 
 @dataclass
 class ReplayOutcome:
@@ -383,7 +388,7 @@ def replay_join_order(
 
 
 def run_compete(
-    db: Any, audit: AuditLog, budget_steps: int | None = None
+    db: Any, audit: AuditLog, budget_steps: int = REPLAY_BUDGET_STEPS
 ) -> CompeteReport:
     """Replay every rejected alternative in a statement's decision log.
 
@@ -395,8 +400,6 @@ def run_compete(
     every rejected candidate order run on shadow tables sharing one fresh
     pool, yielding per-order realized regret.
     """
-    if budget_steps is None:
-        budget_steps = db.config.replay_budget_steps
     report = CompeteReport(audit=audit)
     for retrieval in audit.retrievals:
         if getattr(retrieval.request, "is_join", False):

@@ -15,13 +15,13 @@ median/p95 q-error, regret mass, queue-wait p95.
 Windows live in a fixed ring (``MONITOR_WINDOW`` entries), so always-on
 monitoring holds a bounded amount of history.
 
-Sampling is driven from the scheduler's quantum/retire hooks and must be
-nearly free: each quantum pays one integer stride check, the wall clock is
-consulted only every :attr:`TimeSeriesRegistry.check_every` quanta, and a
-full snapshot runs only when the interval has actually elapsed
-(``benchmarks/bench_monitor_overhead.py`` gates monitoring-on at <=2%
-throughput vs off). The clock is injectable — tests drive a
-:class:`SteppingClock` forward manually instead of sleeping.
+Monitoring is always on, so sampling is driven from the scheduler's
+quantum hook and must be nearly free: each quantum pays one integer
+stride check, the wall clock is consulted only every
+:attr:`TimeSeriesRegistry.check_every` quanta, and a full snapshot runs
+only when the interval has actually elapsed (the repo benchmark prices it
+as ``obs.monitor_self_us_per_op``). The clock is injectable — tests drive
+a :class:`SteppingClock` forward manually instead of sleeping.
 
 Interval percentiles come from *bucket deltas*: two cumulative
 :class:`~repro.obs.hist.LogHistogram` snapshots diff into the interval's
@@ -299,11 +299,10 @@ class WindowStats:
 class TimeSeriesRegistry:
     """Ring-buffered interval sampling over one server's metrics.
 
-    Owned by the :class:`~repro.server.scheduler.QueryServer` (created
-    when ``config.monitor_interval > 0``). The
-    scheduler calls :meth:`tick` once per quantum and per retirement;
-    :meth:`note_query` feeds the bounded recent-query ring that incident
-    bundles mine for top offenders.
+    Owned by the server's :class:`~repro.server.metrics.MetricsRegistry`,
+    which feeds :meth:`note_query` — the bounded recent-query ring that
+    incident bundles mine for top offenders — once per retired query.
+    The scheduler calls :meth:`tick` once per quantum.
     """
 
     def __init__(

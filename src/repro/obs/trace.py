@@ -283,7 +283,8 @@ NULL_TRACER = NullTracer()
 def should_sample(sequence: int, rate: float) -> bool:
     """Deterministic sampling decision for the ``sequence``-th query.
 
-    ``rate`` is the configured ``trace_sample_rate`` in [0, 1]. The rule
+    ``rate`` is the server's ``trace_sample_rate`` in [0, 1] (set by
+    ``repro.connect(trace_sample_rate=...)``). The rule
     admits exactly ``floor(n * rate)`` of the first ``n`` queries — evenly
     spread, no RNG, reproducible across runs (``rate=1`` traces everything,
     ``rate=0`` nothing).

@@ -14,17 +14,19 @@ benchmark).
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass, field, fields
-
-from typing import Any, Iterable, Iterator
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from repro.engine.metrics import RetrievalCounters, RetrievalTrace
 from repro.obs.audit import DecisionMetrics
 from repro.obs.export import PrometheusText, _format_labels, _format_value
+from repro.obs.health import HealthMonitor
 from repro.obs.hist import LogHistogram
+from repro.obs.timeseries import TimeSeriesRegistry
 
 #: numeric rendering of a health report's status for the gauge surface
-_HEALTH_STATUS_VALUE = {"ok": 0, "disabled": 0, "warn": 1, "critical": 2}
+_HEALTH_STATUS_VALUE = {"ok": 0, "warn": 1, "critical": 2}
 
 
 #: the counter field names, in declaration order
@@ -126,42 +128,59 @@ class SessionMetrics:
 
 
 class MetricsRegistry:
-    """Queryable totals and per-session breakdowns of engine activity."""
+    """Queryable totals and per-session breakdowns of engine activity.
 
-    def __init__(self) -> None:
+    ``db`` is the served :class:`~repro.db.session.Database`: its shared
+    pool reports read-ahead runs here, and its plan cache, feedback store,
+    estimator and partition stats are exposed by every scrape. The
+    registry owns the server's continuous monitor — the
+    :class:`~repro.obs.timeseries.TimeSeriesRegistry` sampling it on
+    ``clock`` and the :class:`~repro.obs.health.HealthMonitor` judging
+    each window against the drift rules and the ``slo`` limits.
+    """
+
+    def __init__(
+        self,
+        db: Any | None = None,
+        clock: Callable[[], float] = time.perf_counter,
+        slo: Mapping[str, float] | None = None,
+        sinks: Mapping[str, Any] | None = None,
+    ) -> None:
         self._sessions: dict[str, SessionMetrics] = {}
         #: server-wide buffer-pool read-ahead run lengths (pages loaded per
         #: prefetch call); its ``sum`` reconciles with ``pool.prefetched``
         self.fetch_runs = LogHistogram("fetch_run_length")
-        #: the database's shared plan cache / feedback store, wired in by
-        #: the owning QueryServer so scrapes expose their counters
+        #: the database's shared plan cache / feedback store
         self.plan_cache = None
         self.feedback = None
+        #: the database's estimation-quality subsystem
+        #: (:class:`repro.estimate.Estimator`): q-error/confidence counters
+        self.estimator = None
+        #: the database's scatter-gather aggregates
+        #: (:class:`repro.partition.stats.PartitionStats`)
+        self.partitions = None
+        if db is not None:
+            db.buffer_pool.run_hist = self.fetch_runs
+            self.plan_cache = db.plan_cache
+            self.feedback = db.feedback
+            self.estimator = getattr(db, "estimator", None)
+            self.partitions = getattr(db, "partition_stats", None)
         #: server-wide decision accounting: per-kind decision counts,
         #: per-tactic win rates, regret / estimate-error / retrieval-cost
         #: distributions (the live Figure 2.1/2.2 L-shapes)
         self.decisions = DecisionMetrics()
         #: queries captured by the slow-query flight recorder
         self.flight_records = 0
-        #: the database's scatter-gather aggregates
-        #: (:class:`repro.partition.stats.PartitionStats`), wired in by
-        #: the owning QueryServer
-        self.partitions = None
-        #: the database's estimation-quality subsystem
-        #: (:class:`repro.estimate.Estimator`), wired in by the owning
-        #: QueryServer so scrapes expose q-error/confidence counters
-        self.estimator = None
-        #: the server's continuous time-series registry
-        #: (:class:`repro.obs.timeseries.TimeSeriesRegistry`), wired in by
-        #: the owning QueryServer when monitoring is enabled
-        self.monitor = None
-        #: the server's health monitor (:class:`repro.obs.health.HealthMonitor`)
-        self.health = None
-        #: the server's JSONL sinks by role (``trace`` / ``flight``), wired
-        #: in so scrapes expose record and rotation counters per sink
-        self.sinks: dict[str, Any] = {}
+        #: the server's JSONL sinks by role (``trace`` / ``flight``), so
+        #: scrapes expose record and rotation counters per sink
+        self.sinks: dict[str, Any] = dict(sinks or {})
         #: incident bundles written through the flight-recorder path
         self.incidents = 0
+        #: the continuous time series, sampled from the cumulative totals
+        #: above (built last: its first sample reads them)
+        self.monitor = TimeSeriesRegistry(self, clock=clock)
+        #: the health rules over the monitor's windows
+        self.health = HealthMonitor(self.monitor, slo)
 
     def session(self, session_id: str) -> SessionMetrics:
         """The metrics of one session (created on demand)."""
@@ -187,6 +206,10 @@ class MetricsRegistry:
         }
 
     # -- recording (called by the QueryServer) -----------------------------
+    # A retired query is recorded by one record_completion call; a query
+    # cancelled before admission, by record_outcome. The server calls
+    # neither record_trace nor record_cache; they stay because
+    # benchmarks/e2e/layers.py looks all four up by name (ROADMAP item 1).
 
     def record_trace(self, session_id: str, trace: RetrievalTrace) -> None:
         """Fold one retrieval's counters into the session's aggregate."""
@@ -208,34 +231,24 @@ class MetricsRegistry:
     def record_completion(
         self,
         session_id: str,
-        latency_seconds: float,
-        queue_wait_quanta: int,
-        quanta: int,
-    ) -> None:
-        """Record the latency/wait/step distributions of one retired query."""
-        self.session(session_id).observe_completion(
-            latency_seconds, queue_wait_quanta, quanta
-        )
-
-    def record_retirement(
-        self,
-        session_id: str,
         outcome: str,
-        cache_hits: int,
-        cache_misses: int,
         latency_seconds: float,
         queue_wait_quanta: int,
         quanta: int,
-        results: Iterable[Any],
-    ) -> float:
+        cache_hits: int = 0,
+        cache_misses: int = 0,
+        retrievals: Sequence[Any] = (),
+        compete: Any | None = None,
+        sql: str = "",
+    ) -> None:
         """Everything one retired query contributes, in one call with one
-        session lookup: what :meth:`record_outcome`, :meth:`record_cache`,
-        :meth:`record_completion` and one :meth:`record_trace` per
-        retrieval record, plus each retrieval's realized cost in the
-        server-wide cost distribution (the live L-shape).
-        ``results`` are the query's
-        :class:`~repro.engine.retrieval.RetrievalResult` objects; returns
-        their summed total cost.
+        session lookup: its outcome, the pool accesses it caused, its
+        latency / queue-wait / quanta distributions, each retrieval's
+        counters and realized cost (the live L-shape), its decisions, an
+        EXPLAIN COMPETE's replays (``compete``, a
+        :class:`~repro.obs.regret.CompeteReport`) and its entry in the
+        monitor's recent-query ring. ``retrievals`` are the query's
+        :class:`~repro.sql.executor.RetrievalInfo` records.
         """
         metrics = self.session(session_id)
         metrics.count_outcome(outcome)
@@ -243,13 +256,17 @@ class MetricsRegistry:
         metrics.cache_misses += cache_misses
         metrics.observe_completion(latency_seconds, queue_wait_quanta, quanta)
         total_cost = 0.0
-        for result in results:
+        for info in retrievals:
+            result = info.result
             metrics.retrievals += 1
             add_counters(metrics.counters, result.trace.counters)
             cost = result.total_cost
             self.decisions.observe_cost(cost)
             total_cost += cost
-        return total_cost
+        self.monitor.note_query(sql, session_id, latency_seconds, total_cost)
+        self.decisions.absorb(retrievals)
+        if compete is not None:
+            self.decisions.absorb_compete(compete)
 
     def record_fetch_run(self, pages_loaded: int) -> None:
         """Record one buffer-pool read-ahead run (pages loaded at once)."""
@@ -489,56 +506,53 @@ class MetricsRegistry:
             "Incident bundles written through the flight-recorder path.",
             None, self.incidents,
         )
-        if self.monitor is not None:
-            yield (
-                "monitor_samples_total", "counter",
-                "Time-series interval samples taken.",
-                None, self.monitor.samples_taken,
+        yield (
+            "monitor_samples_total", "counter",
+            "Time-series interval samples taken.",
+            None, self.monitor.samples_taken,
+        )
+        latest = self.monitor.latest()
+        if latest is not None:
+            window_gauges = (
+                ("window_queries", latest.queries,
+                 "Queries retired in the latest monitor window."),
+                ("window_queries_per_sec", latest.queries_per_sec,
+                 "Throughput over the latest monitor window."),
+                ("window_p50_latency_seconds", latest.p50_latency,
+                 "Median query latency over the latest monitor window."),
+                ("window_p95_latency_seconds", latest.p95_latency,
+                 "P95 query latency over the latest monitor window."),
+                ("window_cache_hit_rate", latest.cache_hit_rate,
+                 "Buffer-pool hit rate over the latest monitor window."),
+                ("window_plan_cache_hit_rate", latest.plan_cache_hit_rate,
+                 "Plan-cache hit rate over the latest monitor window."),
+                ("window_competition_skip_ratio",
+                 latest.competition_skip_ratio,
+                 "Variance-gate skip ratio over the latest monitor window."),
+                ("window_qerror_p50", latest.qerror_p50,
+                 "Median estimation q-error over the latest monitor window."),
+                ("window_qerror_p95", latest.qerror_p95,
+                 "P95 estimation q-error over the latest monitor window."),
+                ("window_regret_mass", latest.regret_mass,
+                 "Realized regret accumulated in the latest monitor window."),
+                ("window_queue_wait_p95_quanta", latest.queue_wait_p95,
+                 "P95 admission queue wait over the latest monitor window."),
             )
-            latest = self.monitor.latest()
-            if latest is not None:
-                window_gauges = (
-                    ("window_queries", latest.queries,
-                     "Queries retired in the latest monitor window."),
-                    ("window_queries_per_sec", latest.queries_per_sec,
-                     "Throughput over the latest monitor window."),
-                    ("window_p50_latency_seconds", latest.p50_latency,
-                     "Median query latency over the latest monitor window."),
-                    ("window_p95_latency_seconds", latest.p95_latency,
-                     "P95 query latency over the latest monitor window."),
-                    ("window_cache_hit_rate", latest.cache_hit_rate,
-                     "Buffer-pool hit rate over the latest monitor window."),
-                    ("window_plan_cache_hit_rate", latest.plan_cache_hit_rate,
-                     "Plan-cache hit rate over the latest monitor window."),
-                    ("window_competition_skip_ratio",
-                     latest.competition_skip_ratio,
-                     "Variance-gate skip ratio over the latest monitor window."),
-                    ("window_qerror_p50", latest.qerror_p50,
-                     "Median estimation q-error over the latest monitor window."),
-                    ("window_qerror_p95", latest.qerror_p95,
-                     "P95 estimation q-error over the latest monitor window."),
-                    ("window_regret_mass", latest.regret_mass,
-                     "Realized regret accumulated in the latest monitor window."),
-                    ("window_queue_wait_p95_quanta", latest.queue_wait_p95,
-                     "P95 admission queue wait over the latest monitor window."),
-                )
-                for name, value, help_text in window_gauges:
-                    if value is None:
-                        continue
-                    yield (name, "gauge", help_text, None, value)
-        if self.health is not None:
-            report = self.health.report()
+            for name, value, help_text in window_gauges:
+                if value is None:
+                    continue
+                yield (name, "gauge", help_text, None, value)
+        yield (
+            "health_status", "gauge",
+            "Current health verdict (0 ok, 1 warn, 2 critical).",
+            None, _HEALTH_STATUS_VALUE[self.health.report().status],
+        )
+        for rule in sorted(self.health.breaches):
             yield (
-                "health_status", "gauge",
-                "Current health verdict (0 ok, 1 warn, 2 critical).",
-                None, _HEALTH_STATUS_VALUE[report.status],
+                "health_rule_breaches_total", "counter",
+                "Health-rule breaches observed, by rule.",
+                {"rule": rule}, self.health.breaches[rule],
             )
-            for rule in sorted(self.health.breaches):
-                yield (
-                    "health_rule_breaches_total", "counter",
-                    "Health-rule breaches observed, by rule.",
-                    {"rule": rule}, self.health.breaches[rule],
-                )
 
     def format(self) -> str:
         """Multi-line human-readable rendering (shell ``\\metrics``)."""
@@ -593,13 +607,11 @@ class MetricsRegistry:
                 f"{role} sink: {sink.written} records, "
                 f"{sink.rotations} rotations"
             )
-        if self.monitor is not None:
-            lines.append(
-                f"monitor: {self.monitor.samples_taken} samples, "
-                f"{self.incidents} incidents"
-            )
-        if self.health is not None:
-            lines.append(f"health: {self.health.report().status}")
+        lines.append(
+            f"monitor: {self.monitor.samples_taken} samples, "
+            f"{self.incidents} incidents"
+        )
+        lines.append(f"health: {self.health.report().status}")
         # every server-wide scalar, rendered with the exact strings the
         # Prometheus exposition uses (per-session duplicates elided) — the
         # parity test diffs this block against expose_text()

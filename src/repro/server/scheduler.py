@@ -46,8 +46,8 @@ from repro.db.session import Database
 from repro.engine.goals import OptimizationGoal
 from repro.errors import QueryCancelledError, ServerError
 from repro.obs.audit import AuditLog
-from repro.obs.health import HealthMonitor, HealthReport
-from repro.obs.timeseries import TimeSeriesRegistry
+from repro.obs.health import HealthReport
+from repro.obs.regret import REPLAY_BUDGET_STEPS
 from repro.obs.trace import Span, Tracer, should_sample
 from repro.result import Result
 from repro.server.metrics import MetricsRegistry
@@ -97,6 +97,7 @@ class QueryHandle:
         deadline: int | None,
         ticket: int,
         prepared: Any | None = None,
+        replay_budget_steps: int = REPLAY_BUDGET_STEPS,
     ) -> None:
         if deadline is not None and deadline < 1:
             raise ServerError("deadline must be a positive step budget")
@@ -108,6 +109,8 @@ class QueryHandle:
         #: a :class:`repro.cache.CachedPlan` to execute directly, skipping
         #: the front end (set by :class:`repro.cache.PreparedStatement`)
         self.prepared = prepared
+        #: engine-step cap of each replay an EXPLAIN COMPETE runs
+        self.replay_budget_steps = replay_budget_steps
         #: budget of scheduling quanta (generator resumptions, each up to
         #: ``config.batch_size`` engine steps); exceeding it cancels the query
         self.deadline = deadline
@@ -132,7 +135,7 @@ class QueryHandle:
         #: decisions never consult the clock)
         self.admitted_wall: float | None = None
         #: span timeline, present when this query was sampled for tracing
-        #: (``config.trace_sample_rate``) or is an EXPLAIN ANALYZE
+        #: (the server's ``trace_sample_rate``) or is an EXPLAIN ANALYZE
         self.tracer: Tracer | None = None
         self._wait_span: Span | None = None
         self._gen: Generator[Any, None, Any] | None = None
@@ -235,7 +238,11 @@ class QueryServer:
         goal_weights: Mapping[OptimizationGoal, float] | None = None,
         trace_sink: Any | None = None,
         flight_sink: Any | None = None,
-        clock: Callable[[], float] = time.perf_counter,
+        clock: Callable[[], float] | None = None,
+        trace_sample_rate: float = 0.0,
+        slow_query_ms: float = 0.0,
+        regret_threshold: float = 0.0,
+        slo: Mapping[str, float] | None = None,
     ) -> None:
         if max_concurrency < 1:
             raise ServerError("max_concurrency must be >= 1")
@@ -251,40 +258,32 @@ class QueryServer:
         #: monotonic clock for latency / monitoring intervals (injectable —
         #: tests drive a :class:`repro.obs.SteppingClock` instead of
         #: sleeping; scheduling decisions still never consult it)
-        self.clock = clock
-        self.metrics = MetricsRegistry()
+        self.clock = clock if clock is not None else time.perf_counter
+        #: fraction of queries traced with a full span timeline (0.0 = none,
+        #: 1.0 = every query), sampled deterministically by ticket (see
+        #: :func:`repro.obs.should_sample`); EXPLAIN ANALYZE / COMPETE are
+        #: always traced
+        self.trace_sample_rate = trace_sample_rate
         #: finished span trees of traced queries go here — anything with
         #: ``write(tree_dict)``, e.g. :class:`repro.obs.JsonlSink`
         self.trace_sink = trace_sink
-        #: the flight recorder's sink: queries exceeding ``slow_query_ms``
-        #: or ``regret_threshold`` dump span tree + decision log here
+        #: the flight recorder's sink: a query at least ``slow_query_ms``
+        #: wall milliseconds slow, or whose replayed regret (EXPLAIN
+        #: COMPETE) reaches ``regret_threshold``, dumps its span tree and
+        #: decision log here, and so does every health incident (0 = that
+        #: trigger off)
         self.flight_sink = flight_sink
-        # the registry observes every read-ahead run the shared pool issues
-        db.buffer_pool.run_hist = self.metrics.fetch_runs
-        # ... and the shared plan cache / feedback store / estimator, for
-        # \metrics + prom
-        self.metrics.plan_cache = db.plan_cache
-        self.metrics.feedback = db.feedback
-        self.metrics.estimator = getattr(db, "estimator", None)
-        # ... and the scatter-gather aggregates of partitioned tables
-        self.metrics.partitions = getattr(db, "partition_stats", None)
-        # ... and the sinks themselves, for record/rotation counters
-        self.metrics.sinks = {"trace": trace_sink, "flight": flight_sink}
-        #: continuous monitoring: the time-series registry + health monitor
-        #: (None when ``monitor_interval`` is 0 — the kill-switch path pays
-        #: nothing per quantum)
-        self.monitor: TimeSeriesRegistry | None = None
-        self.health_monitor: HealthMonitor | None = None
-        config = db.config
-        if config.monitor_interval > 0:
-            self.monitor = TimeSeriesRegistry(
-                self.metrics,
-                interval=config.monitor_interval,
-                clock=clock,
-            )
-            self.health_monitor = HealthMonitor(self.monitor, config)
-            self.metrics.monitor = self.monitor
-            self.metrics.health = self.health_monitor
+        self.slow_query_ms = slow_query_ms
+        self.regret_threshold = regret_threshold
+        #: counters, histograms and the always-on monitor; ``slo`` arms the
+        #: health monitor's SLO rules (keys in
+        #: :data:`repro.obs.health.SLO_RULES`)
+        self.metrics = MetricsRegistry(
+            db,
+            clock=self.clock,
+            slo=slo,
+            sinks={"trace": trace_sink, "flight": flight_sink},
+        )
         #: set once by the first shutdown(); later calls are no-ops, so a
         #: Connection.close() racing an explicit server shutdown (or an
         #: atexit hook) never re-closes the sinks
@@ -313,6 +312,7 @@ class QueryServer:
         deadline: int | None = None,
         session: ServerSession | str | None = None,
         prepared: Any | None = None,
+        replay_budget_steps: int = REPLAY_BUDGET_STEPS,
     ) -> QueryHandle:
         """Queue one statement; admits it immediately if a slot is free."""
         if isinstance(session, ServerSession):
@@ -321,13 +321,15 @@ class QueryServer:
             session_id = session or "default"
         handle = QueryHandle(
             self, session_id, sql, host_vars, goal, deadline, next(self._tickets),
-            prepared=prepared,
+            prepared=prepared, replay_budget_steps=replay_budget_steps,
         )
         # deterministic sampling by submission ticket; EXPLAIN ANALYZE /
         # COMPETE are always traced (the rendered report *is* the span
         # timeline)
-        rate = self.db.config.trace_sample_rate
-        if should_sample(handle.ticket, rate) or explain_kind(sql) is not None:
+        if (
+            should_sample(handle.ticket, self.trace_sample_rate)
+            or explain_kind(sql) is not None
+        ):
             handle.tracer = Tracer(
                 "query",
                 clock=self.clock,
@@ -360,6 +362,7 @@ class QueryServer:
                     handle.goal,
                     retrievals=handle.retrievals,
                     tracer=handle.tracer,
+                    replay_budget_steps=handle.replay_budget_steps,
                 )
             handle.state = QueryState.RUNNING
             handle.admitted_at = self.total_steps
@@ -418,8 +421,7 @@ class QueryServer:
         elif handle in self._running:
             # deadline cancellation retires inside _step_handle already
             self._retire(handle)
-        if self.monitor is not None:
-            self._monitor_tick()
+        self._monitor_tick()
         return True
 
     def _step_handle(self, handle: QueryHandle) -> None:
@@ -468,25 +470,20 @@ class QueryServer:
         outcome = _OUTCOMES[handle.state]
         assert handle.admitted_at is not None and handle.admitted_wall is not None
         latency = self.clock() - handle.admitted_wall
-        total_cost = self.metrics.record_retirement(
-            handle.session_id,
-            outcome,
-            handle.cache_hits,
-            handle.cache_misses,
-            latency_seconds=latency,
-            queue_wait_quanta=handle.admitted_at - handle.submitted_at_steps,
-            quanta=handle.steps,
-            results=[info.result for info in handle.retrievals],
-        )
-        if self.monitor is not None:
-            self.monitor.note_query(
-                handle.sql, handle.session_id, latency, total_cost
-            )
-        self.metrics.decisions.absorb(handle.retrievals)
         result = handle._result
         compete = result.compete if result is not None else None
-        if compete is not None:
-            self.metrics.decisions.absorb_compete(compete)
+        self.metrics.record_completion(
+            handle.session_id,
+            outcome,
+            latency,
+            handle.admitted_at - handle.submitted_at_steps,
+            handle.steps,
+            cache_hits=handle.cache_hits,
+            cache_misses=handle.cache_misses,
+            retrievals=handle.retrievals,
+            compete=compete,
+            sql=handle.sql,
+        )
         if handle.tracer is not None and handle.tracer.enabled:
             handle.tracer.finish(outcome=outcome, quanta=handle.steps)
             if self.trace_sink is not None:
@@ -503,8 +500,8 @@ class QueryServer:
     ) -> None:
         """The slow-query flight recorder: one JSONL record per capture.
 
-        Triggers on wall latency (``config.slow_query_ms``) or realized
-        regret (``config.regret_threshold`` — populated by EXPLAIN
+        Triggers on wall latency (``slow_query_ms``) or realized
+        regret (``regret_threshold`` — populated by EXPLAIN
         COMPETE's replays, so regret captures fire for competed
         statements). The record carries everything a post-mortem needs:
         the full span tree and the decision log (the replayed one, regret
@@ -512,15 +509,14 @@ class QueryServer:
         """
         if self.flight_sink is None:
             return
-        config = self.db.config
         latency_ms = latency * 1e3
         reasons = []
-        if config.slow_query_ms > 0 and latency_ms >= config.slow_query_ms:
+        if self.slow_query_ms > 0 and latency_ms >= self.slow_query_ms:
             reasons.append("slow")
         if (
-            config.regret_threshold > 0
+            self.regret_threshold > 0
             and compete is not None
-            and compete.audit.max_regret() >= config.regret_threshold
+            and compete.audit.max_regret() >= self.regret_threshold
         ):
             reasons.append("regret")
         if not reasons:
@@ -549,21 +545,17 @@ class QueryServer:
         rules on the new window, and write any incident bundle through the
         flight-recorder sink. The single path shared by the per-quantum
         hook, ``health()``, and shutdown's final flush."""
-        assert self.monitor is not None and self.health_monitor is not None
-        window = self.monitor.tick(force=force)
+        window = self.metrics.monitor.tick(force=force)
         if window is None:
             return None
-        report = self.health_monitor.observe(window)
+        report = self.metrics.health.observe(window)
         if report.incident is not None and self.flight_sink is not None:
             self.metrics.incidents += 1
             self.flight_sink.write(report.incident)
         return report
 
     def health(self) -> HealthReport:
-        """Sample the monitor now and return the current health verdict
-        (a disabled-state report when monitoring is off)."""
-        if self.monitor is None:
-            return HealthReport([], None, enabled=False)
+        """Sample the monitor now and return the current health verdict."""
         report = self._monitor_tick(force=True)
         assert report is not None
         return report
@@ -587,8 +579,7 @@ class QueryServer:
         # final monitor flush while the flight sink is still open: the
         # last partial window is sampled and any incident it raises lands
         # in the sink before it closes
-        if self.monitor is not None:
-            self._monitor_tick(force=True)
+        self._monitor_tick(force=True)
         for sink in (self.trace_sink, self.flight_sink):
             close = getattr(sink, "close", None)
             if close is not None:

@@ -155,12 +155,9 @@ class Shell:
         elif head == "\\estimates":
             self._print(self.db.estimator.format())
         elif head == "\\top":
-            monitor = self.conn.server.monitor
-            if monitor is None:
-                self._print("monitoring disabled (monitor_interval=0)")
-            else:
-                # force a sample so the dashboard reflects right now
-                self._print(monitor.format_top(self.conn.health()))
+            # force a sample so the dashboard reflects right now
+            monitor = self.conn.metrics.monitor
+            self._print(monitor.format_top(self.conn.health()))
         elif head == "\\health":
             self._print(self.conn.health().format())
         elif head == "\\explain":

@@ -28,6 +28,7 @@ from repro.expr.ast import (
     Not,
     Or,
 )
+from repro.obs.regret import REPLAY_BUDGET_STEPS
 from repro.obs.trace import Tracer
 from repro.result import Result
 from repro.sql.binder import bind
@@ -93,6 +94,7 @@ def execute_sql_steps(
     goal: OptimizationGoal = OptimizationGoal.DEFAULT,
     retrievals: list[RetrievalInfo] | None = None,
     tracer: Tracer | None = None,
+    replay_budget_steps: int = REPLAY_BUDGET_STEPS,
 ) -> Generator[RetrievalResult, None, Result]:
     """Parse, bind, infer goals and execute one statement as a step
     generator (one yield per scheduling quantum — up to
@@ -105,7 +107,8 @@ def execute_sql_steps(
     its first step, so a cancelled statement still exposes the partial
     traces of whatever it ran. DDL statements execute in a single step.
     A ``tracer`` threads every retrieval of the statement (subqueries
-    included) onto one query-level span timeline.
+    included) onto one query-level span timeline. An EXPLAIN COMPETE caps
+    each counterfactual replay at ``replay_budget_steps`` engine steps.
 
     SELECT statements route through the server-wide plan cache when it is
     enabled: a hit skips tokenize/parse/bind entirely and reuses the cached
@@ -134,7 +137,10 @@ def execute_sql_steps(
     parsed = parse_any(sql)
     if isinstance(parsed, ExplainQuery):
         return (
-            yield from _execute_explain(db, parsed, host_vars, goal, retrievals, tracer)
+            yield from _execute_explain(
+                db, parsed, host_vars, goal, retrievals, tracer,
+                replay_budget_steps,
+            )
         )
     if isinstance(parsed, PrepareStatement):
         entry, _ = cache.entry_for(db, parsed.sql)
@@ -216,10 +222,12 @@ def _execute_explain(
     goal: OptimizationGoal,
     retrievals: list[RetrievalInfo] | None,
     tracer: Tracer | None,
+    replay_budget_steps: int,
 ) -> Generator[RetrievalResult, None, Result]:
     """Render a plan (``EXPLAIN``), run-and-render it (``EXPLAIN
     ANALYZE``), or run, audit, and counterfactually replay it
-    (``EXPLAIN COMPETE``).
+    (``EXPLAIN COMPETE``, each replay capped at ``replay_budget_steps``
+    engine steps).
 
     The inner SELECT routes through the shared plan cache under the same
     normalized key an ad-hoc execution of that text would use, so the
@@ -267,7 +275,9 @@ def _execute_explain(
         from repro.obs.audit import AuditLog
         from repro.obs.regret import run_compete
 
-        compete_report = run_compete(db, AuditLog.of(retrievals))
+        compete_report = run_compete(
+            db, AuditLog.of(retrievals), replay_budget_steps
+        )
         text += "\n\n" + compete_report.format()
     return Result(
         "explain", columns, rows, plan=plan_root, text=text,

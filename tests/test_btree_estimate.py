@@ -235,7 +235,7 @@ def test_estimate_equals_the_per_child_oracle(order, bulk):
 def test_root_split_on_a_packed_tree_is_underpriced():
     """The known bias of Figure 5 on a bulk-built index, pinned so it stays
     visible until the estimate prices each level by its own width (ROADMAP
-    item 5): 8 000 entries pack into 250 leaves under 8 nodes under a root of
+    item 4): 8 000 entries pack into 250 leaves under 8 nodes under a root of
     8, ``f`` is still ``8000 ** (1/3) = 20``, and a range that splits at the
     root is priced at ``k * 20**2`` when each root child holds 1 024."""
     entries = [((i,), make_rid(i // 32, i % 32)) for i in range(8000)]

@@ -157,8 +157,7 @@ class TestTimeSeries:
         clock = SteppingClock(auto=1e-6)
         conn = repro.connect(buffer_capacity=64, clock=clock)
         build_t(conn, rows=120)
-        monitor = conn.server.monitor
-        assert monitor is not None
+        monitor = conn.metrics.monitor
         before = monitor.samples_taken
         for _ in range(4):
             conn.execute("select * from T where AGE >= :A", {"A": 90})
@@ -172,15 +171,6 @@ class TestTimeSeries:
         # sampling (the most recent retirements are in the forced window)
         assert total == done
         assert window.end > window.start
-        conn.close()
-
-    def test_kill_switch_creates_no_monitor(self):
-        config = EngineConfig(monitor_interval=0)
-        conn = repro.connect(buffer_capacity=32, config=config)
-        assert conn.server.monitor is None
-        report = conn.health()
-        assert report.status == "disabled"
-        assert report.healthy
         conn.close()
 
     def test_window_gauges_and_parity(self):
@@ -230,11 +220,7 @@ def _drift_config():
     # change strands. (Signature feedback is ratio-based and would track a
     # uniform shift, so it is disabled to isolate the stale-statistics
     # scenario.)
-    return EngineConfig(
-        selectivity_feedback=False,
-        monitor_interval=0.25,
-        drift_min_intervals=3,
-    )
+    return EngineConfig(selectivity_feedback=False)
 
 
 def build_events(conn, rows=1200):
@@ -276,8 +262,7 @@ class TestDriftEndToEnd:
             buffer_capacity=256, config=_drift_config(), clock=clock
         )
         table = build_events(conn, rows=self.ROWS)
-        health = conn.server.health_monitor
-        assert health is not None
+        health = conn.metrics.health
 
         # steady phase: histogram-corrected estimates converge onto the
         # observed cardinalities, q-error settles near 1, nothing fires
@@ -301,7 +286,7 @@ class TestDriftEndToEnd:
         # detection): the last round's refined estimates are quiet again
         shifted = [
             w.qerror_p50
-            for w in conn.server.monitor.windows()
+            for w in conn.metrics.monitor.windows()
             if w.qerror_observations
         ]
         assert max(shifted) > 4.0
@@ -315,7 +300,7 @@ class TestDriftEndToEnd:
         build_events(conn, rows=self.ROWS)
         for _ in range(14):
             self.run_round(conn, clock)
-        health = conn.server.health_monitor
+        health = conn.metrics.health
         assert health.breaches.get("qerror-drift", 0) == 0
         assert conn.health().status == "ok"
         conn.close()
@@ -328,10 +313,10 @@ class TestIncidents:
     @pytest.mark.parametrize(
         "threshold, rule",
         [
-            pytest.param(dict(slo_p95_latency_ms=1.0), "slo-p95-latency", id="p95-latency"),
-            pytest.param(dict(slo_min_hit_rate=0.9999), "slo-hit-rate", id="hit-rate"),
-            pytest.param(dict(slo_max_queue_wait_p95=1.0), "slo-queue-wait", id="queue-wait"),
-            pytest.param(dict(slo_regret_mass=0.001), "slo-regret-mass", id="regret-mass"),
+            pytest.param({"p95_latency_ms": 1.0}, "slo-p95-latency", id="p95-latency"),
+            pytest.param({"min_hit_rate": 0.9999}, "slo-hit-rate", id="hit-rate"),
+            pytest.param({"max_queue_wait_p95": 1.0}, "slo-queue-wait", id="queue-wait"),
+            pytest.param({"regret_mass": 0.001}, "slo-regret-mass", id="regret-mass"),
         ],
     )
     def test_slo_breach_writes_incident_through_flight_sink(
@@ -340,16 +325,16 @@ class TestIncidents:
         path = str(tmp_path / "flight.jsonl")
         sink = JsonlSink(path)
         # one window that trips every SLO, of which ``threshold`` arms one:
-        # every clock consultation costs 10ms (latency), the statements
-        # start on a cold cache (hit rate), four are submitted at once to a
-        # one-slot server (queue wait), and an unselective EXPLAIN COMPETE
-        # realizes regret. The interval is long, so the only sample is the
-        # forced one of ``health()``.
-        clock = SteppingClock(auto=0.01)
-        config = EngineConfig(monitor_interval=3600.0, **threshold)
+        # the first statement waits 10ms between admission and its first
+        # quantum (latency), the statements start on a cold cache (hit
+        # rate), four are submitted at once to a one-slot server (queue
+        # wait), and an unselective EXPLAIN COMPETE realizes regret. The
+        # clock moves only by that one jump, short of the monitor's 0.25s
+        # interval, so the only sample is the forced one of ``health()``.
+        clock = SteppingClock()
         conn = repro.connect(
-            buffer_capacity=64, config=config, clock=clock, flight_sink=sink,
-            max_concurrency=1,
+            buffer_capacity=64, clock=clock, flight_sink=sink,
+            max_concurrency=1, slo=threshold,
         )
         table = conn.create_table(
             "T", [("ID", "int"), ("AGE", "int")], rows_per_page=8, index_order=8
@@ -360,6 +345,7 @@ class TestIncidents:
         conn.db.cold_cache()
         for _ in range(4):
             conn.submit("select * from T where AGE >= 50")
+        clock.advance(0.01)
         conn.execute("explain compete select * from T where AGE >= 0")
         report = conn.health()
         assert report.status == "critical"
@@ -378,14 +364,19 @@ class TestIncidents:
         assert isinstance(bundle["top_queries"], list)
         assert "decisions" in bundle
 
+    def test_unknown_slo_key_is_rejected(self):
+        with pytest.raises(ValueError, match="p99_latency_ms"):
+            repro.connect(buffer_capacity=32, slo={"p99_latency_ms": 5.0})
+
     def test_rising_edge_dedup(self):
         # a rule that keeps breaching opens exactly one incident until it
         # clears and breaches again
-        config = EngineConfig(slo_p95_latency_ms=1.0)
         clock = SteppingClock(auto=0.01)
-        conn = repro.connect(buffer_capacity=64, config=config, clock=clock)
+        conn = repro.connect(
+            buffer_capacity=64, clock=clock, slo={"p95_latency_ms": 1.0}
+        )
         build_t(conn, rows=80)
-        health = conn.server.health_monitor
+        health = conn.metrics.health
         conn.execute("select * from T where AGE >= 50")
         conn.health()
         first = health.incidents
@@ -393,7 +384,7 @@ class TestIncidents:
         conn.execute("select * from T where AGE >= 50")
         conn.health()  # still breaching: no new incident
         windows_with_queries = [
-            w for w in conn.server.monitor.windows() if w.queries
+            w for w in conn.metrics.monitor.windows() if w.queries
         ]
         # only count rising edges: breach intervals separated by quiet ones
         assert health.incidents <= len(windows_with_queries)
@@ -423,25 +414,11 @@ class TestDashboard:
         assert "health:" in text
         conn.close()
 
-    def test_top_reports_disabled_monitor(self):
-        import io
-
-        out = io.StringIO()
-        config = EngineConfig(monitor_interval=0)
-        conn = repro.connect(buffer_capacity=32, config=config)
-        shell = Shell(conn, out=out)
-        shell.feed("\\top")
-        shell.feed("\\health")
-        text = out.getvalue()
-        assert "monitoring disabled" in text
-        assert "disabled" in text
-        conn.close()
-
     def test_format_top_before_any_sample(self):
         clock = SteppingClock()
         conn = repro.connect(buffer_capacity=32, clock=clock)
         # no samples yet: the dashboard still renders
-        assert "monitor:" in conn.server.monitor.format_top()
+        assert "monitor:" in conn.metrics.monitor.format_top()
         conn.close()
 
 
@@ -477,9 +454,8 @@ class TestSinkRotation:
     def test_rotation_counters_exposed(self, tmp_path):
         sink = JsonlSink(str(tmp_path / "f.jsonl"), max_bytes=80, keep=2)
         clock = SteppingClock(auto=0.01)
-        config = EngineConfig(slow_query_ms=1.0)
         conn = repro.connect(
-            buffer_capacity=64, config=config, clock=clock, flight_sink=sink
+            buffer_capacity=64, clock=clock, flight_sink=sink, slow_query_ms=1.0
         )
         build_t(conn, rows=60)
         for _ in range(4):
@@ -507,12 +483,10 @@ class TestShutdownLifecycle:
         flight = CountingSink(str(tmp_path / "f.jsonl"))
         # batch_size=1: one engine step per quantum, so a 200-row scan is
         # genuinely mid-flight after a few steps
-        config = EngineConfig(
-            trace_sample_rate=1.0, slow_query_ms=0.0, batch_size=1
-        )
         conn = repro.connect(
-            buffer_capacity=64, config=config,
+            buffer_capacity=64, config=EngineConfig(batch_size=1),
             trace_sink=trace, flight_sink=flight,
+            trace_sample_rate=1.0, slow_query_ms=0.0,
         )
         build_t(conn, rows=200)
         handle = conn.submit("select * from T where AGE >= 0")
@@ -536,7 +510,7 @@ class TestShutdownLifecycle:
         conn = repro.connect(buffer_capacity=32, clock=clock)
         conn.execute("create table T (ID int)")
         conn.execute("insert into T values (1)")
-        monitor = conn.server.monitor
+        monitor = conn.metrics.monitor
         before = monitor.samples_taken
         conn.close()
         assert monitor.samples_taken == before + 1
@@ -568,9 +542,6 @@ class TestInjectableClock:
         assert span.duration == pytest.approx(1.0)
 
     def test_health_report_disabled_shapes(self):
-        report = HealthReport([], None, enabled=False)
-        assert report.status == "disabled"
-        assert "disabled" in report.format_line()
         monitor_free = HealthReport([], None)
         assert monitor_free.status == "ok"
         assert monitor_free.format_line() == "OK"

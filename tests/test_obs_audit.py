@@ -14,7 +14,6 @@ static plan's (ratio <= ~0.6).
 import json
 
 import repro
-from repro.config import EngineConfig
 from repro.db.session import Database
 from repro.engine.goals import OptimizationGoal as Goal
 from repro.engine.initial import InitialArrangement
@@ -315,6 +314,17 @@ class TestExplainCompete:
         assert report.audit.retrievals[0].tactic_selection().counterfactuals
         assert report.advantage < 1.0
 
+    def test_connection_audit_budget_caps_each_replay(self):
+        conn = repro.connect(buffer_capacity=128)
+        build_orders(conn.db)
+        full = conn.audit(SELECTIVE)
+        assert full.replays >= 2 and full.truncated == 0
+        capped = conn.audit(SELECTIVE, budget_steps=1)
+        assert capped.replays == full.replays
+        assert capped.truncated == capped.replays
+        # the capped statement retired through the server like any other
+        assert conn.metrics.decisions.replay_truncated == capped.truncated
+
     def test_compete_routes_through_plan_cache(self):
         conn = repro.connect(buffer_capacity=128)
         build_orders(conn.db, rows=1500)
@@ -444,9 +454,10 @@ class _ListSink:
 
 class TestFlightRecorder:
     def test_slow_query_capture(self):
-        cfg = EngineConfig(slow_query_ms=0.0001)  # everything is "slow"
         sink = _ListSink()
-        conn = repro.connect(buffer_capacity=128, config=cfg, flight_sink=sink)
+        conn = repro.connect(  # everything is "slow"
+            buffer_capacity=128, slow_query_ms=0.0001, flight_sink=sink
+        )
         build_parts(conn.db)
         conn.execute("select * from P where COLOR = 3")
         assert len(sink.records) == 1
@@ -459,9 +470,10 @@ class TestFlightRecorder:
         assert conn.metrics.flight_records == 1
 
     def test_regret_capture_carries_spans_and_decisions(self):
-        cfg = EngineConfig(regret_threshold=0.001)
         sink = _ListSink()
-        conn = repro.connect(buffer_capacity=128, config=cfg, flight_sink=sink)
+        conn = repro.connect(
+            buffer_capacity=128, regret_threshold=0.001, flight_sink=sink
+        )
         build_parts(conn.db)
         conn.execute(UNSELECTIVE)  # no replay, no regret: not captured
         assert sink.records == []

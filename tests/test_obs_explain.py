@@ -164,9 +164,7 @@ class TestConnectionExplain:
         assert "quantum [" not in text  # pruned from the rendered tree
 
     def test_explain_analyze_traced_even_at_zero_sample_rate(self):
-        conn = repro.connect(
-            buffer_capacity=64, config=EngineConfig(trace_sample_rate=0.0)
-        )
+        conn = repro.connect(buffer_capacity=64, trace_sample_rate=0.0)
         build_parts(conn.db)
         plain = conn.submit("select * from P where COLOR = 3")
         analyze = conn.submit("explain analyze select * from P where COLOR = 3")

@@ -12,7 +12,6 @@ import math
 import pytest
 
 import repro
-from repro.config import EngineConfig
 from repro.obs.export import PrometheusText
 from repro.obs.hist import BUCKETS, LogHistogram, bucket_index, bucket_upper_bound
 from repro.server.metrics import MetricsRegistry
@@ -169,9 +168,9 @@ class TestPrometheusText:
 class TestRegistry:
     def test_record_completion_reconciles_histogram_with_counter(self):
         registry = MetricsRegistry()
-        registry.record_completion("s1", latency_seconds=0.5,
+        registry.record_completion("s1", "done", latency_seconds=0.5,
                                    queue_wait_quanta=3, quanta=7)
-        registry.record_completion("s1", latency_seconds=0.25,
+        registry.record_completion("s1", "done", latency_seconds=0.25,
                                    queue_wait_quanta=0, quanta=5)
         metrics = registry.session("s1")
         assert metrics.quanta == 12
@@ -183,8 +182,7 @@ class TestRegistry:
         registry = MetricsRegistry()
         registry.record_outcome("s1", "done")
         snap = registry.per_session()
-        registry.record_outcome("s1", "done")
-        registry.record_completion("s1", 0.1, 0, 4)
+        registry.record_completion("s1", "done", 0.1, 0, 4)
         assert snap["s1"].queries_completed == 1  # not drifted to 2
         assert snap["s1"].quanta == 0
         assert snap["s1"].steps_per_query.count == 0
@@ -194,10 +192,37 @@ class TestRegistry:
         assert registry.session("s1").queries_completed == 2
         assert registry.session("s1").latency.count == 1
 
+    def test_one_call_records_a_retired_query(self, monkeypatch):
+        calls = []
+        record = MetricsRegistry.record_completion
+
+        def counting(registry, *args, **kwargs):
+            calls.append(args[0])
+            return record(registry, *args, **kwargs)
+
+        monkeypatch.setattr(MetricsRegistry, "record_completion", counting)
+        conn = repro.connect(buffer_capacity=64)
+        build_parts(conn)
+        sql = "select * from P where COLOR = 3 or WEIGHT = 7"
+        conn.execute(sql)
+        conn.execute(f"explain compete {sql}")
+        assert calls == ["main", "main"]
+        metrics = conn.metrics
+        totals = metrics.totals()
+        assert totals.queries_completed == 2
+        # the same call fed the cost L-shape, the decision counts, the
+        # compete replays and the monitor's recent-query ring
+        assert metrics.decisions.retrieval_cost_hist.count == totals.retrievals
+        assert sum(metrics.decisions.tactic_selected.values()) == totals.retrievals
+        assert metrics.decisions.replays > 0
+        assert [entry[0] for entry in metrics.monitor.recent_queries] == [
+            sql, f"explain compete {sql}"
+        ]
+
     def test_totals_merge_sessions_and_histograms(self):
         registry = MetricsRegistry()
-        registry.record_completion("a", 0.5, 1, 10)
-        registry.record_completion("b", 0.5, 2, 20)
+        registry.record_completion("a", "done", 0.5, 1, 10)
+        registry.record_completion("b", "done", 0.5, 2, 20)
         totals = registry.totals()
         assert totals.quanta == 30
         assert totals.steps_per_query.sum == 30
@@ -210,9 +235,7 @@ class TestRegistry:
 class TestServerReconciliation:
     @pytest.fixture
     def conn(self):
-        return repro.connect(
-            buffer_capacity=64, config=EngineConfig(trace_sample_rate=1.0)
-        )
+        return repro.connect(buffer_capacity=64, trace_sample_rate=1.0)
 
     def test_quanta_and_fetch_runs_reconcile(self, conn):
         build_parts(conn)
@@ -235,8 +258,7 @@ class TestServerReconciliation:
 
     def test_queue_wait_recorded_under_admission_pressure(self):
         conn = repro.connect(
-            buffer_capacity=64, max_concurrency=1,
-            config=EngineConfig(trace_sample_rate=0.0),
+            buffer_capacity=64, max_concurrency=1, trace_sample_rate=0.0
         )
         build_parts(conn)
         first = conn.submit("select * from P where WEIGHT >= 0")

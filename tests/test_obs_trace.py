@@ -276,8 +276,7 @@ class TestQuerySpanTree:
     def test_cancellation_finishes_open_spans(self):
         import repro
 
-        cfg = EngineConfig(trace_sample_rate=1.0)
-        conn = repro.connect(buffer_capacity=48, config=cfg)
+        conn = repro.connect(buffer_capacity=48, trace_sample_rate=1.0)
         table = build_parts(conn.db)
         handle = conn.submit("select * from P where WEIGHT >= 0", deadline=2)
         with pytest.raises(repro.QueryCancelledError):
@@ -351,8 +350,10 @@ class TestBatchEquivalence:
 
         per_size = {}
         for batch_size in (1, 64):
-            cfg = EngineConfig(batch_size=batch_size, trace_sample_rate=1.0)
-            conn = repro.connect(buffer_capacity=64, config=cfg)
+            cfg = EngineConfig(batch_size=batch_size)
+            conn = repro.connect(
+                buffer_capacity=64, config=cfg, trace_sample_rate=1.0
+            )
             build_parts(conn.db)
             conn.execute("select * from P where COLOR = 3")
             conn.execute("select * from P where WEIGHT >= 0")
