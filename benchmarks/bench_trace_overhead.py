@@ -4,9 +4,11 @@ Every span site in the engine now does one dynamic dispatch against
 :data:`repro.obs.trace.NULL_TRACER` when tracing is off, and the scheduler
 makes one sampling decision per submission. This benchmark holds that
 instrumentation to a <2% throughput budget against the *uninstrumented*
-baseline recorded by ``bench_throughput.py`` (``BENCH_throughput.json``),
-using the identical workload — the 4-session batched scan mix at
-``batch_size=64`` — and min-of-N wall clocks on both sides.
+baseline of ``bench_throughput.py`` — its 4-session batched scan mix at
+``batch_size=64`` (:func:`bench_throughput.run_multi_session`), run here
+as a third label of the same interleaved min-of-N rotation, so reference
+and measurement share the machine's conditions instead of comparing with
+figures another process wrote.
 
 It also reports (without gating) the cost of tracing *everything*
 (``trace_sample_rate=1.0``), which is allowed to be expensive: sampled
@@ -21,9 +23,7 @@ Usage::
     python benchmarks/bench_trace_overhead.py --smoke  # tiny tables, CI gate
 
 Exit status is non-zero when the JSON lacks required keys or the rate-0
-overhead exceeds the budget. The reference gate is skipped (with a
-warning) when ``BENCH_throughput.json`` is missing or was produced with a
-different workload size, since cross-workload percentages are meaningless.
+overhead exceeds the budget.
 """
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ sys.path.insert(
 
 import repro
 from _util import best_of
-from bench_throughput import N_SESSIONS, band_sql
+from bench_throughput import N_SESSIONS, band_sql, run_multi_session
 from repro.config import DEFAULT_CONFIG
 
 #: gate: disabled-path tracing may cost at most this fraction of throughput
@@ -109,27 +109,6 @@ def run_workload(sample_rate: float, rows: int, span: int, repeats: int) -> dict
     }
 
 
-def load_reference(path: str, rows: int) -> float | None:
-    """The uninstrumented baseline rows/sec for the same workload, if any."""
-    try:
-        with open(path) as handle:
-            report = json.load(handle)
-    except (OSError, ValueError):
-        return None
-    if report.get("workload", {}).get("rows") != rows:
-        print(
-            f"warning: {os.path.basename(path)} was produced with a different "
-            "workload size; skipping the reference gate", file=sys.stderr,
-        )
-        return None
-    try:
-        return float(
-            report["multi_session_4"][str(REFERENCE_BATCH)]["rows_per_sec"]
-        )
-    except (KeyError, TypeError):
-        return None
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument(
@@ -142,30 +121,26 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
 
-    # identical to bench_throughput's parameters, so the reference numbers
-    # in BENCH_throughput.json describe the same work; more trials here
-    # because a 2% gate needs a tight min-of-N floor
+    # identical to bench_throughput's parameters, so the reference run is
+    # the same work; more trials than there because a 2% gate needs a
+    # tight min-of-N floor
     if args.smoke:
         rows, span, repeats, trials = 800, 120, 4, 5
     else:
         rows, span, repeats, trials = 6400, 1200, 8, 5
 
     best = best_of({
+        "reference": lambda: run_multi_session(REFERENCE_BATCH, rows, span, repeats),
         "rate0": lambda: run_workload(0.0, rows, span, repeats),
         "rate1": lambda: run_workload(1.0, rows, span, repeats),
     }, trials)
     rate0, rate1 = best["rate0"], best["rate1"]
     assert rate0["io_total"] == rate1["io_total"], "tracing changed I/O accounting"
+    assert best["reference"]["io_total"] == rate0["io_total"], "not the reference's work"
 
     root = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..")
-    reference = load_reference(
-        os.path.join(root, "BENCH_throughput.json"), rows
-    )
-    overhead_rate0 = (
-        round((1.0 - rate0["rows_per_sec"] / reference) * 100, 2)
-        if reference
-        else None
-    )
+    reference = best["reference"]["rows_per_sec"]
+    overhead_rate0 = round((1.0 - rate0["rows_per_sec"] / reference) * 100, 2)
     overhead_rate1 = round(
         (1.0 - rate1["rows_per_sec"] / rate0["rows_per_sec"]) * 100, 2
     )
@@ -191,12 +166,9 @@ def main(argv: list[str] | None = None) -> int:
     print(f"rate 0.0: {rate0['rows_per_sec']:>10.1f} rows/s")
     print(f"rate 1.0: {rate1['rows_per_sec']:>10.1f} rows/s "
           f"({overhead_rate1:+.2f}% vs rate 0)")
-    if reference is not None:
-        print(f"reference (BENCH_throughput.json batch {REFERENCE_BATCH}): "
-              f"{reference:>10.1f} rows/s -> rate-0 overhead "
-              f"{overhead_rate0:+.2f}% (budget {OVERHEAD_BUDGET_PCT}%)")
-    else:
-        print("no comparable BENCH_throughput.json reference; gate skipped")
+    print(f"reference (bench_throughput, batch {REFERENCE_BATCH}): "
+          f"{reference:>10.1f} rows/s -> rate-0 overhead "
+          f"{overhead_rate0:+.2f}% (budget {OVERHEAD_BUDGET_PCT}%)")
     print(f"wrote {os.path.normpath(out_path)}")
 
     failures = []
@@ -204,7 +176,7 @@ def main(argv: list[str] | None = None) -> int:
     for key in REQUIRED_KEYS:
         if key not in written:
             failures.append(f"missing key in JSON: {key}")
-    if overhead_rate0 is not None and overhead_rate0 > OVERHEAD_BUDGET_PCT:
+    if overhead_rate0 > OVERHEAD_BUDGET_PCT:
         failures.append(
             f"disabled-path tracing costs {overhead_rate0}% "
             f"(> {OVERHEAD_BUDGET_PCT}% budget)"

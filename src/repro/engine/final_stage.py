@@ -15,19 +15,23 @@ from __future__ import annotations
 
 from typing import Any, Callable, Mapping, Sequence
 
-from repro.competition.process import Process
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.db.catalog import TableSchema
 from repro.engine.metrics import RetrievalTrace
-from repro.engine.scans import BatchingSinkMixin, Predicate, Sink
+from repro.engine.scans import Predicate, Sink, _Scan
+from repro.errors import RecordNotFoundError
 from repro.expr.ast import Expr
-from repro.expr.eval import compile_predicate
 from repro.storage.heap import RECORD_CPU_COST, HeapFile
-from repro.storage.rid import RID
+from repro.storage.rid import RID, SLOT_BITS, SLOT_MASK
 
 
-class FinalStageProcess(BatchingSinkMixin, Process):
-    """Sorted RID-list fetch with restriction evaluation and delivery."""
+class FinalStageProcess(_Scan):
+    """Sorted RID-list fetch with restriction evaluation and delivery.
+
+    One step is one RID of the list. Steps run a read-ahead window at a
+    time, and within it a heap page's run of RIDs at a time (see
+    :meth:`_do_batch`); a step is a window of one.
+    """
 
     def __init__(
         self,
@@ -43,20 +47,12 @@ class FinalStageProcess(BatchingSinkMixin, Process):
         name: str = "final-stage",
         predicate: Predicate | None = None,
     ) -> None:
-        super().__init__(name)
+        super().__init__(
+            name, schema, restriction, host_vars, sink, trace, config, predicate
+        )
         self.rids = sorted(rids)
         self.heap = heap
-        self.schema = schema
-        self.restriction = restriction
-        self.host_vars = dict(host_vars)
-        self.sink = sink
-        self.trace = trace
-        self.config = config
-        self.predicate = predicate if predicate is not None else compile_predicate(
-            restriction, schema.position, self.host_vars
-        )
         self.skip_rids = skip_rids
-        self.stopped_by_consumer = False
         self._next = 0
         self.delivered = 0
         self.rejected = 0
@@ -64,64 +60,139 @@ class FinalStageProcess(BatchingSinkMixin, Process):
         if trace is not None:
             self.span = trace.tracer.open("final-stage", rids=len(self.rids))
 
-    def _do_step(self) -> bool:
-        if self._next >= len(self.rids):
-            return True
-        rid = self.rids[self._next]
-        self._next += 1
-        if self.skip_rids is not None and self.skip_rids(rid):
-            self.skipped += 1
-            return self._next >= len(self.rids)
-        row = self.heap.fetch(rid, self.meter)
-        self.meter.charge_cpu(RECORD_CPU_COST)
-        if self.trace is not None:
-            self.trace.counters.records_fetched += 1
-        if self.predicate(row):
-            self.delivered += 1
-            if self.trace is not None:
-                self.trace.counters.records_delivered += 1
-            if not self.sink(rid, row):
-                self.stopped_by_consumer = True
-                return True
-        else:
-            self.rejected += 1
-            if self.trace is not None:
-                self.trace.counters.fetches_rejected += 1
-        return self._next >= len(self.rids)
-
     def _do_batch(self, max_steps: int) -> tuple[int, bool]:
-        """Fetch up to ``max_steps`` RIDs, read-ahead window at a time.
+        """Fetch up to ``max_steps`` RIDs, a read-ahead window at a time.
 
         Before each window of non-skipped RIDs, their distinct heap pages
-        are loaded through :meth:`HeapFile.prefetch`; the per-RID fetches in
-        ``_do_step`` then hit the cache. Because the RID list is sorted
-        (page-clustered) and prefetch charges exactly the misses the
-        row-at-a-time fetches would have charged, ``io_reads`` is identical
-        for a run that completes; a consumer stop mid-window can leave at
-        most ``read_ahead_window - 1`` speculative page reads charged.
+        are loaded through :meth:`HeapFile.prefetch`. Because the RID list
+        is sorted (page-clustered) and prefetch charges exactly the misses
+        the row-at-a-time fetches would have charged, ``io_reads`` is
+        identical for a run that completes; a consumer stop mid-window can
+        leave at most ``read_ahead_window - 1`` speculative page reads
+        charged.
+
+        The window's RIDs are then taken in order, a heap page's run at a
+        time: one buffer-pool access when the run's page comes up, charged
+        as the first of the per-RID :meth:`BufferPool.get` calls would be,
+        and the run's other records charged as the hits those calls would
+        add — to the pool, the meter and the current owner's stats — with
+        the window's record CPU and counters. Each record is tested with the
+        compiled restriction (a page kernel call costs more than the two or
+        three records a page of a Jscan list usually holds) and goes to the
+        sink as it passes; a collecting sink that cannot reach its limit in
+        the window takes the window's rows in one piece instead. Nothing
+        after the record where the consumer stops, the restriction raises
+        or a RID names no record (:class:`RecordNotFoundError`, its fetch
+        charged) is charged, counted or delivered: every meter field, pool
+        and owner count, counter and row is what fetching one record per
+        step gives.
         """
+        rids = self.rids
+        heap = self.heap
+        pool = heap.buffer_pool
+        meter = self.meter
+        skip = self.skip_rids
+        predicate = self.predicate
+        sink = self.sink
+        slot_bits, slot_mask = SLOT_BITS, SLOT_MASK
         steps = 0
         while steps < max_steps:
-            remaining = len(self.rids) - self._next
+            start = self._next
+            remaining = len(rids) - start
             if remaining <= 0:
                 return steps + 1, True
             window = min(max_steps - steps, remaining)
-            upcoming = self.rids[self._next : self._next + window]
-            if self.skip_rids is not None:
-                upcoming = [rid for rid in upcoming if not self.skip_rids(rid)]
-            if upcoming:
+            upcoming = rids[start : start + window]
+            fetched = upcoming
+            if skip is not None:
+                fetched = [rid for rid in upcoming if not skip(rid)]
+            if fetched:
                 # page cap bounded by pool capacity: the RID list is sorted,
                 # so as long as one prefetch run fits the pool, every
                 # prefetched page is still cached when its fetch arrives and
                 # io_reads stays identical to row-at-a-time fetching
-                pool = self.heap.buffer_pool
-                self.heap.prefetch(
-                    upcoming,
-                    self.meter,
-                    window=min(pool.read_ahead_window, pool.capacity),
+                heap.prefetch(
+                    fetched, meter, window=min(pool.read_ahead_window, pool.capacity)
                 )
-            for _ in range(window):
-                steps += 1
-                if self._do_step():
-                    return steps, True
+            # a collecting sink that cannot reach its limit in this window
+            # takes the window's rows in one piece, after its last record
+            take = getattr(sink, "take", None)
+            whole = take is not None and (
+                sink.limit is None or sink.limit - len(sink.rows) > len(fetched)
+            )
+            passed_rids: list[RID] = []
+            passed_rows: list[tuple] = []
+            page_count = heap.page_count
+            current = -1
+            accessed = skipped = unread = unlooked = 0
+            stop = error = None
+            for at, rid in enumerate(upcoming):
+                if skip is not None and skip(rid):
+                    skipped += 1
+                    continue
+                page_no = rid >> slot_bits
+                if page_no != current:
+                    if page_no >= page_count:
+                        # its fetch raises before it reads a page
+                        stop, unread = at, 1
+                        error = RecordNotFoundError(
+                            f"no record at page {page_no} slot {rid & slot_mask}"
+                        )
+                        break
+                    slots = pool.get(heap.page_id(page_no), meter).payload
+                    current = page_no
+                    accessed += 1
+                    slot_count = len(slots)
+                slot = rid & slot_mask
+                row = slots[slot] if slot < slot_count else None
+                if row is None:
+                    stop, unlooked = at, 1
+                    error = RecordNotFoundError(f"no record at page {page_no} slot {slot}")
+                    break
+                try:
+                    passes = predicate(row)
+                except Exception as exc:  # raised once its record is charged
+                    stop, error = at, exc
+                    break
+                if passes:
+                    passed_rids.append(rid)
+                    if whole:
+                        passed_rows.append(row)
+                    elif not sink(rid, row):
+                        self.stopped_by_consumer = True
+                        stop = at
+                        break
+            if whole and passed_rids:
+                take(passed_rids, passed_rows)
+            # the RIDs fetched: one pool access per page, the repeats hits
+            reached = (window if stop is None else stop + 1) - skipped - unread
+            hits = reached - accessed
+            if hits:
+                pool.hits += hits
+                meter.buffer_hits += hits
+                if pool.current_owner is not None:
+                    pool.stats_for(pool.current_owner).hits += hits
+            looked = reached - unlooked
+            meter.charge_cpu_each(RECORD_CPU_COST, looked)
+            delivered = len(passed_rids)
+            rejected = looked - delivered - (error is not None and not (unread or unlooked))
+            self.delivered += delivered
+            self.rejected += rejected
+            self.skipped += skipped
+            if self.trace is not None:
+                counters = self.trace.counters
+                counters.records_fetched += looked
+                counters.records_delivered += delivered
+                counters.fetches_rejected += rejected
+            if stop is not None:
+                # the RID the scan ends at: the consumer's last, the one
+                # whose record raised, or the one that names no record
+                self._next = start + stop + 1
+                if error is not None:
+                    raise error
+                return steps + stop + 1, True
+            self._next = start + window
+            steps += window
+            if self._next >= len(rids):
+                return steps, True
         return steps, False

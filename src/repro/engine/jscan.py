@@ -29,8 +29,14 @@ The baseline that sets it (``benchmarks/paper/mohan_jscan.py``) also turns
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Callable, Iterator
+from itertools import accumulate, chain, compress, count, islice, repeat
+from functools import reduce
+from operator import add, itemgetter, sub, truediv
+import math
+from math import fsum, ulp
+from typing import Callable
 
 from repro.btree.tree import ENTRY_CPU_COST, Entry
 from repro.competition.process import Process
@@ -46,7 +52,7 @@ from repro.obs.audit import DecisionKind
 from repro.storage.buffer_pool import BufferPool, CostMeter
 from repro.storage.heap import HeapFile
 from repro.storage.hybrid_list import HybridRidList, RidListRegion
-from repro.storage.rid import RID, yao_pages_touched
+from repro.storage.rid import RID, yao_count_bounds, yao_pages_bound, yao_pages_touched
 
 
 #: RIDs per temp-table page assumed when pricing the read-back of a spilled list
@@ -55,6 +61,76 @@ _SPILL_READ_RIDS_PER_PAGE = 512.0
 #: with ``probabilistic_switch``, re-evaluate every N scanned entries
 #: (posterior integration is pricier than the threshold check)
 PROBABILISTIC_CHECK_INTERVAL = 16
+
+#: the RID of a ``(key, rid)`` leaf entry
+_rid_of = itemgetter(1)
+
+
+def _keeps(member: Callable[[RID], bool] | None, entries: list[Entry]) -> list[bool]:
+    """Whether the filter keeps each entry's RID."""
+    if member is None:
+        return [True] * len(entries)
+    return list(map(member, map(_rid_of, entries)))
+
+
+def _lane_cost(
+    cost: float,
+    before: float,
+    cpu: float,
+    io_from: list[tuple[int, int]],
+    steps: int,
+    stride: int,
+    lane: int,
+) -> float:
+    """A lane's scan cost after a chunk of ``steps`` entries, as adding one
+    step at a time leaves it.
+
+    Each step adds :data:`ENTRY_CPU_COST` to the meter's CPU charge (``cpu``
+    at the start) and the growth of the meter's total (I/O count plus CPU
+    charge; ``before`` at the start, ``io_from`` as :func:`_running_totals`
+    reads it) to the cost of the lane whose step it is, ``stride`` lanes
+    taking turns. The additions are made one at a time unless they provably
+    round nowhere: when the total at most doubles, each step's growth is an
+    exact difference on the grid of the first total, and a cost that ends
+    on a grid no coarser than that one and its own start's has every
+    running sum exact — it is its start plus the exact sum of its steps'
+    growth (the total's whole growth, for a lone lane).
+    """
+    exact = 0 < before
+    if stride == 1:
+        total = io_from[-1][1] + reduce(add, repeat(ENTRY_CPU_COST, steps), cpu)
+        if exact and total <= 2 * before:
+            end = cost + (total - before)
+            if ulp(end) <= _grid(cost, before):
+                return end
+    cpus = list(accumulate(repeat(ENTRY_CPU_COST, steps), initial=cpu))
+    totals = _running_totals(cpus, io_from, steps)
+    grown = list(map(sub, totals, chain((before,), totals)))[lane::stride]
+    if exact and totals[-1] <= 2 * before:
+        end = cost + fsum(grown)
+        if ulp(end) <= _grid(cost, before):
+            return end
+    return reduce(add, grown, cost)
+
+
+def _grid(cost: float, total: float) -> float:
+    """The finest spacing both a cost and a meter total lie on."""
+    return ulp(total) if cost == 0 else min(ulp(cost), ulp(total))
+
+
+def _running_totals(
+    cpus: list[float], io_from: list[tuple[int, int]], steps: int
+) -> list[float]:
+    """The meter's total after each of a chunk's first ``steps`` steps: the
+    I/O count charged by then (``io_from``: from which step on each count
+    holds) plus the CPU charge after the step, added as an int and a float
+    are."""
+    if len(io_from) == 1:
+        return list(map(float(io_from[0][1]).__add__, islice(cpus, 1, steps + 1)))
+    starts = [start for start, _ in io_from]
+    counts = map(sub, chain(starts[1:], (steps,)), starts)
+    ios = chain.from_iterable(map(repeat, [float(io) for _, io in io_from], counts))
+    return list(map(add, ios, islice(cpus, 1, steps + 1)))
 
 
 @dataclass
@@ -67,13 +143,41 @@ class _IndexScan:
     position: int = 0
     scanned: int = 0
     kept: int = 0
-    scan_cost: float = 0.0
     #: entries of the cursor's current leaf not yet looked at
-    run: Iterator[Entry] = field(default_factory=lambda: iter(()))
+    run: list[Entry] = field(default_factory=list)
+    #: the scan's cost as last worked out, and what its steps added since:
+    #: a chunk as ``(before, cpu, io_from, steps, stride, lane)`` for
+    #: :func:`_lane_cost`, or one step's growth as a float
+    settled: float = 0.0
+    pending: list = field(default_factory=list)
+    #: at least what the pending chunks add (each adds at most the meter's
+    #: whole growth over it)
+    pending_growth: float = 0.0
 
     @property
     def name(self) -> str:
         return self.candidate.index.name
+
+    @property
+    def scan_cost(self) -> float:
+        """What the scan's steps have cost: each step's growth of the meter's
+        total, added one step at a time — worked out from the chunks the
+        steps ran in when it is read (a scan that completes is never
+        asked)."""
+        if self.pending:
+            cost = self.settled
+            for chunk in self.pending:
+                cost = cost + chunk if isinstance(chunk, float) else _lane_cost(cost, *chunk)
+            self.settled = cost
+            self.pending.clear()
+            self.pending_growth = 0.0
+        return self.settled
+
+    @scan_cost.setter
+    def scan_cost(self, cost: float) -> None:
+        self.pending.clear()
+        self.pending_growth = 0.0
+        self.settled = cost
 
 
 class JscanProcess(Process):
@@ -123,6 +227,10 @@ class JscanProcess(Process):
         self._filter: HybridRidList | None = None
         #: (filter list, heap pages, cost) of the last guaranteed-best answer
         self._guaranteed: tuple[HybridRidList | None, int, float] | None = None
+        #: (filter list, its membership test), see :meth:`_member`
+        self._membership: tuple[HybridRidList, Callable[[RID], bool]] | None = None
+        #: (filter list, heap pages, :meth:`_switch_inputs`' answer)
+        self._inputs: tuple | None = None
         self._turn = 0
         self.completed_scans = 0
         self.abandoned_scans = 0
@@ -234,10 +342,12 @@ class JscanProcess(Process):
             and self._active.rid_list.region is RidListRegion.SPILLED
         ):
             # defensive: accepting a partner win would require refiltering
-            # the active's list out of memory, which the paper rules out
-            # (the _choose_scan freeze makes this unreachable in practice,
-            # but installing the filter without the refilter would corrupt
-            # results). Drop the partner's work; the previous filter stands.
+            # the active's list out of memory, which the paper rules out.
+            # The partner takes no step once the active list has spilled
+            # (the pause in :meth:`_do_batch`), so it cannot meet the end of
+            # its range then; but installing the filter without the
+            # refilter would corrupt results. Drop the partner's work; the
+            # previous filter stands.
             scan.rid_list.discard()
             self.abandoned_scans += 1
             self.trace.counters.scans_abandoned += 1
@@ -282,16 +392,14 @@ class JscanProcess(Process):
             self.trace.emit(
                 EventKind.REORDERED, winner=scan.name, continuing=self._active.name
             )
-            new_filter = self._filter
-            dropped = self._active.rid_list.refilter(new_filter.may_contain)
+            dropped = self._active.rid_list.refilter(self._member())
             self._active.kept -= dropped
             self.meter.charge_cpu(ENTRY_CPU_COST * (self._active.kept + dropped))
             self._partner = None
         else:
             # active finished; partner (if any) is promoted and refiltered
             if self._partner is not None:
-                new_filter = self._filter
-                dropped = self._partner.rid_list.refilter(new_filter.may_contain)
+                dropped = self._partner.rid_list.refilter(self._member())
                 self._partner.kept -= dropped
                 self.meter.charge_cpu(
                     ENTRY_CPU_COST * (self._partner.kept + dropped)
@@ -302,148 +410,491 @@ class JscanProcess(Process):
     # -- the advance routine -----------------------------------------------------
 
     def _do_batch(self, max_steps: int) -> tuple[int, bool]:
-        """Advance by up to ``max_steps`` index entries.
+        """Advance by up to ``max_steps`` index entries, a chunk at a time.
 
         A step takes one entry (or meets the end of a range) from the scan
         whose turn it is, filters it, stores it, adds what that cost to the
-        scan's cost and evaluates the switch criterion — at every entry, on
-        exactly the numbers a one-entry-per-call loop would see. Entries
-        come a leaf run at a time (:meth:`RangeCursor.next_leaf_run`), so
-        the page after an abandoned entry is never read.
+        scan's cost and evaluates the switch criterion. Steps run a *chunk*
+        at a time; in pair mode the two scans alternate steps within it.
+
+        A chunk is planned a leaf run at a time. The switch criterion is
+        bounded over a run from the counts at its ends — the projection
+        against the Yao bounds inverted to integers
+        (:func:`~repro.storage.rid.yao_count_bounds`), the scan cost by the
+        meter's growth. A run that cannot fire is taken whole, and a scan's
+        next leaf is read only then, by the step that takes its first
+        entry; where a run might fire, its entries' verdicts are worked out
+        one by one and the chunk ends at the first that fires, where the
+        criterion is evaluated as it always was. A chunk also ends at the
+        step budget, before a RID list's next page write (a chunk of its
+        own) and at a partner's pause. A chunk that could neither fire nor
+        fill a list even keeping every entry it may take is bounded once,
+        up front, and filtered once, when it is taken.
+
+        Taking a chunk filters its entries in one pass (a set built once
+        per completed in-memory filter), stores the kept RIDs in bulk and
+        adds the CPU charge one step at a time. Each scan's cost is worked
+        out from the chunks it ran in when it is read (``_IndexScan.
+        scan_cost``), with the float additions one step at a time makes.
+        So every verdict, meter field, counter, event, note and spill is
+        what evaluating at every entry gives; near a crossing a chunk is one
+        entry, the single-step case of the same routine.
         """
         meter = self.meter
         counters = self.trace.counters
-        config = self.config
-        buffer_limit = config.allocated_rid_buffer_size
-        min_fraction = MIN_PROJECTION_FRACTION
-        threshold = self.criterion.threshold
-        limit_fraction = self.criterion.scan_cost_limit_fraction
-        static_threshold = self.static_rid_threshold
-        probabilistic = self._prob_criterion
-        on_keep = self.on_keep
-        pages = self.heap.page_count
-        rows_per_page = self.heap.rows_per_page
-        in_filter = None if self._filter is None else self._filter.may_contain
-        guaranteed = self.guaranteed_best_cost()
+        buffer_limit = self.config.allocated_rid_buffer_size
+        static = self.static_rid_threshold is not None
+        probabilistic = not static and self._prob_criterion is not None
+        deterministic = not static and not probabilistic
+        member, guaranteed, bounds = self._switch_inputs()
         steps = 0
         while steps < max_steps:
-            steps += 1
             scan = self._active
             if scan is None:
                 if not self._queue:
-                    return steps, self._finalize()
+                    return steps + 1, self._finalize()
                 scan = self._active = self._start_scan(self._queue.pop(0))
                 self._maybe_start_partner()
             partner = self._partner
-            if partner is not None:
-                # the pair alternates and pauses at the memory-buffer
-                # boundary ("the simultaneous scan ... does not continue
-                # beyond the memory buffer"): the partner stops advancing
-                # when its own list would spill, and also once the *active*
-                # list has spilled — a partner win would then require
-                # refiltering the active list out of memory, which is
-                # exactly what the paper rules out (a live list has spilled,
-                # i.e. is in the SPILLED region, exactly when ``spills`` > 0)
-                self._turn ^= 1
-                if (
-                    self._turn
-                    and len(partner.rid_list) < buffer_limit
-                    and not scan.rid_list.spills
-                ):
-                    scan = partner
-            before = meter.io_reads + meter.io_writes + meter.cpu
-            entry = next(scan.run, None)
-            if entry is None:
-                run = scan.cursor.next_leaf_run()
-                if not run:
-                    scan.scan_cost += meter.io_reads + meter.io_writes + meter.cpu - before
-                    self._complete_scan(scan)
-                    if self.finished:
-                        return steps, True
-                    if self._active is None:
-                        if not self._queue:
-                            return steps, self._finalize()
-                        self._active = self._start_scan(self._queue.pop(0))
-                    self._maybe_start_partner()
-                    in_filter = None if self._filter is None else self._filter.may_contain
-                    guaranteed = self.guaranteed_best_cost()
-                    continue
-                scan.run = iter(run)
-                entry = next(scan.run)
-            rid = entry[1]
-            meter.cpu += ENTRY_CPU_COST
-            scanned = scan.scanned = scan.scanned + 1
-            counters.index_entries_scanned += 1
-            if in_filter is not None and not in_filter(rid):
-                counters.rids_filtered_out += 1
+            # the pair alternates and pauses at the memory-buffer boundary
+            # ("the simultaneous scan ... does not continue beyond the memory
+            # buffer"): the partner stops advancing when its own list would
+            # spill, and also once the *active* list has spilled — a partner
+            # win would then require refiltering the active list out of
+            # memory, which is exactly what the paper rules out (a live list
+            # has spilled, i.e. is in the SPILLED region, exactly when
+            # ``spills`` > 0). The turn flips at every step of a pair.
+            if (
+                partner is not None
+                and len(partner.rid_list) < buffer_limit
+                and not scan.rid_list.spills
+            ):
+                lanes = (scan, partner) if self._turn else (partner, scan)
             else:
-                rid_list = scan.rid_list
-                spills_before = rid_list.spills
-                rid_list.add(rid, meter)
-                if rid_list.spills != spills_before:
-                    self.trace.emit(
-                        EventKind.SPILL,
-                        index=scan.name,
-                        rids=len(rid_list),
-                        region=rid_list.region.value,
-                    )
-                scan.kept += 1
-                if on_keep is not None:
-                    on_keep(rid, scan.position)
-            scan_cost = scan.scan_cost = scan.scan_cost + (
-                meter.io_reads + meter.io_writes + meter.cpu - before
-            )
+                lanes = (scan,)
+            stride = len(lanes)
+            # lane ``l``'s ``j``-th entry of the chunk is its step ``j*stride + l``;
+            # ``allowed[l]`` is how many of its entries may be kept before a
+            # kept one would write a page (the active) or pause it (the partner)
+            if stride == 1:
+                allowed = [scan.rid_list.room()]
+            else:
+                allowed = [scan.rid_list.room(), buffer_limit - len(partner.rid_list)]
+                if lanes[0] is partner:
+                    allowed.reverse()
+            planned = [0] * stride
+            kept: list[list[RID]] = [[], []]
+            io_before = meter.io_reads + meter.io_writes
+            before = io_before + meter.cpu
+            budget = max_steps - steps
+            # a chunk that can neither fire nor fill a list even if it keeps
+            # every entry it may take is filtered once, when it is taken; the
+            # others are filtered and bounded a leaf run at a time
+            cleared = roomy = not probabilistic
+            for x, n, room in zip(lanes, ((budget + stride - 1) // stride, budget // stride),
+                                  allowed):
+                roomy = roomy and n < room
+                cleared = cleared and (not n or self._cannot_fire(
+                    x, x.kept, x.kept + n, x.scanned + 1, x.scanned + n, guaranteed, bounds
+                ))
+            roomy = roomy and cleared
+            # the reads the chunk may make before a lane's cost could reach
+            # its limit (each adds one I/O at most to the meter's total)
+            cost_room = math.inf
+            if deterministic:
+                cost_room = (
+                    self.criterion.scan_cost_limit_fraction * guaranteed
+                    - max(x.settled + x.pending_growth * (1 + 1e-9) for x in lanes)
+                    - budget * ENTRY_CPU_COST - 1e-6 - 1e-9 * before
+                )
+            #: (first step, I/O count charged from it on), one per leaf read
+            io_from = [(0, io_before)]
+            m = 0
+            ending = None
+            exact = False
+            # -- plan the chunk, a leaf run at a time
+            while m < budget:
+                lane = m % stride
+                x = lanes[lane]
+                if planned[lane] == len(x.run):
+                    # step ``m`` takes the first entry of the scan's next leaf
+                    # and reads it — here, unless that entry might be a kept
+                    # RID that writes a page, which is a chunk of its own
+                    if m and x is not partner and len(kept[lane]) >= allowed[lane]:
+                        break
+                    run = x.cursor.next_leaf_run()
+                    if not run:
+                        ending = x  # step ``m`` meets the end of its range
+                        break
+                    x.run += run
+                    io = meter.io_reads + meter.io_writes
+                    if io != io_from[-1][1]:
+                        if m:
+                            io_from.append((m, io))
+                        else:
+                            io_from[0] = (0, io)
+                end = min(budget, len(lanes[0].run) * stride,
+                          len(lanes[-1].run) * stride + stride - 1)
+                for lane, y in enumerate(lanes if probabilistic else ()):
+                    # the Bayesian rule looks at every 16th entry: end there
+                    check = (PROBABILISTIC_CHECK_INTERVAL - 1 - y.scanned
+                             % PROBABILISTIC_CHECK_INTERVAL) * stride + lane + 1
+                    if check <= end:
+                        end, exact = check, True
+                if roomy:
+                    planned[0] = (end + stride - 1) // stride
+                    planned[-1] = end // stride
+                for lane, y in enumerate(() if roomy else lanes):
+                    taken = planned[lane]
+                    upto = (end - lane + stride - 1) // stride
+                    if upto <= taken:
+                        continue
+                    new = map(_rid_of, islice(y.run, taken, upto))
+                    new = list(new if member is None else filter(member, new))
+                    kept_lo = y.kept + len(kept[lane])
+                    room = allowed[lane] - len(kept[lane])
+                    kept[lane] += new
+                    planned[lane] = upto
+                    if len(new) >= room + (y is not partner):
+                        # a kept RID that would write a page ends the chunk
+                        # before it (it is a chunk of its own); a partner's
+                        # pause ends it after the RID that fills the buffer
+                        mask = _keeps(member, y.run[taken:upto])
+                        at = next(islice(compress(count(), mask), room - (y is partner), None))
+                        end = min(end, (taken + at + (y is partner)) * stride + lane)
+                        exact = True
+                    if not cleared and not probabilistic and not self._cannot_fire(
+                        y, kept_lo, kept_lo + len(new), y.scanned + taken + 1,
+                        y.scanned + upto, guaranteed, bounds,
+                    ):
+                        # near a crossing: the verdict entry by entry
+                        running = accumulate(_keeps(member, y.run[taken:upto]), initial=kept_lo)
+                        at = self._verdicts(
+                            y, list(islice(running, 1, None)), y.scanned + taken + 1,
+                            guaranteed, bounds,
+                        )
+                        if at is not None:
+                            end, exact = min(end, (taken + at) * stride + lane + 1), True
+                if end <= m:
+                    if m:
+                        break
+                    end = 1  # the one step that writes a page
+                if io_from[-1][1] - io_before >= cost_room:
+                    # a lane's cost grows by at most the meter's total
+                    cost_limit = self.criterion.scan_cost_limit_fraction * guaranteed
+                    grown = (io_from[-1][1] - io_before + end * ENTRY_CPU_COST
+                             + 1e-6 + 1e-9 * before)
+                    for lane, y in enumerate(lanes):
+                        if y.settled + y.pending_growth * (1 + 1e-9) + grown < cost_limit:
+                            continue
+                        # near the scan-cost limit: the running cost, exactly
+                        cpus = list(accumulate(repeat(ENTRY_CPU_COST, end), initial=meter.cpu))
+                        totals = _running_totals(cpus, io_from, end)
+                        lane_costs = list(accumulate(
+                            list(map(sub, totals, chain((before,), totals)))[lane::stride],
+                            initial=y.scan_cost,
+                        ))
+                        fired = bisect_left(lane_costs, cost_limit, 1)
+                        if fired < len(lane_costs):
+                            end, exact = min(end, (fired - 1) * stride + lane + 1), True
+                m = end
+                if exact:
+                    break
 
-            # -- the switch criterion, at every entry ---------------------------
-            if static_threshold is not None:
+            # -- take the chunk's ``m`` steps
+            io = meter.io_reads + meter.io_writes
+            taken_entries: list[list[Entry]] = [[], []]
+            for lane, x in enumerate(lanes):
+                q = (m - lane + stride - 1) // stride
+                if not q:
+                    continue
+                lane_kept = kept[lane]
+                if roomy or q != planned[lane]:
+                    lane_kept = map(_rid_of, islice(x.run, q))
+                    lane_kept = kept[lane] = list(
+                        lane_kept if member is None else filter(member, lane_kept)
+                    )
+                if self.on_keep is not None and stride > 1:
+                    taken_entries[lane] = x.run[:q]
+                del x.run[:q]
+                x.scanned += q
+                if lane_kept:
+                    rid_list = x.rid_list
+                    spills = rid_list.spills
+                    rid_list.extend(lane_kept, meter)
+                    if rid_list.spills != spills:
+                        self.trace.emit(
+                            EventKind.SPILL,
+                            index=x.name,
+                            rids=len(rid_list),
+                            region=rid_list.region.value,
+                        )
+                    x.kept += len(lane_kept)
+                counters.index_entries_scanned += q
+                counters.rids_filtered_out += q - len(lane_kept)
+            if m:
+                if meter.io_reads + meter.io_writes != io:
+                    # a page was written: only a chunk of one step stores a
+                    # RID that writes one, and that step's cost has it too
+                    io = meter.io_reads + meter.io_writes
+                    io_from = [(0, io)]
+                cpu = meter.cpu
+                meter.cpu = reduce(add, repeat(ENTRY_CPU_COST, m), cpu)
+                grown = io + meter.cpu - before
+                for lane, x in enumerate(lanes):
+                    x.pending.append((before, cpu, io_from, m, stride, lane))
+                    x.pending_growth += grown
+                steps += m
+                if partner is not None:
+                    self._turn ^= m & 1
+                if self.on_keep is not None:
+                    self._tap(lanes, member, kept, taken_entries, m)
+            if ending is not None:
+                steps += 1
+                if partner is not None:
+                    self._turn ^= 1
+                # this step read the leaf that ended the range
+                reached = io_from[-1][1] + meter.cpu if m else before
+                step_cost = meter.io_reads + meter.io_writes + meter.cpu - reached
+                ending.pending.append(step_cost)
+                ending.pending_growth += step_cost
+                self._complete_scan(ending)
+                if self.finished:
+                    return steps, True
+                if self._active is None:
+                    if not self._queue:
+                        return steps, self._finalize()
+                    self._active = self._start_scan(self._queue.pop(0))
+                self._maybe_start_partner()
+                member, guaranteed, bounds = self._switch_inputs()
+                continue
+            if not exact:
+                continue
+
+            # -- the switch criterion, at the chunk's last entry
+            last = lanes[(m - 1) % stride]
+            if static:
                 # [MoHa90]-style static control: abandon when the list exceeds
                 # a precomputed threshold; no dynamic readjustment
-                if scan.kept > static_threshold:
-                    self._abandon_scan(scan, "static-threshold")
+                if last.kept > self.static_rid_threshold:
+                    self._abandon_scan(last, "static-threshold")
                 continue
-            if probabilistic is not None and scanned % PROBABILISTIC_CHECK_INTERVAL:
+            if probabilistic and last.scanned % PROBABILISTIC_CHECK_INTERVAL:
                 continue
-            # projected final-retrieval cost from the list being built: Yao's
-            # pages for the projected size, plus reading the spill pages back
-            projection = None
-            estimate = scan.candidate.estimated_rids
-            if estimate is not None:
-                fraction = scanned / max(estimate, float(scanned))
-                if fraction >= min_fraction:
-                    projected_size = scan.kept / fraction
-                    projection = yao_pages_touched(pages, rows_per_page, int(projected_size))
-                    if scan.rid_list.spills:
-                        projection += projected_size / _SPILL_READ_RIDS_PER_PAGE
-            # the probabilistic rule, or SwitchCriterion.evaluate inlined
-            if probabilistic is not None:
-                reason = self._probabilistic_verdict(scan, guaranteed)
-                if reason is None:
-                    continue
-            elif guaranteed <= 0 or (
-                projection is not None and projection >= threshold * guaranteed
-            ):
-                reason = "projected-cost"
-            elif scan_cost >= limit_fraction * guaranteed:
-                reason = "scan-cost"
-            else:
+            verdict = self._switch_verdict(last, guaranteed, bounds)
+            if verdict is None:
                 continue
+            reason, projection = verdict
             # the switch criterion's inputs at the moment it fired: what the
             # scan had cost, what the projection said it would cost (None
             # while no reliable projection exists), and the guaranteed
             # bound it lost to
             self.trace.note(
                 DecisionKind.STAGE_TRANSITION,
-                f"abandon({scan.name})",
+                f"abandon({last.name})",
                 reason=reason,
-                scanned=scanned,
-                kept=scan.kept,
-                scan_cost=round(scan_cost, 2),
+                scanned=last.scanned,
+                kept=last.kept,
+                scan_cost=round(last.scan_cost, 2),
                 guaranteed=round(guaranteed, 2),
                 projection=None if projection is None else round(projection, 2),
             )
-            self._abandon_scan(scan, reason)
+            self._abandon_scan(last, reason)
             self._maybe_start_partner()
         return steps, False
+
+    def _switch_inputs(self) -> tuple[Callable[[RID], bool] | None, float, tuple[int, int, int]]:
+        """What the switch criterion and the filter need while the filter
+        and the heap stay as they are: the filter's membership test (a set
+        built once per completed in-memory list; the bitmap once spilled),
+        the guaranteed best cost, and the RID counts whose projection
+        reaches ``threshold x guaranteed`` (:func:`yao_count_bounds`)."""
+        pages = self.heap.page_count
+        cached = self._inputs
+        if cached is None or cached[0] is not self._filter or cached[1] != pages:
+            guaranteed = self.guaranteed_best_cost()
+            bounds = yao_count_bounds(
+                pages, self.heap.rows_per_page, self.criterion.threshold * guaranteed
+            )
+            cached = self._inputs = (self._filter, pages, (self._member(), guaranteed, bounds))
+        return cached[2]
+
+    def _member(self) -> Callable[[RID], bool] | None:
+        """The membership test of the current filter list: a set built once
+        per completed in-memory list, the bitmap once spilled."""
+        flt = self._filter
+        if flt is None:
+            return None
+        cached = self._membership
+        if cached is None or cached[0] is not flt:
+            if flt.is_exact_filter:
+                cached = (flt, frozenset(flt.iter_unsorted()).__contains__)
+            else:
+                cached = (flt, flt.may_contain)
+            self._membership = cached
+        return cached[1]
+
+    def _cannot_fire(
+        self,
+        x: _IndexScan,
+        kept_lo: int,
+        kept_hi: int,
+        scanned_lo: int,
+        scanned_hi: int,
+        guaranteed: float,
+        bounds: tuple[int, int, int],
+    ) -> bool:
+        """Whether neither the projection nor the static threshold can fire
+        at any entry of ``x`` that leaves ``scanned_lo..scanned_hi`` entries
+        scanned and ``kept_lo..kept_hi`` kept — a bound from those ends.
+        (The scan cost is bounded by the caller: its running sum is exact.)
+        """
+        static = self.static_rid_threshold
+        if static is not None:
+            return kept_hi <= static
+        if guaranteed <= 0:
+            return False
+        estimate = x.candidate.estimated_rids
+        if estimate is None:
+            return True
+        fraction_hi = scanned_hi / max(estimate, float(scanned_hi))
+        if fraction_hi < MIN_PROJECTION_FRACTION:
+            return True
+        # an entry keeps at most one RID, so a projecting entry's kept count
+        # over its fraction is at most ``kept_hi`` over the fraction at
+        # ``pivot`` scanned entries, and at least ``kept_lo`` over the last
+        # fraction (with room for the float operations' rounding)
+        pivot = max(scanned_lo, scanned_lo - 1 + kept_hi - kept_lo)
+        size_hi = kept_hi / max(pivot / max(estimate, float(pivot)), MIN_PROJECTION_FRACTION)
+        size_hi *= 1 + 1e-12
+        if x.rid_list.spills:
+            return (
+                yao_pages_bound(self.heap.page_count, self.heap.rows_per_page, int(size_hi))
+                + size_hi / _SPILL_READ_RIDS_PER_PAGE
+                < self.criterion.threshold * guaranteed
+            )
+        low, top, high = bounds
+        k_hi = int(size_hi)
+        return k_hi < high and (k_hi < low or int(kept_lo / fraction_hi * (1 - 1e-12)) > top)
+
+    def _verdicts(
+        self,
+        x: _IndexScan,
+        kept: list[int],
+        scanned_lo: int,
+        guaranteed: float,
+        bounds: tuple[int, int, int],
+    ) -> int | None:
+        """The first of ``x``'s entries, leaving ``kept`` RIDs kept and
+        ``scanned_lo, scanned_lo + 1, ...`` scanned, at which the projection
+        (or the static threshold) fires — its offset — or None."""
+        static = self.static_rid_threshold
+        if static is not None:
+            at = bisect_right(kept, static)
+            return at if at < len(kept) else None
+        if guaranteed <= 0:
+            return 0
+        estimate = x.candidate.estimated_rids
+        scanned = range(scanned_lo, scanned_lo + len(kept))
+        fractions = list(map(truediv, scanned, map(max, repeat(estimate), map(float, scanned))))
+        at = bisect_left(fractions, MIN_PROJECTION_FRACTION)
+        sizes = list(map(truediv, kept[at:], fractions[at:]))
+        if x.rid_list.spills:
+            pages, rows_per_page = self.heap.page_count, self.heap.rows_per_page
+            threshold = self.criterion.threshold * guaranteed
+            hit = next(compress(count(), [
+                yao_pages_touched(pages, rows_per_page, int(size))
+                + size / _SPILL_READ_RIDS_PER_PAGE >= threshold
+                for size in sizes
+            ]), None)
+        else:
+            low, top, high = bounds
+            counts = list(map(int, sizes))
+            hits = [
+                next(compress(count(), map(range(low, top + 1).__contains__, counts)), None),
+                next(compress(count(), map(high.__le__, counts)), None),
+            ]
+            hit = min((h for h in hits if h is not None), default=None)
+        return None if hit is None else at + hit
+
+    def _switch_verdict(
+        self, scan: _IndexScan, guaranteed: float, bounds: tuple[int, int, int]
+    ) -> tuple[str, float | None] | None:
+        """The switch criterion at ``scan``'s latest entry: ``(reason,
+        projection)`` when it fires, else None.
+
+        The projection is the final-retrieval cost of the list being built:
+        Yao's pages for the projected size, plus reading the spill pages
+        back. An in-memory list's verdict compares the projected size with
+        the integer bounds; the Yao value itself is computed only for the
+        note that records a firing.
+        """
+        projected = None
+        estimate = scan.candidate.estimated_rids
+        if estimate is not None:
+            fraction = scan.scanned / max(estimate, float(scan.scanned))
+            if fraction >= MIN_PROJECTION_FRACTION:
+                projected = scan.kept / fraction
+        spilled = scan.rid_list.spills
+        projection = None
+        if projected is not None and spilled:
+            projection = self._projection(projected, scan)
+        if self._prob_criterion is not None:
+            reason = self._probabilistic_verdict(scan, guaranteed)
+            if reason is None:
+                return None
+        elif guaranteed <= 0 or (
+            projected is not None
+            and (
+                projection >= self.criterion.threshold * guaranteed
+                if spilled
+                else bounds[0] <= int(projected) <= bounds[1] or int(projected) >= bounds[2]
+            )
+        ):
+            reason = "projected-cost"
+        elif scan.scan_cost >= self.criterion.scan_cost_limit_fraction * guaranteed:
+            reason = "scan-cost"
+        else:
+            return None
+        if projected is not None and projection is None:
+            projection = self._projection(projected, scan)
+        return reason, projection
+
+    def _projection(self, projected_size: float, scan: _IndexScan) -> float:
+        """Yao's pages for ``projected_size`` RIDs, plus the read-back of a
+        spilled list."""
+        projection = yao_pages_touched(
+            self.heap.page_count, self.heap.rows_per_page, int(projected_size)
+        )
+        if scan.rid_list.spills:
+            projection += projected_size / _SPILL_READ_RIDS_PER_PAGE
+        return projection
+
+    def _tap(
+        self,
+        lanes: tuple[_IndexScan, ...],
+        member: Callable[[RID], bool] | None,
+        kept: list[list[RID]],
+        entries: list[list[Entry]],
+        steps: int,
+    ) -> None:
+        """Hand a chunk's kept RIDs to :attr:`on_keep`, in step order
+        (``entries``: a pair's entries the chunk took, per lane)."""
+        on_keep = self.on_keep
+        if len(lanes) == 1:
+            position = lanes[0].position
+            for rid in kept[0]:
+                on_keep(rid, position)
+            return
+        # a pair: interleave the lanes' kept RIDs by the steps that kept them
+        order = []
+        for lane in (0, 1):
+            rids = iter(kept[lane])
+            order.append([next(rids) if keeps else None for keeps in _keeps(member, entries[lane])])
+        for step in range(steps):
+            rid = order[step % 2][step // 2]
+            if rid is not None:
+                on_keep(rid, lanes[step % 2].position)
 
     def _probabilistic_verdict(self, scan: _IndexScan, guaranteed: float) -> str | None:
         """The abandon reason under ``probabilistic_switch`` (None: go on)."""

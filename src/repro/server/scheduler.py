@@ -290,6 +290,11 @@ class QueryServer:
         self._shutdown = False
         #: total scheduling quanta the server has executed (its logical clock)
         self.total_steps = 0
+        #: quanta run, queries retired and queued queries cancelled so far,
+        #: and that count when the monitor last sampled: ``health()`` takes
+        #: a fresh sample only when something happened since
+        self._activity = 0
+        self._sampled_activity = 0
         self._running: list[QueryHandle] = []
         self._queue: deque[QueryHandle] = deque()
         self._rr = 0
@@ -414,6 +419,7 @@ class QueryServer:
         if not self._running:
             return False
         handle = self._pick()
+        self._activity += 1
         self._step_handle(handle)
         if handle.state is QueryState.RUNNING:
             if self.scheduling == "round-robin":
@@ -463,6 +469,7 @@ class QueryServer:
 
     def _retire(self, handle: QueryHandle) -> None:
         """Remove a terminal handle from the run list and record metrics."""
+        self._activity += 1
         index = self._running.index(handle)
         self._running.pop(index)
         if index < self._rr:
@@ -548,6 +555,7 @@ class QueryServer:
         window = self.metrics.monitor.tick(force=force)
         if window is None:
             return None
+        self._sampled_activity = self._activity
         report = self.metrics.health.observe(window)
         if report.incident is not None and self.flight_sink is not None:
             self.metrics.incidents += 1
@@ -555,7 +563,12 @@ class QueryServer:
         return report
 
     def health(self) -> HealthReport:
-        """Sample the monitor now and return the current health verdict."""
+        """The current health verdict: the monitor is sampled now if a
+        quantum ran or a query retired since its last sample; otherwise
+        the verdict on that sample stands, so reading it changes nothing
+        (no window enters the ring or the drift baselines)."""
+        if self._activity == self._sampled_activity:
+            return self.metrics.health.report()
         report = self._monitor_tick(force=True)
         assert report is not None
         return report
@@ -594,6 +607,7 @@ class QueryServer:
             self._queue.remove(handle)
             handle.state = QueryState.CANCELLED
             handle.cancel_reason = reason
+            self._activity += 1
             self.metrics.record_outcome(handle.session_id, "cancelled")
             self._admit()
             return

@@ -17,7 +17,7 @@ never pay allocation or spill costs.
 from __future__ import annotations
 
 import enum
-from typing import Callable, Iterable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.storage.bitmap import BitmapFilter
@@ -91,10 +91,43 @@ class HybridRidList:
             self._static.append(rid)
         self._count += 1
 
-    def extend(self, rids: Iterable[RID], meter: CostMeter = NULL_METER) -> None:
-        """Append many RIDs."""
-        for rid in rids:
-            self.add(rid, meter)
+    def extend(self, rids: Sequence[RID], meter: CostMeter = NULL_METER) -> None:
+        """Append many RIDs: exactly what :meth:`add` does for each, in
+        order, with the part that stays in one in-memory region stored in
+        one piece."""
+        config = self.config
+        at, end = 0, len(rids)
+        while at < end:
+            if self._temp is None:
+                if self._allocated is None:
+                    take = min(end - at, config.static_rid_buffer_size - len(self._static))
+                    if take > 0:
+                        self._static.extend(rids[at : at + take])
+                else:
+                    take = min(end - at, config.allocated_rid_buffer_size - self._count)
+                    if take > 0:
+                        self._allocated.extend(rids[at : at + take])
+                if take > 0:
+                    self._count += take
+                    at += take
+                    continue
+            self.add(rids[at], meter)
+            at += 1
+
+    def room(self) -> int:
+        """How many more RIDs :meth:`add` takes without writing a page: up
+        to the spill in memory, up to the next full temp page once spilled."""
+        config = self.config
+        if self._temp is not None:
+            temp = self._temp
+            per_page = temp.rids_per_page
+            return per_page - 1 - (len(temp) - temp.page_count * per_page)
+        if self._allocated is not None:
+            return max(0, config.allocated_rid_buffer_size - self._count)
+        return (
+            max(config.static_rid_buffer_size + 1, config.allocated_rid_buffer_size)
+            - self._count
+        )
 
     def _promote_to_allocated(self) -> None:
         self._allocated = SortedRidBuffer(self._static)
@@ -136,11 +169,12 @@ class HybridRidList:
         """Iterate RIDs in insertion order (reads spill pages if any)."""
         region = self.region
         if region is RidListRegion.STATIC:
-            yield from self._static
-        elif region is RidListRegion.ALLOCATED:
-            yield from self._allocated
-        elif region is RidListRegion.SPILLED:
-            yield from self._temp.scan(meter)
+            return iter(self._static)
+        if region is RidListRegion.ALLOCATED:
+            return iter(self._allocated)
+        if region is RidListRegion.SPILLED:
+            return self._temp.scan(meter)
+        return iter(())
 
     def sorted_rids(self, meter: CostMeter = NULL_METER) -> list[RID]:
         """Materialize the list sorted for page-clustered fetching."""
@@ -160,13 +194,11 @@ class HybridRidList:
         if region is RidListRegion.EMPTY:
             return 0
         if region is RidListRegion.STATIC:
-            kept = [rid for rid in self._static if keep(rid)]
+            kept = list(filter(keep, self._static))
             dropped = len(self._static) - len(kept)
             self._static = kept
         else:
-            kept = [rid for rid in self._allocated if keep(rid)]
-            dropped = len(self._allocated) - len(kept)
-            self._allocated = SortedRidBuffer(kept)
+            dropped = self._allocated.keep_only(keep)
         self._count -= dropped
         return dropped
 

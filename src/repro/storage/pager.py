@@ -24,6 +24,11 @@ class PageKind(enum.Enum):
     INDEX = "index"
     TEMP = "temp"
 
+    #: members are singletons, so identity hashing keys the per-kind read
+    #: counters exactly as ``Enum.__hash__`` (a Python-level hash of the
+    #: name) does, without a Python call per physical read
+    __hash__ = object.__hash__
+
 
 @dataclass(slots=True)
 class Page:

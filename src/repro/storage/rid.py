@@ -9,11 +9,12 @@ formula estimates how many distinct pages a sorted RID fetch will touch, the
 
 from __future__ import annotations
 
+import sys
 import threading
 from array import array
-from bisect import bisect_left, insort
+from bisect import bisect_left
 from functools import lru_cache
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 #: A record identifier, ``page << SLOT_BITS | slot``: ordered page-major like
 #: the pair it packs and, unlike a tuple subclass, never on the cyclic GC's
@@ -47,46 +48,64 @@ def page_rids(page: int, slots: Iterable[int]) -> list[RID]:
 
 
 class SortedRidBuffer:
-    """An in-memory, always-sorted RID list with membership tests.
+    """An in-memory RID list with membership tests, read in sorted order.
 
     This is the "in-buffer sorted RID list" filter of Section 6, used when a
-    RID list is small enough to stay in main memory. Insertion keeps order so
-    the final fetch stage can walk pages monotonically without a sort.
+    RID list is small enough to stay in main memory. RIDs are appended as
+    they arrive and the list is sorted when it is next read — iterated,
+    tested or combined — so the final fetch stage walks pages monotonically,
+    and a scan storing RIDs in key order pays one sort instead of a shift of
+    the list per RID. Every read sees what inserting each RID in order
+    would have left (duplicates are kept, matching index duplicates).
     """
 
-    __slots__ = ("_rids",)
+    __slots__ = ("_rids", "_sorted")
 
     def __init__(self, rids: Iterable[RID] = ()) -> None:
         self._rids: list[RID] = sorted(rids)
+        self._sorted = True
+
+    def _ordered(self) -> list[RID]:
+        rids = self._rids
+        if not self._sorted:
+            rids.sort()
+            self._sorted = True
+        return rids
 
     def __len__(self) -> int:
         return len(self._rids)
 
     def __iter__(self) -> Iterator[RID]:
-        return iter(self._rids)
+        return iter(self._ordered())
 
     def __contains__(self, rid: RID) -> bool:
-        i = bisect_left(self._rids, rid)
-        return i < len(self._rids) and self._rids[i] == rid
+        rids = self._ordered()
+        i = bisect_left(rids, rid)
+        return i < len(rids) and rids[i] == rid
 
     def add(self, rid: RID) -> None:
-        """Insert keeping sorted order (no-op semantics for duplicates kept:
-        duplicates are allowed and preserved, matching index duplicates)."""
-        insort(self._rids, rid)
+        """Insert one RID."""
+        self.extend((rid,))
 
     def extend(self, rids: Iterable[RID]) -> None:
-        """Bulk insert."""
-        for rid in rids:
-            insort(self._rids, rid)
+        """Insert many RIDs."""
+        self._rids.extend(rids)
+        self._sorted = False
 
     def to_list(self) -> list[RID]:
         """Return the RIDs as a (sorted) list copy."""
-        return list(self._rids)
+        return list(self._ordered())
+
+    def keep_only(self, keep: Callable[[RID], bool]) -> int:
+        """Drop every RID failing ``keep``; returns how many were dropped."""
+        count = len(self._rids)
+        self._rids = list(filter(keep, self._rids))
+        return count - len(self._rids)
 
     def intersect(self, other: "SortedRidBuffer") -> "SortedRidBuffer":
         """Sorted-merge intersection of two buffers."""
         result: list[RID] = []
-        a, b = self._rids, other._rids
+        a, b = self._ordered(), other._ordered()
         i = j = 0
         while i < len(a) and j < len(b):
             if a[i] == b[j]:
@@ -104,7 +123,7 @@ class SortedRidBuffer:
     def union(self, other: "SortedRidBuffer") -> "SortedRidBuffer":
         """Sorted-merge union (duplicates collapsed)."""
         result: list[RID] = []
-        a, b = self._rids, other._rids
+        a, b = self._ordered(), other._ordered()
         i = j = 0
         while i < len(a) or j < len(b):
             if j >= len(b) or (i < len(a) and a[i] <= b[j]):
@@ -208,3 +227,42 @@ def yao_pages_bound(total_pages: int, records_per_page: int, k: int) -> float:
         yao_pages_touched(total_pages, records_per_page, min(k, _YAO_EXACT_LIMIT)),
         yao_pages_touched(total_pages, records_per_page, k),
     )
+
+
+#: inverted thresholds kept: a statement's guaranteed cost repeats with the
+#: statement, and a workload runs a few hundred distinct ones
+_YAO_BOUNDS = 1024
+
+
+@lru_cache(maxsize=_YAO_BOUNDS)
+def yao_count_bounds(
+    total_pages: int, records_per_page: int, pages: float
+) -> tuple[int, int, int]:
+    """The record counts whose Yao estimate reaches ``pages``, as integers.
+
+    Returns ``(low, top, high)``: ``yao_pages_touched(total_pages,
+    records_per_page, k) >= pages`` holds exactly when ``low <= k <= top``
+    or ``k >= high`` (a bound that is never reached is ``sys.maxsize``).
+    Each branch of the formula grows with ``k``, so each is inverted by a
+    binary search over the very calls it stands for; there are two ranges
+    because the closed form starts a little below the exact product it
+    takes over from at ``k = 1001``. A caller comparing a count against
+    the same ``pages`` at every step thus compares integers instead.
+    """
+    never = sys.maxsize
+
+    def reaches(k: int) -> bool:
+        return yao_pages_touched(total_pages, records_per_page, k) >= pages
+
+    if total_pages <= 0:
+        return (0, never, 0) if reaches(0) else (never, never, never)
+    n = total_pages * records_per_page
+    top = min(_YAO_EXACT_LIMIT, n - 1)
+    low = bisect_left(range(top + 1), True, key=reaches)
+    if low > top:
+        low = never
+    closed = range(_YAO_EXACT_LIMIT + 1, n)
+    high = closed.start + bisect_left(closed, True, key=reaches)
+    if high >= n:
+        high = n if reaches(n) else never
+    return low, top, high
