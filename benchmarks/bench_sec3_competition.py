@@ -15,13 +15,13 @@ import numpy as np
 from _util import Report, run_once
 
 from paper.direct import DirectCompetition, TrialThenSwitch
+from paper.synthetic import SyntheticProcess
 from repro.competition.model import (
     LShapedCost,
     sequential_switch_expected_cost,
     simultaneous_expected_cost,
     traditional_expected_cost,
 )
-from repro.competition.process import SyntheticProcess
 
 TRIALS = 1500
 

@@ -129,12 +129,12 @@ def measure_slots_delta(iterations: int = 200_000) -> dict:
         io_reads: int = 0
         io_writes: int = 0
         buffer_hits: int = 0
-        cpu: float = 0.0
+        entries: int = 0
+        records: int = 0
 
         def charge(self) -> None:
-            self.io_reads += 1
             self.buffer_hits += 1
-            self.cpu += 0.1
+            self.records += 1
 
     slotted = CostMeter(name="bench")
     dict_meter = DictMeter(name="bench")
@@ -147,7 +147,7 @@ def measure_slots_delta(iterations: int = 200_000) -> dict:
 
     def charge_slotted() -> None:
         slotted.charge_hit()
-        slotted.charge_cpu(0.1)
+        slotted.charge_records(1)
 
     slotted_sec = time_charges(charge_slotted)
     dict_sec = time_charges(dict_meter.charge)

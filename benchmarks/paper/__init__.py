@@ -7,6 +7,8 @@ need to reproduce the paper's arguments:
 * :mod:`paper.distribution` — the Section 2 selectivity-distribution toolkit
   (AND / OR / NOT / JOIN transformations, truncated-hyperbola fits, shape
   classification);
+* :mod:`paper.synthetic` — the synthetic process those arrangements race,
+  which completes after a drawn amount of float work;
 * :mod:`paper.scheduler`, :mod:`paper.direct` and :mod:`paper.two_stage` —
   the Section 3 competition arrangements run over synthetic processes:
   proportional-speed scheduling, trial-then-switch and direct competition,

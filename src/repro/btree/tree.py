@@ -50,9 +50,6 @@ TOP = _Top()
 #: An entry is (key, rid); bounds are synthetic entries.
 Entry = tuple[Key, RID]
 
-#: CPU charge (in page-I/O units) for handing one index entry to a scan
-ENTRY_CPU_COST = 0.0002
-
 
 @dataclass(frozen=True)
 class KeyRange:
@@ -523,7 +520,7 @@ class RangeCursor:
                 self.exhausted = True
                 return None
             self._pos += 1
-            self.meter.charge_cpu(ENTRY_CPU_COST)
+            self.meter.charge_entries(1)
             self.consumed += 1
             return entry
 
@@ -537,10 +534,8 @@ class RangeCursor:
         exactly the pages repeated ``next_entry`` calls would have. An
         empty list means the range is exhausted.
 
-        The run is handed over *uncharged*: the caller charges
-        :data:`ENTRY_CPU_COST` for each entry as it looks at it (the scans
-        interleave those charges with their own per-entry work, and stop
-        paying when they stop looking).
+        The run is handed over *uncharged*: the caller charges the entries
+        it looks at (the scans stop paying when they stop looking).
         """
         high = self._high
         while not self.exhausted:
@@ -572,13 +567,12 @@ class RangeCursor:
         """Return up to ``count`` next entries in one call.
 
         Accounting is identical to ``count`` repeated :meth:`next_entry`
-        calls: the same leaf reads hit the meter, ``consumed`` advances by
-        the number of entries returned, and each entry carries the same CPU
-        charge (applied per entry so float accumulation matches exactly).
-        A short list means the range is exhausted.
+        calls: the same leaf reads hit the meter, and ``consumed`` and the
+        meter's entry count advance by the number of entries returned. A
+        short list means the range is exhausted.
         """
         out: list[Entry] = []
         while len(out) < count and not self.exhausted:
             out.extend(self.next_leaf_run(count - len(out)))
-        self.meter.charge_cpu_each(ENTRY_CPU_COST, len(out))
+        self.meter.charge_entries(len(out))
         return out

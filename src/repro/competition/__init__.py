@@ -8,17 +8,17 @@ before committing to any single one. This package provides:
   the paper's expected-cost arithmetic for traditional choice, sequential
   try-then-switch, and simultaneous proportional runs;
 * :mod:`repro.competition.process` — the step-wise ``Process`` protocol all
-  competing strategies implement, plus a synthetic process for tests and
-  experiments;
+  competing strategies implement;
 * :mod:`repro.competition.two_stage` — the two-stage switch criterion: a
   cheap stage continuously re-estimates an expensive stage and is abandoned
   when the projection approaches the guaranteed best;
 * :mod:`repro.competition.probabilistic` — the Bayesian variant of that
   criterion (``EngineConfig.probabilistic_switch``).
 
-The Section 3 arrangements that race synthetic processes — the
-proportional scheduler, direct competition and the standalone two-stage
-controller — live in ``benchmarks/paper/``, outside the package.
+The Section 3 arrangements that race synthetic processes — the synthetic
+process itself, the proportional scheduler, direct competition and the
+standalone two-stage controller — live in ``benchmarks/paper/``, outside
+the package.
 """
 
 from importlib import import_module
@@ -32,7 +32,6 @@ _EXPORTS = {
     "simultaneous_expected_cost": "model",
     "traditional_expected_cost": "model",
     "Process": "process",
-    "SyntheticProcess": "process",
     "SwitchCriterion": "two_stage",
 }
 

@@ -154,24 +154,3 @@ class Process:
         state = "finished" if self.finished else "abandoned" if self.abandoned else "active"
         return f"<{type(self).__name__} {self.name!r} {state} cost={self.meter.total:.2f}>"
 
-
-class SyntheticProcess(Process):
-    """A process that completes after a predetermined amount of work.
-
-    Each step executes ``step_cost`` units. Used by the Section 3 benchmarks
-    to race plans whose total costs are drawn from L-shaped distributions,
-    without involving the storage engine.
-    """
-
-    def __init__(self, name: str, total_cost: float, step_cost: float = 1.0) -> None:
-        super().__init__(name)
-        if total_cost < 0:
-            raise ValueError("total_cost must be >= 0")
-        self.total_cost = total_cost
-        self.step_cost = step_cost
-
-    def _do_step(self) -> bool:
-        remaining = self.total_cost - self.meter.cpu
-        work = min(self.step_cost, remaining)
-        self.meter.charge_cpu(work)
-        return self.meter.cpu >= self.total_cost - 1e-12

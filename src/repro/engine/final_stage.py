@@ -21,7 +21,7 @@ from repro.engine.metrics import RetrievalTrace
 from repro.engine.scans import Predicate, Sink, _Scan
 from repro.errors import RecordNotFoundError
 from repro.expr.ast import Expr
-from repro.storage.heap import RECORD_CPU_COST, HeapFile
+from repro.storage.heap import HeapFile
 from repro.storage.rid import RID, SLOT_BITS, SLOT_MASK
 
 
@@ -173,7 +173,7 @@ class FinalStageProcess(_Scan):
                 if pool.current_owner is not None:
                     pool.stats_for(pool.current_owner).hits += hits
             looked = reached - unlooked
-            meter.charge_cpu_each(RECORD_CPU_COST, looked)
+            meter.charge_records(looked)
             delivered = len(passed_rids)
             rejected = looked - delivered - (error is not None and not (unread or unlooked))
             self.delivered += delivered

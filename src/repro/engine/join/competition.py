@@ -37,6 +37,7 @@ from repro.expr.ast import ALWAYS_TRUE
 from repro.obs.audit import DecisionKind
 from repro.obs.trace import Tracer
 from repro.sql.plan import JoinPlan
+from repro.storage.buffer_pool import CostMeter
 
 
 #: how many of the best-estimated orders enter the pilot race
@@ -179,10 +180,8 @@ def run_join_steps(
     )
 
     def sunk_totals() -> tuple[float, int]:
-        return (
-            sum(p.meter.total for p in processes),
-            sum(p.meter.io_total for p in processes),
-        )
+        sunk = CostMeter.merged(p.meter for p in processes)
+        return sunk.total, sunk.io_total
 
     try:
         winner: JoinOrderProcess | None = None

@@ -18,13 +18,12 @@ from dataclasses import dataclass, field
 from itertools import permutations
 from typing import Any, Mapping
 
-from repro.btree.tree import ENTRY_CPU_COST
 from repro.db.catalog import IndexInfo, TableSchema, TableStats
 from repro.expr import ast
 from repro.expr.ast import ALWAYS_TRUE, Expr
 from repro.sql.plan import JoinEdge, JoinPlan
-from repro.storage.buffer_pool import BufferPool
-from repro.storage.heap import RECORD_CPU_COST, HeapFile
+from repro.storage.buffer_pool import ENTRY_CPU_COST, RECORD_CPU_COST, BufferPool
+from repro.storage.heap import HeapFile
 
 #: upper bound on enumerated left-deep join orders per query; orders are
 #: ranked by estimated cost and the tail is dropped

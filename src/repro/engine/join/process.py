@@ -19,7 +19,7 @@ from collections import defaultdict
 from operator import itemgetter
 from typing import Any, Iterable, Mapping
 
-from repro.btree.tree import ENTRY_CPU_COST, KeyRange
+from repro.btree.tree import KeyRange
 from repro.competition.process import Process
 from repro.competition.two_stage import MIN_PROJECTION_FRACTION
 from repro.config import EngineConfig
@@ -28,7 +28,6 @@ from repro.expr.ast import ALWAYS_TRUE
 from repro.expr.eval import compile_page_kernel, compile_predicate
 from repro.sql.plan import JoinPlan
 from repro.storage.buffer_pool import CostMeter
-from repro.storage.heap import RECORD_CPU_COST
 
 
 class TeeMeter:
@@ -56,13 +55,13 @@ class TeeMeter:
         self.first.charge_hit()
         self.second.charge_hit()
 
-    def charge_cpu(self, amount: float) -> None:
-        self.first.charge_cpu(amount)
-        self.second.charge_cpu(amount)
+    def charge_entries(self, count: int) -> None:
+        self.first.charge_entries(count)
+        self.second.charge_entries(count)
 
-    def charge_cpu_each(self, amount: float, count: int) -> None:
-        self.first.charge_cpu_each(amount, count)
-        self.second.charge_cpu_each(amount, count)
+    def charge_records(self, count: int) -> None:
+        self.first.charge_records(count)
+        self.second.charge_records(count)
 
 
 class _HashBuild:
@@ -232,9 +231,7 @@ class JoinOrderProcess(Process):
         # cannot evict it from under the build
         build.pin_run([handle.heap.page_id(page_no)])
         (slots,) = handle.heap.scan_page_run(page_no, 1, meter)
-        meter.charge_cpu_each(
-            RECORD_CPU_COST, len(slots) - slots.count(None)
-        )
+        meter.charge_records(len(slots) - slots.count(None))
         build.add(map(slots.__getitem__, build.kernel(slots)))
         build.next_page += 1
         if build.next_page >= handle.page_count:
@@ -246,18 +243,10 @@ class JoinOrderProcess(Process):
         if self._driving_page >= self._driving_pages:
             return True
         meter = self.meter
-        per_record = RECORD_CPU_COST
         (slots,) = self._driving.heap.scan_page_run(self._driving_page, 1, meter)
-        deleted = slots.count(None)
-        charged = 0
+        meter.charge_records(len(slots) - slots.count(None))
         for slot in self._driving_kernel(slots):
-            # a probe charges the same meter: the records up to this one
-            # are charged before it, the rest of the page after the last
-            looked = slot + 1 - (slots[: slot + 1].count(None) if deleted else 0)
-            meter.charge_cpu_each(per_record, looked - charged)
-            charged = looked
             self._probe({self._driving_alias: slots[slot]}, 0)
-        meter.charge_cpu_each(per_record, len(slots) - deleted - charged)
         self._driving_page += 1
         return self._driving_page >= self._driving_pages
 
@@ -290,7 +279,7 @@ class JoinOrderProcess(Process):
             build = self._builds[position]
             key = values[0] if build.single_key else tuple(values)
             for row in build.buckets.get(key, ()):
-                meter.charge_cpu(RECORD_CPU_COST)
+                meter.charge_records(1)
                 yield row
             return
         # index nested loop: descend on the leading equi-join columns, then
@@ -307,9 +296,9 @@ class JoinOrderProcess(Process):
             entry = cursor.next_entry()
             if entry is None:
                 break
-            meter.charge_cpu(ENTRY_CPU_COST)
+            meter.charge_entries(1)
             row = handle.heap.fetch(entry[1], meter)
-            meter.charge_cpu(RECORD_CPU_COST)
+            meter.charge_records(1)
             if any(
                 row[handle.schema.index_of(column)] != value
                 for column, value in by_column.items()

@@ -31,14 +31,12 @@ from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from itertools import accumulate, chain, compress, count, islice, repeat
-from functools import reduce
-from operator import add, itemgetter, sub, truediv
+from itertools import accumulate, compress, count, islice, repeat
+from operator import itemgetter, truediv
 import math
-from math import fsum, ulp
 from typing import Callable
 
-from repro.btree.tree import ENTRY_CPU_COST, Entry
+from repro.btree.tree import Entry
 from repro.competition.process import Process
 from repro.competition.two_stage import (
     MIN_PROJECTION_FRACTION,
@@ -49,7 +47,7 @@ from repro.config import DEFAULT_CONFIG, EngineConfig
 from repro.engine.initial import JscanCandidate
 from repro.engine.metrics import EventKind, RetrievalTrace
 from repro.obs.audit import DecisionKind
-from repro.storage.buffer_pool import BufferPool, CostMeter
+from repro.storage.buffer_pool import ENTRY_CPU_COST, BufferPool, CostMeter
 from repro.storage.heap import HeapFile
 from repro.storage.hybrid_list import HybridRidList, RidListRegion
 from repro.storage.rid import RID, yao_count_bounds, yao_pages_bound, yao_pages_touched
@@ -73,64 +71,22 @@ def _keeps(member: Callable[[RID], bool] | None, entries: list[Entry]) -> list[b
     return list(map(member, map(_rid_of, entries)))
 
 
-def _lane_cost(
-    cost: float,
-    before: float,
-    cpu: float,
-    io_from: list[tuple[int, int]],
-    steps: int,
-    stride: int,
-    lane: int,
-) -> float:
-    """A lane's scan cost after a chunk of ``steps`` entries, as adding one
-    step at a time leaves it.
-
-    Each step adds :data:`ENTRY_CPU_COST` to the meter's CPU charge (``cpu``
-    at the start) and the growth of the meter's total (I/O count plus CPU
-    charge; ``before`` at the start, ``io_from`` as :func:`_running_totals`
-    reads it) to the cost of the lane whose step it is, ``stride`` lanes
-    taking turns. The additions are made one at a time unless they provably
-    round nowhere: when the total at most doubles, each step's growth is an
-    exact difference on the grid of the first total, and a cost that ends
-    on a grid no coarser than that one and its own start's has every
-    running sum exact — it is its start plus the exact sum of its steps'
-    growth (the total's whole growth, for a lone lane).
-    """
-    exact = 0 < before
-    if stride == 1:
-        total = io_from[-1][1] + reduce(add, repeat(ENTRY_CPU_COST, steps), cpu)
-        if exact and total <= 2 * before:
-            end = cost + (total - before)
-            if ulp(end) <= _grid(cost, before):
-                return end
-    cpus = list(accumulate(repeat(ENTRY_CPU_COST, steps), initial=cpu))
-    totals = _running_totals(cpus, io_from, steps)
-    grown = list(map(sub, totals, chain((before,), totals)))[lane::stride]
-    if exact and totals[-1] <= 2 * before:
-        end = cost + fsum(grown)
-        if ulp(end) <= _grid(cost, before):
-            return end
-    return reduce(add, grown, cost)
-
-
-def _grid(cost: float, total: float) -> float:
-    """The finest spacing both a cost and a meter total lie on."""
-    return ulp(total) if cost == 0 else min(ulp(cost), ulp(total))
-
-
-def _running_totals(
-    cpus: list[float], io_from: list[tuple[int, int]], steps: int
-) -> list[float]:
-    """The meter's total after each of a chunk's first ``steps`` steps: the
-    I/O count charged by then (``io_from``: from which step on each count
-    holds) plus the CPU charge after the step, added as an int and a float
-    are."""
-    if len(io_from) == 1:
-        return list(map(float(io_from[0][1]).__add__, islice(cpus, 1, steps + 1)))
-    starts = [start for start, _ in io_from]
-    counts = map(sub, chain(starts[1:], (steps,)), starts)
-    ios = chain.from_iterable(map(repeat, [float(io) for _, io in io_from], counts))
-    return list(map(add, ios, islice(cpus, 1, steps + 1)))
+def _cost_reach(io: int, limit: float) -> int | float:
+    """The fewest scanned entries at which a scan that made ``io`` I/Os
+    costs at least ``limit`` (``io + n * ENTRY_CPU_COST >= limit``): worked
+    out in closed form, then confirmed at ``n - 1`` and ``n`` against the
+    float sum :attr:`_IndexScan.scan_cost` computes. Infinite when no count
+    reaches a limit that is not finite."""
+    if io >= limit:
+        return 0
+    if not limit < math.inf:
+        return math.inf
+    n = math.ceil((limit - io) / ENTRY_CPU_COST)
+    while n and io + (n - 1) * ENTRY_CPU_COST >= limit:
+        n -= 1
+    while io + n * ENTRY_CPU_COST < limit:
+        n += 1
+    return n
 
 
 @dataclass
@@ -145,14 +101,9 @@ class _IndexScan:
     kept: int = 0
     #: entries of the cursor's current leaf not yet looked at
     run: list[Entry] = field(default_factory=list)
-    #: the scan's cost as last worked out, and what its steps added since:
-    #: a chunk as ``(before, cpu, io_from, steps, stride, lane)`` for
-    #: :func:`_lane_cost`, or one step's growth as a float
-    settled: float = 0.0
-    pending: list = field(default_factory=list)
-    #: at least what the pending chunks add (each adds at most the meter's
-    #: whole growth over it)
-    pending_growth: float = 0.0
+    #: physical I/Os the scan's steps made: its leaf reads (the last one
+    #: meeting the end of its range) and its RID list's page writes
+    io: int = 0
 
     @property
     def name(self) -> str:
@@ -160,24 +111,9 @@ class _IndexScan:
 
     @property
     def scan_cost(self) -> float:
-        """What the scan's steps have cost: each step's growth of the meter's
-        total, added one step at a time — worked out from the chunks the
-        steps ran in when it is read (a scan that completes is never
-        asked)."""
-        if self.pending:
-            cost = self.settled
-            for chunk in self.pending:
-                cost = cost + chunk if isinstance(chunk, float) else _lane_cost(cost, *chunk)
-            self.settled = cost
-            self.pending.clear()
-            self.pending_growth = 0.0
-        return self.settled
-
-    @scan_cost.setter
-    def scan_cost(self, cost: float) -> None:
-        self.pending.clear()
-        self.pending_growth = 0.0
-        self.settled = cost
+        """What the scan's steps have cost: their I/O plus each scanned
+        entry's CPU charge."""
+        return self.io + self.scanned * ENTRY_CPU_COST
 
 
 class JscanProcess(Process):
@@ -394,16 +330,14 @@ class JscanProcess(Process):
             )
             dropped = self._active.rid_list.refilter(self._member())
             self._active.kept -= dropped
-            self.meter.charge_cpu(ENTRY_CPU_COST * (self._active.kept + dropped))
+            self.meter.charge_entries(self._active.kept + dropped)
             self._partner = None
         else:
             # active finished; partner (if any) is promoted and refiltered
             if self._partner is not None:
                 dropped = self._partner.rid_list.refilter(self._member())
                 self._partner.kept -= dropped
-                self.meter.charge_cpu(
-                    ENTRY_CPU_COST * (self._partner.kept + dropped)
-                )
+                self.meter.charge_entries(self._partner.kept + dropped)
             self._active = self._partner
             self._partner = None
 
@@ -413,32 +347,32 @@ class JscanProcess(Process):
         """Advance by up to ``max_steps`` index entries, a chunk at a time.
 
         A step takes one entry (or meets the end of a range) from the scan
-        whose turn it is, filters it, stores it, adds what that cost to the
-        scan's cost and evaluates the switch criterion. Steps run a *chunk*
-        at a time; in pair mode the two scans alternate steps within it.
+        whose turn it is, filters it, stores it, charges it to the scan and
+        evaluates the switch criterion. Steps run a *chunk* at a time; in
+        pair mode the two scans alternate steps within it.
 
         A chunk is planned a leaf run at a time. The switch criterion is
         bounded over a run from the counts at its ends — the projection
         against the Yao bounds inverted to integers
-        (:func:`~repro.storage.rid.yao_count_bounds`), the scan cost by the
-        meter's growth. A run that cannot fire is taken whole, and a scan's
-        next leaf is read only then, by the step that takes its first
-        entry; where a run might fire, its entries' verdicts are worked out
-        one by one and the chunk ends at the first that fires, where the
-        criterion is evaluated as it always was. A chunk also ends at the
-        step budget, before a RID list's next page write (a chunk of its
-        own) and at a partner's pause. A chunk that could neither fire nor
-        fill a list even keeping every entry it may take is bounded once,
-        up front, and filtered once, when it is taken.
+        (:func:`~repro.storage.rid.yao_count_bounds`); the scan cost, which
+        is the scan's I/O count (fixed over a run) plus its entries' CPU
+        charge, reaches its limit at an entry found in closed form. A run
+        that cannot fire is taken whole, and a scan's next leaf is read only
+        then, by the step that takes its first entry; where a run might
+        fire, its entries' verdicts are worked out one by one and the chunk
+        ends at the first that fires, where the criterion is evaluated as
+        it always was. A chunk also ends at the step budget, before a RID
+        list's next page write (a chunk of its own) and at a partner's
+        pause. A chunk that could neither fire nor fill a list even keeping
+        every entry it may take is bounded once, up front, and filtered
+        once, when it is taken.
 
         Taking a chunk filters its entries in one pass (a set built once
         per completed in-memory filter), stores the kept RIDs in bulk and
-        adds the CPU charge one step at a time. Each scan's cost is worked
-        out from the chunks it ran in when it is read (``_IndexScan.
-        scan_cost``), with the float additions one step at a time makes.
-        So every verdict, meter field, counter, event, note and spill is
-        what evaluating at every entry gives; near a crossing a chunk is one
-        entry, the single-step case of the same routine.
+        charges its entries to the meter in one count. So every verdict,
+        meter field, counter, event, note and spill is what evaluating at
+        every entry gives; near a crossing a chunk is one entry, the
+        single-step case of the same routine.
         """
         meter = self.meter
         counters = self.trace.counters
@@ -447,6 +381,7 @@ class JscanProcess(Process):
         probabilistic = not static and self._prob_criterion is not None
         deterministic = not static and not probabilistic
         member, guaranteed, bounds = self._switch_inputs()
+        cost_limit = self.criterion.scan_cost_limit_fraction * guaranteed
         steps = 0
         while steps < max_steps:
             scan = self._active
@@ -484,8 +419,6 @@ class JscanProcess(Process):
                     allowed.reverse()
             planned = [0] * stride
             kept: list[list[RID]] = [[], []]
-            io_before = meter.io_reads + meter.io_writes
-            before = io_before + meter.cpu
             budget = max_steps - steps
             # a chunk that can neither fire nor fill a list even if it keeps
             # every entry it may take is filtered once, when it is taken; the
@@ -498,17 +431,6 @@ class JscanProcess(Process):
                     x, x.kept, x.kept + n, x.scanned + 1, x.scanned + n, guaranteed, bounds
                 ))
             roomy = roomy and cleared
-            # the reads the chunk may make before a lane's cost could reach
-            # its limit (each adds one I/O at most to the meter's total)
-            cost_room = math.inf
-            if deterministic:
-                cost_room = (
-                    self.criterion.scan_cost_limit_fraction * guaranteed
-                    - max(x.settled + x.pending_growth * (1 + 1e-9) for x in lanes)
-                    - budget * ENTRY_CPU_COST - 1e-6 - 1e-9 * before
-                )
-            #: (first step, I/O count charged from it on), one per leaf read
-            io_from = [(0, io_before)]
             m = 0
             ending = None
             exact = False
@@ -522,17 +444,13 @@ class JscanProcess(Process):
                     # RID that writes a page, which is a chunk of its own
                     if m and x is not partner and len(kept[lane]) >= allowed[lane]:
                         break
+                    io = meter.io_reads + meter.io_writes
                     run = x.cursor.next_leaf_run()
+                    x.io += meter.io_reads + meter.io_writes - io
                     if not run:
                         ending = x  # step ``m`` meets the end of its range
                         break
                     x.run += run
-                    io = meter.io_reads + meter.io_writes
-                    if io != io_from[-1][1]:
-                        if m:
-                            io_from.append((m, io))
-                        else:
-                            io_from[0] = (0, io)
                 end = min(budget, len(lanes[0].run) * stride,
                           len(lanes[-1].run) * stride + stride - 1)
                 for lane, y in enumerate(lanes if probabilistic else ()):
@@ -579,30 +497,20 @@ class JscanProcess(Process):
                     if m:
                         break
                     end = 1  # the one step that writes a page
-                if io_from[-1][1] - io_before >= cost_room:
-                    # a lane's cost grows by at most the meter's total
-                    cost_limit = self.criterion.scan_cost_limit_fraction * guaranteed
-                    grown = (io_from[-1][1] - io_before + end * ENTRY_CPU_COST
-                             + 1e-6 + 1e-9 * before)
-                    for lane, y in enumerate(lanes):
-                        if y.settled + y.pending_growth * (1 + 1e-9) + grown < cost_limit:
-                            continue
-                        # near the scan-cost limit: the running cost, exactly
-                        cpus = list(accumulate(repeat(ENTRY_CPU_COST, end), initial=meter.cpu))
-                        totals = _running_totals(cpus, io_from, end)
-                        lane_costs = list(accumulate(
-                            list(map(sub, totals, chain((before,), totals)))[lane::stride],
-                            initial=y.scan_cost,
-                        ))
-                        fired = bisect_left(lane_costs, cost_limit, 1)
-                        if fired < len(lane_costs):
-                            end, exact = min(end, (fired - 1) * stride + lane + 1), True
+                for lane, y in enumerate(lanes if deterministic else ()):
+                    # the lane's cost reaches its limit at its ``reach``-th
+                    # entry of the chunk (its I/O is fixed over the run), or
+                    # at its first step from ``m`` if it already has
+                    reach = max(_cost_reach(y.io, cost_limit) - y.scanned,
+                                (m - lane + stride - 1) // stride + 1)
+                    fire = (reach - 1) * stride + lane + 1
+                    if fire <= end:
+                        end, exact = fire, True
                 m = end
                 if exact:
                     break
 
             # -- take the chunk's ``m`` steps
-            io = meter.io_reads + meter.io_writes
             taken_entries: list[list[Entry]] = [[], []]
             for lane, x in enumerate(lanes):
                 q = (m - lane + stride - 1) // stride
@@ -621,7 +529,10 @@ class JscanProcess(Process):
                 if lane_kept:
                     rid_list = x.rid_list
                     spills = rid_list.spills
+                    io = meter.io_reads + meter.io_writes
                     rid_list.extend(lane_kept, meter)
+                    # only a chunk of one step stores a RID that writes a page
+                    x.io += meter.io_reads + meter.io_writes - io
                     if rid_list.spills != spills:
                         self.trace.emit(
                             EventKind.SPILL,
@@ -633,17 +544,7 @@ class JscanProcess(Process):
                 counters.index_entries_scanned += q
                 counters.rids_filtered_out += q - len(lane_kept)
             if m:
-                if meter.io_reads + meter.io_writes != io:
-                    # a page was written: only a chunk of one step stores a
-                    # RID that writes one, and that step's cost has it too
-                    io = meter.io_reads + meter.io_writes
-                    io_from = [(0, io)]
-                cpu = meter.cpu
-                meter.cpu = reduce(add, repeat(ENTRY_CPU_COST, m), cpu)
-                grown = io + meter.cpu - before
-                for lane, x in enumerate(lanes):
-                    x.pending.append((before, cpu, io_from, m, stride, lane))
-                    x.pending_growth += grown
+                meter.charge_entries(m)
                 steps += m
                 if partner is not None:
                     self._turn ^= m & 1
@@ -653,11 +554,6 @@ class JscanProcess(Process):
                 steps += 1
                 if partner is not None:
                     self._turn ^= 1
-                # this step read the leaf that ended the range
-                reached = io_from[-1][1] + meter.cpu if m else before
-                step_cost = meter.io_reads + meter.io_writes + meter.cpu - reached
-                ending.pending.append(step_cost)
-                ending.pending_growth += step_cost
                 self._complete_scan(ending)
                 if self.finished:
                     return steps, True
@@ -667,6 +563,7 @@ class JscanProcess(Process):
                     self._active = self._start_scan(self._queue.pop(0))
                 self._maybe_start_partner()
                 member, guaranteed, bounds = self._switch_inputs()
+                cost_limit = self.criterion.scan_cost_limit_fraction * guaranteed
                 continue
             if not exact:
                 continue

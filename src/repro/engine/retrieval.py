@@ -16,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Any, Callable, Generator, Mapping, Sequence
 
-from repro.btree.tree import ENTRY_CPU_COST
 from repro.competition.process import drain
 from repro.competition.two_stage import SwitchCriterion, SwitchDecision
 from repro.config import DEFAULT_CONFIG, EngineConfig
@@ -45,8 +44,8 @@ from repro.errors import RetrievalError
 from repro.expr.ast import ALWAYS_TRUE, Expr
 from repro.expr.eval import compile_predicate, referenced_columns
 from repro.obs.trace import Tracer
-from repro.storage.buffer_pool import BufferPool, CostMeter
-from repro.storage.heap import RECORD_CPU_COST, HeapFile
+from repro.storage.buffer_pool import ENTRY_CPU_COST, RECORD_CPU_COST, BufferPool, CostMeter
+from repro.storage.heap import HeapFile
 from repro.storage.rid import RID, yao_pages_bound
 
 
@@ -364,8 +363,9 @@ class SingleTableRetrieval:
             # the sunk cost of the abandoned processes still belongs to the
             # retrieval: cancelled (and budget-truncated replay) results
             # report the work they actually did
-            result.execution_cost = sum(p.meter.total for p in ctx.spawned)
-            result.execution_io = sum(p.meter.io_total for p in ctx.spawned)
+            sunk = CostMeter.merged(p.meter for p in ctx.spawned)
+            result.execution_cost = sunk.total
+            result.execution_io = sunk.io_total
             trace.tracer.end(span, cancelled=True)
             raise
 
@@ -566,10 +566,9 @@ class SingleTableRetrieval:
         label = "unique-probe" if unique else "short-range"
         tactic = trace.tracer.begin("tactic", tactic=label)
         result.description = f"{label}({index.name})"
-        walk = CostMeter(name=label)
+        meter = CostMeter(name=label)
         if unique:
-            entries = index.btree.probe(candidate.key_range, walk)
-            fetch = walk
+            entries = index.btree.probe(candidate.key_range, meter)
             if entries:
                 trace.emit(
                     EventKind.SHORTCUT_SMALL_RANGE,
@@ -584,18 +583,17 @@ class SingleTableRetrieval:
             trace.emit(EventKind.TACTIC_SELECTED, tactic=label, index=index.name)
             estimate = candidate.estimate
             entries = index.btree.walk_from(
-                estimate.stop, estimate.first, candidate.key_range, walk
+                estimate.stop, estimate.first, candidate.key_range, meter
             )
-            walk.charge_cpu_each(ENTRY_CPU_COST, len(entries))
+            meter.charge_entries(len(entries))
             trace.counters.index_entries_scanned += len(entries)
             candidate.observed = len(entries)
-            fetch = CostMeter(name="short-range-fetch")
         rids = [rid for _, rid in entries]
         if not unique and result.goal is not OptimizationGoal.FAST_FIRST:
             rids.sort()
             pool = self.heap.buffer_pool
             self.heap.prefetch(
-                rids, fetch, window=min(pool.read_ahead_window, pool.capacity)
+                rids, meter, window=min(pool.read_ahead_window, pool.capacity)
             )
         rows, delivered = result.rows, result.rids
         post_sort = bool(request.order_by) and len(rids) > 1
@@ -606,8 +604,8 @@ class SingleTableRetrieval:
             heap = self.heap
             counters = trace.counters
             for rid in rids:
-                row = heap.fetch(rid, fetch)
-                fetch.charge_cpu(RECORD_CPU_COST)
+                row = heap.fetch(rid, meter)
+                meter.charge_records(1)
                 counters.records_fetched += 1
                 if not predicate(row):
                     counters.fetches_rejected += 1
@@ -621,13 +619,8 @@ class SingleTableRetrieval:
             if limit is not None:
                 del rows[limit:]
                 del delivered[limit:]
-        result.execution_cost = walk.total
-        result.execution_io = walk.io_total
-        if fetch is not walk:
-            # two meters summed as the Jscan's and the final stage's are:
-            # the float total is then bit for bit the raced retrieval's
-            result.execution_cost += fetch.total
-            result.execution_io += fetch.io_total
+        result.execution_cost = meter.total
+        result.execution_io = meter.io_total
         trace.tracer.end(tactic, rows=len(rows))
         return self._complete(trace, span, result, request, arrangement, context)
 

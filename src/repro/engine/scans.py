@@ -39,8 +39,8 @@ from repro.engine.metrics import RetrievalTrace
 from repro.errors import RetrievalError
 from repro.expr.ast import Expr
 from repro.expr.eval import compile_page_kernel, compile_predicate
-from repro.btree.tree import ENTRY_CPU_COST, KeyRange, RangeCursor
-from repro.storage.heap import RECORD_CPU_COST, HeapFile
+from repro.btree.tree import KeyRange, RangeCursor
+from repro.storage.heap import HeapFile
 from repro.storage.rid import RID, page_rids
 
 #: a delivery sink; False return requests retrieval stop
@@ -289,7 +289,7 @@ class TscanProcess(_Scan):
                     slots, partial(page_rids, self._next_page), self.skip_rids
                 )
                 looked = last + 1 - slots[: last + 1].count(None)
-                meter.charge_cpu_each(RECORD_CPU_COST, looked)
+                meter.charge_records(looked)
                 if counters is not None:
                     counters.records_fetched += looked
                     counters.records_delivered += delivered
@@ -366,7 +366,7 @@ class SscanProcess(_Scan):
                 lambda hits: [entries[slot][1] for slot in hits],
             )
             steps += last + 1
-            meter.charge_cpu_each(ENTRY_CPU_COST, last + 1)
+            meter.charge_entries(last + 1)
             self.delivered += delivered
             if self.trace is not None:
                 self.trace.counters.index_entries_scanned += last + 1
@@ -431,7 +431,6 @@ class FscanProcess(_Scan):
         fetch = self.heap.fetch
         predicate = self.predicate
         sink = self.sink
-        per_record = RECORD_CPU_COST
         may_contain = None if self.filter is None else self.filter.may_contain
         steps = filtered_out = fetched = delivered = rejected = 0
         try:
@@ -441,13 +440,13 @@ class FscanProcess(_Scan):
                     return steps + 1, True  # the step that meets the end of the range
                 for _, rid in entries:
                     steps += 1
-                    meter.cpu += ENTRY_CPU_COST
+                    meter.entries += 1
                     if may_contain is not None and not may_contain(rid):
                         filtered_out += 1
                         continue
                     row = fetch(rid, meter)
                     fetched += 1
-                    meter.cpu += per_record
+                    meter.records += 1
                     if predicate(row):
                         delivered += 1
                         if not sink(rid, row):

@@ -51,8 +51,8 @@ from repro.engine.scans import (
 )
 from repro.expr.ast import Expr
 from repro.expr.eval import compile_predicate
-from repro.storage.buffer_pool import BufferPool
-from repro.storage.heap import RECORD_CPU_COST, HeapFile
+from repro.storage.buffer_pool import BufferPool, CostMeter
+from repro.storage.heap import HeapFile
 from repro.storage.rid import RID
 
 
@@ -95,8 +95,8 @@ class TacticOutcome:
 
     @property
     def total_cost(self) -> float:
-        """Cost summed over every process the tactic ran (sunk costs included)."""
-        return sum(process.meter.total for process in self.processes)
+        """Cost of every process the tactic ran (sunk costs included)."""
+        return CostMeter.merged(process.meter for process in self.processes).total
 
     @property
     def total_io(self) -> int:
@@ -181,7 +181,7 @@ class BorrowingFetchProcess(Process):
             return False  # idle step; the tactic loop avoids calling these
         rid = self.queue.popleft()
         row = self.heap.fetch(rid, self.meter)
-        self.meter.charge_cpu(RECORD_CPU_COST)
+        self.meter.charge_records(1)
         self.trace.counters.records_fetched += 1
         if self.predicate(row):
             if not self.fgr_buffer.add(rid):

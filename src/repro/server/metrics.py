@@ -268,10 +268,6 @@ class MetricsRegistry:
         if compete is not None:
             self.decisions.absorb_compete(compete)
 
-    def record_fetch_run(self, pages_loaded: int) -> None:
-        """Record one buffer-pool read-ahead run (pages loaded at once)."""
-        self.fetch_runs.record(pages_loaded)
-
     # -- querying ----------------------------------------------------------
 
     def totals(self) -> SessionMetrics:

@@ -180,12 +180,6 @@ class JoinPlan(PlanNode):
     def __post_init__(self) -> None:
         self.node_type = "join"
 
-    def alias_table(self, alias: str) -> str:
-        for source in self.sources:
-            if source.alias == alias:
-                return source.table
-        raise KeyError(alias)
-
     def restriction_for(self, alias: str) -> Expr | None:
         for name, expr in self.restrictions:
             if name == alias:

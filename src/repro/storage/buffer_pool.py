@@ -31,23 +31,43 @@ from repro.storage.pager import Page, Pager, PageKind
 #: a zero read count for every page kind, copied into each new meter
 _NO_READS: dict[PageKind, int] = dict.fromkeys(PageKind, 0)
 
+#: CPU charge (in page-I/O units) for handing one index entry to a scan
+ENTRY_CPU_COST = 0.0002
+
+#: CPU charge (in page-I/O units) for examining one heap record
+RECORD_CPU_COST = 0.001
+
 
 @dataclass(slots=True)
 class CostMeter:
-    """Accumulates the cost charged to one process/strategy.
+    """Counts the work charged to one process/strategy.
 
-    Costs are in units of one physical page I/O. CPU work is charged in
-    small fractions of that unit so that ties between otherwise equal plans
-    break in favour of less CPU work, as in the paper's cost model.
+    Costs are in units of one physical page I/O. The meter counts what it
+    is charged — page reads and writes, buffer hits, index entries handed
+    to a scan and heap records examined — and prices the counts only when
+    read: an entry costs :data:`ENTRY_CPU_COST` and a record
+    :data:`RECORD_CPU_COST`, small fractions of an I/O, so that ties
+    between otherwise equal plans break in favour of less CPU work, as in
+    the paper's cost model. Counts add exactly: merging meters in any
+    order, or splitting the same work between several, leaves the same
+    total.
     """
 
     name: str = ""
     io_reads: int = 0
     io_writes: int = 0
     buffer_hits: int = 0
-    cpu: float = 0.0
+    #: index entries handed to a scan
+    entries: int = 0
+    #: heap records examined
+    records: int = 0
     #: breakdown of read misses per page kind
     reads_by_kind: dict[PageKind, int] = field(default_factory=_NO_READS.copy)
+
+    @property
+    def cpu(self) -> float:
+        """CPU cost in page-I/O units: the entry and record counts, priced."""
+        return self.entries * ENTRY_CPU_COST + self.records * RECORD_CPU_COST
 
     @property
     def total(self) -> float:
@@ -72,24 +92,21 @@ class CostMeter:
         """Record one buffer-pool hit (free in I/O units)."""
         self.buffer_hits += 1
 
-    def charge_cpu(self, amount: float) -> None:
-        """Charge ``amount`` page-I/O-equivalents of CPU work."""
-        self.cpu += amount
+    def charge_entries(self, count: int) -> None:
+        """Charge ``count`` index entries handed to a scan."""
+        self.entries += count
 
-    def charge_cpu_each(self, amount: float, count: int) -> None:
-        """``count`` charges of ``amount``, added one at a time: the float
-        total is bit for bit what ``count`` :meth:`charge_cpu` calls leave."""
-        cpu = self.cpu
-        for _ in range(count):
-            cpu += amount
-        self.cpu = cpu
+    def charge_records(self, count: int) -> None:
+        """Charge ``count`` heap records examined."""
+        self.records += count
 
     def merge(self, other: "CostMeter") -> None:
         """Fold another meter's charges into this one."""
         self.io_reads += other.io_reads
         self.io_writes += other.io_writes
         self.buffer_hits += other.buffer_hits
-        self.cpu += other.cpu
+        self.entries += other.entries
+        self.records += other.records
         for kind, count in other.reads_by_kind.items():
             self.reads_by_kind[kind] += count
 
@@ -99,10 +116,19 @@ class CostMeter:
         copy.merge(self)
         return copy
 
+    @classmethod
+    def merged(cls, meters: Iterable["CostMeter"], name: str = "") -> "CostMeter":
+        """One meter holding the charges of all of ``meters``: what their
+        work cost together, priced once."""
+        total = cls(name=name)
+        for meter in meters:
+            total.merge(meter)
+        return total
+
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
-            f"CostMeter({self.name!r}, reads={self.io_reads}, "
-            f"writes={self.io_writes}, hits={self.buffer_hits}, cpu={self.cpu:.3f})"
+            f"CostMeter({self.name!r}, reads={self.io_reads}, writes={self.io_writes}, "
+            f"hits={self.buffer_hits}, entries={self.entries}, records={self.records})"
         )
 
 
@@ -127,10 +153,10 @@ class NullMeter(CostMeter):
     def charge_hit(self) -> None:
         pass
 
-    def charge_cpu(self, amount: float) -> None:
+    def charge_entries(self, count: int) -> None:
         pass
 
-    def charge_cpu_each(self, amount: float, count: int) -> None:
+    def charge_records(self, count: int) -> None:
         pass
 
     def merge(self, other: "CostMeter") -> None:

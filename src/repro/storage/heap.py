@@ -17,9 +17,6 @@ from repro.storage.rid import RID, SLOT_BITS, SLOT_MASK, make_rid
 
 Row = tuple
 
-#: CPU charge (in page-I/O units) for examining one heap record
-RECORD_CPU_COST = 0.001
-
 
 class HeapFile:
     """An append-only heap of fixed-capacity slotted pages.

@@ -8,7 +8,6 @@ same process both ways and compare everything it leaves behind.
 
 from __future__ import annotations
 
-from repro.btree.tree import ENTRY_CPU_COST
 from repro.competition.two_stage import MIN_PROJECTION_FRACTION
 from repro.engine.final_stage import FinalStageProcess
 from repro.engine.jscan import (
@@ -18,13 +17,15 @@ from repro.engine.jscan import (
 )
 from repro.engine.metrics import EventKind
 from repro.obs.audit import DecisionKind
-from repro.storage.heap import RECORD_CPU_COST
+from repro.storage.buffer_pool import ENTRY_CPU_COST
 from repro.storage.rid import yao_pages_touched
 
 
 class PerEntryJscan(JscanProcess):
     """Jscan evaluating its switch criterion at every entry, one entry per
-    loop iteration, with a Yao call per projection."""
+    loop iteration, with a Yao call per projection. A scan's cost is what
+    Jscan prices it at: the I/O its steps made plus its scanned entries'
+    CPU charge."""
 
     def _do_batch(self, max_steps: int) -> tuple[int, bool]:
         meter = self.meter
@@ -59,11 +60,11 @@ class PerEntryJscan(JscanProcess):
                     and not scan.rid_list.spills
                 ):
                     scan = partner
-            before = meter.io_reads + meter.io_writes + meter.cpu
+            before = meter.io_reads + meter.io_writes
             if not scan.run:
                 run = scan.cursor.next_leaf_run()
                 if not run:
-                    scan.scan_cost += meter.io_reads + meter.io_writes + meter.cpu - before
+                    scan.io += meter.io_reads + meter.io_writes - before
                     self._complete_scan(scan)
                     if self.finished:
                         return steps, True
@@ -78,7 +79,7 @@ class PerEntryJscan(JscanProcess):
                 scan.run = run
             entry = scan.run.pop(0)
             rid = entry[1]
-            meter.cpu += ENTRY_CPU_COST
+            meter.charge_entries(1)
             scanned = scan.scanned = scan.scanned + 1
             counters.index_entries_scanned += 1
             if in_filter is not None and not in_filter(rid):
@@ -97,9 +98,8 @@ class PerEntryJscan(JscanProcess):
                 scan.kept += 1
                 if on_keep is not None:
                     on_keep(rid, scan.position)
-            scan_cost = scan.scan_cost = scan.scan_cost + (
-                meter.io_reads + meter.io_writes + meter.cpu - before
-            )
+            scan.io += meter.io_reads + meter.io_writes - before
+            scan_cost = scan.io + scanned * ENTRY_CPU_COST
             if static_threshold is not None:
                 if scan.kept > static_threshold:
                     self._abandon_scan(scan, "static-threshold")
@@ -155,7 +155,7 @@ class RowAtATimeFinalStage(FinalStageProcess):
             self.skipped += 1
             return self._next >= len(self.rids)
         row = self.heap.fetch(rid, self.meter)
-        self.meter.charge_cpu(RECORD_CPU_COST)
+        self.meter.charge_records(1)
         if self.trace is not None:
             self.trace.counters.records_fetched += 1
         if self.predicate(row):

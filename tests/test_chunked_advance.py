@@ -23,13 +23,13 @@ from repro.config import DEFAULT_CONFIG
 from repro.db.session import Database
 from repro.engine.final_stage import FinalStageProcess
 from repro.engine.initial import run_initial_stage
-from repro.engine.jscan import JscanProcess
+from repro.engine.jscan import JscanProcess, _cost_reach
 from repro.engine.metrics import EventKind, RetrievalTrace
 from repro.engine.scans import CollectingSink
 from repro.errors import RecordNotFoundError
 from repro.expr.ast import ALWAYS_TRUE, col
 from repro.obs import SteppingClock
-from repro.storage.buffer_pool import CostMeter
+from repro.storage.buffer_pool import ENTRY_CPU_COST, CostMeter
 from repro.storage.pager import DiskStats, PageKind
 from repro.storage.rid import make_rid, rid_page, rid_slot, yao_count_bounds, yao_pages_touched
 
@@ -274,6 +274,26 @@ def test_integer_yao_verdict_equals_the_float_one(pages, per_page):
         for k in range(n + 2):
             verdict = low <= k <= top or k >= high
             assert verdict == (yao_pages_touched(pages, per_page, k) >= target), (k, target)
+
+
+@given(st.integers(min_value=0, max_value=10**4),
+       st.floats(min_value=-1.0, max_value=2e4, allow_nan=False),
+       st.sampled_from([0.0, 1e-12, -1e-12]))
+@settings(max_examples=500, deadline=None)
+def test_cost_reach_is_the_first_count_at_the_limit(io, limit, nudge):
+    """The closed form, confirmed: the fewest scanned entries at which the
+    scan cost (as ``_IndexScan.scan_cost`` computes it) reaches the limit,
+    also where the quotient rounds to the wrong side of a count."""
+    limit = io + round(limit * 5000) * ENTRY_CPU_COST + nudge if limit > 0 else limit
+    n = _cost_reach(io, limit)
+    assert io + n * ENTRY_CPU_COST >= limit
+    assert n == 0 or io + (n - 1) * ENTRY_CPU_COST < limit
+
+
+def test_cost_reach_of_a_limit_that_is_not_finite():
+    assert _cost_reach(3, math.inf) == math.inf
+    assert _cost_reach(3, math.nan) == math.inf
+    assert _cost_reach(3, -math.inf) == 0
 
 
 # -- the final stage -----------------------------------------------------------

@@ -8,8 +8,9 @@ import pytest
 
 from paper.direct import DirectCompetition, TrialThenSwitch
 from paper.scheduler import ProportionalScheduler
+from paper.synthetic import SyntheticProcess
 from paper.two_stage import TwoStageCompetition
-from repro.competition.process import Process, SyntheticProcess
+from repro.competition.process import Process
 from repro.competition.two_stage import SwitchCriterion, SwitchDecision
 from repro.errors import CompetitionError
 
@@ -258,7 +259,7 @@ def test_package_exports_resolve_lazily():
     from repro.competition.model import LShapedCost as defined
 
     assert LShapedCost is defined and exported is Process
-    assert len(package.__all__) == 7
+    assert len(package.__all__) == 6
     for name in package.__all__:
         assert getattr(package, name).__name__ == name
     with pytest.raises(AttributeError):

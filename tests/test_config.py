@@ -134,35 +134,43 @@ def test_product_package_holds_only_what_the_product_runs():
 
 
 def test_cpu_costs_have_one_source():
-    """Every per-entry / per-record CPU charge and cost estimate in the
-    engine reads ``ENTRY_CPU_COST`` (btree/tree.py) or ``RECORD_CPU_COST``
-    (storage/heap.py) — the race must be decided in the units the scans
-    are charged in."""
+    """A meter counts index entries and heap records; only the meter prices
+    them, with ``ENTRY_CPU_COST`` and ``RECORD_CPU_COST`` (both defined once,
+    in storage/buffer_pool.py). Every charge is a count: no charge carries a
+    constant, no ``src/`` file writes a meter's ``cpu`` (a price derived from
+    the counts) and ``charge_cpu`` is gone. Estimates may still read the
+    constants — the race must be decided in the units the scans are charged
+    in."""
     constant = re.compile(r"\b(?:ENTRY|RECORD)_CPU_COST\b")
-    charge = re.compile(r"\bcharge_cpu(?:_each)?\(|\.cpu \+=")
+    charge = re.compile(
+        r"\bcharge_\w+\(|\.(?:entries|records|io_reads|io_writes|buffer_hits) \+="
+    )
     offenders = []
+    charges = 0
     for path in sorted((REPO / "src" / "repro").rglob("*.py")):
         text = path.read_text()
         where = path.relative_to(REPO)
         if "cpu_cost_per_" in text:
             offenders.append(f"{where}: a config-style cpu cost")
-        if "engine" not in path.parts:
-            continue
-        if re.search(r"^\s*(?:ENTRY|RECORD)_CPU_COST\s*=", text, re.M):
+        if "charge_cpu" in text:
+            offenders.append(f"{where}: charge_cpu")
+        if re.search(r"\.cpu\s*(?:[-+*/]?=)(?!=)", text):
+            offenders.append(f"{where}: writes a meter's cpu")
+        if where.parts[-2:] != ("storage", "buffer_pool.py") and re.search(
+            r"^\s*(?:ENTRY|RECORD)_CPU_COST\s*=", text, re.M
+        ):
             offenders.append(f"{where}: a private copy of a cost constant")
-        if re.search(r"\b(?:0\.0002|0\.001|2e-0?4|1e-0?3)\b", text):
+        if "engine" in path.parts and re.search(r"\b(?:0\.0002|0\.001|2e-0?4|1e-0?3)\b", text):
             offenders.append(f"{where}: a cost literal")
         aliases = set(re.findall(r"(\w+) = (?:ENTRY|RECORD)_CPU_COST\b", text))
         lines = text.splitlines()
         for number, line in enumerate(lines):
             if not charge.search(line) or line.lstrip().startswith("def "):
                 continue
-            if ".first." in line or ".second." in line:
-                continue  # the join's pair meter forwarding its argument
-            amount = " ".join(lines[number : number + 3])
-            amount = amount[charge.search(line).start() :]
-            if not constant.search(amount) and not (
-                aliases & set(re.findall(r"\w+", amount))
-            ):
+            charges += 1
+            statement = " ".join(lines[number : number + 3])
+            statement = statement[charge.search(line).start() :]
+            if constant.search(statement) or aliases & set(re.findall(r"\w+", statement)):
                 offenders.append(f"{where}:{number + 1}: {line.strip()}")
+    assert charges > 20, "the charge pattern no longer finds the engine's charges"
     assert not offenders, "\n".join(offenders)

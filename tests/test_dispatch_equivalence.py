@@ -19,7 +19,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import sys
 
+import repro.competition.process as process_module
+import repro.engine.retrieval as retrieval_module
 from repro.competition.process import drain
 from repro.db.session import Database
 from repro.engine.goals import OptimizationGoal
@@ -27,6 +30,7 @@ from repro.engine.retrieval import RetrievalRequest
 from repro.errors import RetrievalError
 from repro.estimate import Estimator
 from repro.expr.ast import ALWAYS_TRUE, col
+from repro.storage.buffer_pool import CostMeter
 from repro.storage.rid import rid_page, rid_slot
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden", "dispatch.json")
@@ -232,6 +236,44 @@ def test_the_statements_reach_every_branch():
     assert {pin["description"].split("(")[0].split(":")[0] for pin in skipped} == {
         "sscan", "background-only"}
     assert all(golden["unsupported"].values())
+
+
+def test_every_retrieval_costs_exactly_its_meters_merged(monkeypatch):
+    """For every pinned scenario, the retrieval's execution cost is the
+    total of the merged meters of what it ran (its processes, or the direct
+    fetch's one meter) and its estimation cost the initial stage's meter's:
+    counts added, then priced once, so a cost split between meters is
+    ``==`` the cost of the same work on one."""
+    made: list[CostMeter] = []
+
+    class Recorded(CostMeter):
+        __slots__ = ()
+
+        def __init__(self, *args, **kwargs) -> None:
+            super().__init__(*args, **kwargs)
+            made.append(self)
+
+    monkeypatch.setattr(process_module, "CostMeter", Recorded)
+    monkeypatch.setattr(retrieval_module, "CostMeter", Recorded)
+    checked = []
+
+    def check(db, result) -> dict:
+        estimation = [meter for meter in made if meter.name == "initial-stage"]
+        execution = CostMeter.merged(meter for meter in made if meter.name != "initial-stage")
+        assert result.estimation_cost == estimation[-1].total
+        assert result.execution_cost == execution.total
+        assert result.execution_io == execution.io_total
+        assert result.total_cost == result.estimation_cost + result.execution_cost
+        checked.append(result.description)
+        made.clear()
+        return {}
+
+    monkeypatch.setattr(sys.modules[__name__], "_pin", check)
+    fingerprint()
+    with open(GOLDEN, encoding="utf-8") as handle:
+        golden = json.load(handle)
+    assert len(checked) == sum(len(golden[section]) for section in ("dynamic", "forced", "gate"))
+    assert any(description.startswith("short-range") for description in checked)
 
 
 if __name__ == "__main__":

@@ -25,7 +25,6 @@ from repro.engine.union_scan import UnionScanProcess
 from repro.expr.ast import ALWAYS_TRUE, col
 from repro.expr.disjunction import cover_disjuncts
 from repro.storage.buffer_pool import CostMeter
-from repro.storage.heap import RECORD_CPU_COST
 from repro.storage.rid import rid_page, rid_slot
 
 BATCH_SIZES = [1, 2, 64]
@@ -64,6 +63,8 @@ def meter_totals(meter: CostMeter) -> dict:
     return {
         "io_reads": meter.io_reads,
         "io_writes": meter.io_writes,
+        "entries": meter.entries,
+        "records": meter.records,
         "cpu": meter.cpu,
         "io_total": meter.io_total,
         "total": meter.total,
@@ -610,7 +611,6 @@ def row_at_a_time(kind, table, expr, stop_after, skip=None, rid_filter=None):
     from repro.expr.eval import evaluate
 
     meter, counters, sink = CostMeter(), RetrievalCounters(), Collector(stop_after)
-    per_record = RECORD_CPU_COST
     position = table.schema.position
     steps, error, stopped = 0, None, False
 
@@ -623,7 +623,7 @@ def row_at_a_time(kind, table, expr, stop_after, skip=None, rid_filter=None):
             for page_no in range(table.heap.page_count):
                 steps += 1
                 for rid, row in table.heap.scan_page(page_no, meter):
-                    meter.charge_cpu(per_record)
+                    meter.charge_records(1)
                     counters.records_fetched += 1
                     if skip is not None and skip(rid):
                         continue
@@ -637,7 +637,7 @@ def row_at_a_time(kind, table, expr, stop_after, skip=None, rid_filter=None):
             cursor = index.btree.range_cursor(key_range, meter)
             while not stopped:
                 steps += 1
-                entry = cursor.next_entry()  # charges ENTRY_CPU_COST itself
+                entry = cursor.next_entry()  # charges the entry itself
                 if entry is None:
                     break
                 key, rid = entry
@@ -652,7 +652,7 @@ def row_at_a_time(kind, table, expr, stop_after, skip=None, rid_filter=None):
                     continue
                 else:
                     row = table.heap.fetch(rid, meter)
-                    meter.charge_cpu(per_record)
+                    meter.charge_records(1)
                     counters.records_fetched += 1
                 if evaluate(expr, row, position):
                     stopped = offer(rid, row)
@@ -879,14 +879,11 @@ class TestScanAdvanceEquivalence:
             assert observe(order, batch_size) == reference
             if not all(step.tactic == "hash" for step in order.steps):
                 continue
-            # an all-hash order charges one record's CPU — the same constant,
-            # so the order of the additions is immaterial — per live record
-            # of every table it reads and per bucket row a probe yields
+            # an all-hash order charges one record per live record of every
+            # table it reads and per bucket row a probe yields, and no entry
             live = sum(handle.heap.row_count for handle in handles.values())
-            expected_cpu = 0.0
-            for _ in range(live + sum(reference["fanout"][1])):
-                expected_cpu += RECORD_CPU_COST
-            assert reference["meter"]["cpu"] == expected_cpu
+            assert reference["meter"]["records"] == live + sum(reference["fanout"][1])
+            assert reference["meter"]["entries"] == 0
             assert reference["meter"]["io_reads"] == sum(
                 handle.heap.page_count for handle in handles.values())
 

@@ -6,8 +6,10 @@ import pytest
 
 from repro.engine.metrics import RetrievalTrace
 from repro.engine.tactics import BorrowingFetchProcess, ForegroundBuffer, TacticOutcome
-from repro.competition.process import SyntheticProcess
+from repro.competition.process import Process
 from repro.expr.ast import ALWAYS_TRUE, col
+from repro.storage.buffer_pool import ENTRY_CPU_COST, RECORD_CPU_COST
+from repro.storage.pager import PageKind
 from repro.storage.rid import make_rid
 
 
@@ -28,15 +30,17 @@ def test_foreground_buffer_deduplicates():
 
 
 def test_tactic_outcome_cost_sums_processes():
-    a = SyntheticProcess("a", 3)
-    b = SyntheticProcess("b", 2)
-    while not a.step():
-        pass
-    while not b.step():
-        pass
+    a, b = Process("a"), Process("b")
+    for _ in range(3):
+        a.meter.charge_read(PageKind.HEAP)
+    a.meter.charge_records(7)
+    b.meter.charge_write()
+    b.meter.charge_entries(11)
+    b.meter.charge_records(5)
     outcome = TacticOutcome(processes=[a, b])
-    assert outcome.total_cost == pytest.approx(5.0)
-    assert outcome.total_io == 0  # synthetic processes charge cpu only
+    # the processes' counts are added, then priced once
+    assert outcome.total_cost == 4 + (11 * ENTRY_CPU_COST + 12 * RECORD_CPU_COST)
+    assert outcome.total_io == 4
 
 
 @pytest.fixture

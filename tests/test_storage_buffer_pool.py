@@ -1,10 +1,13 @@
 """Tests for the LRU buffer pool and cost attribution."""
 
 import random
+from dataclasses import asdict
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.storage.buffer_pool import BufferPool, CostMeter
+from repro.storage.buffer_pool import ENTRY_CPU_COST, RECORD_CPU_COST, BufferPool, CostMeter
 from repro.storage.pager import Pager, PageKind
 
 
@@ -107,23 +110,58 @@ def test_hit_ratio(pager, buffer_pool):
 def test_meter_merge_and_snapshot():
     a = CostMeter(name="a")
     a.io_reads = 3
-    a.charge_cpu(0.5)
+    a.charge_entries(40)
+    a.charge_records(7)
     b = CostMeter(name="b")
     b.io_writes = 2
+    b.charge_records(5)
     b.merge(a)
-    assert b.io_reads == 3 and b.io_writes == 2
-    assert b.total == pytest.approx(5.5)
+    assert (b.io_reads, b.io_writes, b.entries, b.records) == (3, 2, 40, 12)
+    assert b.total == 5 + (40 * ENTRY_CPU_COST + 12 * RECORD_CPU_COST)
     snapshot = b.snapshot()
     b.io_reads += 1
-    assert snapshot.io_reads == 3
+    b.charge_entries(1)
+    assert snapshot.io_reads == 3 and snapshot.entries == 40
 
 
 def test_meter_total_mixes_io_and_cpu():
     meter = CostMeter()
     meter.io_reads = 2
-    meter.charge_cpu(0.25)
-    assert meter.total == pytest.approx(2.25)
+    meter.charge_entries(250)
+    meter.charge_records(3)
+    assert meter.cpu == 250 * ENTRY_CPU_COST + 3 * RECORD_CPU_COST
+    assert meter.total == 2 + meter.cpu
+    assert meter.total == pytest.approx(2.053)
     assert meter.io_total == 2
+
+
+_counts = st.integers(min_value=0, max_value=10**6)
+_meters = st.lists(
+    st.builds(
+        CostMeter, io_reads=_counts, io_writes=_counts, buffer_hits=_counts,
+        entries=_counts, records=_counts,
+        reads_by_kind=st.fixed_dictionaries({kind: _counts for kind in PageKind}),
+    ),
+    max_size=8,
+)
+
+
+@given(_meters, st.randoms(use_true_random=False))
+@settings(max_examples=200, deadline=None)
+def test_merging_meters_in_any_order_gives_the_same_counts_and_total(meters, rng):
+    """Counts add exactly: however the same charges are grouped and
+    ordered, the merged meter — and so its total — is the same."""
+    once = CostMeter.merged(meters)
+    shuffled = meters[:]
+    rng.shuffle(shuffled)
+    cut = rng.randint(0, len(shuffled))
+    halves = CostMeter.merged(
+        [CostMeter.merged(shuffled[:cut]), CostMeter.merged(shuffled[cut:])]
+    )
+    assert asdict(halves) == asdict(once)
+    assert halves.total == once.total
+    assert once.entries == sum(meter.entries for meter in meters)
+    assert once.records == sum(meter.records for meter in meters)
 
 
 # -- NullMeter ---------------------------------------------------------------
@@ -138,12 +176,13 @@ def test_null_meter_counters_stay_zero(pager, buffer_pool):
         buffer_pool.get(page_id)          # miss, default NULL_METER
         buffer_pool.get(page_id)          # hit
     buffer_pool.allocate(PageKind.TEMP)   # write
-    NULL_METER.charge_cpu(1.0)
+    NULL_METER.charge_entries(10)
+    NULL_METER.charge_records(10)
     NULL_METER.merge(CostMeter(io_reads=5))
     assert NULL_METER.io_reads == 0
     assert NULL_METER.io_writes == 0
     assert NULL_METER.buffer_hits == 0
-    assert NULL_METER.cpu == 0.0
+    assert NULL_METER.entries == NULL_METER.records == 0
     assert all(count == 0 for count in NULL_METER.reads_by_kind.values())
     assert NULL_METER.total == 0.0
 
