@@ -6,20 +6,33 @@ deterministic 95% threshold. This ablation races the two rules across a
 selectivity sweep: the Bayesian rule should match the threshold on easy
 cases and waste less on borderline ones, where the posterior's width
 captures how trustworthy the projection actually is.
+
+The deterministic column is the product (``Table.select``); the Bayesian
+one is ``paper.probabilistic.run_bayesian_jscan``, which races the same
+candidates the product's initial stage arranges with the Bayesian rule in
+the Jscan.
 """
 
 from _util import Report, run_once
 
+from paper.probabilistic import run_bayesian_jscan
 from repro.db.session import Database
 from repro.expr.ast import col, var
 from repro.workloads.scenarios import build_parts_table
 
 
-def build(probabilistic: bool):
+def build():
     db = Database(buffer_capacity=48)
-    table = build_parts_table(db, rows=6000)
-    table.config = table.config.with_(probabilistic_switch=probabilistic)
-    return db, table
+    return db, build_parts_table(db, rows=6000)
+
+
+def run(table, probabilistic: bool, where, host_vars):
+    """``(rows, cost, description)`` of one retrieval under either rule."""
+    if probabilistic:
+        execution = run_bayesian_jscan(table, where, host_vars)
+        return execution.rows, execution.cost, execution.description
+    result = table.select(where=where, host_vars=host_vars)
+    return result.rows, result.total_cost, result.description
 
 
 def experiment() -> dict:
@@ -37,14 +50,14 @@ def experiment() -> dict:
         line = [bound]
         costs = {}
         for probabilistic in (False, True):
-            db, table = build(probabilistic)
+            db, table = build()
             db.cold_cache()
-            run = table.select(where=query, host_vars={"W": bound, "S": bound})
-            totals[probabilistic] += run.total_cost
-            costs[probabilistic] = round(run.total_cost)
-            line.append(f"{run.total_cost:.0f}")
+            _, cost, description = run(table, probabilistic, query, {"W": bound, "S": bound})
+            totals[probabilistic] += cost
+            costs[probabilistic] = round(cost)
+            line.append(f"{cost:.0f}")
             if probabilistic:
-                line.append(run.description.split(" -> ")[-1][:22])
+                line.append(description.split(" -> ")[-1][:22])
         rows.append(line)
         deterministic, bayesian = costs[False], costs[True]
         if bayesian == deterministic:
@@ -64,15 +77,13 @@ def experiment() -> dict:
     # robustness: a misleading early sample (first entries all survive the
     # filter) must not fool either rule into premature abandonment
     for probabilistic in (False, True):
-        db, table = build(probabilistic)
+        db, table = build()
         db.cold_cache()
-        run = table.select(
-            where=(col("COLOR").eq(7)) & (col("WEIGHT") <= 150), host_vars={}
-        )
+        rows, _, _ = run(table, probabilistic, (col("COLOR").eq(7)) & (col("WEIGHT") <= 150), {})
         expected = sum(
             1 for _, row in table.heap.scan() if row[1] == 7 and row[2] <= 150
         )
-        assert len(run.rows) == expected
+        assert len(rows) == expected
     report.line("\nboth rules return exact results on the misleading-prefix query")
     report.save()
     return {"deterministic": totals[False], "bayesian": totals[True]}

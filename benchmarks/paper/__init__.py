@@ -15,8 +15,13 @@ need to reproduce the paper's arguments:
   and the standalone two-stage controller;
 * :mod:`paper.sampling` — B+-tree random sampling, [OlRo89] and [Ant92]
   (Section 5);
+* :mod:`paper.per_entry_jscan` — Jscan one index entry at a time, with its
+  switch rule as a hook: the chunked Jscan's test oracle, and the base of
+  the two comparators below;
 * :mod:`paper.mohan_jscan` — the statically-thresholded Jscan of [MoHa90]
-  that Section 6 argues against.
+  that Section 6 argues against;
+* :mod:`paper.probabilistic` — the Bayesian switch rule after [Ant91B]
+  (E15), judged in place of the paper's threshold.
 
 Tests and the ``bench_*`` scripts find it through ``pythonpath =
 ["benchmarks"]`` in ``pyproject.toml`` (or by running from ``benchmarks/``).

@@ -12,6 +12,9 @@ This baseline therefore:
 * abandons a scan only when its RID list grows past a fixed threshold
   (a fraction of the table's row count), with no dynamic readjustment;
 * never runs simultaneous adjacent scans.
+
+:class:`StaticThresholdJscan` is the per-entry Jscan with that rule as its
+verdict; :func:`run_static_jscan` runs it.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import Any, Mapping
 from repro.db.table import Table
 from repro.engine.final_stage import FinalStageProcess
 from repro.engine.initial import JscanCandidate
-from repro.engine.jscan import JscanProcess
+from repro.engine.jscan import _IndexScan
 from repro.engine.metrics import RetrievalTrace
 from repro.engine.scans import TscanProcess
 from repro.engine.static_optimizer import StaticOptimizer
@@ -32,13 +35,29 @@ from repro.expr.normalize import conjunction_terms
 from repro.expr.ranges import extract_index_restriction
 from repro.storage.rid import RID
 
+from paper.per_entry_jscan import PerEntryJscan
+
+
+class StaticThresholdJscan(PerEntryJscan):
+    """Jscan under [MoHa90]-style static control: a scan is abandoned when
+    its list holds more than ``rid_threshold`` RIDs, and neither the
+    guaranteed best nor a projection is consulted."""
+
+    def __init__(self, *args, rid_threshold: float, **kwargs) -> None:
+        super().__init__(*args, **kwargs)
+        self.rid_threshold = rid_threshold
+
+    def _judge(self, scan: _IndexScan, guaranteed: float) -> None:
+        if scan.kept > self.rid_threshold:
+            self._abandon_scan(scan, "static-threshold")
+
 
 def _run(process, batch_size: int) -> None:
     """Drive a process to completion in ``batch_size``-step batches.
 
     The baseline has no interleaving, so each process runs solo; batched
     stepping changes only dispatch overhead, never its decisions (the
-    static threshold is evaluated at every entry inside ``_do_batch``).
+    static threshold is judged after every entry).
     """
     while process.active:
         _, done = process.run_batch(max(1, batch_size))
@@ -96,13 +115,13 @@ def run_static_jscan(
     processes = []
     description = "static-jscan"
     if candidates:
-        jscan = JscanProcess(
+        jscan = StaticThresholdJscan(
             [candidate for _, candidate in candidates],
             table.heap,
             table.buffer_pool,
             trace,
             table.config.with_(simultaneous_adjacent_scans=False),
-            static_rid_threshold=threshold_fraction * max(1, table.row_count),
+            rid_threshold=threshold_fraction * max(1, table.row_count),
             name="static-jscan",
         )
         _run(jscan, table.config.batch_size)

@@ -9,7 +9,8 @@ the Section 3 competition framework, an SQL front end with the Rdb/VMS
 extensions, and the static-optimizer baseline the paper argues against.
 The models and comparators only the paper's experiments run (the Section 2
 selectivity-distribution toolkit, B+-tree sampling, the [MoHa90]
-static-threshold Jscan) live in ``benchmarks/paper/``, outside the package.
+static-threshold Jscan and the Bayesian switch rule) live in
+``benchmarks/paper/``, outside the package.
 
 Statements are served by a multi-query scheduler: open a connection with
 :func:`repro.connect`, then execute SQL on it — or open several sessions

@@ -11,14 +11,13 @@ before committing to any single one. This package provides:
   competing strategies implement;
 * :mod:`repro.competition.two_stage` — the two-stage switch criterion: a
   cheap stage continuously re-estimates an expensive stage and is abandoned
-  when the projection approaches the guaranteed best;
-* :mod:`repro.competition.probabilistic` — the Bayesian variant of that
-  criterion (``EngineConfig.probabilistic_switch``).
+  when the projection approaches the guaranteed best.
 
 The Section 3 arrangements that race synthetic processes — the synthetic
 process itself, the proportional scheduler, direct competition and the
 standalone two-stage controller — live in ``benchmarks/paper/``, outside
-the package.
+the package, as do the switch rules Jscan is measured against: the
+[MoHa90] static threshold and the Bayesian rule after [Ant91B].
 """
 
 from importlib import import_module

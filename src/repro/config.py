@@ -28,11 +28,6 @@ class EngineConfig:
     #: Run limited simultaneous scans of adjacent index pairs to dynamically
     #: reorder them (Section 6, "partially change the order of index scans").
     simultaneous_adjacent_scans: bool = True
-    #: Replace the deterministic 95% projection threshold with the
-    #: decision-theoretic posterior rule of
-    #: :mod:`repro.competition.probabilistic` ([Ant91B]'s "probabilistic
-    #: cost model" direction).
-    probabilistic_switch: bool = False
 
     # --- Section 6: hybrid RID list storage regions ---------------------
     #: "Lists up to 20 RIDs are stored in a small statically-allocated buffer."

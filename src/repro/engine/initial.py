@@ -274,8 +274,7 @@ def run_initial_stage(
     (a forced strategy) always arranges in full.
 
     A "very short range" otherwise ends in :attr:`~InitialArrangement.direct`:
-    with the small-range shortcut on (and the deterministic switch rule),
-    one fetch-needed candidate and nothing else to compete or to order by,
+    with the small-range shortcut on, one fetch-needed candidate and nothing else to compete or to order by,
     whose Figure 5 descent counted it in a leaf or split at level 2 over
     leaves that hold at most ``batch_size`` entries.
     """
@@ -385,7 +384,6 @@ def run_initial_stage(
 
     if (
         config.shortcut_rid_count >= 1
-        and not config.probabilistic_switch
         and not order_by
         and not arrangement.sscan_candidates
         and len(arrangement.jscan_candidates) == 1

@@ -296,7 +296,6 @@ class JoinOrderProcess(Process):
             entry = cursor.next_entry()
             if entry is None:
                 break
-            meter.charge_entries(1)
             row = handle.heap.fetch(entry[1], meter)
             meter.charge_records(1)
             if any(

@@ -20,16 +20,14 @@ partial list is refiltered in memory.
 The result is either a complete RID list (possibly empty — an immediate
 end-of-data), or the recommendation that Tscan is the best retrieval.
 
-A ``static_rid_threshold`` turns this class into the statically-controlled
-Jscan of [MoHa90]: a scan is abandoned only when its list outgrows the
-threshold, and neither the guaranteed best nor a projection is consulted.
-The baseline that sets it (``benchmarks/paper/mohan_jscan.py``) also turns
-``simultaneous_adjacent_scans`` off.
+The comparators Section 6 measures this rule against — the statically
+thresholded Jscan of [MoHa90] and a Bayesian rule after [Ant91B] — are
+per-entry subclasses in ``benchmarks/paper/``, outside the product.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from itertools import accumulate, compress, count, islice, repeat
 from operator import itemgetter, truediv
@@ -56,9 +54,11 @@ from repro.storage.rid import RID, yao_count_bounds, yao_pages_bound, yao_pages_
 #: RIDs per temp-table page assumed when pricing the read-back of a spilled list
 _SPILL_READ_RIDS_PER_PAGE = 512.0
 
-#: with ``probabilistic_switch``, re-evaluate every N scanned entries
-#: (posterior integration is pricier than the threshold check)
-PROBABILISTIC_CHECK_INTERVAL = 16
+#: the abandon reason each verdict of the switch criterion records
+REASONS = {
+    SwitchDecision.ABANDON_PROJECTED: "projected-cost",
+    SwitchDecision.ABANDON_SCAN_COST: "scan-cost",
+}
 
 #: the RID of a ``(key, rid)`` leaf entry
 _rid_of = itemgetter(1)
@@ -127,7 +127,6 @@ class JscanProcess(Process):
         buffer_pool: BufferPool,
         trace: RetrievalTrace,
         config: EngineConfig = DEFAULT_CONFIG,
-        static_rid_threshold: float | None = None,
         on_keep: Callable[[RID, int], None] | None = None,
         name: str = "jscan",
     ) -> None:
@@ -142,16 +141,6 @@ class JscanProcess(Process):
             threshold=config.switch_threshold,
             scan_cost_limit_fraction=config.scan_cost_limit_fraction,
         )
-        self._prob_criterion = None
-        if config.probabilistic_switch:
-            from repro.competition.probabilistic import BayesianSwitchCriterion
-
-            self._prob_criterion = BayesianSwitchCriterion(
-                heap_pages=heap.page_count,
-                rows_per_page=heap.rows_per_page,
-                scan_cost_limit_fraction=config.scan_cost_limit_fraction,
-            )
-        self.static_rid_threshold = static_rid_threshold
         #: tap: called with (rid, scan_position) for every kept RID —
         #: the fast-first tactic "borrows" RIDs through this hook
         self.on_keep = on_keep
@@ -262,7 +251,7 @@ class JscanProcess(Process):
             reason=reason,
             scanned=scan.scanned,
             kept=scan.kept,
-            scan_cost=round(scan.scan_cost, 2),
+            scan_io=scan.io,
         )
         if scan is self._active:
             self._active = self._partner
@@ -284,15 +273,7 @@ class JscanProcess(Process):
             # its range then; but installing the filter without the
             # refilter would corrupt results. Drop the partner's work; the
             # previous filter stands.
-            scan.rid_list.discard()
-            self.abandoned_scans += 1
-            self.trace.counters.scans_abandoned += 1
-            self.trace.emit(
-                EventKind.SCAN_ABANDONED, index=scan.name,
-                reason="active-spilled-no-refilter", scanned=scan.scanned,
-                kept=scan.kept, scan_cost=round(scan.scan_cost, 2),
-            )
-            self._partner = None
+            self._abandon_scan(scan, "active-spilled-no-refilter")
             return
         self.completed_scans += 1
         # the exhausted cursor walked its whole range: record the true
@@ -360,12 +341,12 @@ class JscanProcess(Process):
         that cannot fire is taken whole, and a scan's next leaf is read only
         then, by the step that takes its first entry; where a run might
         fire, its entries' verdicts are worked out one by one and the chunk
-        ends at the first that fires, where the criterion is evaluated as
-        it always was. A chunk also ends at the step budget, before a RID
-        list's next page write (a chunk of its own) and at a partner's
-        pause. A chunk that could neither fire nor fill a list even keeping
-        every entry it may take is bounded once, up front, and filtered
-        once, when it is taken.
+        ends at the first that fires, where :meth:`SwitchCriterion.evaluate`
+        decides on the projection itself. A chunk also ends at the step
+        budget, before a RID list's next page write (a chunk of its own) and
+        at a partner's pause. A chunk that could neither fire nor fill a
+        list even keeping every entry it may take is bounded once, up front,
+        and filtered once, when it is taken.
 
         Taking a chunk filters its entries in one pass (a set built once
         per completed in-memory filter), stores the kept RIDs in bulk and
@@ -377,9 +358,6 @@ class JscanProcess(Process):
         meter = self.meter
         counters = self.trace.counters
         buffer_limit = self.config.allocated_rid_buffer_size
-        static = self.static_rid_threshold is not None
-        probabilistic = not static and self._prob_criterion is not None
-        deterministic = not static and not probabilistic
         member, guaranteed, bounds = self._switch_inputs()
         cost_limit = self.criterion.scan_cost_limit_fraction * guaranteed
         steps = 0
@@ -423,7 +401,7 @@ class JscanProcess(Process):
             # a chunk that can neither fire nor fill a list even if it keeps
             # every entry it may take is filtered once, when it is taken; the
             # others are filtered and bounded a leaf run at a time
-            cleared = roomy = not probabilistic
+            cleared = roomy = True
             for x, n, room in zip(lanes, ((budget + stride - 1) // stride, budget // stride),
                                   allowed):
                 roomy = roomy and n < room
@@ -453,12 +431,6 @@ class JscanProcess(Process):
                     x.run += run
                 end = min(budget, len(lanes[0].run) * stride,
                           len(lanes[-1].run) * stride + stride - 1)
-                for lane, y in enumerate(lanes if probabilistic else ()):
-                    # the Bayesian rule looks at every 16th entry: end there
-                    check = (PROBABILISTIC_CHECK_INTERVAL - 1 - y.scanned
-                             % PROBABILISTIC_CHECK_INTERVAL) * stride + lane + 1
-                    if check <= end:
-                        end, exact = check, True
                 if roomy:
                     planned[0] = (end + stride - 1) // stride
                     planned[-1] = end // stride
@@ -481,7 +453,7 @@ class JscanProcess(Process):
                         at = next(islice(compress(count(), mask), room - (y is partner), None))
                         end = min(end, (taken + at + (y is partner)) * stride + lane)
                         exact = True
-                    if not cleared and not probabilistic and not self._cannot_fire(
+                    if not cleared and not self._cannot_fire(
                         y, kept_lo, kept_lo + len(new), y.scanned + taken + 1,
                         y.scanned + upto, guaranteed, bounds,
                     ):
@@ -497,7 +469,7 @@ class JscanProcess(Process):
                     if m:
                         break
                     end = 1  # the one step that writes a page
-                for lane, y in enumerate(lanes if deterministic else ()):
+                for lane, y in enumerate(lanes):
                     # the lane's cost reaches its limit at its ``reach``-th
                     # entry of the chunk (its I/O is fixed over the run), or
                     # at its first step from ``m`` if it already has
@@ -570,35 +542,45 @@ class JscanProcess(Process):
 
             # -- the switch criterion, at the chunk's last entry
             last = lanes[(m - 1) % stride]
-            if static:
-                # [MoHa90]-style static control: abandon when the list exceeds
-                # a precomputed threshold; no dynamic readjustment
-                if last.kept > self.static_rid_threshold:
-                    self._abandon_scan(last, "static-threshold")
-                continue
-            if probabilistic and last.scanned % PROBABILISTIC_CHECK_INTERVAL:
-                continue
-            verdict = self._switch_verdict(last, guaranteed, bounds)
-            if verdict is None:
-                continue
-            reason, projection = verdict
-            # the switch criterion's inputs at the moment it fired: what the
-            # scan had cost, what the projection said it would cost (None
-            # while no reliable projection exists), and the guaranteed
-            # bound it lost to
-            self.trace.note(
-                DecisionKind.STAGE_TRANSITION,
-                f"abandon({last.name})",
-                reason=reason,
-                scanned=last.scanned,
-                kept=last.kept,
-                scan_cost=round(last.scan_cost, 2),
-                guaranteed=round(guaranteed, 2),
-                projection=None if projection is None else round(projection, 2),
-            )
-            self._abandon_scan(last, reason)
-            self._maybe_start_partner()
+            decision, projection = self._switch_verdict(last, guaranteed)
+            if decision is not SwitchDecision.CONTINUE:
+                self._switch_away(last, REASONS[decision], guaranteed, projection)
         return steps, False
+
+    def _switch_verdict(
+        self, scan: _IndexScan, guaranteed: float
+    ) -> tuple[SwitchDecision, float | None]:
+        """The switch criterion at ``scan``'s latest entry, and the
+        projection it judged: the final fetch's cost for the list the scan
+        would complete at its observed keep rate (None before
+        ``MIN_PROJECTION_FRACTION`` of its estimated range is scanned)."""
+        projection = None
+        estimate = scan.candidate.estimated_rids
+        if estimate is not None:
+            fraction = scan.scanned / max(estimate, float(scan.scanned))
+            if fraction >= MIN_PROJECTION_FRACTION:
+                projection = self.rid_fetch_cost(scan.kept / fraction, scan.rid_list)
+        return self.criterion.evaluate(projection, scan.scan_cost, guaranteed), projection
+
+    def _switch_away(
+        self, scan: _IndexScan, reason: str, guaranteed: float, projection: float | None
+    ) -> None:
+        """Abandon ``scan`` on the switch criterion's verdict, noting the
+        inputs it fired on: what the scan had cost (its I/O and scanned
+        entries), what the projection said the fetch would cost (None while
+        no reliable projection exists), and the guaranteed bound it lost to."""
+        self.trace.note(
+            DecisionKind.STAGE_TRANSITION,
+            f"abandon({scan.name})",
+            reason=reason,
+            scanned=scan.scanned,
+            kept=scan.kept,
+            scan_io=scan.io,
+            guaranteed=round(guaranteed, 2),
+            projection=None if projection is None else round(projection, 2),
+        )
+        self._abandon_scan(scan, reason)
+        self._maybe_start_partner()
 
     def _switch_inputs(self) -> tuple[Callable[[RID], bool] | None, float, tuple[int, int, int]]:
         """What the switch criterion and the filter need while the filter
@@ -641,14 +623,11 @@ class JscanProcess(Process):
         guaranteed: float,
         bounds: tuple[int, int, int],
     ) -> bool:
-        """Whether neither the projection nor the static threshold can fire
-        at any entry of ``x`` that leaves ``scanned_lo..scanned_hi`` entries
-        scanned and ``kept_lo..kept_hi`` kept — a bound from those ends.
-        (The scan cost is bounded by the caller: its running sum is exact.)
+        """Whether the projection cannot fire at any entry of ``x`` that
+        leaves ``scanned_lo..scanned_hi`` entries scanned and
+        ``kept_lo..kept_hi`` kept — a bound from those ends. (The scan cost
+        is bounded by the caller: it is a count.)
         """
-        static = self.static_rid_threshold
-        if static is not None:
-            return kept_hi <= static
         if guaranteed <= 0:
             return False
         estimate = x.candidate.estimated_rids
@@ -684,11 +663,7 @@ class JscanProcess(Process):
     ) -> int | None:
         """The first of ``x``'s entries, leaving ``kept`` RIDs kept and
         ``scanned_lo, scanned_lo + 1, ...`` scanned, at which the projection
-        (or the static threshold) fires — its offset — or None."""
-        static = self.static_rid_threshold
-        if static is not None:
-            at = bisect_right(kept, static)
-            return at if at < len(kept) else None
+        fires — its offset — or None."""
         if guaranteed <= 0:
             return 0
         estimate = x.candidate.estimated_rids
@@ -697,12 +672,9 @@ class JscanProcess(Process):
         at = bisect_left(fractions, MIN_PROJECTION_FRACTION)
         sizes = list(map(truediv, kept[at:], fractions[at:]))
         if x.rid_list.spills:
-            pages, rows_per_page = self.heap.page_count, self.heap.rows_per_page
             threshold = self.criterion.threshold * guaranteed
             hit = next(compress(count(), [
-                yao_pages_touched(pages, rows_per_page, int(size))
-                + size / _SPILL_READ_RIDS_PER_PAGE >= threshold
-                for size in sizes
+                self.rid_fetch_cost(size, x.rid_list) >= threshold for size in sizes
             ]), None)
         else:
             low, top, high = bounds
@@ -713,59 +685,6 @@ class JscanProcess(Process):
             ]
             hit = min((h for h in hits if h is not None), default=None)
         return None if hit is None else at + hit
-
-    def _switch_verdict(
-        self, scan: _IndexScan, guaranteed: float, bounds: tuple[int, int, int]
-    ) -> tuple[str, float | None] | None:
-        """The switch criterion at ``scan``'s latest entry: ``(reason,
-        projection)`` when it fires, else None.
-
-        The projection is the final-retrieval cost of the list being built:
-        Yao's pages for the projected size, plus reading the spill pages
-        back. An in-memory list's verdict compares the projected size with
-        the integer bounds; the Yao value itself is computed only for the
-        note that records a firing.
-        """
-        projected = None
-        estimate = scan.candidate.estimated_rids
-        if estimate is not None:
-            fraction = scan.scanned / max(estimate, float(scan.scanned))
-            if fraction >= MIN_PROJECTION_FRACTION:
-                projected = scan.kept / fraction
-        spilled = scan.rid_list.spills
-        projection = None
-        if projected is not None and spilled:
-            projection = self._projection(projected, scan)
-        if self._prob_criterion is not None:
-            reason = self._probabilistic_verdict(scan, guaranteed)
-            if reason is None:
-                return None
-        elif guaranteed <= 0 or (
-            projected is not None
-            and (
-                projection >= self.criterion.threshold * guaranteed
-                if spilled
-                else bounds[0] <= int(projected) <= bounds[1] or int(projected) >= bounds[2]
-            )
-        ):
-            reason = "projected-cost"
-        elif scan.scan_cost >= self.criterion.scan_cost_limit_fraction * guaranteed:
-            reason = "scan-cost"
-        else:
-            return None
-        if projected is not None and projection is None:
-            projection = self._projection(projected, scan)
-        return reason, projection
-
-    def _projection(self, projected_size: float, scan: _IndexScan) -> float:
-        """Yao's pages for ``projected_size`` RIDs, plus the read-back of a
-        spilled list."""
-        projection = yao_pages_touched(
-            self.heap.page_count, self.heap.rows_per_page, int(projected_size)
-        )
-        if scan.rid_list.spills:
-            projection += projected_size / _SPILL_READ_RIDS_PER_PAGE
-        return projection
 
     def _tap(
         self,
@@ -792,24 +711,6 @@ class JscanProcess(Process):
             rid = order[step % 2][step // 2]
             if rid is not None:
                 on_keep(rid, lanes[step % 2].position)
-
-    def _probabilistic_verdict(self, scan: _IndexScan, guaranteed: float) -> str | None:
-        """The abandon reason under ``probabilistic_switch`` (None: go on)."""
-        from repro.competition.probabilistic import ScanEvidence
-
-        estimate = scan.candidate.estimated_rids
-        decision = self._prob_criterion.evaluate(
-            ScanEvidence(
-                scanned=scan.scanned,
-                kept=scan.kept,
-                estimated_total=estimate if estimate is not None else float(scan.scanned),
-                scan_cost=scan.scan_cost,
-            ),
-            guaranteed,
-        )
-        if decision is SwitchDecision.CONTINUE:
-            return None
-        return "projected-cost" if decision is SwitchDecision.ABANDON_PROJECTED else "scan-cost"
 
     def _finalize(self) -> bool:
         if self._filter is not None:

@@ -2,8 +2,8 @@
 
 Both advance routines take many steps per Python-level iteration. Every
 scenario here runs the same process twice — chunked, and through the
-per-entry (per-record) loop it replaced, kept in ``tests/advance_oracles.py``
-— and requires everything it leaves behind to be ``==``: rows, RIDs,
+per-entry (per-record) loop it replaced, kept as an oracle (see
+``tests/advance_oracles.py``) — and requires everything it leaves behind to be ``==``: rows, RIDs,
 events, notes, counters, every ``CostMeter`` field, pool and owner counts,
 the step count and the pins.
 """
@@ -97,33 +97,29 @@ PAUSING = DEFAULT_CONFIG.with_(
 )
 PROMOTING = DEFAULT_CONFIG.with_(static_rid_buffer_size=3)
 SPILLING = DEFAULT_CONFIG.with_(**TINY_BUFFERS)
-PROBABILISTIC = DEFAULT_CONFIG.with_(probabilistic_switch=True)
 SINGLE = DEFAULT_CONFIG.with_(simultaneous_adjacent_scans=False)
 
-#: name -> (restriction, config, JscanProcess keywords)
+#: name -> (restriction, config)
 SCENARIOS = {
-    "fire-on-leaf-first-entry": (ranges((0, 10), (4, 124)), DEFAULT_CONFIG, {}),
-    "fire-mid-leaf": (ranges((0, 10), (0, 280)), DEFAULT_CONFIG, {}),
-    "fire-on-leaf-last-entry": (ranges((0, 120), (10, 15)), DEFAULT_CONFIG, {}),
-    "fire-single-scan": (ranges((0, 10), (0, 280)), SINGLE, {}),
-    "pair-fires-on-partner-turn": (ranges((0, 30), (0, 120)), DEFAULT_CONFIG, {}),
-    "pair-partner-pauses": (ranges((0, 199), (0, 150)), PAUSING, {}),
-    "pair-reorders": (ranges((0, 3), (0, 5)), DEFAULT_CONFIG, {}),
-    "three-indexes": (ranges((0, 120), (40, 200), (10, 60)), DEFAULT_CONFIG, {}),
-    "static-to-allocated": (ranges((0, 60), (0, 150)), PROMOTING, {}),
-    "spill-mid-chunk": (ranges((0, 120), (40, 200), (10, 60)), SPILLING, {}),
-    "empty-intersection": (ranges((0, 5), (296, 299)), DEFAULT_CONFIG, {}),
-    "probabilistic": (ranges((0, 10), (0, 280)), PROBABILISTIC, {}),
-    "static-threshold": (ranges((0, 120), (40, 200)), DEFAULT_CONFIG,
-                         {"static_rid_threshold": 12.0}),
+    "fire-on-leaf-first-entry": (ranges((0, 10), (4, 124)), DEFAULT_CONFIG),
+    "fire-mid-leaf": (ranges((0, 10), (0, 280)), DEFAULT_CONFIG),
+    "fire-on-leaf-last-entry": (ranges((0, 120), (10, 15)), DEFAULT_CONFIG),
+    "fire-single-scan": (ranges((0, 10), (0, 280)), SINGLE),
+    "pair-fires-on-partner-turn": (ranges((0, 30), (0, 120)), DEFAULT_CONFIG),
+    "pair-partner-pauses": (ranges((0, 199), (0, 150)), PAUSING),
+    "pair-reorders": (ranges((0, 3), (0, 5)), DEFAULT_CONFIG),
+    "three-indexes": (ranges((0, 120), (40, 200), (10, 60)), DEFAULT_CONFIG),
+    "static-to-allocated": (ranges((0, 60), (0, 150)), PROMOTING),
+    "spill-mid-chunk": (ranges((0, 120), (40, 200), (10, 60)), SPILLING),
+    "empty-intersection": (ranges((0, 5), (296, 299)), DEFAULT_CONFIG),
     "scan-cost": (ranges((0, 30), (0, 30)), DEFAULT_CONFIG.with_(
-        scan_cost_limit_fraction=0.05), {}),
+        scan_cost_limit_fraction=0.05)),
 }
 
 
 def reference(name):
-    expr, config, kwargs = SCENARIOS[name]
-    return observe_jscan(PerEntryJscan, expr, "step", config, **kwargs)
+    expr, config = SCENARIOS[name]
+    return observe_jscan(PerEntryJscan, expr, "step", config)
 
 
 def partner_paused(expr, config):
@@ -165,7 +161,7 @@ class TestJscanChunks:
         pair = next(d for k, d in seen["events"] if k is EventKind.SIMULTANEOUS_PAIR)
         abandoned = [d["index"] for k, d in seen["events"] if k is EventKind.SCAN_ABANDONED]
         assert pair["partner"] in abandoned
-        expr, config, _ = SCENARIOS["pair-partner-pauses"]
+        expr, config = SCENARIOS["pair-partner-pauses"]
         assert partner_paused(expr, config)
         assert EventKind.REORDERED in [k for k, _ in reference("pair-reorders")["events"]]
         seen = reference("static-to-allocated")
@@ -174,8 +170,6 @@ class TestJscanChunks:
         assert EventKind.SPILL in [k for k, _ in seen["events"]]
         assert seen["meter"]["io_writes"] > 0
         assert reference("empty-intersection")["outcome"][2]
-        assert reasons(reference("probabilistic"))
-        assert "static-threshold" in reasons(reference("static-threshold"))
         assert "scan-cost" in reasons(reference("scan-cost"))
         assert all(reference(name)["tapped"] or name == "empty-intersection"
                    for name in SCENARIOS)
@@ -183,9 +177,9 @@ class TestJscanChunks:
     @pytest.mark.parametrize("drive", ["step", *BATCH_SIZES])
     @pytest.mark.parametrize("name", SCENARIOS)
     def test_chunks_match_the_per_entry_loop(self, name, drive):
-        expr, config, kwargs = SCENARIOS[name]
-        expected = observe_jscan(PerEntryJscan, expr, drive, config, **kwargs)
-        seen = observe_jscan(JscanProcess, expr, drive, config, **kwargs)
+        expr, config = SCENARIOS[name]
+        expected = observe_jscan(PerEntryJscan, expr, drive, config)
+        seen = observe_jscan(JscanProcess, expr, drive, config)
         assert seen == expected
         assert seen["pinned"] == {}
 
@@ -216,20 +210,18 @@ def jscan_cases(draw):
         static_rid_buffer_size=draw(st.sampled_from([2, 20])),
         allocated_rid_buffer_size=draw(st.sampled_from([8, 60, 4096])),
         temp_rids_per_page=draw(st.sampled_from([4, 512])),
-        probabilistic_switch=draw(st.sampled_from([False, False, False, True])),
         switch_threshold=draw(st.sampled_from([0.5, 0.95, 2.0])),
         scan_cost_limit_fraction=draw(st.sampled_from([0.05, 0.5])),
     )
-    static = draw(st.sampled_from([None, None, None, 30.0]))
     drive = draw(st.sampled_from(["step", 1, 2, 3, 17, 64]))
     order = draw(st.sampled_from([4, 6, 32]))
-    return rows, spread, multipliers, bounds, config, static, drive, order
+    return rows, spread, multipliers, bounds, config, drive, order
 
 
 @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(jscan_cases())
 def test_chunks_match_the_per_entry_loop_on_random_data(case):
-    rows, spread, multipliers, bounds, config, static, drive, order = case
+    rows, spread, multipliers, bounds, config, drive, order = case
     db = Database(buffer_capacity=32, config=config)
     table = db.create_table(
         "R", [("X", "int"), ("Y", "int"), ("Z", "int"), ("W", "int")],
@@ -246,9 +238,8 @@ def test_chunks_match_the_per_entry_loop_on_random_data(case):
     for column, lo, hi in bounds:
         term = col("XYZ"[column]).between(lo, hi)
         expr = term if expr is ALWAYS_TRUE else expr & term
-    kwargs = {} if static is None else {"static_rid_threshold": static}
-    expected = observe_jscan(PerEntryJscan, expr, drive, config, (db, table), **kwargs)
-    seen = observe_jscan(JscanProcess, expr, drive, config, (db, table), **kwargs)
+    expected = observe_jscan(PerEntryJscan, expr, drive, config, (db, table))
+    seen = observe_jscan(JscanProcess, expr, drive, config, (db, table))
     assert seen == expected
 
 

@@ -1,8 +1,9 @@
-"""Tests for the probabilistic (Bayesian) switch criterion."""
+"""Tests for the probabilistic (Bayesian) switch criterion, a comparator
+of the paper's rule in ``benchmarks/paper/``."""
 
 import pytest
 
-from repro.competition.probabilistic import BayesianSwitchCriterion, ScanEvidence
+from paper.probabilistic import BayesianSwitchCriterion, ScanEvidence, run_bayesian_jscan
 from repro.competition.two_stage import SwitchDecision
 from repro.db.session import Database
 from repro.expr.ast import col
@@ -61,16 +62,14 @@ def test_min_fraction_guard():
     assert criterion.evaluate(evidence, 50.0) is SwitchDecision.CONTINUE
 
 
-# -- end-to-end through Jscan -----------------------------------------------------
+# -- end-to-end through the Bayesian Jscan ------------------------------------------
 
 
-def _build(probabilistic: bool):
+def _build():
     db = Database(buffer_capacity=48)
     table = db.create_table(
         "T", [("A", "int"), ("B", "int")], rows_per_page=8, index_order=8
     )
-    if probabilistic:
-        table.config = table.config.with_(probabilistic_switch=True)
     for i in range(2000):
         table.insert((i % 50, (i * 7) % 500))
     table.create_index("IX_A", ["A"])
@@ -87,8 +86,8 @@ def test_probabilistic_engine_matches_oracle(expr_index):
         (col("A") < 2) & (col("B") >= 450),
     ]
     expr = expressions[expr_index]
-    db, table = _build(probabilistic=True)
-    result = table.select(where=expr)
+    db, table = _build()
+    result = run_bayesian_jscan(table, expr)
     expected = sorted(
         row for _, row in table.heap.scan()
         if evaluate(expr, row, table.schema.position)
@@ -97,19 +96,20 @@ def test_probabilistic_engine_matches_oracle(expr_index):
 
 
 def test_probabilistic_switches_to_tscan_on_unselective():
-    db, table = _build(probabilistic=True)
+    db, table = _build()
     db.cold_cache()
-    result = table.select(where=col("B") >= 0)
+    result = run_bayesian_jscan(table, col("B") >= 0)
     assert "tscan" in result.description
 
 
 def test_probabilistic_costs_comparable_to_deterministic():
-    costs = {}
-    for probabilistic in (False, True):
-        db, table = _build(probabilistic)
-        db.cold_cache()
-        run = table.select(where=(col("A").eq(7)) & (col("B") < 100))
-        costs[probabilistic] = run.total_cost
+    expr = (col("A").eq(7)) & (col("B") < 100)
+    db, table = _build()
+    db.cold_cache()
+    deterministic = table.select(where=expr).total_cost
+    db, table = _build()
+    db.cold_cache()
+    bayesian = run_bayesian_jscan(table, expr).cost
     # neither rule should be wildly worse on a routine query
-    assert costs[True] < 3 * costs[False]
-    assert costs[False] < 3 * costs[True]
+    assert bayesian < 3 * deterministic
+    assert deterministic < 3 * bayesian

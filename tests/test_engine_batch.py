@@ -14,6 +14,8 @@ from dataclasses import asdict
 
 import pytest
 
+from paper.mohan_jscan import StaticThresholdJscan
+from paper.probabilistic import BayesianJscan
 from repro.btree.tree import KeyRange
 from repro.config import DEFAULT_CONFIG
 from repro.db.session import Database
@@ -354,7 +356,7 @@ def build_jscan_db(config=DEFAULT_CONFIG, capacity=40):
     return db, table
 
 
-def start_jscan(expr, config=DEFAULT_CONFIG, **jscan_kwargs):
+def start_jscan(expr, config=DEFAULT_CONFIG, cls=JscanProcess, **jscan_kwargs):
     db, table = build_jscan_db(config)
     db.cold_cache()
     trace = RetrievalTrace()
@@ -362,7 +364,7 @@ def start_jscan(expr, config=DEFAULT_CONFIG, **jscan_kwargs):
         list(table.indexes.values()), expr, {}, frozenset(table.schema.names),
         (), CostMeter(), trace, config,
     )
-    jscan = JscanProcess(
+    jscan = cls(
         arrangement.jscan_candidates, table.heap, table.buffer_pool, trace,
         config, **jscan_kwargs,
     )
@@ -432,11 +434,10 @@ def ranges(a, b, c=None):
     return expr if c is None else expr & col("C").between(*c)
 
 
-MOHAN = dict(static_rid_threshold=12.0)
-PROBABILISTIC = DEFAULT_CONFIG.with_(probabilistic_switch=True)
 SPILLING = DEFAULT_CONFIG.with_(**TINY_BUFFERS)
 
-#: name -> (restriction, config, JscanProcess keywords)
+#: name -> (restriction, config, keywords of :func:`start_jscan`); the last
+#: two run the comparators' per-entry Jscans (``benchmarks/paper/``)
 JSCAN_SCENARIOS = {
     "abandon-mid-leaf": (ranges((0, 10), (0, 280)), DEFAULT_CONFIG, {}),
     "abandon-on-leaf-last-entry": (ranges((0, 120), (10, 15)), DEFAULT_CONFIG, {}),
@@ -444,8 +445,9 @@ JSCAN_SCENARIOS = {
     "partner-wins": (ranges((0, 3), (0, 5)), DEFAULT_CONFIG, {}),
     "three-indexes": (ranges((0, 120), (40, 200), (10, 60)), DEFAULT_CONFIG, {}),
     "spill": (ranges((0, 120), (40, 200), (10, 60)), SPILLING, {}),
-    "mohan-static-threshold": (ranges((0, 120), (40, 200)), DEFAULT_CONFIG, MOHAN),
-    "probabilistic": (ranges((0, 10), (0, 280)), PROBABILISTIC, {}),
+    "mohan-static-threshold": (ranges((0, 120), (40, 200)), DEFAULT_CONFIG,
+                               dict(cls=StaticThresholdJscan, rid_threshold=12.0)),
+    "probabilistic": (ranges((0, 10), (0, 280)), DEFAULT_CONFIG, dict(cls=BayesianJscan)),
 }
 
 

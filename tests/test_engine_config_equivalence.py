@@ -1,7 +1,7 @@
 """Property: every engine configuration returns the same rows.
 
 The dynamic optimizer's knobs (thresholds, buffer sizes, pair mode, the
-switch rule, the scheduling quantum) may change *cost*, never *results*. This is the
+bitmap filter, the scheduling quantum) may change *cost*, never *results*. This is the
 load-bearing safety property of competition-based optimization: abandoning
 a scan mid-run must be invisible to the consumer.
 """
@@ -18,7 +18,9 @@ from repro.expr.ast import col
 CONFIGS = [
     EngineConfig(),  # defaults
     EngineConfig(simultaneous_adjacent_scans=False),
-    EngineConfig(probabilistic_switch=True),
+    # spilled lists filtered through a bitmap small enough for false positives
+    EngineConfig(static_rid_buffer_size=2, allocated_rid_buffer_size=8,
+                 temp_rids_per_page=4, bitmap_bits=64),
     EngineConfig(switch_threshold=0.25),
     EngineConfig(switch_threshold=10.0, scan_cost_limit_fraction=100.0),
     EngineConfig(static_rid_buffer_size=2, allocated_rid_buffer_size=8),

@@ -2,6 +2,7 @@
 
 import pytest
 
+from paper.mohan_jscan import StaticThresholdJscan
 from repro.config import EngineConfig
 from repro.engine.initial import run_initial_stage
 from repro.engine.jscan import JscanProcess
@@ -33,10 +34,10 @@ def arrange(table, expr, config=None, host_vars={}):
     return arrangement, trace
 
 
-def run_jscan(table, expr, config=None, **kwargs):
+def run_jscan(table, expr, config=None, cls=JscanProcess, **kwargs):
     config = config or table.config
     arrangement, trace = arrange(table, expr, config)
-    jscan = JscanProcess(
+    jscan = cls(
         arrangement.jscan_candidates, table.heap, table.buffer_pool, trace, config,
         **kwargs,
     )
@@ -141,12 +142,13 @@ def test_on_keep_tap_sees_first_index_rids(db):
 
 
 def test_static_threshold_mode(db):
+    # the [MoHa90] comparator: the per-entry Jscan under a static threshold
     table = build_parts(db)
     expr = (col("COLOR").eq(3)) & (col("WEIGHT") >= 0)
     jscan, trace = run_jscan(
         table, expr,
         config=table.config.with_(simultaneous_adjacent_scans=False),
-        static_rid_threshold=30.0,
+        cls=StaticThresholdJscan, rid_threshold=30.0,
     )
     # COLOR=3 yields 60 rids > 30 threshold: abandoned under static control
     abandoned = trace.of_kind(EventKind.SCAN_ABANDONED)

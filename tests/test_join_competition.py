@@ -14,7 +14,9 @@ import pytest
 import repro
 from repro.config import DEFAULT_CONFIG
 from repro.engine.goals import OptimizationGoal
+from repro.btree.tree import RangeCursor
 from repro.engine.join import (
+    JoinOrderProcess,
     JoinTableHandle,
     candidate_orders,
     reference_nested_loop,
@@ -163,6 +165,31 @@ class TestDifferential:
                 )
             )
             assert sorted(result.rows) == expected
+
+
+def test_an_index_probe_charges_each_entry_once(db, monkeypatch):
+    """An index-nested-loop probe's meter counts exactly the entries its
+    cursors returned: ``next_entry`` charges each one, and nothing else may."""
+    returned = []
+    next_entry = RangeCursor.next_entry
+
+    def counting(cursor):
+        entry = next_entry(cursor)
+        returned.append(entry is not None)
+        return entry
+
+    node = join_node(db, SQL2)
+    handles = handles_for(db, node)
+    order = next(
+        order for order in candidate_orders(node, handles, {})
+        if [step.tactic for step in order.steps] == ["index"]
+    )
+    process = JoinOrderProcess(order, node, handles, {}, DEFAULT_CONFIG)
+    monkeypatch.setattr(RangeCursor, "next_entry", counting)
+    while process.active and not process.run_batch(64)[1]:
+        pass
+    assert sum(returned) > 0
+    assert process.edge_meters[0].entries == sum(returned)
 
 
 class TestCancellation:

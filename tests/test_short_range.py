@@ -265,9 +265,8 @@ class TestOldPathKept:
 
     @pytest.mark.parametrize("override", [
         {"batch_size": 1},
-        {"probabilistic_switch": True},
         {"shortcut_rid_count": -1},
-    ], ids=["batch-1", "probabilistic", "shortcut-off"])
+    ], ids=["batch-1", "shortcut-off"])
     def test_config(self, override):
         _, table = make_table(**override)
         for bindings in shapes(table).values():
