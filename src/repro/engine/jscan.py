@@ -48,11 +48,7 @@ from repro.obs.audit import DecisionKind
 from repro.storage.buffer_pool import ENTRY_CPU_COST, BufferPool, CostMeter
 from repro.storage.heap import HeapFile
 from repro.storage.hybrid_list import HybridRidList, RidListRegion
-from repro.storage.rid import RID, yao_count_bounds, yao_pages_bound, yao_pages_touched
-
-
-#: RIDs per temp-table page assumed when pricing the read-back of a spilled list
-_SPILL_READ_RIDS_PER_PAGE = 512.0
+from repro.storage.rid import RID, yao_pages_touched, yao_reach
 
 #: the abandon reason each verdict of the switch criterion records
 REASONS = {
@@ -154,8 +150,6 @@ class JscanProcess(Process):
         self._guaranteed: tuple[HybridRidList | None, int, float] | None = None
         #: (filter list, its membership test), see :meth:`_member`
         self._membership: tuple[HybridRidList, Callable[[RID], bool]] | None = None
-        #: (filter list, heap pages, :meth:`_switch_inputs`' answer)
-        self._inputs: tuple | None = None
         self._turn = 0
         self.completed_scans = 0
         self.abandoned_scans = 0
@@ -180,12 +174,14 @@ class JscanProcess(Process):
     def rid_fetch_cost(self, rid_count: float, rid_list: HybridRidList | None = None) -> float:
         """Estimated cost of the final stage for a RID list of given size.
 
-        Yao's expected distinct pages for the sorted fetch, plus reading the
-        spill pages back when the list lives in a temp table.
+        Yao's expected distinct pages for the sorted fetch of the list's
+        whole RIDs, plus, when the list lives in a temp table, the full
+        pages of it reading it back reads.
         """
-        cost = yao_pages_touched(self.heap.page_count, self.heap.rows_per_page, int(rid_count))
+        k = int(rid_count)
+        cost = yao_pages_touched(self.heap.page_count, self.heap.rows_per_page, k)
         if rid_list is not None and rid_list.region is RidListRegion.SPILLED:
-            cost += rid_count / _SPILL_READ_RIDS_PER_PAGE
+            cost += k // rid_list.config.temp_rids_per_page
         return cost
 
     def guaranteed_best_cost(self) -> float:
@@ -334,8 +330,8 @@ class JscanProcess(Process):
 
         A chunk is planned a leaf run at a time. The switch criterion is
         bounded over a run from the counts at its ends — the projection
-        against the Yao bounds inverted to integers
-        (:func:`~repro.storage.rid.yao_count_bounds`); the scan cost, which
+        against the one RID count at which the fetch's price reaches the
+        threshold (:meth:`_fetch_reach`); the scan cost, which
         is the scan's I/O count (fixed over a run) plus its entries' CPU
         charge, reaches its limit at an entry found in closed form. A run
         that cannot fire is taken whole, and a scan's next leaf is read only
@@ -358,7 +354,7 @@ class JscanProcess(Process):
         meter = self.meter
         counters = self.trace.counters
         buffer_limit = self.config.allocated_rid_buffer_size
-        member, guaranteed, bounds = self._switch_inputs()
+        member, guaranteed = self._member(), self.guaranteed_best_cost()
         cost_limit = self.criterion.scan_cost_limit_fraction * guaranteed
         steps = 0
         while steps < max_steps:
@@ -406,7 +402,7 @@ class JscanProcess(Process):
                                   allowed):
                 roomy = roomy and n < room
                 cleared = cleared and (not n or self._cannot_fire(
-                    x, x.kept, x.kept + n, x.scanned + 1, x.scanned + n, guaranteed, bounds
+                    x, x.kept, x.kept + n, x.scanned + 1, x.scanned + n, guaranteed
                 ))
             roomy = roomy and cleared
             m = 0
@@ -455,13 +451,13 @@ class JscanProcess(Process):
                         exact = True
                     if not cleared and not self._cannot_fire(
                         y, kept_lo, kept_lo + len(new), y.scanned + taken + 1,
-                        y.scanned + upto, guaranteed, bounds,
+                        y.scanned + upto, guaranteed,
                     ):
                         # near a crossing: the verdict entry by entry
                         running = accumulate(_keeps(member, y.run[taken:upto]), initial=kept_lo)
                         at = self._verdicts(
                             y, list(islice(running, 1, None)), y.scanned + taken + 1,
-                            guaranteed, bounds,
+                            guaranteed,
                         )
                         if at is not None:
                             end, exact = min(end, (taken + at) * stride + lane + 1), True
@@ -534,7 +530,7 @@ class JscanProcess(Process):
                         return steps, self._finalize()
                     self._active = self._start_scan(self._queue.pop(0))
                 self._maybe_start_partner()
-                member, guaranteed, bounds = self._switch_inputs()
+                member, guaranteed = self._member(), self.guaranteed_best_cost()
                 cost_limit = self.criterion.scan_cost_limit_fraction * guaranteed
                 continue
             if not exact:
@@ -582,22 +578,6 @@ class JscanProcess(Process):
         self._abandon_scan(scan, reason)
         self._maybe_start_partner()
 
-    def _switch_inputs(self) -> tuple[Callable[[RID], bool] | None, float, tuple[int, int, int]]:
-        """What the switch criterion and the filter need while the filter
-        and the heap stay as they are: the filter's membership test (a set
-        built once per completed in-memory list; the bitmap once spilled),
-        the guaranteed best cost, and the RID counts whose projection
-        reaches ``threshold x guaranteed`` (:func:`yao_count_bounds`)."""
-        pages = self.heap.page_count
-        cached = self._inputs
-        if cached is None or cached[0] is not self._filter or cached[1] != pages:
-            guaranteed = self.guaranteed_best_cost()
-            bounds = yao_count_bounds(
-                pages, self.heap.rows_per_page, self.criterion.threshold * guaranteed
-            )
-            cached = self._inputs = (self._filter, pages, (self._member(), guaranteed, bounds))
-        return cached[2]
-
     def _member(self) -> Callable[[RID], bool] | None:
         """The membership test of the current filter list: a set built once
         per completed in-memory list, the bitmap once spilled."""
@@ -613,6 +593,19 @@ class JscanProcess(Process):
             self._membership = cached
         return cached[1]
 
+    def _fetch_reach(self, rid_list: HybridRidList, guaranteed: float) -> int:
+        """The fewest RIDs at which :meth:`rid_fetch_cost` for a list in
+        ``rid_list``'s region (a live list is spilled exactly when it has
+        spilled) reaches ``threshold x guaranteed``
+        (:func:`~repro.storage.rid.yao_reach`): the projection fires exactly
+        when the projected list's whole RIDs number at least this."""
+        return yao_reach(
+            self.heap.page_count,
+            self.heap.rows_per_page,
+            self.criterion.threshold * guaranteed,
+            rid_list.config.temp_rids_per_page if rid_list.spills else 0,
+        )
+
     def _cannot_fire(
         self,
         x: _IndexScan,
@@ -621,7 +614,6 @@ class JscanProcess(Process):
         scanned_lo: int,
         scanned_hi: int,
         guaranteed: float,
-        bounds: tuple[int, int, int],
     ) -> bool:
         """Whether the projection cannot fire at any entry of ``x`` that
         leaves ``scanned_lo..scanned_hi`` entries scanned and
@@ -633,33 +625,18 @@ class JscanProcess(Process):
         estimate = x.candidate.estimated_rids
         if estimate is None:
             return True
-        fraction_hi = scanned_hi / max(estimate, float(scanned_hi))
-        if fraction_hi < MIN_PROJECTION_FRACTION:
+        if scanned_hi / max(estimate, float(scanned_hi)) < MIN_PROJECTION_FRACTION:
             return True
         # an entry keeps at most one RID, so a projecting entry's kept count
         # over its fraction is at most ``kept_hi`` over the fraction at
-        # ``pivot`` scanned entries, and at least ``kept_lo`` over the last
-        # fraction (with room for the float operations' rounding)
+        # ``pivot`` scanned entries (with room for the float operations'
+        # rounding)
         pivot = max(scanned_lo, scanned_lo - 1 + kept_hi - kept_lo)
         size_hi = kept_hi / max(pivot / max(estimate, float(pivot)), MIN_PROJECTION_FRACTION)
-        size_hi *= 1 + 1e-12
-        if x.rid_list.spills:
-            return (
-                yao_pages_bound(self.heap.page_count, self.heap.rows_per_page, int(size_hi))
-                + size_hi / _SPILL_READ_RIDS_PER_PAGE
-                < self.criterion.threshold * guaranteed
-            )
-        low, top, high = bounds
-        k_hi = int(size_hi)
-        return k_hi < high and (k_hi < low or int(kept_lo / fraction_hi * (1 - 1e-12)) > top)
+        return int(size_hi * (1 + 1e-12)) < self._fetch_reach(x.rid_list, guaranteed)
 
     def _verdicts(
-        self,
-        x: _IndexScan,
-        kept: list[int],
-        scanned_lo: int,
-        guaranteed: float,
-        bounds: tuple[int, int, int],
+        self, x: _IndexScan, kept: list[int], scanned_lo: int, guaranteed: float
     ) -> int | None:
         """The first of ``x``'s entries, leaving ``kept`` RIDs kept and
         ``scanned_lo, scanned_lo + 1, ...`` scanned, at which the projection
@@ -670,20 +647,9 @@ class JscanProcess(Process):
         scanned = range(scanned_lo, scanned_lo + len(kept))
         fractions = list(map(truediv, scanned, map(max, repeat(estimate), map(float, scanned))))
         at = bisect_left(fractions, MIN_PROJECTION_FRACTION)
-        sizes = list(map(truediv, kept[at:], fractions[at:]))
-        if x.rid_list.spills:
-            threshold = self.criterion.threshold * guaranteed
-            hit = next(compress(count(), [
-                self.rid_fetch_cost(size, x.rid_list) >= threshold for size in sizes
-            ]), None)
-        else:
-            low, top, high = bounds
-            counts = list(map(int, sizes))
-            hits = [
-                next(compress(count(), map(range(low, top + 1).__contains__, counts)), None),
-                next(compress(count(), map(high.__le__, counts)), None),
-            ]
-            hit = min((h for h in hits if h is not None), default=None)
+        sizes = map(int, map(truediv, kept[at:], fractions[at:]))
+        reach = self._fetch_reach(x.rid_list, guaranteed)
+        hit = next(compress(count(), map(reach.__le__, sizes)), None)
         return None if hit is None else at + hit
 
     def _tap(

@@ -46,7 +46,7 @@ from repro.expr.eval import compile_predicate, referenced_columns
 from repro.obs.trace import Tracer
 from repro.storage.buffer_pool import ENTRY_CPU_COST, RECORD_CPU_COST, BufferPool, CostMeter
 from repro.storage.heap import HeapFile
-from repro.storage.rid import RID, yao_pages_bound
+from repro.storage.rid import RID, yao_pages_touched
 
 
 @dataclass
@@ -440,7 +440,7 @@ class SingleTableRetrieval:
                     threshold=config.switch_threshold,
                     scan_cost_limit_fraction=config.scan_cost_limit_fraction,
                 )
-                projection = yao_pages_bound(
+                projection = yao_pages_touched(
                     heap.page_count,
                     heap.rows_per_page,
                     int(max(direct.estimated_rids, entries)),

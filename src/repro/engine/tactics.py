@@ -49,6 +49,7 @@ from repro.engine.scans import (
     SscanProcess,
     TscanProcess,
 )
+from repro.engine.union_scan import UnionScanProcess
 from repro.expr.ast import Expr
 from repro.expr.eval import compile_predicate
 from repro.storage.buffer_pool import BufferPool, CostMeter
@@ -231,18 +232,19 @@ def _traced(name: str):
     return decorate
 
 
-def _finish_background(
+def _finish_rid_list(
     ctx: TacticContext,
-    jscan: JscanProcess,
+    scan: JscanProcess | UnionScanProcess,
     outcome: TacticOutcome,
-    skip: Callable[[RID], bool] | None,
+    reason: str,
+    empty: str,
+    skip: Callable[[RID], bool] | None = None,
 ) -> Generator[None, None, None]:
-    """Run the final stage appropriate to how Jscan ended."""
-    if jscan.empty:
-        outcome.description += " -> empty-intersection shortcut"
-        return
-    if jscan.tscan_recommended:
-        ctx.trace.emit(EventKind.STRATEGY_SWITCH, to="tscan", reason="jscan-recommended")
+    """Run what a finished RID-list scan leads to: the Tscan it recommends
+    (switching for ``reason``), nothing for an empty list (described as
+    ``empty``), or the final stage over its sorted RIDs."""
+    if scan.tscan_recommended:
+        ctx.trace.emit(EventKind.STRATEGY_SWITCH, to="tscan", reason=reason)
         ctx.trace.counters.strategy_switches += 1
         tscan = ctx.spawn(TscanProcess(
             ctx.heap, ctx.schema, ctx.restriction, ctx.host_vars, ctx.sink,
@@ -254,7 +256,10 @@ def _finish_background(
         outcome.stopped_by_consumer |= tscan.stopped_by_consumer
         outcome.description += " -> tscan"
         return
-    rids = jscan.sorted_result()
+    rids = scan.sorted_result()
+    if not rids:
+        outcome.description += empty
+        return
     ctx.trace.emit(EventKind.FINAL_STAGE_START, rids=len(rids))
     final = ctx.spawn(FinalStageProcess(
         rids, ctx.heap, ctx.schema, ctx.restriction, ctx.host_vars, ctx.sink,
@@ -264,6 +269,18 @@ def _finish_background(
     outcome.processes.append(final)
     outcome.stopped_by_consumer |= final.stopped_by_consumer
     outcome.description += f" -> final-stage({len(rids)} rids)"
+
+
+def _finish_background(
+    ctx: TacticContext,
+    jscan: JscanProcess,
+    outcome: TacticOutcome,
+    skip: Callable[[RID], bool] | None,
+) -> Generator[None, None, None]:
+    """Run the final stage appropriate to how Jscan ended."""
+    yield from _finish_rid_list(
+        ctx, jscan, outcome, "jscan-recommended", " -> empty-intersection shortcut", skip
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -334,8 +351,6 @@ def union_or_steps(ctx: TacticContext, covered) -> StepOutcome:
     :class:`repro.expr.disjunction.DisjunctRange` proving every top-level
     OR term is covered by some index range.
     """
-    from repro.engine.union_scan import UnionScanProcess
-
     ctx.trace.emit(EventKind.TACTIC_SELECTED, tactic="union-or", disjuncts=len(covered))
     outcome = TacticOutcome(description=f"union-or: {len(covered)} disjunct scans")
     union = ctx.spawn(
@@ -343,32 +358,7 @@ def union_or_steps(ctx: TacticContext, covered) -> StepOutcome:
     )
     yield from advance(union, ctx.config.batch_size)
     outcome.processes.append(union)
-    if union.tscan_recommended:
-        ctx.trace.emit(EventKind.STRATEGY_SWITCH, to="tscan", reason="union-too-big")
-        ctx.trace.counters.strategy_switches += 1
-        tscan = ctx.spawn(TscanProcess(
-            ctx.heap, ctx.schema, ctx.restriction, ctx.host_vars, ctx.sink,
-            ctx.trace, ctx.config, predicate=ctx.predicate,
-        ))
-        ctx.trace.emit(EventKind.SCAN_START, strategy="tscan")
-        yield from advance(tscan, ctx.config.batch_size)
-        outcome.processes.append(tscan)
-        outcome.stopped_by_consumer |= tscan.stopped_by_consumer
-        outcome.description += " -> tscan"
-        return outcome
-    rids = union.sorted_result()
-    if not rids:
-        outcome.description += " -> empty union"
-        return outcome
-    ctx.trace.emit(EventKind.FINAL_STAGE_START, rids=len(rids))
-    final = ctx.spawn(FinalStageProcess(
-        rids, ctx.heap, ctx.schema, ctx.restriction, ctx.host_vars, ctx.sink,
-        ctx.trace, ctx.config, predicate=ctx.predicate,
-    ))
-    yield from advance(final, ctx.config.batch_size)
-    outcome.processes.append(final)
-    outcome.stopped_by_consumer |= final.stopped_by_consumer
-    outcome.description += f" -> final-stage({len(rids)} rids)"
+    yield from _finish_rid_list(ctx, union, outcome, "union-too-big", " -> empty union")
     return outcome
 
 

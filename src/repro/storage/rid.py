@@ -3,17 +3,17 @@
 A RID names a record by (page number, slot) in one int. Jscan (Section 6)
 manipulates RID lists heavily: building them from index scans, intersecting
 them through filters, sorting them for page-clustered final fetches. Yao's
-formula estimates how many distinct pages a sorted RID fetch will touch, the
-"projected second stage cost" used by the two-stage competition.
+formula gives how many distinct pages a sorted RID fetch is expected to
+touch, the "projected second stage cost" used by the two-stage competition.
 """
 
 from __future__ import annotations
 
+import math
 import sys
-import threading
-from array import array
 from bisect import bisect_left
 from functools import lru_cache
+from operator import truediv
 from typing import Callable, Iterable, Iterator
 
 #: A record identifier, ``page << SLOT_BITS | slot``: ordered page-major like
@@ -145,124 +145,67 @@ class SortedRidBuffer:
         return len({rid >> SLOT_BITS for rid in self._rids})
 
 
-#: prefix-product tables are kept for this many ``(pages, records/page)``
-#: pairs, least recently used first out; a table has at most 1001 doubles
-_YAO_TABLES = 8
-_yao_extend_lock = threading.Lock()
-
-
-@lru_cache(maxsize=_YAO_TABLES)
-def _yao_products(total_pages: int, records_per_page: int) -> "array[float]":
-    """The growing table of Yao prefix products for one table shape.
-
-    ``products[k]`` is ``prod_{i=1..k} (n - n/m - i + 1)/(n - i + 1)``,
-    multiplied up in exactly that order, or ``0.0`` from the first ``k``
-    whose numerator is not positive. The cache hands every caller the same
-    array on purpose: :func:`yao_pages_touched` extends it in place.
-    """
-    return array("d", (1.0,))
-
-
-def _extend_yao_products(products: "array[float]", m: float, n: float, k: int) -> None:
-    # the tables are process-wide, shared by every database; an embedding
-    # application's threads may want the same table extended at once
-    with _yao_extend_lock:
-        per_page = n / m
-        prod = products[-1]
-        for i in range(len(products), k + 1):
-            numerator = n - per_page - i + 1
-            denominator = n - i + 1
-            if numerator <= 0:
-                prod = 0.0
-            else:
-                prod *= numerator / denominator
-            products.append(prod)
-
-
-#: the largest record count :func:`yao_pages_touched` multiplies out exactly
-_YAO_EXACT_LIMIT = 1000
-
-
 def yao_pages_touched(total_pages: int, records_per_page: int, k: int) -> float:
     """Yao's formula: expected distinct pages touched fetching ``k`` records.
 
-    Given a table of ``total_pages`` pages with ``records_per_page`` records
-    each, selecting ``k`` records uniformly without replacement touches on
-    average ``m * (1 - prod_{i=1..k} (n - n/m - i + 1)/(n - i + 1))`` pages.
-    This is the engine's estimate for the cost of a sorted RID-list fetch
-    (the "second stage" of Jscan's two-stage competition).
+    Selecting ``k`` of the ``n = m * d`` records of a table of ``m`` pages
+    holding ``d`` records each, uniformly without replacement, misses a
+    given page with probability ``C(n - d, k) / C(n, k) = C(n - k, d) /
+    C(n, d)``, so on average ``m * (1 - prod_{j<d} (n - k - j)/(n - j))``
+    pages are touched. This is the engine's estimate for the cost of a
+    sorted RID-list fetch (the "second stage" of Jscan's two-stage
+    competition). A fractional ``k`` counts its whole records.
 
-    Jscan re-projects that cost at every index entry, so the product is not
-    recomputed per call: it is read from a prefix-product table per
-    ``(total_pages, records_per_page)`` that grows to the largest ``k`` asked
-    for so far. The table holds the same multiplications in the same order
-    as the plain loop, so the result is bit-identical to it.
-
-    A cheap closed-form approximation ``m * (1 - (1 - 1/m)**k)`` is used when
-    the exact product would be long; it is accurate for the sizes we model.
+    The product is exact for every count: ``d`` quotients of integers, each
+    rounded once. Each quotient falls as ``k`` grows and a rounded product
+    of falling factors cannot rise, so the result never decreases with
+    ``k``, in floating point as in the formula; :func:`yao_reach` inverts
+    a threshold on it to one count.
     """
     if total_pages <= 0 or k <= 0:
         return 0.0
-    m = float(total_pages)
-    n = float(total_pages * records_per_page)
-    if k >= n:
-        return m
-    if k > _YAO_EXACT_LIMIT:
-        return m * (1.0 - (1.0 - 1.0 / m) ** k)
+    n = total_pages * records_per_page
     k = int(k)
-    products = _yao_products(total_pages, records_per_page)
-    if k >= len(products):
-        _extend_yao_products(products, m, n, k)
-    return m * (1.0 - products[k])
-
-
-def yao_pages_bound(total_pages: int, records_per_page: int, k: int) -> float:
-    """The most :func:`yao_pages_touched` gives for any count up to ``k``.
-
-    Both of its branches grow with ``k``, but the closed form starts a
-    little below the exact product it takes over from, so the bound is the
-    larger of the two branch ends.
-    """
-    return max(
-        yao_pages_touched(total_pages, records_per_page, min(k, _YAO_EXACT_LIMIT)),
-        yao_pages_touched(total_pages, records_per_page, k),
-    )
+    if k > n - records_per_page:
+        return float(total_pages)  # too few records left to miss a page
+    missed = math.prod(map(
+        truediv, range(n - k, n - k - records_per_page, -1), range(n, n - records_per_page, -1)
+    ))
+    return total_pages * (1.0 - missed)
 
 
 #: inverted thresholds kept: a statement's guaranteed cost repeats with the
 #: statement, and a workload runs a few hundred distinct ones
-_YAO_BOUNDS = 1024
+_YAO_REACHES = 1024
 
 
-@lru_cache(maxsize=_YAO_BOUNDS)
-def yao_count_bounds(
-    total_pages: int, records_per_page: int, pages: float
-) -> tuple[int, int, int]:
-    """The record counts whose Yao estimate reaches ``pages``, as integers.
+@lru_cache(maxsize=_YAO_REACHES)
+def yao_reach(
+    total_pages: int, records_per_page: int, pages: float, spill_rids_per_page: int = 0
+) -> int:
+    """The fewest records whose fetch costs at least ``pages``.
 
-    Returns ``(low, top, high)``: ``yao_pages_touched(total_pages,
-    records_per_page, k) >= pages`` holds exactly when ``low <= k <= top``
-    or ``k >= high`` (a bound that is never reached is ``sys.maxsize``).
-    Each branch of the formula grows with ``k``, so each is inverted by a
-    binary search over the very calls it stands for; there are two ranges
-    because the closed form starts a little below the exact product it
-    takes over from at ``k = 1001``. A caller comparing a count against
+    The cost of fetching ``k`` records is :func:`yao_pages_touched`, plus,
+    for a list spilled to a temp table of ``spill_rids_per_page`` RIDs a
+    page, the ``k // spill_rids_per_page`` full pages reading it back reads
+    (its tail is still in memory). That cost never decreases with ``k``, so
+    it is at least ``pages`` exactly from the count returned on
+    (``sys.maxsize`` when no count reaches it), found by a binary search
+    over the very calls it stands for. A caller comparing a count against
     the same ``pages`` at every step thus compares integers instead.
     """
-    never = sys.maxsize
 
     def reaches(k: int) -> bool:
-        return yao_pages_touched(total_pages, records_per_page, k) >= pages
+        cost = yao_pages_touched(total_pages, records_per_page, k)
+        if spill_rids_per_page:
+            cost += k // spill_rids_per_page
+        return cost >= pages
 
-    if total_pages <= 0:
-        return (0, never, 0) if reaches(0) else (never, never, never)
-    n = total_pages * records_per_page
-    top = min(_YAO_EXACT_LIMIT, n - 1)
-    low = bisect_left(range(top + 1), True, key=reaches)
-    if low > top:
-        low = never
-    closed = range(_YAO_EXACT_LIMIT + 1, n)
-    high = closed.start + bisect_left(closed, True, key=reaches)
-    if high >= n:
-        high = n if reaches(n) else never
-    return low, top, high
+    # past every record Yao's pages stay put: only a read-back keeps growing
+    top = max(0, total_pages * records_per_page)
+    if not reaches(top):
+        if not spill_rids_per_page or not pages < math.inf:
+            return sys.maxsize
+        while not reaches(top):
+            top = 2 * top + spill_rids_per_page
+    return bisect_left(range(top + 1), True, key=reaches)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import math
 import pickle
+import sys
 from dataclasses import asdict
 
 import pytest
@@ -31,7 +32,7 @@ from repro.expr.ast import ALWAYS_TRUE, col
 from repro.obs import SteppingClock
 from repro.storage.buffer_pool import ENTRY_CPU_COST, CostMeter
 from repro.storage.pager import DiskStats, PageKind
-from repro.storage.rid import make_rid, rid_page, rid_slot, yao_count_bounds, yao_pages_touched
+from repro.storage.rid import make_rid, rid_page, rid_slot, yao_pages_touched, yao_reach
 
 from tests.advance_oracles import PerEntryJscan, RowAtATimeFinalStage
 from tests.test_engine_batch import (
@@ -254,6 +255,9 @@ BENCHMARK_SHAPES = [
 
 @pytest.mark.parametrize("pages,per_page", BENCHMARK_SHAPES)
 def test_integer_yao_verdict_equals_the_float_one(pages, per_page):
+    """The one count ``yao_reach`` gives is where the projection starts to
+    fire; with Yao never falling (``tests/test_storage_rid.py``), ``k >= K``
+    is the float verdict ``yao_pages_touched(k) >= target`` for every k."""
     n = pages * per_page
     targets = {0.95 * pages, float(pages), pages + 1.0, 0.0}
     for k in (1, 20, 100, 999, 1000, 1001, 1002, 4096, n // 2, n - 1):
@@ -261,10 +265,12 @@ def test_integer_yao_verdict_equals_the_float_one(pages, per_page):
             value = yao_pages_touched(pages, per_page, k)
             targets |= {value, 0.95 * value, math.nextafter(value, math.inf)}
     for target in sorted(targets):
-        low, top, high = yao_count_bounds(pages, per_page, target)
-        for k in range(n + 2):
-            verdict = low <= k <= top or k >= high
-            assert verdict == (yao_pages_touched(pages, per_page, k) >= target), (k, target)
+        reach = yao_reach(pages, per_page, target)
+        if reach > n:
+            assert reach == sys.maxsize and yao_pages_touched(pages, per_page, n) < target
+            continue
+        assert yao_pages_touched(pages, per_page, reach) >= target, target
+        assert reach == 0 or yao_pages_touched(pages, per_page, reach - 1) < target, target
 
 
 @given(st.integers(min_value=0, max_value=10**4),

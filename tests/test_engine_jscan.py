@@ -253,3 +253,35 @@ def test_completed_jscan_frees_its_temp_pages():
     assert sorted(result.rows) == [(i, i) for i in range(1, 120)]
     temp = [page for page in db.pager._pages.values() if page.kind is PageKind.TEMP]
     assert temp == []
+
+
+def test_a_spilled_list_is_priced_at_its_own_temp_page_size():
+    """Reading a spilled list back reads the full pages of its temp table,
+    ``temp_rids_per_page`` RIDs each (the tail is still in memory): the
+    fetch price counts exactly those pages, whatever the page size."""
+    from repro.db.session import Database
+    from repro.storage.hybrid_list import HybridRidList, RidListRegion
+    from repro.storage.rid import make_rid, yao_pages_touched
+
+    config = EngineConfig(allocated_rid_buffer_size=64, temp_rids_per_page=16)
+    db = Database(config=config)
+    table = db.create_table("T", [("A", "int"), ("B", "int")], rows_per_page=16)
+    for i in range(6000):
+        table.insert((i + 1, i + 1))
+    table.create_index("IX_A", ["A"])
+    arrangement, trace = arrange(table, col("A") < 120)
+    jscan = JscanProcess(
+        arrangement.jscan_candidates, table.heap, table.buffer_pool, trace, config
+    )
+    rids = HybridRidList(table.buffer_pool, "spilled", config)
+    for i in range(103):
+        rids.add(make_rid(i, 0), CostMeter())
+    assert rids.region is RidListRegion.SPILLED
+    db.cold_cache()
+    meter = CostMeter()
+    assert len(rids.sorted_rids(meter)) == 103
+    assert meter.io_reads == 103 // 16 == 6
+    fetch = yao_pages_touched(table.heap.page_count, table.heap.rows_per_page, 103)
+    assert jscan.rid_fetch_cost(103, rids) == fetch + 6
+    assert jscan.rid_fetch_cost(103.9, rids) == fetch + 6
+    rids.discard()

@@ -159,3 +159,19 @@ def test_claim_section4_goal_inference_example(families_db):
     assert goals["C"] is OptimizationGoal.FAST_FIRST
     assert goals["B"] is OptimizationGoal.TOTAL_TIME
     assert goals["A"] is OptimizationGoal.TOTAL_TIME
+
+
+def test_section6_sweep_check_catches_the_projection_rule_planted_out():
+    """E7 must be able to fail without the rule it reproduces. With the
+    projection rule planted out (a switch threshold no projection reaches),
+    the unselective points sink both scans to the scan-cost limit, and the
+    sweep-wide check (dynamic <= (1 + scan_cost_limit_fraction) x
+    min([MoHa90], Tscan)) fails there. The selective check cannot see this
+    plant: on a list that stays selective the rule never fires."""
+    import bench_sec6_jscan as e7
+
+    db, parts = e7.fresh_db()
+    direct = 1 + parts.config.scan_cost_limit_fraction
+    parts.config = parts.config.with_(switch_threshold=100.0)
+    costs, _ = e7.sweep(db, parts, e7.frozen_fscan(parts))
+    assert e7.points_lost(costs, direct) == [300, 600, 1000]

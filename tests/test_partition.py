@@ -356,7 +356,7 @@ class TestScatter:
         temp-table page, and a scatter span marked cancelled."""
         db, table = make_db(
             rows=400, batch_size=4, static_rid_buffer_size=2,
-            allocated_rid_buffer_size=8, temp_rids_per_page=4,
+            allocated_rid_buffer_size=8, temp_rids_per_page=16,
         )
         # each partition's Jscan spills to a temp table, then loses to a
         # Tscan that discards it: temp pages exist only mid-fetch

@@ -1,7 +1,7 @@
 """Tests for RIDs, sorted RID buffers, and Yao's formula."""
 
 import gc
-import random
+import math
 import sys
 
 import pytest
@@ -9,14 +9,14 @@ from hypothesis import given, strategies as st
 
 import repro
 from repro.storage.rid import (
-    _YAO_TABLES,
     SortedRidBuffer,
-    _yao_products,
     make_rid,
     rid_page,
     rid_slot,
     yao_pages_touched,
+    yao_reach,
 )
+from tests.test_chunked_advance import BENCHMARK_SHAPES
 
 rid_strategy = st.tuples(
     st.integers(min_value=0, max_value=500), st.integers(min_value=0, max_value=63)
@@ -126,7 +126,7 @@ def test_yao_bounded_by_k_and_pages():
 
 
 def test_yao_approximation_matches_exact_for_large_k():
-    # the closed form used for k > 1000 should agree with the product form
+    # Cardenas' with-replacement approximation runs a little low, but close
     exact_like = 50 * (1.0 - (1.0 - 1.0 / 50) ** 1500)
     assert yao_pages_touched(50, 40, 1500) == pytest.approx(exact_like, rel=0.05)
 
@@ -135,118 +135,101 @@ def test_yao_empty_table():
     assert yao_pages_touched(0, 8, 5) == 0.0
 
 
-# -- the prefix-product table is bit-identical to the plain product loop -----
+# -- the short product against the k-factor product ---------------------------
 
 
-def yao_product_loop(total_pages, records_per_page, k):
-    """``yao_pages_touched`` as it was before the table: the reference."""
-    if total_pages <= 0 or k <= 0:
-        return 0.0
-    m = float(total_pages)
-    n = float(total_pages * records_per_page)
-    if k >= n:
-        return m
-    if k > 1000:
-        return m * (1.0 - (1.0 - 1.0 / m) ** k)
-    prod = 1.0
-    per_page = n / m
-    for i in range(1, int(k) + 1):
-        numerator = n - per_page - i + 1
-        denominator = n - i + 1
-        if numerator <= 0:
-            return m
-        prod *= numerator / denominator
-    return m * (1.0 - prod)
+def yao_product_loop(total_pages, records_per_page):
+    """Yao's pages for every count ``k = 0 .. n + 1`` as the ``k``-factor
+    product ``prod_{i<=k} (n - d - i + 1)/(n - i + 1)``, run up once, one
+    record at a time: the reference."""
+    n, d = total_pages * records_per_page, records_per_page
+    pages, missed = [0.0], 1.0
+    for i in range(1, n + 2):
+        missed = 0.0 if i > n - d else missed * ((n - d - i + 1) / (n - i + 1))
+        pages.append(total_pages * (1.0 - missed))
+    return pages
 
 
 YAO_SHAPES = [(1, 1), (2, 1), (5, 2), (157, 32), (800, 32), (4800, 32)]
 
+#: every (pages, records a page) checked, named ``PAGESxRECORDS``
+SHAPES = sorted(set(YAO_SHAPES + BENCHMARK_SHAPES))
+SHAPE_IDS = [f"{pages}x{per_page}" for pages, per_page in SHAPES]
 
-@pytest.mark.parametrize("order", ["ascending", "descending", "random"])
-@pytest.mark.parametrize("shape", YAO_SHAPES)
-def test_yao_table_equals_product_loop_bit_for_bit(shape, order):
-    # the table is extended lazily, so the order of the calls decides how
-    # it gets built: every order must give the loop's float exactly
-    ks = list(range(0, 1001))
-    if order == "descending":
-        ks.reverse()
-    elif order == "random":
-        random.Random(1993).shuffle(ks)
-    _yao_products.cache_clear()
-    for k in ks:
-        assert yao_pages_touched(*shape, k) == yao_product_loop(*shape, k), k
+#: counts checked one by one; past them only the last ``d + 2`` are
+DENSE_COUNTS = 40_000
+
+
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+def test_yao_is_the_product_loop_and_never_falls(shape):
+    pages, per_page = shape
+    n = pages * per_page
+    reference = yao_product_loop(*shape)
+    counts = range(n + 2)
+    if n + 2 > DENSE_COUNTS:
+        counts = [*range(DENSE_COUNTS), *range(n - per_page, n + 2)]
+    previous = 0.0
+    for k in counts:
+        value = yao_pages_touched(pages, per_page, k)
+        assert value == pytest.approx(reference[k], rel=1e-12, abs=0.0), k
+        assert previous <= value <= pages, k  # exactly, in floating point
+        previous = value
 
 
 def test_yao_saturates_when_a_numerator_runs_out():
     # m=5, r=2: n - n/m - i + 1 <= 0 from i = 9 on -> every page is touched
-    assert yao_product_loop(5, 2, 9) == 5.0
-    _yao_products.cache_clear()
+    reference = yao_product_loop(5, 2)
+    assert reference[9] == 5.0
     assert yao_pages_touched(5, 2, 9) == 5.0
-    assert yao_pages_touched(5, 2, 8) == yao_product_loop(5, 2, 8) < 5.0
-    # k >= n never reaches the table
+    assert yao_pages_touched(5, 2, 8) == pytest.approx(reference[8], rel=1e-12)
+    assert yao_pages_touched(5, 2, 8) < 5.0
     assert yao_pages_touched(5, 2, 10) == yao_pages_touched(5, 2, 11) == 5.0
     assert yao_pages_touched(1, 1, 1) == 1.0
 
 
-def test_yao_closed_form_branch_is_untouched():
-    # the closed form above 1000 records steps *down* about 1 % at k = 1001:
-    # a known wart, kept because smoothing it would change switch decisions
-    assert yao_pages_touched(800, 32, 1001) == yao_product_loop(800, 32, 1001)
-    assert yao_pages_touched(800, 32, 1001) == 800 * (1.0 - (1.0 - 1.0 / 800) ** 1001)
-    assert yao_pages_touched(800, 32, 1001) < yao_pages_touched(800, 32, 1000)
-    assert yao_pages_touched(4800, 32, 50_000) == yao_product_loop(4800, 32, 50_000)
+def test_yao_has_no_step_where_a_closed_form_once_took_over():
+    # Cardenas' approximation above 1 000 records used to drop this to
+    # 571.26 pages at k = 1 001; the exact product keeps rising
+    assert yao_pages_touched(800, 32, 1000) < yao_pages_touched(800, 32, 1001)
+    assert yao_pages_touched(800, 32, 1001) == pytest.approx(576.94, abs=0.005)
 
 
 def test_yao_accepts_fractional_record_counts():
     for k in (0.5, 2.5, 999.9, 1000.5):
-        assert yao_pages_touched(157, 32, k) == yao_product_loop(157, 32, k)
+        assert yao_pages_touched(157, 32, k) == yao_pages_touched(157, 32, int(k))
+    assert yao_pages_touched(157, 32, 0.5) == 0.0
 
 
-def test_yao_memo_is_bounded_and_survives_eviction():
-    _yao_products.cache_clear()
-    shapes = [(pages, 32) for pages in range(100, 100 + 3 * _YAO_TABLES)]
-    for _ in range(2):  # the second pass meets evicted shapes again
-        for shape in shapes:
-            assert yao_pages_touched(*shape, 700) == yao_product_loop(*shape, 700)
-            assert yao_pages_touched(*shape, 30) == yao_product_loop(*shape, 30)
-        assert _yao_products.cache_info().currsize <= _YAO_TABLES
-    # nothing is built before a call needs it
-    _yao_products.cache_clear()
-    assert yao_pages_touched(800, 32, 20) == yao_product_loop(800, 32, 20)
-    assert len(_yao_products(800, 32)) == 21
+# -- one count inverts a threshold on the fetch price ---------------------------
 
 
-def test_yao_table_extension_is_thread_safe():
-    import threading
+def fetch_price(pages, per_page, k, spill_rids_per_page):
+    """What ``JscanProcess.rid_fetch_cost`` charges for ``k`` RIDs."""
+    cost = yao_pages_touched(pages, per_page, k)
+    return cost + k // spill_rids_per_page if spill_rids_per_page else cost
 
-    # more threads than cores, all extending the same fresh tables at once
-    shapes = [(4000 + i, 32) for i in range(_YAO_TABLES)]
-    ks = list(range(1, 1001, 7))
-    expected = {(shape, k): yao_product_loop(*shape, k) for shape in shapes for k in ks}
-    _yao_products.cache_clear()
-    start = threading.Barrier(6)
-    failures = []
 
-    def worker(seed):
-        order = ks[:]
-        random.Random(seed).shuffle(order)
-        start.wait(timeout=60)
-        for shape in shapes:
-            for k in order:
-                if yao_pages_touched(*shape, k) != expected[shape, k]:
-                    failures.append((seed, shape, k))
+@pytest.mark.parametrize("spill_rids_per_page", [0, 16, 512])
+@pytest.mark.parametrize("shape", SHAPES, ids=SHAPE_IDS)
+def test_yao_reach_is_the_one_count_where_the_price_reaches_a_target(shape,
+                                                                      spill_rids_per_page):
+    pages, n = shape[0], shape[0] * shape[1]
 
-    old_interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(seed,)) for seed in range(6)]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-            assert not thread.is_alive()
-    finally:
-        sys.setswitchinterval(old_interval)
-    assert not failures
-    for shape in shapes:
-        assert len(_yao_products(*shape)) == ks[-1] + 1
+    def price(k):
+        return fetch_price(*shape, k, spill_rids_per_page)
+
+    targets = {0.95 * pages, float(pages), pages + 1.0, 0.0, -1.0, math.inf}
+    for k in (1, 20, 100, 999, 1000, 1001, 1002, 4096, n // 2, n - 1, n, 3 * n):
+        if 0 < k:
+            value = price(k)
+            targets |= {value, 0.95 * value, math.nextafter(value, math.inf),
+                        math.nextafter(value, -math.inf)}
+    for target in sorted(targets):
+        reach = yao_reach(*shape, target, spill_rids_per_page)
+        if reach == sys.maxsize:
+            # only a fetch that never reads a spill back stops rising
+            assert not spill_rids_per_page or target == math.inf
+            assert price(n) < target
+        else:
+            assert price(reach) >= target, target
+            assert reach == 0 or price(reach - 1) < target, target
